@@ -31,6 +31,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from array import array
 
 __all__ = ["available", "greedy_scan", "warm"]
@@ -210,6 +211,9 @@ _DISABLE_VALUES = ("0", "off", "no", "false")
 
 #: Cached load result: ``None`` = not attempted, ``False`` = unavailable.
 _engine = None
+#: Serializes the first probe: a thread asking while another compiles
+#: waits for the answer instead of reading a half-made one.
+_probe_lock = threading.Lock()
 
 
 def _compile() -> str | None:
@@ -298,28 +302,35 @@ def _smoke(fn) -> bool:
     return out == ([[0, 2], [1]], 1, 2)
 
 
+def _probe():
+    """Resolve the engine handle, or ``False`` when unavailable."""
+    toggle = os.environ.get("REPRO_COMPACTION_CSCAN", "").strip().lower()
+    if toggle in _DISABLE_VALUES or _load_fault_injected():
+        return False
+    so_path = _compile()
+    if so_path is not None:
+        try:
+            fn = _bind(so_path)
+        except OSError:
+            fn = None
+        if fn is not None and _smoke(fn):
+            return fn
+    # The engine was wanted but would not resolve on this host (no
+    # compiler, bad .so, failed smoke): disclose the pure-Python
+    # degradation once per process.
+    from repro.runtime.instrumentation import incr
+
+    incr("recovery.degraded.cscan")
+    return False
+
+
 def available() -> bool:
     """Whether the C scan engine compiled, loaded, and passed its smoke."""
     global _engine
     if _engine is None:
-        _engine = False
-        toggle = os.environ.get("REPRO_COMPACTION_CSCAN", "").strip().lower()
-        if toggle not in _DISABLE_VALUES and not _load_fault_injected():
-            so_path = _compile()
-            if so_path is not None:
-                try:
-                    fn = _bind(so_path)
-                except OSError:
-                    fn = None
-                if fn is not None and _smoke(fn):
-                    _engine = fn
-            if _engine is False:
-                # The engine was wanted but would not resolve on this
-                # host (no compiler, bad .so, failed smoke): disclose
-                # the pure-Python degradation once per process.
-                from repro.runtime.instrumentation import incr
-
-                incr("recovery.degraded.cscan")
+        with _probe_lock:
+            if _engine is None:
+                _engine = _probe()
     return _engine is not False
 
 

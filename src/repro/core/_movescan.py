@@ -22,7 +22,8 @@ process.
 
 The C side works on flattened integer streams only — rail membership as
 dense core ids in CSR layout, core-to-group membership likewise — and
-returns one ``T_soc`` total per candidate.  All core/group semantics
+returns one ``T_soc`` total per batch candidate, or the winner of a
+whole mergeTAMs sweep (:func:`merge_sweep`).  All core/group semantics
 stay in Python; the C code never sees a rail object.
 """
 
@@ -34,9 +35,10 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from array import array
 
-__all__ = ["available", "merge_distribute", "score_moves", "warm"]
+__all__ = ["available", "merge_sweep", "score_moves", "warm"]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -247,9 +249,10 @@ int64_t repro_move_scan(
 }
 
 /* ------------------------------------------------------------------ */
-/* Full mergeTAMs candidate with leftover-wire redistribution.
+/* One mergeTAMs sweep: every (partner, width) candidate of merging one
+ * rail, walked in the optimizer's enumeration order.
  *
- * The expensive optimizer path is "merge rails a+b onto c wires, then
+ * A merge-with-leftover candidate is "merge rails a+b onto c wires, then
  * hand the (w_a + w_b - c) freed wires to bottleneck rails one at a
  * time" -- a greedy loop whose every wire re-derives the bottleneck set
  * (InTest maxima plus the SI schedule's critical chain) and scores one
@@ -259,13 +262,55 @@ int64_t repro_move_scan(
  * same schedule order (picks sorted by (begin, group_id)), the same
  * stable critical-chain walk (end descending, ties in original order),
  * and the same first-candidate strict-< selection over ascending rail
- * indices.  Choices are reported so the caller can replay the winning
- * candidate; losers never materialize on the Python side.
+ * indices.  Exact merges (no leftover) arrive pre-scored by the batch
+ * scorer above, or with a negative total when their bound pruned them.
  *
  * The (core, width) time table is filled lazily by the caller, so
  * every read consults the parallel `have` byte map; a missing cell
- * aborts with -3 and reports (core, width) for the caller to fill
- * before retrying. */
+ * suspends the walk with -3, reporting the rails to fill, and the
+ * caller resumes it from the same candidate once the cells exist. */
+
+typedef struct {
+    int64_t n_rails, n_groups, capture, cap;
+    const int64_t *widths, *time_in, *depths, *rail_off;
+    const int32_t *rail_cores;
+    const int64_t *woc, *cg_off;
+    const int32_t *cg_ids;
+    const int64_t *patterns, *gids, *table;
+    const uint8_t *have;
+} rpr_in;
+
+/* Scratch of one replay (the post-merge rails are "local": rail b
+ * removed, the merged rail in rail a's shifted slot), carved out of one
+ * allocation per sweep call. */
+typedef struct {
+    int64_t *lw, *lt, *ld, *loff, *gb, *et, *eg, *ex, *sb, *se, *sg, *sx;
+    int64_t *ord, *crit, *run_end, *cand_d, *best_d, *choices;
+    uint64_t *em, *run_mask;
+    int32_t *lcores;
+    char *used;
+} rpr_ws;
+
+static void *rpr_ws_alloc(rpr_ws *ws, int64_t R, int64_t G, int64_t ncores,
+                          int64_t max_left)
+{
+    const size_t words = (size_t)(3 * R + 1 + R * G + 15 * G + 1
+                                  + max_left);
+    char *arena = malloc(words * 8 + (size_t)ncores * 4 + (size_t)G);
+    if (!arena)
+        return 0;
+    int64_t *p = (int64_t *)arena;
+#define TAKE(field, n) do { ws->field = (void *)p; p += (n); } while (0)
+    TAKE(lw, R); TAKE(lt, R); TAKE(ld, R * G); TAKE(loff, R + 1);
+    TAKE(gb, G); TAKE(et, G); TAKE(eg, G); TAKE(ex, G); TAKE(sb, G);
+    TAKE(se, G); TAKE(sg, G); TAKE(sx, G); TAKE(ord, G); TAKE(crit, G + 1);
+    TAKE(run_end, G); TAKE(cand_d, G); TAKE(best_d, G);
+    TAKE(choices, max_left); TAKE(em, G); TAKE(run_mask, G);
+#undef TAKE
+    ws->lcores = (int32_t *)p;
+    ws->used = (char *)(ws->lcores + ncores);
+    return arena;
+}
 
 static int64_t rpr_groups(
     int64_t R, int64_t n_groups, int64_t capture,
@@ -433,203 +478,145 @@ static uint64_t rpr_bottlenecks(
     return mask;
 }
 
-/* Score widening local rail r by one wire.  Returns the candidate
- * T_soc (always >= 0), -2 on stall, or -3 with missing_out filled when
- * a table cell is absent.  new_tin_out/new_row receive the rail's
- * patched figures for a later apply. */
-static int64_t rpr_score_widen(
-    int64_t R, int64_t n_groups, int64_t capture, int64_t r,
-    const int64_t *lw, const int64_t *lt, const int64_t *ld,
-    const int64_t *loff, const int32_t *lcores,
-    const int64_t *woc, const int64_t *cg_off, const int32_t *cg_ids,
-    const int64_t *patterns, const int64_t *gids,
-    const int64_t *table, const uint8_t *have, int64_t cap,
-    int64_t *et, uint64_t *em, int64_t *eg, int64_t *ex,
-    int64_t *run_end, uint64_t *run_mask, char *used,
-    int64_t *new_tin_out, int64_t *new_row, int64_t *missing_out)
+/* Score widening local rail r by one wire into ws->cand_d.  Returns the
+ * candidate T_soc (always >= 0), -2 on stall, or -3 when a table cell
+ * of the widened rail is absent.  new_tin_out receives the rail's
+ * patched InTest time for a later apply. */
+static int64_t rpr_score_widen(const rpr_in *in, const rpr_ws *ws,
+                               int64_t R, int64_t r, int64_t *new_tin_out)
 {
-    const int64_t w = lw[r] + 1;
+    const int64_t n_groups = in->n_groups, cap = in->cap;
+    const int64_t w = ws->lw[r] + 1;
+    int64_t *new_row = ws->cand_d;
     int64_t tin = 0;
     for (int64_t g = 0; g < n_groups; g++)
         new_row[g] = 0;
-    for (int64_t k = loff[r]; k < loff[r + 1]; k++) {
-        const int32_t core = lcores[k];
-        if (w > cap || !have[(size_t)core * cap + w - 1]) {
-            missing_out[0] = core;
-            missing_out[1] = w;
+    for (int64_t k = ws->loff[r]; k < ws->loff[r + 1]; k++) {
+        const int32_t core = ws->lcores[k];
+        if (w > cap || !in->have[(size_t)core * cap + w - 1])
             return -3;
-        }
-        tin += table[(size_t)core * cap + w - 1];
-        const int64_t oc = woc[core];
+        tin += in->table[(size_t)core * cap + w - 1];
+        const int64_t oc = in->woc[core];
         if (oc) {
             const int64_t d = (oc + w - 1) / w;
-            for (int64_t kk = cg_off[core]; kk < cg_off[core + 1]; kk++)
-                new_row[cg_ids[kk]] += d;
+            for (int64_t kk = in->cg_off[core]; kk < in->cg_off[core + 1];
+                 kk++)
+                new_row[in->cg_ids[kk]] += d;
         }
     }
     int64_t t_in = tin;
     for (int64_t rr = 0; rr < R; rr++)
-        if (rr != r && lt[rr] > t_in)
-            t_in = lt[rr];
-    int64_t ne = 0;
+        if (rr != r && ws->lt[rr] > t_in)
+            t_in = ws->lt[rr];
+    /* swap the widened row in for the entry build, then back out, so
+     * new_row again holds the candidate's row for a later apply */
+    int64_t *row = ws->ld + r * n_groups;
     for (int64_t g = 0; g < n_groups; g++) {
-        int64_t best = 0;
-        uint64_t mask = 0;
-        for (int64_t rr = 0; rr < R; rr++) {
-            const int64_t d = (rr == r) ? new_row[g]
-                                        : ld[rr * n_groups + g];
-            if (d) {
-                mask |= 1ULL << rr;
-                const int64_t t = patterns[g] * (d + capture);
-                if (t > best)
-                    best = t;
-            }
-        }
-        if (mask) {
-            et[ne] = best;
-            em[ne] = mask;
-            eg[ne] = gids[g];
-            ex[ne] = g;
-            ne++;
-        }
+        const int64_t d = row[g];
+        row[g] = new_row[g];
+        new_row[g] = d;
     }
-    for (int64_t i = 1; i < ne; i++) {
-        const int64_t t = et[i], g = eg[i], x = ex[i];
-        const uint64_t mk = em[i];
-        int64_t j = i - 1;
-        while (j >= 0 && (et[j] < t || (et[j] == t && eg[j] > g))) {
-            et[j + 1] = et[j];
-            em[j + 1] = em[j];
-            eg[j + 1] = eg[j];
-            ex[j + 1] = ex[j];
-            j--;
-        }
-        et[j + 1] = t;
-        em[j + 1] = mk;
-        eg[j + 1] = g;
-        ex[j + 1] = x;
+    const int64_t ne = rpr_groups(R, n_groups, in->capture, ws->ld,
+                                  in->patterns, in->gids, ws->gb,
+                                  ws->et, ws->em, ws->eg, ws->ex);
+    for (int64_t g = 0; g < n_groups; g++) {
+        const int64_t d = row[g];
+        row[g] = new_row[g];
+        new_row[g] = d;
     }
     int64_t t_si = 0;
-    const int64_t ns = rpr_greedy(ne, et, em, eg, ex, 0, 0, 0, 0,
-                                  run_end, run_mask, used, &t_si);
+    const int64_t ns = rpr_greedy(ne, ws->et, ws->em, ws->eg, ws->ex,
+                                  0, 0, 0, 0, ws->run_end, ws->run_mask,
+                                  ws->used, &t_si);
     if (ns < 0)
         return -2;
     *new_tin_out = tin;
     return t_in + t_si;
 }
 
-int64_t repro_merge_distribute(
-    int64_t n_rails, int64_t n_groups, int64_t capture,
-    const int64_t *widths, const int64_t *time_in, const int64_t *depths,
-    const int64_t *rail_off, const int32_t *rail_cores,
-    const int64_t *woc, const int64_t *cg_off, const int32_t *cg_ids,
-    const int64_t *patterns, const int64_t *gids,
-    const int64_t *table, const uint8_t *have, int64_t cap,
-    int64_t merge_a, int64_t merge_b, int64_t merge_c, int64_t leftover,
-    int64_t *choices_out, int64_t *total_out, int64_t *missing_out)
+/* Replay one merge-with-leftover candidate: merge rails a + b onto c
+ * wires, then distribute the leftover wires greedily.  The chosen local
+ * rail per wire lands in ws->choices.  Returns 0 with *total_out set,
+ * -2 on stall, or -3 with missing_out = (rail, rail or -1, width): the
+ * original rails whose cells at that width must be filled. */
+static int64_t rpr_replay(const rpr_in *in, const rpr_ws *ws,
+                          int64_t a, int64_t b, int64_t c, int64_t leftover,
+                          int64_t *total_out, int64_t *missing_out)
 {
-    if (n_rails > 64 || n_rails < 2 || leftover < 0)
-        return -1;
-    const int64_t R = n_rails - 1;      /* rails after the merge */
-    const int64_t G = n_groups ? n_groups : 1;
-    const int64_t ncores = rail_off[n_rails];
-    int64_t status = 0;
-    int64_t *lw = malloc((size_t)R * 8);
-    int64_t *lt = malloc((size_t)R * 8);
-    int64_t *ld = calloc((size_t)(R * G), 8);
-    int64_t *loff = malloc((size_t)(R + 1) * 8);
-    int32_t *lcores = malloc((size_t)ncores * 4);
-    int64_t *gb = malloc((size_t)G * 8);
-    int64_t *et = malloc((size_t)G * 8);
-    uint64_t *em = malloc((size_t)G * 8);
-    int64_t *eg = malloc((size_t)G * 8);
-    int64_t *ex = malloc((size_t)G * 8);
-    int64_t *sb = malloc((size_t)G * 8);
-    int64_t *se = malloc((size_t)G * 8);
-    int64_t *sg = malloc((size_t)G * 8);
-    int64_t *sx = malloc((size_t)G * 8);
-    int64_t *ord = malloc((size_t)G * 8);
-    int64_t *crit = malloc((size_t)(G + 1) * 8);
-    int64_t *run_end = malloc((size_t)G * 8);
-    uint64_t *run_mask = malloc((size_t)G * 8);
-    char *used = malloc((size_t)G);
-    int64_t *cand_d = malloc((size_t)G * 8);
-    int64_t *best_d = malloc((size_t)G * 8);
-    if (!lw || !lt || !ld || !loff || !lcores || !gb || !et || !em
-        || !eg || !ex || !sb || !se || !sg || !sx || !ord || !crit
-        || !run_end || !run_mask || !used || !cand_d || !best_d) {
-        status = -1;
-        goto done;
-    }
+    const int64_t n_groups = in->n_groups, cap = in->cap;
+    const int64_t R = in->n_rails - 1;      /* rails after the merge */
+    const int64_t merged = a - (a > b);
+    int64_t *lw = ws->lw, *lt = ws->lt, *ld = ws->ld;
 
     /* local post-merge state: rail b removed, the merged rail takes
      * rail a's (shifted) slot -- the exact remap of the Python apply */
-    {
-        int64_t pos = 0;
-        for (int64_t r = 0; r < n_rails; r++) {
-            if (r == merge_b)
-                continue;
-            const int64_t lr = r - (r > merge_b);
-            loff[lr] = pos;
-            if (r == merge_a) {
-                const int64_t pair[2] = { merge_a, merge_b };
-                int64_t tin = 0;
-                for (int p = 0; p < 2; p++) {
-                    for (int64_t k = rail_off[pair[p]];
-                         k < rail_off[pair[p] + 1]; k++) {
-                        const int32_t core = rail_cores[k];
-                        lcores[pos++] = core;
-                        if (merge_c > cap
-                            || !have[(size_t)core * cap + merge_c - 1]) {
-                            missing_out[0] = core;
-                            missing_out[1] = merge_c;
-                            status = -3;
-                            goto done;
-                        }
-                        tin += table[(size_t)core * cap + merge_c - 1];
-                        const int64_t oc = woc[core];
-                        if (oc) {
-                            const int64_t d = (oc + merge_c - 1) / merge_c;
-                            for (int64_t kk = cg_off[core];
-                                 kk < cg_off[core + 1]; kk++)
-                                ld[lr * n_groups + cg_ids[kk]] += d;
-                        }
+    int64_t pos = 0;
+    for (int64_t r = 0; r < in->n_rails; r++) {
+        if (r == b)
+            continue;
+        const int64_t lr = r - (r > b);
+        ws->loff[lr] = pos;
+        if (r == a) {
+            const int64_t pair[2] = { a, b };
+            int64_t tin = 0;
+            for (int64_t g = 0; g < n_groups; g++)
+                ld[lr * n_groups + g] = 0;
+            for (int p = 0; p < 2; p++) {
+                for (int64_t k = in->rail_off[pair[p]];
+                     k < in->rail_off[pair[p] + 1]; k++) {
+                    const int32_t core = in->rail_cores[k];
+                    ws->lcores[pos++] = core;
+                    if (c > cap || !in->have[(size_t)core * cap + c - 1]) {
+                        missing_out[0] = a;
+                        missing_out[1] = b;
+                        missing_out[2] = c;
+                        return -3;
+                    }
+                    tin += in->table[(size_t)core * cap + c - 1];
+                    const int64_t oc = in->woc[core];
+                    if (oc) {
+                        const int64_t d = (oc + c - 1) / c;
+                        for (int64_t kk = in->cg_off[core];
+                             kk < in->cg_off[core + 1]; kk++)
+                            ld[lr * n_groups + in->cg_ids[kk]] += d;
                     }
                 }
-                lw[lr] = merge_c;
-                lt[lr] = tin;
-            } else {
-                lw[lr] = widths[r];
-                lt[lr] = time_in[r];
-                for (int64_t g = 0; g < n_groups; g++)
-                    ld[lr * n_groups + g] = depths[r * n_groups + g];
-                for (int64_t k = rail_off[r]; k < rail_off[r + 1]; k++)
-                    lcores[pos++] = rail_cores[k];
             }
+            lw[lr] = c;
+            lt[lr] = tin;
+        } else {
+            lw[lr] = in->widths[r];
+            lt[lr] = in->time_in[r];
+            for (int64_t g = 0; g < n_groups; g++)
+                ld[lr * n_groups + g] = in->depths[r * n_groups + g];
+            for (int64_t k = in->rail_off[r]; k < in->rail_off[r + 1]; k++)
+                ws->lcores[pos++] = in->rail_cores[k];
         }
-        loff[R] = pos;
     }
+    ws->loff[R] = pos;
 
     for (int64_t wire = 0; ; wire++) {
-        const int64_t ne = rpr_groups(R, n_groups, capture, ld, patterns,
-                                      gids, gb, et, em, eg, ex);
+        const int64_t ne = rpr_groups(R, n_groups, in->capture, ld,
+                                      in->patterns, in->gids, ws->gb,
+                                      ws->et, ws->em, ws->eg, ws->ex);
         int64_t t_si = 0;
-        const int64_t ns = rpr_greedy(ne, et, em, eg, ex, sb, se, sg, sx,
-                                      run_end, run_mask, used, &t_si);
-        if (ns < 0) {
-            status = -2;
-            goto done;
-        }
+        const int64_t ns = rpr_greedy(ne, ws->et, ws->em, ws->eg, ws->ex,
+                                      ws->sb, ws->se, ws->sg, ws->sx,
+                                      ws->run_end, ws->run_mask, ws->used,
+                                      &t_si);
+        if (ns < 0)
+            return -2;
         int64_t t_in = 0;
         for (int64_t r = 0; r < R; r++)
             if (lt[r] > t_in)
                 t_in = lt[r];
         if (wire == leftover) {
             *total_out = t_in + t_si;
-            break;
+            return 0;
         }
-        uint64_t cand = rpr_bottlenecks(R, lt, t_in, ns, sb, se, sx, gb,
-                                        t_si, ord, crit);
+        uint64_t cand = rpr_bottlenecks(R, lt, t_in, ns, ws->sb, ws->se,
+                                        ws->sx, ws->gb, t_si, ws->ord,
+                                        ws->crit);
         if (!cand)
             cand = (R == 64) ? ~0ULL : ((1ULL << R) - 1);
         int64_t best_total = INT64_MAX, best_r = -1, best_tin = 0;
@@ -637,47 +624,127 @@ int64_t repro_merge_distribute(
             if (!(cand & (1ULL << r)))
                 continue;
             int64_t tin_r = 0;
-            const int64_t total = rpr_score_widen(
-                R, n_groups, capture, r, lw, lt, ld, loff, lcores,
-                woc, cg_off, cg_ids, patterns, gids, table, have, cap,
-                et, em, eg, ex, run_end, run_mask, used,
-                &tin_r, cand_d, missing_out);
-            if (total < 0) {
-                status = total;
-                goto done;
+            const int64_t total = rpr_score_widen(in, ws, R, r, &tin_r);
+            if (total == -3) {
+                missing_out[0] = (r == merged) ? a : r + (r >= b);
+                missing_out[1] = (r == merged) ? b : -1;
+                missing_out[2] = lw[r] + 1;
+                return -3;
             }
+            if (total < 0)
+                return total;
             if (total < best_total) {
                 best_total = total;
                 best_r = r;
                 best_tin = tin_r;
                 for (int64_t g = 0; g < n_groups; g++)
-                    best_d[g] = cand_d[g];
+                    ws->best_d[g] = ws->cand_d[g];
             }
         }
-        if (best_r < 0) {
-            status = -1;
-            goto done;
-        }
-        choices_out[wire] = best_r;
+        if (best_r < 0)
+            return -1;
+        ws->choices[wire] = best_r;
         lw[best_r] += 1;
         lt[best_r] = best_tin;
         for (int64_t g = 0; g < n_groups; g++)
-            ld[best_r * n_groups + g] = best_d[g];
+            ld[best_r * n_groups + g] = ws->best_d[g];
     }
+}
 
-done:
-    free(lw); free(lt); free(ld); free(loff); free(lcores); free(gb);
-    free(et); free(em); free(eg); free(ex); free(sb); free(se); free(sg);
-    free(sx); free(ord); free(crit); free(run_end); free(run_mask);
-    free(used); free(cand_d); free(best_d);
+/* Walk n_cand candidates (partner, width, leftover, total) of merging
+ * `rail` with the optimizer's first-minimum strict-< selection: once the
+ * incumbent reaches floor_total no candidate can strictly beat it, so
+ * the rest are pruned unscored.  cursor (in/out) holds the resumable
+ * walk: next position, best index (-1: none), best total, pruned count,
+ * wires distributed, replays run.  The winner's wire choices land in
+ * choices_out.  Returns 0 when the walk is done, -3 when a table cell
+ * is missing (cursor[0] is the candidate to resume at, missing_out the
+ * rails and width to fill), and -1/-2 on hard errors (cursor[0] is the
+ * first candidate not scored). */
+int64_t repro_merge_sweep(
+    int64_t n_rails, int64_t n_groups, int64_t capture,
+    const int64_t *widths, const int64_t *time_in, const int64_t *depths,
+    const int64_t *rail_off, const int32_t *rail_cores,
+    const int64_t *woc, const int64_t *cg_off, const int32_t *cg_ids,
+    const int64_t *patterns, const int64_t *gids,
+    const int64_t *table, const uint8_t *have, int64_t cap,
+    int64_t rail, int64_t floor_total, int64_t n_cand, const int64_t *cand,
+    int64_t *cursor, int64_t *choices_out, int64_t *missing_out)
+{
+    if (n_rails > 64 || n_rails < 2)
+        return -1;
+    int64_t max_left = 1;
+    for (int64_t i = 0; i < n_cand; i++) {
+        if (cand[4 * i + 2] < 0)
+            return -1;
+        if (cand[4 * i + 2] > max_left)
+            max_left = cand[4 * i + 2];
+    }
+    const rpr_in in = {
+        n_rails, n_groups, capture, cap, widths, time_in, depths, rail_off,
+        rail_cores, woc, cg_off, cg_ids, patterns, gids, table, have,
+    };
+    rpr_ws ws;
+    void *arena = rpr_ws_alloc(&ws, n_rails - 1, n_groups ? n_groups : 1,
+                               rail_off[n_rails], max_left);
+    if (!arena)
+        return -1;
+    int64_t pos = cursor[0], best = cursor[1], best_total = cursor[2];
+    int64_t pruned = cursor[3], wires = cursor[4], runs = cursor[5];
+    int64_t status = 0;
+    for (; pos < n_cand; pos++) {
+        if (best_total <= floor_total) {
+            pruned += n_cand - pos;
+            pos = n_cand;
+            break;
+        }
+        const int64_t *cd = cand + 4 * pos;
+        const int64_t leftover = cd[2];
+        if (!leftover) {                /* exact merge, batch-scored */
+            if (cd[3] < 0)
+                pruned++;
+            else if (cd[3] < best_total) {
+                best_total = cd[3];
+                best = pos;
+            }
+            continue;
+        }
+        int64_t total = 0;
+        status = rpr_replay(&in, &ws, rail, cd[0], cd[1], leftover,
+                            &total, missing_out);
+        if (status < 0)
+            break;
+        wires += leftover;
+        runs++;
+        if (total < best_total) {
+            best_total = total;
+            best = pos;
+            for (int64_t w = 0; w < leftover; w++)
+                choices_out[w] = ws.choices[w];
+        }
+    }
+    cursor[0] = pos;
+    cursor[1] = best;
+    cursor[2] = best_total;
+    cursor[3] = pruned;
+    cursor[4] = wires;
+    cursor[5] = runs;
+    free(arena);
     return status;
 }
 """
 
 _DISABLE_VALUES = ("0", "off", "no", "false")
 
+#: :func:`merge_sweep` step status: the walk is suspended until the
+#: reported time-table cells are filled.
+SWEEP_MISSING = -3
+
 #: Cached load result: ``None`` = not attempted, ``False`` = unavailable.
 _engine = None
+#: Serializes the first probe: a thread asking while another compiles
+#: waits for the answer instead of reading a half-made one.
+_probe_lock = threading.Lock()
 
 
 def _compile() -> str | None:
@@ -722,20 +789,20 @@ def _bind(so_path: str):
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # ma, mb, mc
         ctypes.c_void_p,                   # totals_out
     ]
-    dist = lib.repro_merge_distribute
-    dist.restype = ctypes.c_int64
-    dist.argtypes = [
+    sweep = lib.repro_merge_sweep
+    sweep.restype = ctypes.c_int64
+    sweep.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # rails/groups/capture
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # widths/tin/depths
         ctypes.c_void_p, ctypes.c_void_p,  # rail_off, rail_cores
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # woc, cg CSR
         ctypes.c_void_p, ctypes.c_void_p,  # patterns, gids
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # table, have, cap
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,    # merge a, b, c
-        ctypes.c_int64,                    # leftover
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # choices/total/missing
+        ctypes.c_int64, ctypes.c_int64,    # rail, floor_total
+        ctypes.c_int64, ctypes.c_void_p,   # n_cand, candidates
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # cursor/choices/missing
     ]
-    return fn, dist
+    return fn, sweep
 
 
 def _addr(buffer: array) -> int:
@@ -763,43 +830,29 @@ def _run(fn, n_rails, n_groups, capture, widths, time_in, depths,
     return list(totals)
 
 
-def _run_distribute(dist, n_rails, n_groups, capture, widths, time_in,
-                    depths, rail_off, rail_cores, woc, cg_off, cg_ids,
-                    patterns, gids, table, have, cap,
-                    merge_a, merge_b, merge_c, leftover):
-    """Run the merge+distribute replay once.
-
-    Returns ``(total, choices)`` on success, ``(core, width)`` ints
-    packed in a :class:`MissingCell` when the time table lacks a cell,
-    and ``None`` on hard errors (caller falls back to Python).
-    """
-    choices = array("q", bytes(8 * max(leftover, 1)))
-    total = array("q", (0,))
-    missing = array("q", (0, 0))
-    status = dist(
+def _bind_sweep(sweep, n_rails, n_groups, capture, widths, time_in, depths,
+                rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
+                rail, floor_total, candidates, cursor, choices, missing):
+    """Bind everything but the time table once; the returned step
+    ``(table, have, cap) -> status`` runs or resumes the walk."""
+    buffers = (widths, time_in, depths, rail_off, rail_cores, woc, cg_off,
+               cg_ids, patterns, gids, candidates, cursor, choices, missing)
+    head = (
         n_rails, n_groups, capture,
         _addr(widths), _addr(time_in), _addr(depths),
         _addr(rail_off), _addr(rail_cores),
         _addr(woc), _addr(cg_off), _addr(cg_ids),
         _addr(patterns), _addr(gids),
-        _addr(table), _addr(have), cap,
-        merge_a, merge_b, merge_c, leftover,
-        _addr(choices), _addr(total), _addr(missing),
     )
-    if status == -3:
-        return MissingCell(missing[0], missing[1])
-    if status < 0:
-        return None
-    return total[0], tuple(choices[:leftover])
+    tail = (
+        rail, floor_total, len(candidates) // 4, _addr(candidates),
+        _addr(cursor), _addr(choices), _addr(missing),
+    )
 
+    def step(table, have, cap, _keep=buffers):
+        return sweep(*head, _addr(table), _addr(have), cap, *tail)
 
-class MissingCell(tuple):
-    """Sentinel result: the C replay needs ``(core, width)`` filled."""
-
-    __slots__ = ()
-
-    def __new__(cls, core, width):
-        return super().__new__(cls, (core, width))
+    return step
 
 
 def _smoke(fn) -> bool:
@@ -827,47 +880,74 @@ def _smoke(fn) -> bool:
     return out == [12, 23, 16]
 
 
-def _smoke_distribute(dist) -> bool:
-    """Hand-rolled check of the merge+distribute replay on the same tiny
-    SOC: merging both rails onto one wire with one leftover wire costs
-    14 + 9 = 23 before redistribution; the single bottleneck is the
-    merged rail, widening it to two wires lands on the exact-merge total
-    of 16 with choice sequence [0]."""
-    out = _run_distribute(
-        dist, 2, 1, 1,
+def _smoke_sweep(sweep) -> bool:
+    """Hand-worked sweep on the same tiny SOC, merging rail 0 with rail 1
+    from the incumbent 19 against a floor of 16.
+
+    Candidate 0 is an exact merge its bound pruned; candidate 1 an exact
+    merge batch-scored at 17, the first improvement.  Candidate 2 merges
+    onto one wire with one leftover: 14 + 9 = 23 before redistribution,
+    and widening the only (merged) rail lands on 10 + 6 = 16 with choice
+    [0].  Core 1's one-wire cell starts missing, so the walk first
+    suspends at candidate 2 naming rails (0, 1) at width 1, and resumes
+    there once the cell is filled.  16 reaches the floor, so candidates 3
+    and 4 are pruned unscored: 3 pruned, 1 wire, 1 replay, winner 2.
+    """
+    table = array("q", (10, 6, 0, 4))
+    have = array("B", (1, 1, 0, 1))
+    cursor = array("q", (0, -1, 19, 0, 0, 0))
+    choices = array("q", (0,))
+    missing = array("q", (0, 0, 0))
+    step = _bind_sweep(
+        sweep, 2, 1, 1,
         array("q", (1, 1)), array("q", (10, 4)), array("q", (2, 0)),
         array("q", (0, 1, 2)), array("i", (0, 1)),       # rail CSR
         array("q", (2, 0)),                               # woc
         array("q", (0, 1, 1)), array("i", (0,)),          # core-group CSR
         array("q", (3,)), array("q", (0,)),               # patterns, gids
-        array("q", (10, 6, 4, 4)), array("B", (1, 1, 1, 1)), 2,
-        0, 1, 1, 1,                                       # merge a, b, c; L
+        0, 16,                                            # rail, floor
+        array("q", (1, 2, 0, -1, 1, 2, 0, 17, 1, 1, 1, 0,
+                    1, 2, 0, 16, 1, 1, 1, 0)),            # candidates
+        cursor, choices, missing,
     )
-    return out == (16, (0,))
+    if (step(table, have, 2) != SWEEP_MISSING
+            or list(cursor) != [2, 1, 17, 1, 0, 0]
+            or list(missing) != [0, 1, 1]):
+        return False
+    table[2], have[2] = 4, 1
+    return (step(table, have, 2) == 0
+            and list(cursor) == [5, 2, 16, 3, 1, 1]
+            and list(choices) == [0])
+
+
+def _probe():
+    """Resolve the engine handles, or ``False`` when unavailable."""
+    toggle = os.environ.get("REPRO_OPTIMIZER_CSCAN", "").strip().lower()
+    if toggle in _DISABLE_VALUES or _load_fault_injected():
+        return False
+    so_path = _compile()
+    if so_path is not None:
+        try:
+            fns = _bind(so_path)
+        except (OSError, AttributeError):
+            fns = None
+        if fns is not None and _smoke(fns[0]) and _smoke_sweep(fns[1]):
+            return fns
+    # Wanted but unresolvable on this host: disclose the pure-Python
+    # degradation once per process.
+    from repro.runtime.instrumentation import incr
+
+    incr("recovery.degraded.movescan")
+    return False
 
 
 def available() -> bool:
     """Whether the C move scanner compiled, loaded, and passed its smoke."""
     global _engine
     if _engine is None:
-        _engine = False
-        toggle = os.environ.get("REPRO_OPTIMIZER_CSCAN", "").strip().lower()
-        if toggle not in _DISABLE_VALUES and not _load_fault_injected():
-            so_path = _compile()
-            if so_path is not None:
-                try:
-                    fns = _bind(so_path)
-                except (OSError, AttributeError):
-                    fns = None
-                if (fns is not None and _smoke(fns[0])
-                        and _smoke_distribute(fns[1])):
-                    _engine = fns
-            if _engine is False:
-                # Wanted but unresolvable on this host: disclose the
-                # pure-Python degradation once per process.
-                from repro.runtime.instrumentation import incr
-
-                incr("recovery.degraded.movescan")
+        with _probe_lock:
+            if _engine is None:
+                _engine = _probe()
     return _engine is not False
 
 
@@ -911,21 +991,27 @@ def score_moves(n_rails, n_groups, capture, widths, time_in, depths,
                 patterns, gids, table, cap, kinds, ma, mb, mc)
 
 
-def merge_distribute(n_rails, n_groups, capture, widths, time_in, depths,
-                     rail_off, rail_cores, woc, cg_off, cg_ids, patterns,
-                     gids, table, have, cap,
-                     merge_a, merge_b, merge_c, leftover):
-    """Replay one merge-with-leftover candidate in C.
+def merge_sweep(n_rails, n_groups, capture, widths, time_in, depths,
+                rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
+                rail, floor_total, candidates, cursor, choices, missing):
+    """Bind one mergeTAMs sweep in C; ``None`` when the engine is
+    unavailable.
 
-    Returns ``(total, choices)`` — the candidate's ``T_soc`` after the
-    greedy leftover redistribution plus the chosen rail index per wire
-    (post-merge indexing, for replaying the winner) — a
-    :class:`MissingCell` when a ``(core, width)`` time-table cell must
-    be filled first, or ``None`` when the engine is unavailable.
+    ``candidates`` holds four integers per candidate — partner, merged
+    width, leftover wires, and for exact merges the batch-scored total
+    (negative when bound-pruned).  ``cursor`` is the resumable walk
+    state (next position, best index, best total, pruned, wires, replays;
+    seed it with ``(0, -1, incumbent, 0, 0, 0)``), ``choices`` receives
+    the winner's chosen rail per leftover wire (post-merge indexing) and
+    ``missing`` the ``(rail, rail or -1, width)`` to fill on a
+    :data:`SWEEP_MISSING` suspension.  Returns the step
+    ``(table, have, cap) -> status``: 0 when the walk is done,
+    :data:`SWEEP_MISSING`, or another negative status on a hard error
+    with ``cursor[0]`` at the first unscored candidate.
     """
     if not available():
         return None
-    return _run_distribute(_engine[1], n_rails, n_groups, capture, widths,
-                           time_in, depths, rail_off, rail_cores, woc,
-                           cg_off, cg_ids, patterns, gids, table, have,
-                           cap, merge_a, merge_b, merge_c, leftover)
+    return _bind_sweep(_engine[1], n_rails, n_groups, capture, widths,
+                       time_in, depths, rail_off, rail_cores, woc, cg_off,
+                       cg_ids, patterns, gids, rail, floor_total,
+                       candidates, cursor, choices, missing)

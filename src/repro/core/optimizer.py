@@ -26,6 +26,7 @@ from repro.core.scheduling import (
     MOVE_CORE,
     MOVE_MERGE,
     MOVE_WIDEN,
+    SWEEP_PRUNED,
     Evaluation,
     IncrementalTamEvaluator,
     PackedState,
@@ -635,72 +636,79 @@ class _IncrementalOptimizer:
             ):
                 exact_totals[index] = total
 
-        best_state = state
-        best_move = None
+        # The sweep in enumeration order: (partner, width, leftover,
+        # total), exact merges carrying their batch total or the pruned
+        # marker — a bound-pruned exact merge stays pruned, as the bound
+        # only tightens while the incumbent improves.  Merges with
+        # leftover wires carry no bound: redistribution may widen any
+        # rail.
+        sweep = []
         tried = 0
         pruned = 0
         for partner_index in partners:
             width_sum = base_width + state.widths[partner_index]
             width_min = max(base_width, state.widths[partner_index])
+            tried += width_sum - width_min + 1
             if partner_index in skip_partner:
-                count = width_sum - width_min + 1
-                tried += count
-                pruned += count
+                pruned += width_sum - width_min + 1
                 continue
-            for width in range(width_min, width_sum + 1):
-                tried += 1
-                if best_total <= floor:
+            for width in range(width_min, width_sum):
+                sweep.append((partner_index, width, width_sum - width, 0))
+            sweep.append((
+                partner_index, width_sum, 0,
+                exact_totals.get(partner_index, SWEEP_PRUNED),
+            ))
+
+        # The C engine walks the sweep, replaying each merge-with-leftover
+        # candidate's full wire-by-wire redistribution; it stops early
+        # only when unavailable or on a hard error, and the Python loop
+        # below walks whatever it left, building those candidates whole.
+        outcome = evaluator.score_merge_sweep(
+            state, rail_index, sweep, best_total, floor
+        )
+        best_total = outcome.best_total
+        best_index = outcome.best_index
+        choices = outcome.choices
+        pruned += outcome.pruned
+        if outcome.wires:
+            incr("optimizer.wires_distributed", outcome.wires)
+        best_state = None
+        for position in range(outcome.position, len(sweep)):
+            if best_total <= floor:
+                pruned += len(sweep) - position
+                break
+            partner_index, width, leftover, total = sweep[position]
+            if not leftover:
+                if total == SWEEP_PRUNED:
                     pruned += 1
-                    continue
-                if width == width_sum:
-                    total = exact_totals.get(partner_index)
-                    if total is None:
-                        # Bound-pruned at batch time; the bound only
-                        # tightens as the incumbent improves.
-                        pruned += 1
-                    elif total < best_total:
-                        best_total = total
-                        best_move = (
-                            MOVE_MERGE, rail_index, partner_index, width
-                        )
-                        best_state = None
-                else:
-                    # Redistribution may widen any rail, so no exclusion
-                    # bound applies.  The C engine replays the merge plus
-                    # the full wire-by-wire greedy redistribution and
-                    # returns the candidate's total with the chosen rails,
-                    # so only a *winning* candidate is materialized.
-                    move = (MOVE_MERGE, rail_index, partner_index, width)
-                    leftover = width_sum - width
-                    scored = evaluator.score_merge_distribute(
-                        state, rail_index, partner_index, width, leftover
-                    )
-                    if scored is None:
-                        # Engine unavailable — build the candidate in full.
-                        merged = self._distribute(
-                            evaluator.apply_move(state, move), leftover
-                        )
-                        if merged.t_total < best_total:
-                            best_total = merged.t_total
-                            best_state = merged
-                            best_move = None
-                    else:
-                        incr("optimizer.wires_distributed", leftover)
-                        total, choices = scored
-                        if total < best_total:
-                            best_total = total
-                            merged = evaluator.apply_move(state, move)
-                            for rail in choices:
-                                merged = evaluator.apply_move(
-                                    merged, (MOVE_WIDEN, rail, 0, 0)
-                                )
-                            best_state = merged
-                            best_move = None
+                elif total < best_total:
+                    best_total, best_index, choices = total, position, ()
+                    best_state = None
+                continue
+            merged = self._distribute(
+                evaluator.apply_move(
+                    state, (MOVE_MERGE, rail_index, partner_index, width)
+                ),
+                leftover,
+            )
+            if merged.t_total < best_total:
+                best_total = merged.t_total
+                best_state = merged
         incr("optimizer.merges_tried", tried)
         if pruned:
             incr("optimizer.moves_pruned", pruned)
-        if best_state is None:
-            best_state = evaluator.apply_move(state, best_move)
+        if best_state is not None:
+            return best_state
+        if best_index < 0:
+            return state
+        partner_index, width, _, _ = sweep[best_index]
+        best_state = evaluator.apply_move(
+            state, (MOVE_MERGE, rail_index, partner_index, width)
+        )
+        for rail in choices:
+            best_state = evaluator.apply_move(
+                best_state, (MOVE_WIDEN, rail, 0, 0)
+            )
         return best_state
 
     def _core_reshuffle(self, state: PackedState) -> PackedState:

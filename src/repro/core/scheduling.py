@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 from repro.compaction.groups import SITestGroup
 from repro.runtime.instrumentation import incr
@@ -32,6 +34,9 @@ from repro.wrapper.timing import core_test_time
 MOVE_WIDEN = 0
 MOVE_CORE = 1
 MOVE_MERGE = 2
+
+#: ``total`` of an exact-merge sweep candidate its bound pruned.
+SWEEP_PRUNED = -1
 
 
 @dataclass(frozen=True)
@@ -300,6 +305,17 @@ def _excl_max(top, first: int, second: int) -> int:
         if index != first and index != second:
             return value
     return 0
+
+
+class MergeSweep(NamedTuple):
+    """Outcome of :meth:`IncrementalTamEvaluator.score_merge_sweep`."""
+
+    position: int  # first candidate not walked; len(sweep) when done
+    best_index: int  # the winning candidate, -1 when none beat the incumbent
+    best_total: int
+    choices: tuple[int, ...]  # the winner's rail per leftover wire
+    pruned: int
+    wires: int  # leftover wires the walk distributed
 
 
 class PackedState:
@@ -974,48 +990,67 @@ class IncrementalTamEvaluator(TamEvaluator):
             incr("movescan.moves_scored", len(moves))
         return totals
 
-    def score_merge_distribute(
-        self, state: PackedState, rail_a: int, rail_b: int,
-        width: int, leftover: int,
-    ):
-        """Score a merge-with-leftover candidate without building it.
+    def score_merge_sweep(
+        self, state: PackedState, rail: int, sweep, incumbent: int,
+        floor: int,
+    ) -> MergeSweep:
+        """Walk a whole mergeTAMs sweep of ``rail`` in one C call.
 
-        The C engine replays the merge and the greedy wire-by-wire
-        redistribution over the flat arrays and returns ``(total,
-        choices)`` — the candidate's ``T_soc`` plus the chosen rail per
-        wire (post-merge indexing), so only a winning candidate is ever
-        materialized via :meth:`apply_move`.  Returns ``None`` when the
-        engine is unavailable (callers fall back to the Python path).
+        ``sweep`` lists ``(partner, width, leftover, total)`` candidates
+        in the optimizer's enumeration order; ``total`` is the
+        batch-scored ``T_soc`` of an exact merge (``leftover == 0``), or
+        :data:`SWEEP_PRUNED` when its bound pruned it.  The C walk
+        replays every merge-with-leftover candidate — the merge plus the
+        greedy wire-by-wire redistribution — with the optimizer's
+        strict-``<`` selection against ``incumbent`` and its
+        ``floor`` pruning, so only the winner is ever materialized.
+        When the walk needs a ``(core, width)`` cell the table lacks, it
+        suspends; the cells of that rail are filled and the walk resumes
+        at the same candidate, so no wrapper is designed speculatively.
+
+        The returned :class:`MergeSweep` stops at ``position`` 0 when the
+        engine is unavailable (or the state has more than 64 rails) and
+        mid-sweep on a hard engine error; the caller walks the rest.
         """
-        if len(state.cores) > 64:
-            return None
+        outcome = MergeSweep(0, -1, incumbent, (), 0, 0)
+        if not sweep or len(state.cores) > 64:
+            return outcome
         from repro.core import _movescan
 
         if not _movescan.available():
-            return None
+            return outcome
         if self._static is None:
             self._static = self._build_static()
-        dense, woc, cg_off, cg_ids, patterns, gids = self._static
-        self._ensure_cells(
-            [(state.cores[rail_a], width), (state.cores[rail_b], width)]
-        )
+        _, woc, cg_off, cg_ids, patterns, gids = self._static
         if state.flat is None:
             state.flat = self._flatten_state(state)
         widths, time_in, depths, rail_off, rail_cores = state.flat
-        while True:
-            result = _movescan.merge_distribute(
-                len(state.cores), len(self.groups), self.capture_cycles,
-                widths, time_in, depths, rail_off, rail_cores,
-                woc, cg_off, cg_ids, patterns, gids,
-                self._table, self._table_have, self._table_cap,
-                rail_a, rail_b, width, leftover,
-            )
-            if isinstance(result, _movescan.MissingCell):
-                core, missing_width = result
-                self._ensure_cells(
-                    [((self._core_ids[core],), missing_width)]
-                )
-                continue
-            if result is not None:
-                incr("movescan.distributes")
-            return result
+        cursor = array("q", (0, -1, incumbent, 0, 0, 0))
+        most = max(leftover for _, _, leftover, _ in sweep)
+        choices = array("q", bytes(8 * max(most, 1)))
+        missing = array("q", (0, 0, 0))
+        step = _movescan.merge_sweep(
+            len(state.cores), len(self.groups), self.capture_cycles,
+            widths, time_in, depths, rail_off, rail_cores,
+            woc, cg_off, cg_ids, patterns, gids, rail, floor,
+            array("q", chain.from_iterable(sweep)), cursor, choices, missing,
+        )
+        incr("movescan.sweeps")
+        suspended = None
+        while (step(self._table, self._table_have, self._table_cap)
+               == _movescan.SWEEP_MISSING):
+            first, second, width = missing
+            if suspended == (cursor[0], first, second, width):
+                break  # the fill did not take: leave the rest to Python
+            suspended = (cursor[0], first, second, width)
+            incr("movescan.sweep_resumes")
+            keys = [(state.cores[first], width)]
+            if second >= 0:
+                keys.append((state.cores[second], width))
+            self._ensure_cells(keys)
+        position, best_index, best_total, pruned, wires, replays = cursor
+        if replays:
+            incr("movescan.distributes", replays)
+        leftover = sweep[best_index][2] if best_index >= 0 else 0
+        return MergeSweep(position, best_index, best_total,
+                          tuple(choices[:leftover]), pruned, wires)

@@ -71,6 +71,57 @@ def _gain(
     return gain
 
 
+def _move_vertex(
+    graph: Hypergraph,
+    incident: list[list[int]],
+    in0: list[int],
+    in1: list[int],
+    assignment: list[int],
+    locked: list[bool],
+    gains: list[int],
+    vertex: int,
+) -> list[int]:
+    """Move ``vertex`` to the other part, updating the pin counts and
+    patching the gain of every unlocked pin on an incident edge by that
+    edge's change in contribution.  Returns the pins whose gain changed,
+    sorted."""
+    part = assignment[vertex]
+    assignment[vertex] = 1 - part
+    deltas: dict[int, int] = {}
+    edge_weights = graph.edge_weights
+    for edge_index in incident[vertex]:
+        old0, old1 = in0[edge_index], in1[edge_index]
+        if part == 0:
+            new0, new1 = old0 - 1, old1 + 1
+        else:
+            new0, new1 = old0 + 1, old1 - 1
+        in0[edge_index], in1[edge_index] = new0, new1
+        if old0 > 1 and new0 > 1 and old1 > 1 and new1 > 1:
+            continue  # no count is or becomes 0 or 1: no gain changes
+        # An edge adds its weight to a pin's gain when the pin is alone
+        # in its part, and subtracts it when the other part is empty.
+        weight = edge_weights[edge_index]
+        delta0 = weight * (
+            (new0 == 1) - (old0 == 1) - (new1 == 0) + (old1 == 0)
+        )
+        delta1 = weight * (
+            (new1 == 1) - (old1 == 1) - (new0 == 0) + (old0 == 0)
+        )
+        if not delta0 and not delta1:
+            continue
+        for pin in graph.edges[edge_index]:
+            if not locked[pin]:
+                delta = delta0 if assignment[pin] == 0 else delta1
+                if delta:
+                    deltas[pin] = deltas.get(pin, 0) + delta
+    changed = []
+    for pin in sorted(deltas):
+        if deltas[pin]:
+            gains[pin] += deltas[pin]
+            changed.append(pin)
+    return changed
+
+
 def fm_refine(
     graph: Hypergraph,
     assignment: list[int],
@@ -127,9 +178,8 @@ def _fm_pass(
             locked[vertex] = True  # cannot move this pass
             continue
 
-        # Apply the move.
+        # Record the move; _move_vertex below applies it.
         locked[vertex] = True
-        assignment[vertex] = 1 - part
         weight0 = new_weight0
         cumulative += current_gain[vertex]
         moves.append(vertex)
@@ -137,26 +187,14 @@ def _fm_pass(
             best_cumulative = cumulative
             best_prefix = len(moves)
 
-        # Update pin counts and neighbor gains.
-        touched: set[int] = set()
-        for edge_index in incident[vertex]:
-            if part == 0:
-                in0[edge_index] -= 1
-                in1[edge_index] += 1
-            else:
-                in1[edge_index] -= 1
-                in0[edge_index] += 1
-            for pin in graph.edges[edge_index]:
-                if not locked[pin]:
-                    touched.add(pin)
-        # Sorted so heap pushes happen in a set-iteration-independent
-        # order; (-gain, pin) entries are totally ordered anyway, but this
-        # keeps the pass bit-reproducible under any hash seed.
-        for pin in sorted(touched):
-            gain = _gain(graph, incident, in0, in1, pin, assignment[pin])
-            if gain != current_gain[pin]:
-                current_gain[pin] = gain
-                heapq.heappush(heap, (-gain, pin))
+        # Pushed in sorted pin order, independent of dict iteration;
+        # (-gain, pin) entries are totally ordered anyway, but this keeps
+        # the pass bit-reproducible under any hash seed.
+        for pin in _move_vertex(
+            graph, incident, in0, in1, assignment, locked, current_gain,
+            vertex,
+        ):
+            heapq.heappush(heap, (-current_gain[pin], pin))
 
     # Roll back moves past the best prefix.
     for vertex in moves[best_prefix:]:

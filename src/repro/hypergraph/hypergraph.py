@@ -25,6 +25,9 @@ class Hypergraph:
     vertex_weights: list[int]
     edges: list[tuple[int, ...]] = field(default_factory=list)
     edge_weights: list[int] = field(default_factory=list)
+    _incidence: list[list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.edges) != len(self.edge_weights):
@@ -55,12 +58,18 @@ class Hypergraph:
         return sum(self.vertex_weights)
 
     def incidence(self) -> list[list[int]]:
-        """Edge indices incident to each vertex."""
-        incident: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for edge_index, pins in enumerate(self.edges):
-            for pin in pins:
-                incident[pin].append(edge_index)
-        return incident
+        """Edge indices incident to each vertex.
+
+        Built once per graph and shared by every caller, which must treat
+        it as read-only.
+        """
+        if self._incidence is None:
+            incident: list[list[int]] = [[] for _ in range(self.vertex_count)]
+            for edge_index, pins in enumerate(self.edges):
+                for pin in pins:
+                    incident[pin].append(edge_index)
+            self._incidence = incident
+        return self._incidence
 
 
 def build_hypergraph(

@@ -18,6 +18,9 @@ as an environment toggle (mirroring the compaction kernel's tests).
 
 from __future__ import annotations
 
+import inspect
+from array import array
+
 import pytest
 
 from repro.compaction.horizontal import build_si_test_groups
@@ -116,6 +119,72 @@ class TestBitIdentity:
             socs["d695"], 16, groups["d695"], backend="incremental"
         )
         _assert_identical(reference[("d695", 16)], result)
+
+
+class TestMergeSweep:
+    """The C mergeTAMs sweep: a lazily filled time table, a resumable
+    walk, and a hand-over to the Python loop on a hard engine error."""
+
+    @pytest.fixture(autouse=True)
+    def _engine(self):
+        if not _movescan.available():
+            pytest.skip("C move scanner unavailable")
+
+    def test_hand_worked_sweep(self):
+        assert _movescan._smoke_sweep(_movescan._engine[1])
+
+    def test_cold_table_resumes(self, suite):
+        socs, groups, reference = suite
+        instrumentation = Instrumentation()
+        with use_instrumentation(instrumentation):
+            result = optimize_tam(
+                socs["p93791"], 32, groups["p93791"], backend="incremental"
+            )
+        _assert_identical(reference[("p93791", 32)], result)
+        counters = instrumentation.counters
+        assert counters["movescan.sweeps"] > 0
+        assert counters["movescan.sweep_resumes"] >= 1
+        assert counters["movescan.distributes"] > 0
+
+    def test_hard_error_hands_the_rest_to_python(self, suite, monkeypatch):
+        socs, groups, reference = suite
+        soc, soc_groups = socs["p93791"], groups["p93791"]
+        clean = Instrumentation()
+        with use_instrumentation(clean):
+            optimize_tam(soc, 32, soc_groups, backend="incremental")
+
+        real = _movescan.merge_sweep
+        signature = inspect.signature(real)
+        handed_over = []
+
+        def failing_midway(*args):
+            # Bind the first half of the sweep only, and report a hard
+            # error where the second half would start.
+            bound = signature.bind(*args)
+            candidates = bound.arguments["candidates"]
+            count = len(candidates) // 4
+            half = count // 2
+            bound.arguments["candidates"] = array("q", candidates[:4 * half])
+            step = real(*bound.args)
+
+            def broken(table, have, cap):
+                status = step(table, have, cap)
+                if status == 0 and half < count:
+                    handed_over.append(count - half)
+                    return -2
+                return status
+
+            return broken
+
+        monkeypatch.setattr(_movescan, "merge_sweep", failing_midway)
+        faulted = Instrumentation()
+        with use_instrumentation(faulted):
+            result = optimize_tam(soc, 32, soc_groups, backend="incremental")
+        _assert_identical(reference[("p93791", 32)], result)
+        assert handed_over
+        for name in ("optimizer.merges_tried", "optimizer.moves_pruned",
+                     "optimizer.wires_distributed"):
+            assert faulted.counters.get(name) == clean.counters.get(name)
 
 
 class TestVerifiedAndComposed:

@@ -1,6 +1,15 @@
 """Tests for FM refinement."""
 
-from repro.hypergraph.fm import BalanceEnvelope, fm_refine
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.hypergraph.fm import (
+    BalanceEnvelope,
+    _gain,
+    _move_vertex,
+    _pin_counts,
+    fm_refine,
+)
 from repro.hypergraph.hypergraph import build_hypergraph, cut_weight
 
 
@@ -74,3 +83,51 @@ class TestFmRefine:
         assignment = [0, 0, 1, 1]
         result = fm_refine(graph, list(assignment), _envelope(graph))
         assert cut_weight(graph, result) == 0
+
+
+@st.composite
+def _bisected_hypergraphs(draw):
+    vertex_count = draw(st.integers(min_value=2, max_value=12))
+    vertices = st.integers(min_value=0, max_value=vertex_count - 1)
+    pin_sets = draw(st.lists(
+        st.frozensets(vertices, min_size=2, max_size=5),
+        min_size=1, max_size=20,
+    ))
+    graph = build_hypergraph(
+        draw(st.lists(st.integers(1, 5), min_size=vertex_count,
+                      max_size=vertex_count)),
+        {pins: draw(st.integers(1, 9)) for pins in pin_sets},
+    )
+    assignment = draw(st.lists(st.integers(0, 1), min_size=vertex_count,
+                               max_size=vertex_count))
+    order = draw(st.permutations(range(vertex_count)))
+    return graph, assignment, order
+
+
+class TestIncrementalGains:
+    @settings(max_examples=60, deadline=None)
+    @given(_bisected_hypergraphs())
+    def test_patched_gains_match_recomputed(self, case):
+        graph, assignment, order = case
+        incident = graph.incidence()
+        in0, in1 = _pin_counts(graph, assignment)
+        gains = [
+            _gain(graph, incident, in0, in1, v, assignment[v])
+            for v in range(graph.vertex_count)
+        ]
+        locked = [False] * graph.vertex_count
+        for vertex in order:
+            locked[vertex] = True
+            before = list(gains)
+            changed = _move_vertex(
+                graph, incident, in0, in1, assignment, locked, gains, vertex
+            )
+            assert (in0, in1) == _pin_counts(graph, assignment)
+            for v in range(graph.vertex_count):
+                if not locked[v]:
+                    assert gains[v] == _gain(
+                        graph, incident, in0, in1, v, assignment[v]
+                    )
+            assert changed == sorted(
+                v for v in range(graph.vertex_count) if gains[v] != before[v]
+            )
