@@ -3,8 +3,10 @@
 from repro.compaction.groups import SITestGroup
 from repro.compaction.horizontal import GroupingResult, build_si_test_groups
 from repro.compaction.kernel import (
+    IndexView,
     KernelMismatchError,
     PackedPatternSet,
+    PatternIndex,
     color_compact_bitset,
     greedy_compact_bitset,
 )
@@ -19,8 +21,10 @@ __all__ = [
     "BACKENDS",
     "CompactionResult",
     "GroupingResult",
+    "IndexView",
     "KernelMismatchError",
     "PackedPatternSet",
+    "PatternIndex",
     "SITestGroup",
     "build_si_test_groups",
     "color_compact",

@@ -16,8 +16,10 @@ objects are cached in the system temp directory keyed by a hash of the C
 source, so the (sub-second) compile happens once per source revision per
 machine, not once per process.
 
-The C side works on flattened integer streams only — pattern cares as
-dense ``(terminal, symbol)`` ids in CSR layout, bus claims likewise — and
+The C side works on the flat integer arrays of a
+:class:`~repro.compaction.kernel.PatternIndex` only — pattern cares as
+dense ``(terminal, symbol)`` ids in CSR layout, bus claims likewise — plus
+the rows of the bucket to scan, which it gathers itself.  It
 returns the merge cycles as a flat member array plus cycle offsets.  All
 symbol/terminal semantics stay in Python; the C code never sees a pattern
 object.
@@ -33,6 +35,7 @@ import subprocess
 import tempfile
 import threading
 from array import array
+from types import SimpleNamespace
 
 __all__ = ["available", "greedy_scan", "warm"]
 
@@ -53,7 +56,7 @@ _SOURCE = r"""
  * Masks are sparse, so build passes skip zero words: untouched words
  * stay on the OS zero page and the scan reads them at cache speed.
  */
-int64_t repro_greedy_scan(
+static int64_t scan(
     int64_t n,
     const int32_t *care_flat, const int64_t *care_off,
     const int32_t *tid_of, int64_t n_care_ids, int64_t n_tids,
@@ -61,11 +64,6 @@ int64_t repro_greedy_scan(
     const int32_t *line_of, int64_t n_bus_ids, int64_t n_lines,
     int32_t *members_out, int64_t *cycle_off_out, int64_t *stats_out)
 {
-    stats_out[0] = 0;
-    stats_out[1] = 0;
-    cycle_off_out[0] = 0;
-    if (n == 0)
-        return 0;
     const int64_t W = (n + 63) >> 6;
     uint64_t *masks = calloc((size_t)(n_care_ids + n_bus_ids) * W, 8);
     uint64_t *totals = calloc((size_t)(n_tids + n_lines) * W, 8);
@@ -205,6 +203,87 @@ int64_t repro_greedy_scan(
     stats_out[1] = words;
     return cycles;
 }
+
+/* Scan the patterns at `rows` of a whole encoded set, in that order.
+ *
+ * The rows are gathered into a local CSR whose care/claim, terminal and
+ * line ids are renumbered densely in first-seen order, so the masks
+ * cover only what the bucket uses, whatever the size of the whole set.
+ * Members come back as positions into `rows`.
+ */
+int64_t repro_greedy_scan(
+    int64_t n, const int32_t *rows,
+    const int32_t *care_flat, const int64_t *care_off,
+    const int32_t *tid_of, int64_t n_care_ids, int64_t n_tids,
+    const int32_t *bus_flat, const int64_t *bus_off,
+    const int32_t *line_of, int64_t n_bus_ids, int64_t n_lines,
+    int32_t *members_out, int64_t *cycle_off_out, int64_t *stats_out)
+{
+    stats_out[0] = 0;
+    stats_out[1] = 0;
+    cycle_off_out[0] = 0;
+    if (n == 0)
+        return 0;
+    int64_t n_cares = 0, n_claims = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t r = rows[i];
+        n_cares += care_off[r + 1] - care_off[r];
+        n_claims += bus_off[r + 1] - bus_off[r];
+    }
+    const size_t n_ids = (size_t)(n_cares + n_claims) + 1;
+    const size_t n_global = (size_t)(n_care_ids + n_tids + n_bus_ids
+                                     + n_lines) + 1;
+    int32_t *flat = malloc(n_ids * 4);
+    int32_t *group_of = malloc(n_ids * 4);
+    int64_t *off = malloc((size_t)(n + 1) * 2 * 8);
+    int32_t *local = malloc(n_global * 4);
+    if (!flat || !group_of || !off || !local) {
+        free(flat); free(group_of); free(off); free(local);
+        return -1;
+    }
+    memset(local, 0xff, n_global * 4);  /* -1: not seen in these rows */
+    int32_t *cid_local = local;
+    int32_t *tid_local = cid_local + n_care_ids;
+    int32_t *bid_local = tid_local + n_tids;
+    int32_t *line_local = bid_local + n_bus_ids;
+    int32_t *lcare = flat, *lbus = flat + n_cares;
+    int32_t *ltid_of = group_of, *lline_of = group_of + n_cares;
+    int64_t *lcare_off = off, *lbus_off = off + n + 1;
+    int32_t nc = 0, nt = 0, nb = 0, nl = 0;
+    int64_t kc = 0, kb = 0;
+    lcare_off[0] = 0;
+    lbus_off[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t r = rows[i];
+        for (int64_t k = care_off[r]; k < care_off[r + 1]; k++) {
+            const int32_t g = care_flat[k];
+            if (cid_local[g] < 0) {
+                const int32_t t = tid_of[g];
+                if (tid_local[t] < 0) tid_local[t] = nt++;
+                ltid_of[nc] = tid_local[t];
+                cid_local[g] = nc++;
+            }
+            lcare[kc++] = cid_local[g];
+        }
+        lcare_off[i + 1] = kc;
+        for (int64_t k = bus_off[r]; k < bus_off[r + 1]; k++) {
+            const int32_t g = bus_flat[k];
+            if (bid_local[g] < 0) {
+                const int32_t l = line_of[g];
+                if (line_local[l] < 0) line_local[l] = nl++;
+                lline_of[nb] = line_local[l];
+                bid_local[g] = nb++;
+            }
+            lbus[kb++] = bid_local[g];
+        }
+        lbus_off[i + 1] = kb;
+    }
+    const int64_t cycles = scan(
+        n, lcare, lcare_off, ltid_of, nc, nt, lbus, lbus_off, lline_of,
+        nb, nl, members_out, cycle_off_out, stats_out);
+    free(flat); free(group_of); free(off); free(local);
+    return cycles;
+}
 """
 
 _DISABLE_VALUES = ("0", "off", "no", "false")
@@ -248,7 +327,7 @@ def _bind(so_path: str):
     fn = lib.repro_greedy_scan
     fn.restype = ctypes.c_int64
     fn.argtypes = [
-        ctypes.c_int64,                    # n
+        ctypes.c_int64, ctypes.c_void_p,   # n, rows
         ctypes.c_void_p, ctypes.c_void_p,  # care_flat, care_off
         ctypes.c_void_p,                   # tid_of
         ctypes.c_int64, ctypes.c_int64,    # n_care_ids, n_tids
@@ -265,16 +344,20 @@ def _addr(buffer: array) -> int:
     return buffer.buffer_info()[0]
 
 
-def _run(fn, n, care_flat, care_off, tid_of, n_care_ids, n_tids,
-         bus_flat, bus_off, line_of, n_bus_ids, n_lines):
+def _run(fn, rows: array, index):
+    """Scan ``rows`` of an encoded set (a
+    :class:`~repro.compaction.kernel.PatternIndex` or the same arrays);
+    ``None`` on allocation failure."""
+    n = len(rows)
     members = array("i", bytes(4 * n))
     cycle_off = array("q", bytes(8 * (n + 1)))
     stats = array("q", (0, 0))
     cycles = fn(
-        n, _addr(care_flat), _addr(care_off), _addr(tid_of),
-        n_care_ids, n_tids,
-        _addr(bus_flat), _addr(bus_off), _addr(line_of),
-        n_bus_ids, n_lines,
+        n, _addr(rows),
+        _addr(index.care_flat), _addr(index.care_off), _addr(index.tid_of),
+        len(index.tid_of), index.n_tids,
+        _addr(index.bus_flat), _addr(index.bus_off), _addr(index.line_of),
+        len(index.line_of), index.n_lines,
         _addr(members), _addr(cycle_off), _addr(stats),
     )
     if cycles < 0:
@@ -288,17 +371,19 @@ def _run(fn, n, care_flat, care_off, tid_of, n_care_ids, n_tids,
 def _smoke(fn) -> bool:
     """One hand-rolled call guarding against ABI/layout mishaps.
 
-    Three patterns on one terminal: 0 and 1 assign different symbols
-    (mutual conflict), 2 assigns nothing.  The greedy scan must merge
-    {0, 2} and leave {1}, pruning pattern 1 from cycle 0.
+    Four patterns on one terminal, scanned at rows 0, 2 and 3: rows 0
+    (``0``) and 2 (``1``) clash, row 3 assigns nothing, and the skipped
+    row 1 (``F``) would clash with both.  The greedy scan must merge
+    positions {0, 2} and leave {1}, pruning position 1 from cycle 0.
     """
-    out = _run(
-        fn, 3,
-        array("i", (0, 1)), array("q", (0, 1, 2, 2)),   # care CSR
-        array("i", (0, 0)), 2, 1,                        # tid_of
-        array("i"), array("q", (0, 0, 0, 0)),            # bus CSR (empty)
-        array("i"), 0, 0,
+    encoded = SimpleNamespace(
+        care_flat=array("i", (0, 1, 2)),
+        care_off=array("q", (0, 1, 2, 3, 3)),
+        tid_of=array("i", (0, 0, 0)), n_tids=1,
+        bus_flat=array("i"), bus_off=array("q", (0, 0, 0, 0, 0)),
+        line_of=array("i"), n_lines=0,
     )
+    out = _run(fn, array("i", (0, 2, 3)), encoded)
     return out == ([[0, 2], [1]], 1, 2)
 
 
@@ -361,58 +446,17 @@ def _load_fault_injected() -> bool:
 def greedy_scan(patterns):
     """Run the greedy scan in C; ``None`` when the engine is unavailable.
 
-    Returns ``(member_lists, pruned, words)``: the merge cycles as lists
-    of original pattern indices in absorption order, plus the two
-    instrumentation totals (candidates pruned, 64-bit words touched).
+    ``patterns`` is an :class:`~repro.compaction.kernel.IndexView` (a
+    plain sequence is indexed first).  Returns ``(member_lists, pruned,
+    words)``: the merge cycles as lists of positions in ``patterns`` in
+    absorption order, plus the two instrumentation totals (candidates
+    pruned, 64-bit words touched).
     """
     if not available():
         return None
-    n = len(patterns)
-    if n == 0:
-        return [], 0, 0
-    from repro.compaction.kernel import SYMBOL_IDS
+    from repro.compaction.kernel import as_view
 
-    symbol_ids = SYMBOL_IDS
-    terminal_ids: dict = {}
-    care_ids: dict[int, int] = {}
-    bus_ids: dict[tuple[int, int], int] = {}
-    line_ids: dict[int, int] = {}
-    tid_get = terminal_ids.get
-    cid_get = care_ids.get
-    bid_get = bus_ids.get
-    care_flat = array("i")
-    care_off = array("q", (0,))
-    bus_flat = array("i")
-    bus_off = array("q", (0,))
-    tid_of = array("i")
-    line_of = array("i")
-    care_append = care_flat.append
-    bus_append = bus_flat.append
-    for pattern in patterns:
-        for terminal, symbol in pattern.cares.items():
-            tid = tid_get(terminal)
-            if tid is None:
-                tid = terminal_ids[terminal] = len(terminal_ids)
-            key = tid * 4 + symbol_ids[symbol]
-            cid = cid_get(key)
-            if cid is None:
-                cid = care_ids[key] = len(care_ids)
-                tid_of.append(tid)
-            care_append(cid)
-        care_off.append(len(care_flat))
-        for claim in pattern.bus_claims.items():
-            bid = bid_get(claim)
-            if bid is None:
-                bid = bus_ids[claim] = len(bus_ids)
-                line = claim[0]
-                lid = line_ids.get(line)
-                if lid is None:
-                    lid = line_ids[line] = len(line_ids)
-                line_of.append(lid)
-            bus_append(bid)
-        bus_off.append(len(bus_flat))
-    return _run(
-        _engine, n,
-        care_flat, care_off, tid_of, len(care_ids), len(terminal_ids),
-        bus_flat, bus_off, line_of, len(bus_ids), len(line_ids),
-    )
+    view = as_view(patterns)
+    if not len(view):
+        return [], 0, 0
+    return _run(_engine, view.rows, view.index)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compaction.groups import SITestGroup
+from repro.compaction.kernel import IndexView, PatternIndex
 from repro.compaction.vertical import CompactionResult, greedy_compact
 from repro.hypergraph.hypergraph import build_hypergraph
 from repro.hypergraph.multilevel import partition
@@ -61,7 +62,7 @@ def _vertical_cell(spec):
 
 def build_si_test_groups(
     soc: Soc,
-    patterns: list[SIPattern],
+    patterns: list[SIPattern] | PatternIndex,
     parts: int,
     epsilon: float = 0.10,
     seed: int = 0,
@@ -73,7 +74,9 @@ def build_si_test_groups(
 
     Args:
         soc: The SOC the patterns belong to.
-        patterns: Uncompacted SI patterns.
+        patterns: Uncompacted SI patterns, or their
+            :class:`~repro.compaction.kernel.PatternIndex` (callers that
+            group one set several times encode it once and pass that).
         parts: Number of core groups (``i`` in the paper's ``T_g_i``);
             ``parts=1`` degenerates to one-dimensional (vertical only)
             compaction over all cores.
@@ -86,18 +89,21 @@ def build_si_test_groups(
 
     Raises:
         ValueError: If ``parts`` is not positive or exceeds the number of
-            cores with output cells.
+            cores with output cells, or if a pattern cares about a core
+            that is not one of the SOC's cores with output cells.
     """
     if parts <= 0:
         raise ValueError("parts must be positive")
     with get_instrumentation().timeit("compaction.build_si_test_groups"):
-        return _build_si_test_groups(soc, patterns, parts, epsilon, seed,
+        index = (patterns if isinstance(patterns, PatternIndex)
+                 else PatternIndex(patterns))
+        return _build_si_test_groups(soc, index, parts, epsilon, seed,
                                      backend, jobs)
 
 
 def _build_si_test_groups(
     soc: Soc,
-    patterns: list[SIPattern],
+    index: PatternIndex,
     parts: int,
     epsilon: float,
     seed: int,
@@ -110,37 +116,39 @@ def _build_si_test_groups(
             f"cannot form {parts} core groups from {len(host_ids)} cores "
             "with output cells"
         )
+    _check_care_cores(soc, index, host_ids)
 
     if parts == 1:
         part_of_core = {core_id: 0 for core_id in host_ids}
     else:
-        part_of_core = _partition_cores(soc, patterns, host_ids, parts,
+        part_of_core = _partition_cores(soc, index, host_ids, parts,
                                         epsilon, seed)
 
-    # Route each pattern to its part, or to the residual bucket.
-    buckets: list[list[SIPattern]] = [[] for _ in range(parts)]
-    residual: list[SIPattern] = []
-    for pattern in patterns:
-        pattern_parts = {part_of_core[core_id] for core_id in pattern.care_cores}
-        if len(pattern_parts) == 1:
-            buckets[next(iter(pattern_parts))].append(pattern)
-        else:
-            residual.append(pattern)
+    # Route each distinct care set to its part, or to the residual bucket
+    # (``parts``); then each pattern follows its set.
+    route = []
+    for cores in index.care_sets:
+        pattern_parts = {part_of_core[core_id] for core_id in cores}
+        route.append(next(iter(pattern_parts)) if len(pattern_parts) == 1
+                     else parts)
+    rows: list[list[int]] = [[] for _ in range(parts + 1)]
+    for row, set_id in enumerate(index.care_set_of):
+        rows[route[set_id]].append(row)
+    residual = rows[parts]
 
     # One cell per non-empty bucket (part groups in order, residual last);
     # groups are independent, so they fan out over worker processes.
-    cells: list[tuple[list[SIPattern], frozenset[int], bool]] = []
+    cells: list[tuple[IndexView, frozenset[int], bool]] = []
     for part in range(parts):
-        bucket = buckets[part]
-        if not bucket:
+        if not rows[part]:
             continue
         cores = frozenset(
             core_id for core_id, assigned in part_of_core.items()
             if assigned == part
         )
-        cells.append((bucket, cores, False))
+        cells.append((index.view(rows[part]), cores, False))
     if residual:
-        cells.append((residual, frozenset(host_ids), True))
+        cells.append((index.view(residual), frozenset(host_ids), True))
 
     outcomes = run_cells(
         _vertical_cell,
@@ -166,7 +174,7 @@ def _build_si_test_groups(
         compactions.append(compaction)
 
     incr("compaction.groupings")
-    incr("compaction.patterns_in", len(patterns))
+    incr("compaction.patterns_in", len(index))
     incr("compaction.patterns_out",
          sum(group.patterns for group in groups))
     incr("compaction.residual_patterns", len(residual))
@@ -178,9 +186,26 @@ def _build_si_test_groups(
     )
 
 
+def _check_care_cores(soc: Soc, index: PatternIndex,
+                      host_ids: list[int]) -> None:
+    """Every care core must be one of the SOC's cores with output cells."""
+    hosts = frozenset(host_ids)
+    for set_id, cores in enumerate(index.care_sets):
+        if hosts.issuperset(cores):
+            continue
+        foreign = min(set(cores) - hosts)
+        reason = ("has no output cells" if any(
+            core.core_id == foreign for core in soc
+        ) else "is not in the SOC")
+        raise ValueError(
+            f"pattern {index.care_set_of.index(set_id)} cares about core "
+            f"{foreign}, which {reason} ({soc.name})"
+        )
+
+
 def _partition_cores(
     soc: Soc,
-    patterns: list[SIPattern],
+    index: PatternIndex,
     host_ids: list[int],
     parts: int,
     epsilon: float,
@@ -188,14 +213,14 @@ def _partition_cores(
 ) -> dict[int, int]:
     """Partition the cores with output cells into ``parts`` balanced groups
     minimizing the weight of cut care-core sets (Fig. 2)."""
-    index_of = {core_id: index for index, core_id in enumerate(host_ids)}
+    index_of = {core_id: position for position, core_id in enumerate(host_ids)}
     vertex_weights = [soc.core_by_id(core_id).woc_count for core_id in host_ids]
 
-    weighted_edges: dict[frozenset[int], int] = {}
-    for pattern in patterns:
-        care = frozenset(index_of[core_id] for core_id in pattern.care_cores)
-        if len(care) >= 2:
-            weighted_edges[care] = weighted_edges.get(care, 0) + 1
+    weighted_edges = {
+        frozenset(index_of[core_id] for core_id in cores): count
+        for cores, count in zip(index.care_sets, index.care_set_counts)
+        if len(cores) >= 2
+    }
 
     graph = build_hypergraph(vertex_weights, weighted_edges)
     result = partition(graph, parts, epsilon=epsilon, seed=seed)

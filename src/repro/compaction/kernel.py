@@ -27,6 +27,26 @@ width Python ints:
   handful of big-int AND/XOR/sub ops instead of a dict walk per candidate —
   and the greedy pass never visits a conflicting candidate at all.
 
+The greedy kernel starts from a :class:`PatternIndex`: the pattern set
+encoded once as flat CSR arrays of dense ``(terminal, symbol)`` and
+``(line, driver)`` ids, plus one care-core-set id per pattern over a table
+of the distinct sets.  Grouping partitions and routes on that table and
+hands each bucket to the kernel as an :class:`IndexView` — the bucket's
+rows of the shared index, readable as a ``Sequence[SIPattern]``:
+
+* **Subset scan.**  The C engine (:mod:`repro.compaction._cscan`) takes
+  the global arrays plus the row array and gathers the rows itself; the
+  Python scan builds its conflict masks over the rows from the index's
+  ids.  Neither walks a pattern object, so a bucket costs no re-encoding.
+* **Lazy merges.**  The kernel returns member tuples only; the merged
+  patterns are built from them on first read of
+  :attr:`~repro.compaction.vertical.CompactionResult.compacted` (a
+  grouping that keeps only group metadata never builds them).
+* **Auto rule.**  Below :data:`GREEDY_AUTO_THRESHOLD` patterns, encoding
+  a plain list costs more than the scan saves, so ``backend="auto"``
+  keeps such lists on the reference; an index view is already encoded
+  and goes to the scan at any size when the C engine is available.
+
 :func:`greedy_compact_bitset` and :func:`color_compact_bitset` reproduce
 the reference implementations **bit-identically** (same
 :class:`~repro.compaction.vertical.CompactionResult`, including member
@@ -39,7 +59,9 @@ argument.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
+from collections.abc import Sequence
 
 from repro.runtime.instrumentation import incr
 from repro.sitest.patterns import SIPattern, Terminal
@@ -47,10 +69,11 @@ from repro.sitest.patterns import SIPattern, Terminal
 #: Symbol id per care symbol; bit 0 / bit 1 land in plane0 / plane1.
 SYMBOL_IDS = {"0": 0, "1": 1, "R": 2, "F": 3}
 
-#: ``backend="auto"`` picks the bitset kernel at or above these pattern
-#: counts.  Below them the packed index costs more than it saves; the
-#: crossovers were measured on the bundled ITC'02 SOCs (see
-#: ``benchmarks/bench_compaction.py``).
+#: ``backend="auto"`` picks the bitset kernel for plain pattern lists at or
+#: above these pattern counts.  Below them the packed index costs more than
+#: it saves; the crossovers were measured on the bundled ITC'02 SOCs (see
+#: ``benchmarks/bench_compaction.py``).  Index views skip the greedy
+#: threshold when the C engine is available (module docstring).
 GREEDY_AUTO_THRESHOLD = 2048
 COLOR_AUTO_THRESHOLD = 64
 
@@ -219,76 +242,159 @@ class PackedPatternSet:
         return conflicts, bus_conflicts
 
 
-def _greedy_conflict_index(patterns: list[SIPattern]):
-    """Conflict index plus per-pattern flat key lists for the greedy scan.
+class PatternIndex:
+    """One SI pattern set encoded once, for every grouping and scan over it.
 
-    The greedy kernel only consumes conflict masks, never the symbol
-    planes, so this skips :class:`PackedPatternSet`'s plane composition:
-    each present ``(terminal, symbol)`` occurrence list packs straight
-    into its occupancy mask, the per-terminal care total is the exact sum
-    of its (disjoint) symbol slices, and ``conflict = total - mask``.
+    The encoding is flat integer arrays in CSR layout — what the C scan
+    reads directly and what the Python scan keys its conflict masks by —
+    plus each pattern's care-core set as an id into a short table of the
+    distinct sets.  A grouping routes and partitions on the set table and
+    compacts each bucket through an :class:`IndexView` over its rows, so
+    the pattern objects are walked once per pattern set, not once per
+    group count and bucket.
 
-    The same pass records each pattern's cares as a flat list of int keys
-    (``tid * 4 + symbol_id``), so the hot scan needs no tuple hashing at
-    all: terminal-level dedup is ``key >> 2`` against a set of ints, and
-    the conflict lookup is one int-keyed dict probe.
-
-    Returns ``(care_keys, conflicts, bus_conflicts)``.
+    Attributes:
+        patterns: The encoded pattern list (held, not copied).
+        care_flat / care_off: Per pattern, its cares as dense
+            ``(terminal, symbol)`` ids, rows ``care_off[i]:care_off[i+1]``.
+        tid_of: Terminal id per care id.
+        bus_flat / bus_off: Per pattern, its bus claims as dense
+            ``(line, driver)`` ids, same CSR layout.
+        line_of: Bus line id per claim id.
+        care_set_of: Per pattern, the id of its care-core set.
+        care_sets: The distinct care-core sets, in first-seen order, as
+            tuples of core ids (a tuple is a third of a frozenset's size).
+        care_set_counts: How many patterns share each set.
     """
-    n = len(patterns)
-    terminal_ids: dict[Terminal, int] = {}
-    occ: defaultdict[int, list[int]] = defaultdict(list)
-    occ_bus: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-    care_keys: list[list[int]] = []
-    symbol_ids = SYMBOL_IDS
-    tid_get = terminal_ids.get
-    rev = n
-    for pattern in patterns:
-        rev -= 1
-        keys = []
-        append = keys.append
-        for terminal, symbol in pattern.cares.items():
-            tid = tid_get(terminal)
-            if tid is None:
-                tid = terminal_ids[terminal] = len(terminal_ids)
-            key = tid * 4 + symbol_ids[symbol]
-            occ[key].append(rev)
-            append(key)
-        care_keys.append(keys)
-        for claim in pattern.bus_claims.items():
-            occ_bus[claim].append(rev)
 
-    scratch = bytearray((n >> 3) + 1)
+    __slots__ = (
+        "patterns", "care_flat", "care_off", "tid_of", "n_tids",
+        "bus_flat", "bus_off", "line_of", "n_lines",
+        "care_set_of", "care_sets", "care_set_counts",
+    )
 
-    def to_int(indices: list[int]) -> int:
-        for i in indices:
-            scratch[i >> 3] |= 1 << (i & 7)
-        value = int.from_bytes(scratch, "little")
-        for i in indices:
-            scratch[i >> 3] = 0
-        return value
+    def __init__(self, patterns: Sequence[SIPattern]) -> None:
+        incr("compaction.index_builds")
+        self.patterns = patterns
+        terminal_ids: dict[Terminal, int] = {}
+        care_ids: dict[int, int] = {}
+        claim_ids: dict[tuple[int, int], int] = {}
+        line_ids: dict[int, int] = {}
+        set_ids: dict[frozenset[int], int] = {}
+        care_sets: list[tuple[int, ...]] = []
+        counts: list[int] = []
+        care_flat = array("i")
+        care_off = array("q", (0,))
+        bus_flat = array("i")
+        bus_off = array("q", (0,))
+        tid_of = array("i")
+        line_of = array("i")
+        care_set_of = array("i")
+        symbol_ids = SYMBOL_IDS
+        tid_get = terminal_ids.get
+        cid_get = care_ids.get
+        bid_get = claim_ids.get
+        set_get = set_ids.get
+        care_append = care_flat.append
+        bus_append = bus_flat.append
+        for pattern in patterns:
+            cores = pattern.care_cores
+            sid = set_get(cores)
+            if sid is None:
+                sid = set_ids[cores] = len(care_sets)
+                care_sets.append(tuple(cores))
+                counts.append(0)
+            counts[sid] += 1
+            care_set_of.append(sid)
+            for terminal, symbol in pattern.cares.items():
+                tid = tid_get(terminal)
+                if tid is None:
+                    tid = terminal_ids[terminal] = len(terminal_ids)
+                key = tid * 4 + symbol_ids[symbol]
+                cid = cid_get(key)
+                if cid is None:
+                    cid = care_ids[key] = len(care_ids)
+                    tid_of.append(tid)
+                care_append(cid)
+            care_off.append(len(care_flat))
+            for claim in pattern.bus_claims.items():
+                bid = bid_get(claim)
+                if bid is None:
+                    bid = claim_ids[claim] = len(claim_ids)
+                    line = claim[0]
+                    lid = line_ids.get(line)
+                    if lid is None:
+                        lid = line_ids[line] = len(line_ids)
+                    line_of.append(lid)
+                bus_append(bid)
+            bus_off.append(len(bus_flat))
+        self.care_flat = care_flat
+        self.care_off = care_off
+        self.tid_of = tid_of
+        self.n_tids = len(terminal_ids)
+        self.bus_flat = bus_flat
+        self.bus_off = bus_off
+        self.line_of = line_of
+        self.n_lines = len(line_ids)
+        self.care_set_of = care_set_of
+        self.care_sets = tuple(care_sets)
+        self.care_set_counts = tuple(counts)
 
-    masks = {key: to_int(indices) for key, indices in occ.items()}
-    totals = [0] * len(terminal_ids)
-    for key, mask in masks.items():
-        # a terminal's per-symbol occupancy masks are disjoint, so plain
-        # addition composes the exact care total
-        totals[key >> 2] += mask
-    conflicts = {key: totals[key >> 2] - mask for key, mask in masks.items()}
+    def __len__(self) -> int:
+        return len(self.care_set_of)
 
-    bus_claim = {claim: to_int(indices) for claim, indices in occ_bus.items()}
-    bus_total: dict[int, int] = {}
-    for (line, _driver), mask in bus_claim.items():
-        # claims of one line are disjoint (one driver per pattern)
-        bus_total[line] = bus_total.get(line, 0) + mask
-    bus_conflicts = {
-        claim: bus_total[claim[0]] - mask
-        for claim, mask in bus_claim.items()
-    }
-    return care_keys, conflicts, bus_conflicts
+    def view(self, rows=None) -> "IndexView":
+        """The patterns at ``rows`` (all of them by default).
+
+        Raises:
+            IndexError: If a row is outside the index (the scans read the
+                arrays at these rows unchecked).
+        """
+        if rows is None:
+            rows = range(len(self))
+        rows = array("i", rows)
+        if rows and (min(rows) < 0 or max(rows) >= len(self)):
+            raise IndexError(f"view rows outside 0..{len(self) - 1}")
+        return IndexView(self, rows)
 
 
-def greedy_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
+class IndexView(Sequence):
+    """A bucket of an indexed pattern set: a ``Sequence[SIPattern]`` over
+    rows of a :class:`PatternIndex`, in row-array order.
+
+    Compaction reads it like a list; the scans read ``index`` and ``rows``
+    instead.  Pickling ships only the bucket's own patterns, re-indexed on
+    arrival, so a worker never receives the whole set.
+    """
+
+    __slots__ = ("index", "rows")
+
+    def __init__(self, index: PatternIndex, rows: array) -> None:
+        self.index = index
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, position: int) -> SIPattern:
+        return self.index.patterns[self.rows[position]]
+
+    def __iter__(self):
+        return map(self.index.patterns.__getitem__, self.rows)
+
+    def __reduce__(self):
+        return as_view, (list(self),)
+
+
+def as_view(patterns: Sequence[SIPattern]) -> IndexView:
+    """``patterns`` as an :class:`IndexView`, indexing a plain list."""
+    if isinstance(patterns, IndexView):
+        return patterns
+    return PatternIndex(patterns).view()
+
+
+def greedy_compact_bitset(patterns: Sequence[SIPattern], *,
+                          verify: bool = False):
     """Greedy clique-cover compaction on the packed encoding.
 
     Bit-identical to :func:`repro.compaction.vertical.greedy_compact` with
@@ -302,8 +408,12 @@ def greedy_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
     incompatible for the rest of the cycle (merges only gain cares) and
     the top-bit extraction yields exactly the reference's visit order.
 
+    The merged patterns are built from ``members`` on first read of
+    :attr:`~repro.compaction.vertical.CompactionResult.compacted`.
+
     Args:
-        patterns: The patterns to compact.
+        patterns: The patterns to compact: an :class:`IndexView`, or a
+            plain sequence (indexed here).
         verify: Re-run the reference implementation and raise
             :class:`KernelMismatchError` on any difference (debugging aid;
             costs the full reference runtime).
@@ -316,54 +426,81 @@ def greedy_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
     from repro.compaction import _cscan
     from repro.compaction.vertical import CompactionResult
 
-    n = len(patterns)
-    scanned = _cscan.greedy_scan(patterns)
+    view = as_view(patterns)
+    scanned = _cscan.greedy_scan(view)
     if scanned is not None:
         incr("compaction.bitset.cscan")
         member_lists, pruned, words = scanned
     else:
-        member_lists, pruned, words = _greedy_scan_python(patterns)
+        member_lists, pruned, words = _greedy_scan_python(view)
     incr("compaction.bitset.candidates_pruned", pruned)
     incr("compaction.bitset.words_compared", words)
-
-    compacted: list[SIPattern] = []
-    members: list[tuple[int, ...]] = []
-    for absorbed in member_lists:
-        # rebuild the merged dicts at C speed: update() keeps first-seen
-        # key order and compatible merges only re-store equal values, so
-        # this reproduces the reference's incremental dicts exactly
-        seed = patterns[absorbed[0]]
-        cares = dict(seed.cares)
-        bus_claims = dict(seed.bus_claims)
-        for index in absorbed[1:]:
-            follower = patterns[index]
-            cares.update(follower.cares)
-            bus_claims.update(follower.bus_claims)
-        compacted.append(SIPattern(cares=cares, bus_claims=bus_claims))
-        members.append(tuple(absorbed))
     result = CompactionResult(
-        compacted=tuple(compacted),
-        members=tuple(members),
-        original_count=n,
+        members=tuple(map(tuple, member_lists)),
+        original_count=len(view),
+        source=view,
     )
     if verify:
-        _check_against_reference("greedy", patterns, result)
+        _check_against_reference("greedy", list(view), result)
     return result
 
 
-def _greedy_scan_python(patterns: list[SIPattern]):
+def _greedy_scan_python(patterns: Sequence[SIPattern]):
     """Pure-Python greedy scan on big-int bitsets.
 
     The fallback engine when :mod:`repro.compaction._cscan` has no C
     compiler to work with — same cycles, same counters (``words`` is an
-    approximation in both engines and counts slightly differently).
+    approximation in both engines and counts slightly differently).  The
+    conflict masks cover the view's rows only, keyed by the index's care
+    and claim ids: a terminal's per-symbol occupancy masks are disjoint,
+    so its care total is their plain sum and ``conflict = total - mask``.
     Returns ``(member_lists, pruned, words)``.
     """
-    n = len(patterns)
-    care_keys, conflicts, bus_conflicts = _greedy_conflict_index(patterns)
+    view = as_view(patterns)
+    encoded = view.index
+    care_flat, care_off = encoded.care_flat, encoded.care_off
+    bus_flat, bus_off = encoded.bus_flat, encoded.bus_off
+    tid_of, line_of = encoded.tid_of, encoded.line_of
+    n = len(view)
+    care_keys: list = []
+    claim_keys: list = []
+    occ: defaultdict[int, list[int]] = defaultdict(list)
+    occ_bus: defaultdict[int, list[int]] = defaultdict(list)
+    rev = n
+    for row in view.rows:
+        rev -= 1
+        keys = care_flat[care_off[row]:care_off[row + 1]]
+        for cid in keys:
+            occ[cid].append(rev)
+        care_keys.append(keys)
+        claims = bus_flat[bus_off[row]:bus_off[row + 1]]
+        for bid in claims:
+            occ_bus[bid].append(rev)
+        claim_keys.append(claims)
+
+    scratch = bytearray((n >> 3) + 1)
+
+    def to_int(indices: list[int]) -> int:
+        for i in indices:
+            scratch[i >> 3] |= 1 << (i & 7)
+        value = int.from_bytes(scratch, "little")
+        for i in indices:
+            scratch[i >> 3] = 0
+        return value
+
+    def conflict_masks(occupancy, group_of):
+        masks = {key: to_int(indices) for key, indices in occupancy.items()}
+        totals: defaultdict[int, int] = defaultdict(int)
+        for key, mask in masks.items():
+            totals[group_of[key]] += mask
+        return {key: totals[group_of[key]] - mask
+                for key, mask in masks.items()}
+
+    conflicts = conflict_masks(occ, tid_of)
+    bus_conflicts = conflict_masks(occ_bus, line_of)
+
     top = n - 1
     member_lists: list[list[int]] = []
-    scratch = bytearray((n >> 3) + 1)
     avail = (1 << n) - 1 if n else 0
     pruned = 0
     words = 0
@@ -379,9 +516,9 @@ def _greedy_scan_python(patterns: list[SIPattern]):
         absorbed = [start]
         eligible = avail
         newconf = 0
-        for key in care_keys[start]:
-            tid_add(key >> 2)
-            conflict = conflicts[key]
+        for cid in care_keys[start]:
+            tid_add(tid_of[cid])
+            conflict = conflicts[cid]
             if conflict:
                 # first mask binds by reference: `0 | mask` would copy
                 # the full width for nothing
@@ -389,9 +526,9 @@ def _greedy_scan_python(patterns: list[SIPattern]):
                     newconf |= conflict
                 else:
                     newconf = conflict
-        for claim in patterns[start].bus_claims.items():
-            line_add(claim[0])
-            conflict = bus_conflicts[claim]
+        for bid in claim_keys[start]:
+            line_add(line_of[bid])
+            conflict = bus_conflicts[bid]
             if conflict:
                 if newconf:
                     newconf |= conflict
@@ -411,20 +548,21 @@ def _greedy_scan_python(patterns: list[SIPattern]):
             index = top - rev
             absorbed.append(index)
             newconf = 0
-            for key in care_keys[index]:
-                tid = key >> 2
+            for cid in care_keys[index]:
+                tid = tid_of[cid]
                 if tid not in merged_tids:
                     tid_add(tid)
-                    conflict = conflicts[key]
+                    conflict = conflicts[cid]
                     if conflict:
                         if newconf:
                             newconf |= conflict
                         else:
                             newconf = conflict
-            for claim in patterns[index].bus_claims.items():
-                if claim[0] not in merged_lines:
-                    line_add(claim[0])
-                    conflict = bus_conflicts[claim]
+            for bid in claim_keys[index]:
+                line = line_of[bid]
+                if line not in merged_lines:
+                    line_add(line)
+                    conflict = bus_conflicts[bid]
                     if conflict:
                         if newconf:
                             newconf |= conflict

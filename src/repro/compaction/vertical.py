@@ -22,7 +22,7 @@ affects speed, and is recorded in the ``compaction.backend.*`` counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from repro.runtime.instrumentation import incr
 from repro.sitest.patterns import SIPattern
@@ -30,46 +30,113 @@ from repro.sitest.patterns import SIPattern
 BACKENDS = ("auto", "reference", "bitset")
 
 
-@dataclass(frozen=True)
 class CompactionResult:
     """Outcome of a vertical compaction run.
 
     Attributes:
-        compacted: The merged patterns.
+        compacted: The merged patterns.  The bitset kernel passes its input
+            as ``source`` instead, and the merged patterns are built from
+            ``members`` on first read.
         members: For each merged pattern, indices (into the input list) of
             the original patterns it absorbed.
         original_count: Number of input patterns.
     """
 
-    compacted: tuple[SIPattern, ...]
-    members: tuple[tuple[int, ...], ...]
-    original_count: int
+    __slots__ = ("_compacted", "_source", "members", "original_count")
+
+    def __init__(
+        self,
+        compacted: tuple[SIPattern, ...] | None = None,
+        members: tuple[tuple[int, ...], ...] = (),
+        original_count: int = 0,
+        *,
+        source: Sequence[SIPattern] | None = None,
+    ) -> None:
+        if (compacted is None) == (source is None):
+            raise ValueError("pass exactly one of compacted and source")
+        self._compacted = compacted
+        self._source = source
+        self.members = members
+        self.original_count = original_count
+
+    @property
+    def compacted(self) -> tuple[SIPattern, ...]:
+        if self._compacted is None:
+            self._compacted = _merge_members(self._source, self.members)
+        return self._compacted
 
     @property
     def compacted_count(self) -> int:
-        return len(self.compacted)
+        return len(self.members)
 
     @property
     def ratio(self) -> float:
         """Compaction ratio ``original / compacted`` (1.0 for empty input)."""
-        if not self.compacted:
+        if not self.members:
             return 1.0
-        return self.original_count / len(self.compacted)
+        return self.original_count / len(self.members)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CompactionResult):
+            return NotImplemented
+        return (
+            self.members == other.members
+            and self.original_count == other.original_count
+            and self.compacted == other.compacted
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CompactionResult(compacted={self.compacted!r}, "
+            f"members={self.members!r}, "
+            f"original_count={self.original_count!r})"
+        )
+
+    def __reduce__(self):
+        return CompactionResult, (
+            self.compacted, self.members, self.original_count
+        )
 
 
-def _resolve_backend(backend: str, count: int, threshold: int) -> str:
-    """Map a ``backend`` argument to ``"reference"`` or ``"bitset"``."""
+def _merge_members(patterns: Sequence[SIPattern],
+                   members: tuple[tuple[int, ...], ...]):
+    """The merged pattern of each member tuple, in absorption order.
+
+    ``dict.update`` keeps first-seen key order and compatible merges only
+    re-store equal values, so this reproduces the reference's
+    incrementally built dicts exactly.
+    """
+    compacted = []
+    for absorbed in members:
+        seed = patterns[absorbed[0]]
+        cares = dict(seed.cares)
+        bus_claims = dict(seed.bus_claims)
+        for index in absorbed[1:]:
+            follower = patterns[index]
+            cares.update(follower.cares)
+            bus_claims.update(follower.bus_claims)
+        compacted.append(SIPattern(cares=cares, bus_claims=bus_claims))
+    return tuple(compacted)
+
+
+def _resolve_backend(backend: str, count: int, threshold: int,
+                     indexed: bool = False) -> str:
+    """Map a ``backend`` argument to ``"reference"`` or ``"bitset"``.
+
+    ``indexed`` inputs are already encoded, so ``"auto"`` skips the
+    threshold for them.
+    """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown compaction backend {backend!r}; choose from {BACKENDS}"
         )
     if backend == "auto":
-        return "bitset" if count >= threshold else "reference"
+        return "bitset" if indexed or count >= threshold else "reference"
     return backend
 
 
 def greedy_compact(
-    patterns: list[SIPattern], backend: str = "auto"
+    patterns: Sequence[SIPattern], backend: str = "auto"
 ) -> CompactionResult:
     """Compact ``patterns`` with the paper's greedy clique-cover heuristic.
 
@@ -79,20 +146,30 @@ def greedy_compact(
     and the shared-bus-line driver rule.
 
     Args:
-        patterns: The patterns to compact.
-        backend: ``"reference"``, ``"bitset"``, or ``"auto"`` (bitset at or
-            above :data:`repro.compaction.kernel.GREEDY_AUTO_THRESHOLD`
-            patterns).  Both backends produce identical results.
+        patterns: The patterns to compact: a list, or a
+            :class:`~repro.compaction.kernel.IndexView` bucket of an
+            indexed pattern set.
+        backend: ``"reference"``, ``"bitset"``, or ``"auto"``: bitset for
+            an index view when the C scan engine is available, otherwise
+            at or above :data:`repro.compaction.kernel.GREEDY_AUTO_THRESHOLD`
+            patterns.  Both backends produce identical results.
     """
-    from repro.compaction import kernel
+    from repro.compaction import _cscan, kernel
 
+    indexed = (
+        backend == "auto"
+        and isinstance(patterns, kernel.IndexView)
+        and _cscan.available()
+    )
     chosen = _resolve_backend(backend, len(patterns),
-                              kernel.GREEDY_AUTO_THRESHOLD)
+                              kernel.GREEDY_AUTO_THRESHOLD, indexed)
     incr(f"compaction.backend.{chosen}")
     if chosen == "bitset":
         result = kernel.greedy_compact_bitset(patterns)
     else:
-        result = _greedy_reference(patterns)
+        # the reference walks its input by position: a list is faster
+        # to index than a view
+        result = _greedy_reference(list(patterns))
     incr("compaction.greedy_runs")
     incr("compaction.patterns_merged_away",
          result.original_count - result.compacted_count)

@@ -40,7 +40,7 @@ from repro.runtime.cache import (
     grouping_cache_key,
     patterns_cache_key,
 )
-from repro.runtime.pool import PatternsRef, resolve_patterns
+from repro.runtime.pool import PatternsRef, resolve_pattern_index
 from repro.sitest.generator import GeneratorConfig
 from repro.sitest.patterns import SIPattern
 from repro.soc.model import Soc
@@ -85,13 +85,14 @@ def _volume_cell_fn(soc, patterns, parts, seed, backend):
 
     ``patterns`` is either the raw list (library path) or a
     :class:`PatternsRef` resolved through the warm per-process state
-    cache.  The returned grouping is codec-reduced — group metadata only,
-    exactly what a cache hit would return.
+    cache to the set's shared index.  The returned grouping is
+    codec-reduced — group metadata only, exactly what a cache hit would
+    return.
     """
     from repro.runtime.codec import grouping_from_dict, grouping_to_dict
 
     if isinstance(patterns, PatternsRef):
-        patterns = resolve_patterns(soc, patterns)
+        patterns = resolve_pattern_index(soc, patterns)
     grouping = build_si_test_groups(
         soc, patterns, parts=parts, seed=seed, backend=backend
     )

@@ -67,7 +67,7 @@ from repro.runtime.cache import (
     patterns_cache_key,
 )
 from repro.runtime.instrumentation import incr
-from repro.runtime.pool import PatternsRef, resolve_patterns
+from repro.runtime.pool import PatternsRef, resolve_pattern_index
 from repro.sitest.generator import GeneratorConfig
 from repro.soc.model import Soc
 
@@ -130,14 +130,16 @@ def _grouping_cell_fn(soc, patterns, parts, seed) -> GroupingResult:
 
     ``patterns`` may be the materialized list (classic pool protocol) or a
     :class:`PatternsRef` resolved through the warm per-process state cache
-    (serial and ``workers`` backends).  The returned grouping is the
-    codec-reduced form — ``compactions == ()``, exactly what a cache hit
-    would return — so the result ships group metadata, not pattern lists.
+    (serial and ``workers`` backends) to the set's shared
+    :class:`~repro.compaction.kernel.PatternIndex`, so the cells of one
+    set encode it once.  The returned grouping is the codec-reduced form —
+    ``compactions == ()``, exactly what a cache hit would return — so the
+    result ships group metadata, not pattern lists.
     """
     from repro.runtime.codec import grouping_from_dict, grouping_to_dict
 
     if isinstance(patterns, PatternsRef):
-        patterns = resolve_patterns(soc, patterns)
+        patterns = resolve_pattern_index(soc, patterns)
     grouping = build_si_test_groups(soc, patterns, parts=parts, seed=seed)
     return grouping_from_dict(grouping_to_dict(grouping))
 

@@ -72,6 +72,7 @@ __all__ = [
     "cell_state",
     "clear_cell_state",
     "default_warmup",
+    "resolve_pattern_index",
     "resolve_patterns",
     "run_cells_stolen",
     "warm_engines",
@@ -230,6 +231,19 @@ def resolve_patterns(soc, ref: PatternsRef):
         )
 
     return cell_state(ref.fingerprint, generate, store_dir=ref.store_dir)
+
+
+def resolve_pattern_index(soc, ref: PatternsRef):
+    """The :class:`~repro.compaction.kernel.PatternIndex` of ``ref``'s
+    pattern set, encoded once per process and shared by every grouping
+    cell over the set.  Kept in the memo only: it is cheaper to re-encode
+    than to store next to the patterns."""
+    from repro.compaction.kernel import PatternIndex
+
+    return cell_state(
+        f"index-{ref.fingerprint}",
+        lambda: PatternIndex(resolve_patterns(soc, ref)),
+    )
 
 
 def warm_engines() -> dict:

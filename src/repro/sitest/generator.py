@@ -73,10 +73,12 @@ def generate_random_patterns(
     if not hosts:
         raise ValueError(f"SOC {soc.name} has no cores with output cells")
 
-    patterns = []
-    for _ in range(count):
-        patterns.append(_random_pattern(rng, hosts, config))
-    return patterns
+    # per victim core id, the aggressor hosts outside its boundary
+    others = {
+        core.core_id: [host for host in hosts if host.core_id != core.core_id]
+        for core in hosts
+    }
+    return [_random_pattern(rng, hosts, others, config) for _ in range(count)]
 
 
 def generate_topology_patterns(
@@ -145,6 +147,7 @@ def generate_topology_patterns(
 def _random_pattern(
     rng: random.Random,
     hosts: list,
+    others: dict[int, list],
     config: GeneratorConfig,
 ) -> SIPattern:
     victim_core = rng.choice(hosts)
@@ -158,16 +161,17 @@ def _random_pattern(
     internal_count = total_aggressors - external_count
 
     # Aggressors inside the victim core boundary (other output terminals).
-    internal_candidates = [
-        index for index in range(victim_core.woc_count) if index != victim_index
-    ]
-    for index in rng.sample(
-        internal_candidates, min(internal_count, len(internal_candidates))
-    ):
+    # Sampling positions of the candidate list skipping the victim draws
+    # exactly what sampling that list would, without building it.
+    candidates = victim_core.woc_count - 1
+    for index in rng.sample(range(candidates),
+                            min(internal_count, candidates)):
+        if index >= victim_index:
+            index += 1
         cares[(victim_core.core_id, index)] = rng.choice(TRANSITIONS)
 
     # Aggressors outside the victim core boundary.
-    other_hosts = [core for core in hosts if core.core_id != victim_core.core_id]
+    other_hosts = others[victim_core.core_id]
     for _ in range(external_count):
         host = rng.choice(other_hosts)
         terminal = (host.core_id, rng.randrange(host.woc_count))

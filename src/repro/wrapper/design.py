@@ -76,18 +76,27 @@ def _distribute_cells(base_lengths: list[int], cells: int) -> list[int]:
     """Add ``cells`` single-bit wrapper cells onto the chains in
     ``base_lengths`` so that the maximum resulting length is minimized.
 
-    Greedy one-cell-at-a-time onto the currently shortest chain, which is
-    optimal for unit-size items.
+    The closed form of the greedy that puts one cell at a time onto the
+    shortest chain, lowest index first on ties (optimal for unit-size
+    items): the shortest chains rise to a common level, and the cells left
+    over go one each to the lowest-index chains at that level.
     """
     result = list(base_lengths)
     if cells <= 0 or not result:
         return result
-    heap = [(length, index) for index, length in enumerate(result)]
-    heapq.heapify(heap)
-    for _ in range(cells):
-        length, index = heapq.heappop(heap)
-        result[index] = length + 1
-        heapq.heappush(heap, (result[index], index))
+    # the most chains that can all be raised to the longest of them
+    order = sorted(range(len(result)), key=result.__getitem__)
+    count = total = 0
+    for index in order:
+        length = result[index]
+        if length * count - total > cells:
+            break
+        count += 1
+        total += length
+    level, extra = divmod(total + cells, count)
+    raised = sorted(order[:count])
+    for position, index in enumerate(raised):
+        result[index] = level + (position < extra)
     return result
 
 

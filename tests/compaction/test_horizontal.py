@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.compaction.groups import SITestGroup
 from repro.compaction.horizontal import build_si_test_groups
 from repro.sitest.generator import generate_random_patterns
+from repro.sitest.patterns import SIPattern
 from repro.soc.model import Soc
 from tests.conftest import make_core
 
@@ -139,3 +140,22 @@ class TestGrouping:
         # parts part-groups at most, plus at most one residual group.
         result = build_si_test_groups(soc, patterns, parts=parts, seed=seed)
         assert len(result.groups) <= parts + 1
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("foreign, reason", [
+    (999, "is not in the SOC"),
+    (4, "has no output cells"),
+])
+def test_foreign_care_core_is_a_value_error(parts, foreign, reason):
+    soc = Soc(
+        name="silent4",
+        cores=(*(make_core(i, outputs=6) for i in range(1, 4)),
+               make_core(4, outputs=0)),
+    )
+    patterns = generate_random_patterns(soc, 40, seed=2)
+    patterns[17] = SIPattern(cares={(1, 0): "F", (foreign, 0): "R"})
+    with pytest.raises(ValueError,
+                       match=f"pattern 17 cares about core {foreign}, "
+                             f"which {reason}"):
+        build_si_test_groups(soc, patterns, parts)

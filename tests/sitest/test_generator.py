@@ -129,3 +129,40 @@ class TestDeterminismAndErrors:
     @given(st.integers(min_value=0, max_value=200))
     def test_any_count_generates(self, soc, count):
         assert len(generate_random_patterns(soc, count, seed=1)) == count
+
+
+class TestPinnedStream:
+    """The exact generated stream, pinned: pattern order, content, and the
+    insertion order of every ``cares``/``bus_claims`` dict (merged patterns
+    and their serializations inherit that order)."""
+
+    PINNED = {
+        "d695": (
+            "b8f2703bf894ae637f7267a56f45dd6ce3e0a41869519b7255ee29c8a4df92f9",
+            "7c6590efab2f37a71c306d631f5671f794510d01d78e9c28c7700d53cf0f0358",
+        ),
+        "p93791": (
+            "d916276945f72bf615104db6194dce93fd5c00259f37819fa7fda663b508c995",
+            "bb7c3dc8b58c6cebc18eda229783c19cc3197a8cb08dd424649460ee659b53ac",
+        ),
+    }
+
+    @pytest.mark.parametrize("soc_name", sorted(PINNED))
+    def test_seed_one_stream(self, soc_name):
+        import hashlib
+        import json
+
+        from repro.sitest.io import patterns_to_dict
+        from repro.soc.benchmarks import load_benchmark
+
+        patterns = generate_random_patterns(
+            load_benchmark(soc_name), 2_000, seed=1
+        )
+        content = hashlib.sha256(
+            json.dumps(patterns_to_dict(patterns)).encode()
+        ).hexdigest()
+        order = hashlib.sha256(repr([
+            (list(p.cares.items()), list(p.bus_claims.items()), p.victim)
+            for p in patterns
+        ]).encode()).hexdigest()
+        assert (content, order) == self.PINNED[soc_name]

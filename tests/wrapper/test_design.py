@@ -1,5 +1,7 @@
 """Unit and property tests for balanced wrapper design."""
 
+import heapq
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,6 +68,30 @@ class TestDistributeCells:
         # max(max(base), ceil(total / bins)).
         optimum = max(max(base), -(-(sum(base) + cells) // len(base)))
         assert max(result) == optimum
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), min_size=1,
+                 max_size=12),
+        st.integers(min_value=-2, max_value=300),
+    )
+    def test_matches_one_cell_at_a_time_heap(self, base, cells):
+        assert tuple(_distribute_cells(base, cells)) == tuple(
+            _heap_distribute(base, cells)
+        )
+
+
+def _heap_distribute(base_lengths, cells):
+    """Oracle: each cell onto the shortest chain, lowest index on ties."""
+    result = list(base_lengths)
+    if cells <= 0 or not result:
+        return result
+    heap = [(length, index) for index, length in enumerate(result)]
+    heapq.heapify(heap)
+    for _ in range(cells):
+        length, index = heapq.heappop(heap)
+        result[index] = length + 1
+        heapq.heappush(heap, (result[index], index))
+    return result
 
 
 class TestDesignWrapper:
