@@ -12,10 +12,9 @@ A point captures, in one run:
   scan on one pattern set;
 * **end-to-end table wall-clock** — a cold `run_table_experiment` sweep,
   then a warm rerun against an on-disk cache for the **cache hit rate**;
-* **parallel sweep wall-clock** — the classic one-shot process pool vs
-  the persistent work-stealing ``workers`` backend on a multi-SOC table
-  sweep (``--sweep-backend``), with a rendered-table identity check
-  against a serial run;
+* **parallel sweep wall-clock** — a serial run vs the persistent
+  work-stealing worker pool (``--jobs``) on a multi-SOC table sweep, with
+  a rendered-table identity check;
 * **plan layer overhead** — expansion time of the declarative table
   plan plus the ``PlanRunner`` dispatch overhead (serial wall-clock
   minus time inside the cell bodies), gated at an absolute budget
@@ -218,61 +217,54 @@ def bench_table(soc_name, pattern_count, widths, parts, seed):
 
 
 def bench_sweep(regimes, jobs, seed):
-    """Classic pool vs work-stealing workers backend, multi-SOC sweep.
+    """Serial vs the work-stealing worker pool, multi-SOC sweep.
 
-    Each arm re-runs the same table sweeps end to end; the ratio isolates
-    the fan-out machinery (warm workers, reference-shipped pattern sets,
-    shared cell state) because everything else is identical.  The parent
-    memo is cleared between arms so no arm inherits another's warm state.
+    Each arm re-runs the same table sweeps end to end; ``speedup`` is
+    serial ÷ workers, so it isolates the fan-out machinery (warm workers,
+    reference-shipped pattern sets, shared cell state) against the
+    strongest baseline.  The parent memo is cleared between arms so no
+    arm inherits another's warm state.
     """
     from repro.experiments.reporting import render_table
     from repro.runtime.pool import clear_cell_state
 
-    def sweep(soc, pattern_count, widths, parts, backend, njobs):
+    def sweep(soc, pattern_count, widths, parts, njobs):
         clear_cell_state()
         start = time.perf_counter()
         result = run_table_experiment(
             soc, pattern_count, widths=widths, group_counts=parts,
-            seed=seed, jobs=njobs, sweep_backend=backend,
+            seed=seed, jobs=njobs,
         )
         return time.perf_counter() - start, render_table(result)
 
     per_soc = {}
-    pool_total = workers_total = serial_total = 0.0
+    workers_total = serial_total = 0.0
     identical = True
     for soc_name, pattern_count, widths, parts in regimes:
         soc = load_benchmark(soc_name)
         serial_seconds, serial_table = sweep(
-            soc, pattern_count, widths, parts, "pool", 1
-        )
-        pool_seconds, pool_table = sweep(
-            soc, pattern_count, widths, parts, "pool", jobs
+            soc, pattern_count, widths, parts, 1
         )
         workers_seconds, workers_table = sweep(
-            soc, pattern_count, widths, parts, "workers", jobs
+            soc, pattern_count, widths, parts, jobs
         )
-        identical = identical and (
-            serial_table == pool_table == workers_table
-        )
+        identical = identical and serial_table == workers_table
         serial_total += serial_seconds
-        pool_total += pool_seconds
         workers_total += workers_seconds
         per_soc[soc_name] = {
             "pattern_count": pattern_count,
             "widths": list(widths),
             "parts": list(parts),
             "serial_seconds": round(serial_seconds, 4),
-            "pool_seconds": round(pool_seconds, 4),
             "workers_seconds": round(workers_seconds, 4),
-            "speedup": round(pool_seconds / workers_seconds, 2),
+            "speedup": round(serial_seconds / workers_seconds, 2),
         }
     return {
         "jobs": jobs,
         "seed": seed,
         "serial_seconds": round(serial_total, 4),
-        "pool_seconds": round(pool_total, 4),
         "workers_seconds": round(workers_total, 4),
-        "speedup": round(pool_total / workers_total, 2),
+        "speedup": round(serial_total / workers_total, 2),
         "identical": identical,
         "per_soc": per_soc,
     }
@@ -591,7 +583,7 @@ def check(result, baseline_path, threshold) -> list[str]:
     if not result["compaction"]["identical"]:
         failures.append("compaction backends diverged (identical=false)")
     if not result["sweep"]["identical"]:
-        failures.append("sweep backends diverged (identical=false)")
+        failures.append("workers sweep diverged from serial (identical=false)")
     plan = result.get("plan")
     if plan is not None and plan["overhead_pct"] > plan["budget_pct"]:
         failures.append(
@@ -625,6 +617,8 @@ def check(result, baseline_path, threshold) -> list[str]:
         # Sections absent from an older baseline (recorded before they
         # existed) have no reference to regress against.
         was = baseline.get(section, {}).get(metric)
+        if (section, metric) == ("sweep", "speedup"):
+            was = _baseline_sweep_speedup(baseline)
         now = result[section][metric]
         if was is None:
             continue
@@ -634,6 +628,17 @@ def check(result, baseline_path, threshold) -> list[str]:
                 f"{was} -> {now}"
             )
     return failures
+
+
+def _baseline_sweep_speedup(baseline):
+    """The baseline's serial ÷ workers ratio.  Recomputed from its own
+    timings, because baselines recorded before the classic process pool
+    was removed stored pool ÷ workers under ``sweep.speedup``."""
+    sweep = baseline.get("sweep", {})
+    serial, workers = sweep.get("serial_seconds"), sweep.get("workers_seconds")
+    if not serial or not workers:
+        return None
+    return round(serial / workers, 2)
 
 
 def main(argv=None) -> int:

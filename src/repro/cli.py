@@ -33,9 +33,11 @@ Every experiment command (``pareto``, ``scaling``, ``table``,
 ``volume``, ``compare``, ``multisite``, ``sensitivity``, ``stability``)
 runs through the declarative plan layer
 (:mod:`repro.experiments.plan` / :class:`~repro.experiments.runner.PlanRunner`)
-and uniformly accepts ``--jobs``, ``--cache``, ``--sweep-backend``,
-``--resume`` and ``--verify``, plus ``--profile`` for the unified JSON
-run report (``docs/experiments.md``).  ``optimize`` and ``evaluate``
+and uniformly accepts ``--jobs``, ``--cache``, ``--resume`` and
+``--verify``, plus ``--profile`` for the unified JSON run report
+(``docs/experiments.md``).  The ten kinds ``repro submit`` accepts take
+their knob defaults from :data:`repro.experiments.plan.KIND_DEFAULTS`,
+the table the service applies too.  ``optimize`` and ``evaluate``
 also accept ``--verify`` for the independent schedule post-condition
 verifier (``docs/resilience.md``).
 
@@ -51,11 +53,8 @@ import time
 from repro.compaction.horizontal import build_si_test_groups
 from repro.compaction.vertical import BACKENDS
 from repro.core.optimizer import optimize_tam
+from repro.experiments.plan import KIND_DEFAULTS
 from repro.experiments.reporting import save_result
-from repro.experiments.table_runner import (
-    DEFAULT_GROUP_COUNTS,
-    DEFAULT_WIDTHS,
-)
 from repro.sitest.generator import generate_random_patterns
 from repro.soc.benchmarks import available_benchmarks, load_benchmark
 from repro.soc.itc02 import parse_file
@@ -116,7 +115,6 @@ def _runtime_arguments(args: argparse.Namespace) -> dict:
     return {
         "jobs": args.jobs,
         "cache": args.cache,
-        "sweep_backend": args.sweep_backend,
         "resume": args.resume,
         "verify": getattr(args, "verify", False),
         "policy": getattr(args, "policy", None),
@@ -161,7 +159,7 @@ def _run_plan(args: argparse.Namespace, command: str, make_plan,
     ``make_plan`` is called inside the instrumentation context (so any
     parent-side preparation it does — e.g. building SI groups — is
     counted), then the plan runs through :class:`PlanRunner` with the
-    command's ``--jobs/--cache/--sweep-backend/--resume/--verify``
+    command's ``--jobs/--cache/--resume/--verify``
     settings and ``render(run)`` prints the command's output.
     ``--profile`` then emits the unified run report
     (:func:`repro.experiments.reporting.experiment_report`).
@@ -183,7 +181,6 @@ def _run_plan(args: argparse.Namespace, command: str, make_plan,
             jobs=args.jobs,
             cache=cache,
             checkpoint=checkpoint,
-            sweep_backend=args.sweep_backend,
             verify=getattr(args, "verify", False),
             policy=_make_policy(args),
         )
@@ -260,27 +257,26 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sweep_backend_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.runtime.executor import SWEEP_BACKENDS
-
-    parser.add_argument(
-        "--sweep-backend", choices=SWEEP_BACKENDS, default="auto",
-        help="sweep fan-out machinery: the classic one-shot process pool, "
-        "the persistent work-stealing worker pool, or auto-select "
-        "(results are bit-identical either way)",
-    )
+def _kind_defaults(kind: str) -> dict:
+    """The kind's :data:`~repro.experiments.plan.KIND_DEFAULTS` as
+    argparse defaults (lists copied, so a parse never aliases the
+    shared table)."""
+    return {
+        name: list(value) if isinstance(value, list) else value
+        for name, value in KIND_DEFAULTS[kind].items()
+    }
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     """The uniform plan-runner flags every experiment command accepts:
-    ``--jobs``, ``--cache``, ``--sweep-backend``, ``--resume``,
-    ``--verify`` — plus ``--profile`` for the unified run report."""
+    ``--jobs``, ``--cache``, ``--resume``, ``--verify`` — plus
+    ``--profile`` for the unified run report."""
     from repro.runtime.cache import DEFAULT_STORE_DIR
 
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the plan cells (1 = serial; results "
-        "are bit-identical either way)",
+        help="worker processes for the plan cells (1 = serial, more = the "
+        "work-stealing worker pool; results are bit-identical either way)",
     )
     parser.add_argument(
         "--cache", nargs="?", const=str(DEFAULT_STORE_DIR), default=None,
@@ -288,7 +284,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         help="memoize plan cells on disk, shared across experiments "
         f"(default directory: {DEFAULT_STORE_DIR})",
     )
-    _add_sweep_backend_flag(parser)
     parser.add_argument(
         "--resume", nargs="?", const="auto", default=None, metavar="PATH",
         help="record every completed cell to a crash-safe checkpoint and "
@@ -351,8 +346,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     patterns = generate_random_patterns(soc, args.patterns, seed=args.seed)
     grouping = build_si_test_groups(soc, patterns, parts=args.parts,
                                     seed=args.seed,
-                                    backend=args.compaction_backend,
-                                    jobs=args.jobs)
+                                    backend=args.compaction_backend)
     print(
         f"{len(patterns)} patterns -> "
         f"{grouping.total_compacted_patterns} compacted in "
@@ -769,7 +763,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             state_dir=Path(args.state_dir),
             jobs=args.jobs,
-            sweep_backend=args.sweep_backend,
             cache_dir=args.cache,
             queue_limit=args.queue_limit,
             policy=args.policy,
@@ -910,10 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
     compact.add_argument("--parts", type=int, default=4,
                          help="number of core groups")
     compact.add_argument("--seed", type=int, default=1)
-    compact.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the per-group compactions (1 = serial)",
-    )
     _add_backend_flag(compact)
     compact.set_defaults(func=_cmd_compact)
 
@@ -921,17 +910,17 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("soc")
     optimize.add_argument("--wmax", type=int, required=True,
                           help="SOC TAM width budget W_max")
-    optimize.add_argument("--patterns", type=int, default=0,
+    optimize.add_argument("--patterns", type=int,
                           help="SI pattern count (0 = InTest only)")
-    optimize.add_argument("--parts", type=int, default=4)
-    optimize.add_argument("--seed", type=int, default=1)
+    optimize.add_argument("--parts", type=int)
+    optimize.add_argument("--seed", type=int)
     optimize.add_argument("--utilization", action="store_true",
                           help="also print the per-rail utilization report")
     optimize.add_argument("--save-arch",
                           help="write the architecture to this JSON file")
     _add_optimizer_backend_flag(optimize)
     _add_verify_flag(optimize)
-    optimize.set_defaults(func=_cmd_optimize)
+    optimize.set_defaults(func=_cmd_optimize, **_kind_defaults("optimize"))
 
     evaluate = sub.add_parser(
         "evaluate", help="price a saved architecture against a test set"
@@ -939,50 +928,46 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("soc")
     evaluate.add_argument("--arch", required=True,
                           help="architecture JSON from 'optimize --save-arch'")
-    evaluate.add_argument("--patterns", type=int, default=0)
-    evaluate.add_argument("--parts", type=int, default=4)
-    evaluate.add_argument("--seed", type=int, default=1)
+    evaluate.add_argument("--patterns", type=int)
+    evaluate.add_argument("--parts", type=int)
+    evaluate.add_argument("--seed", type=int)
     _add_optimizer_backend_flag(evaluate)
     _add_verify_flag(evaluate)
-    evaluate.set_defaults(func=_cmd_evaluate)
+    evaluate.set_defaults(func=_cmd_evaluate, **_kind_defaults("evaluate"))
 
     pareto = sub.add_parser(
         "pareto", help="sweep W_max and report the trade-off curve"
     )
     pareto.add_argument("soc")
-    pareto.add_argument("--widths", type=int, nargs="+",
-                        default=[8, 16, 24, 32, 40, 48, 56, 64])
-    pareto.add_argument("--patterns", type=int, default=0)
-    pareto.add_argument("--parts", type=int, default=4)
-    pareto.add_argument("--seed", type=int, default=1)
+    pareto.add_argument("--widths", type=int, nargs="+")
+    pareto.add_argument("--patterns", type=int)
+    pareto.add_argument("--parts", type=int)
+    pareto.add_argument("--seed", type=int)
     _add_experiment_flags(pareto)
-    pareto.set_defaults(func=_cmd_pareto)
+    pareto.set_defaults(func=_cmd_pareto, **_kind_defaults("pareto"))
 
     scaling = sub.add_parser(
         "scaling", help="optimizer scaling study on synthetic SOCs"
     )
-    scaling.add_argument("--cores", type=int, nargs="+",
-                         default=[8, 16, 24, 32])
-    scaling.add_argument("--wmax", type=int, default=32)
-    scaling.add_argument("--patterns", type=int, default=2_000)
-    scaling.add_argument("--parts", type=int, default=4)
-    scaling.add_argument("--seed", type=int, default=0)
+    scaling.add_argument("--cores", type=int, nargs="+")
+    scaling.add_argument("--wmax", type=int)
+    scaling.add_argument("--patterns", type=int)
+    scaling.add_argument("--parts", type=int)
+    scaling.add_argument("--seed", type=int)
     _add_experiment_flags(scaling)
-    scaling.set_defaults(func=_cmd_scaling)
+    scaling.set_defaults(func=_cmd_scaling, **_kind_defaults("scaling"))
 
     table = sub.add_parser("table", help="regenerate a Table 2/3 experiment")
     table.add_argument("soc")
-    table.add_argument("--patterns", type=int, default=10_000)
-    table.add_argument("--widths", type=int, nargs="+",
-                       default=list(DEFAULT_WIDTHS))
-    table.add_argument("--parts", type=int, nargs="+",
-                       default=list(DEFAULT_GROUP_COUNTS))
-    table.add_argument("--seed", type=int, default=1)
+    table.add_argument("--patterns", type=int)
+    table.add_argument("--widths", type=int, nargs="+")
+    table.add_argument("--parts", type=int, nargs="+")
+    table.add_argument("--seed", type=int)
     table.add_argument("--json", help="also write a JSON summary here")
     table.add_argument("--verbose", action="store_true")
     _add_experiment_flags(table)
     _add_optimizer_backend_flag(table)
-    table.set_defaults(func=_cmd_table)
+    table.set_defaults(func=_cmd_table, **_kind_defaults("table"))
 
     bounds = sub.add_parser("bounds",
                             help="lower bounds and the optimality gap")
@@ -1019,12 +1004,12 @@ def build_parser() -> argparse.ArgumentParser:
         "volume", help="test-data-volume study of 2-D compaction"
     )
     volume.add_argument("soc")
-    volume.add_argument("--patterns", type=int, default=5_000)
-    volume.add_argument("--parts", type=int, nargs="+", default=[1, 2, 4, 8])
-    volume.add_argument("--seed", type=int, default=1)
+    volume.add_argument("--patterns", type=int)
+    volume.add_argument("--parts", type=int, nargs="+")
+    volume.add_argument("--seed", type=int)
     _add_experiment_flags(volume)
     _add_backend_flag(volume)
-    volume.set_defaults(func=_cmd_volume)
+    volume.set_defaults(func=_cmd_volume, **_kind_defaults("volume"))
 
     coverage = sub.add_parser(
         "coverage", help="MA fault coverage of a random pattern set"
@@ -1051,45 +1036,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("soc")
     compare.add_argument("--wmax", type=int, required=True)
-    compare.add_argument("--patterns", type=int, default=0)
-    compare.add_argument("--parts", type=int, default=4)
-    compare.add_argument("--seed", type=int, default=1)
-    compare.add_argument("--sa-steps", type=int, default=4_000)
+    compare.add_argument("--patterns", type=int)
+    compare.add_argument("--parts", type=int)
+    compare.add_argument("--seed", type=int)
+    compare.add_argument("--sa-steps", type=int)
     _add_experiment_flags(compare)
-    compare.set_defaults(func=_cmd_compare)
+    compare.set_defaults(func=_cmd_compare, **_kind_defaults("compare"))
 
     multisite = sub.add_parser(
         "multisite", help="multi-site throughput study"
     )
     multisite.add_argument("soc")
-    multisite.add_argument("--channels", type=int, default=64,
+    multisite.add_argument("--channels", type=int,
                            help="total tester channel budget")
-    multisite.add_argument("--patterns", type=int, default=0)
-    multisite.add_argument("--parts", type=int, default=4)
-    multisite.add_argument("--seed", type=int, default=1)
+    multisite.add_argument("--patterns", type=int)
+    multisite.add_argument("--parts", type=int)
+    multisite.add_argument("--seed", type=int)
     _add_experiment_flags(multisite)
-    multisite.set_defaults(func=_cmd_multisite)
+    multisite.set_defaults(
+        func=_cmd_multisite, **_kind_defaults("multisite")
+    )
 
     sensitivity = sub.add_parser(
         "sensitivity", help="generator-knob sensitivity study"
     )
     sensitivity.add_argument("soc")
-    sensitivity.add_argument("--wmax", type=int, default=32)
-    sensitivity.add_argument("--patterns", type=int, default=2_000)
-    sensitivity.add_argument("--parts", type=int, default=4)
-    sensitivity.add_argument("--seed", type=int, default=1)
+    sensitivity.add_argument("--wmax", type=int)
+    sensitivity.add_argument("--patterns", type=int)
+    sensitivity.add_argument("--parts", type=int)
+    sensitivity.add_argument("--seed", type=int)
     _add_experiment_flags(sensitivity)
-    sensitivity.set_defaults(func=_cmd_sensitivity)
+    sensitivity.set_defaults(
+        func=_cmd_sensitivity, **_kind_defaults("sensitivity")
+    )
 
     stability = sub.add_parser(
         "stability", help="seed-stability of the table metrics"
     )
     stability.add_argument("soc")
-    stability.add_argument("--wmax", type=int, default=24)
-    stability.add_argument("--patterns", type=int, default=2_000)
-    stability.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    stability.add_argument("--wmax", type=int)
+    stability.add_argument("--patterns", type=int)
+    stability.add_argument("--seeds", type=int, nargs="+")
     _add_experiment_flags(stability)
-    stability.set_defaults(func=_cmd_stability)
+    stability.set_defaults(
+        func=_cmd_stability, **_kind_defaults("stability")
+    )
 
     serve = sub.add_parser(
         "serve", help="run the optimization service (HTTP job server)"
@@ -1110,7 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes per plan run (the warm pool is shared "
         "across all jobs)",
     )
-    _add_sweep_backend_flag(serve)
     serve.add_argument(
         "--cache", default=None, metavar="DIR",
         help="shared evaluation cache directory "

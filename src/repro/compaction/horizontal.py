@@ -18,13 +18,7 @@ from repro.compaction.kernel import IndexView, PatternIndex
 from repro.compaction.vertical import CompactionResult, greedy_compact
 from repro.hypergraph.hypergraph import build_hypergraph
 from repro.hypergraph.multilevel import partition
-from repro.runtime.executor import run_cells
-from repro.runtime.instrumentation import (
-    absorb_snapshot,
-    call_with_instrumentation,
-    get_instrumentation,
-    incr,
-)
+from repro.runtime.instrumentation import get_instrumentation, incr
 from repro.sitest.patterns import SIPattern
 from repro.soc.model import Soc
 
@@ -54,12 +48,6 @@ class GroupingResult:
         return sum(group.patterns for group in self.groups)
 
 
-def _vertical_cell(spec):
-    """Sweep cell: vertical compaction of one group's pattern bucket."""
-    bucket, backend = spec
-    return call_with_instrumentation(greedy_compact, bucket, backend=backend)
-
-
 def build_si_test_groups(
     soc: Soc,
     patterns: list[SIPattern] | PatternIndex,
@@ -67,7 +55,6 @@ def build_si_test_groups(
     epsilon: float = 0.10,
     seed: int = 0,
     backend: str = "auto",
-    jobs: int = 1,
 ) -> GroupingResult:
     """Run two-dimensional compaction: partition cores, split the pattern
     set, and vertically compact each group.
@@ -84,8 +71,6 @@ def build_si_test_groups(
         seed: Partitioner seed.
         backend: Vertical compaction backend, forwarded to
             :func:`repro.compaction.vertical.greedy_compact`.
-        jobs: Worker processes for the per-group compactions; groups are
-            independent, so fanning out never changes the result.
 
     Raises:
         ValueError: If ``parts`` is not positive or exceeds the number of
@@ -98,7 +83,7 @@ def build_si_test_groups(
         index = (patterns if isinstance(patterns, PatternIndex)
                  else PatternIndex(patterns))
         return _build_si_test_groups(soc, index, parts, epsilon, seed,
-                                     backend, jobs)
+                                     backend)
 
 
 def _build_si_test_groups(
@@ -108,7 +93,6 @@ def _build_si_test_groups(
     epsilon: float,
     seed: int,
     backend: str,
-    jobs: int,
 ) -> GroupingResult:
     host_ids = [core.core_id for core in soc if core.woc_count > 0]
     if parts > len(host_ids):
@@ -136,9 +120,8 @@ def _build_si_test_groups(
         rows[route[set_id]].append(row)
     residual = rows[parts]
 
-    # One cell per non-empty bucket (part groups in order, residual last);
-    # groups are independent, so they fan out over worker processes.
-    cells: list[tuple[IndexView, frozenset[int], bool]] = []
+    # One group per non-empty bucket: part groups in order, residual last.
+    buckets: list[tuple[IndexView, frozenset[int], bool]] = []
     for part in range(parts):
         if not rows[part]:
             continue
@@ -146,22 +129,14 @@ def _build_si_test_groups(
             core_id for core_id, assigned in part_of_core.items()
             if assigned == part
         )
-        cells.append((index.view(rows[part]), cores, False))
+        buckets.append((index.view(rows[part]), cores, False))
     if residual:
-        cells.append((index.view(residual), frozenset(host_ids), True))
-
-    outcomes = run_cells(
-        _vertical_cell,
-        [(bucket, backend) for bucket, _cores, _is_residual in cells],
-        jobs=jobs,
-    )
+        buckets.append((index.view(residual), frozenset(host_ids), True))
 
     groups: list[SITestGroup] = []
     compactions: list[CompactionResult] = []
-    for (bucket, cores, is_residual), (compaction, snapshot) in zip(
-        cells, outcomes
-    ):
-        absorb_snapshot(snapshot)
+    for bucket, cores, is_residual in buckets:
+        compaction = greedy_compact(bucket, backend=backend)
         groups.append(
             SITestGroup(
                 group_id=len(groups),

@@ -3,7 +3,7 @@
 Every experiment is a declarative :class:`ExperimentPlan` (see
 :mod:`repro.experiments.plan`) executed by :class:`PlanRunner`; the
 ``run_*`` functions below are thin wrappers that build the plan and run
-it with the uniform ``jobs/cache/checkpoint/sweep_backend/verify``
+it with the uniform ``jobs/cache/checkpoint/verify``
 knobs.
 """
 

@@ -247,7 +247,6 @@ def measure_compaction(
     seed: int = 0,
     jobs: int = 1,
     backend: str = "auto",
-    sweep_backend: str = "auto",
     verify: bool = False,
 ) -> tuple[CompactionVolume, ...]:
     """Measure data volume across grouping choices.
@@ -255,16 +254,14 @@ def measure_compaction(
     Group counts are independent, so ``jobs > 1`` fans them out over
     worker processes without changing the reported volumes.  ``backend``
     selects the vertical compaction implementation (see
-    :func:`repro.compaction.vertical.greedy_compact`); ``sweep_backend``
-    the fan-out machinery (see
-    :data:`repro.runtime.executor.SWEEP_BACKENDS`).  The volumes are
+    :func:`repro.compaction.vertical.greedy_compact`).  The volumes are
     independent of both.
 
     Raises:
         ValueError: If ``group_counts`` is empty.
     """
     runner = PlanRunner(
-        jobs=jobs, sweep_backend=sweep_backend, verify=verify
+        jobs=jobs, verify=verify
     )
     run = runner.run(
         ExperimentPlan(
@@ -289,7 +286,6 @@ def run_volume_study(
     generator_config: GeneratorConfig = GeneratorConfig(),
     backend: str = "auto",
     jobs: int = 1,
-    sweep_backend: str = "auto",
     cache: EvaluationCache | None = None,
     checkpoint=None,
     verify: bool = False,
@@ -302,7 +298,6 @@ def run_volume_study(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        sweep_backend=sweep_backend,
         verify=verify,
     )
     run = runner.run(

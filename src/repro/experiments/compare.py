@@ -285,7 +285,6 @@ def compare_optimizers(
     annealing_steps: int = 4_000,
     include_exact: bool | None = None,
     jobs: int = 1,
-    sweep_backend: str = "auto",
     cache: EvaluationCache | None = None,
     checkpoint=None,
     verify: bool = False,
@@ -301,8 +300,6 @@ def compare_optimizers(
             it runs only when the SOC is small enough.
         jobs: Worker processes racing the contenders (1 = serial;
             achieved times are identical either way).
-        sweep_backend: Cell fan-out backend (see
-            :data:`repro.runtime.executor.SWEEP_BACKENDS`).
         cache: Optional evaluation cache; a warm hit replays a
             contender's result including its recorded runtime.
         checkpoint: Optional
@@ -314,7 +311,6 @@ def compare_optimizers(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        sweep_backend=sweep_backend,
         verify=verify,
     )
     run = runner.run(

@@ -173,7 +173,6 @@ def run_multisite_study(
     groups: tuple[SITestGroup, ...] = (),
     site_counts: tuple[int, ...] | None = None,
     jobs: int = 1,
-    sweep_backend: str = "auto",
     cache: EvaluationCache | None = None,
     checkpoint=None,
     verify: bool = False,
@@ -187,8 +186,6 @@ def run_multisite_study(
         site_counts: Counts to sweep; defaults to every divisor of
             ``channels`` that leaves at least one wire per site.
         jobs: Worker processes for the per-site optimizer cells.
-        sweep_backend: Cell fan-out backend (see
-            :data:`repro.runtime.executor.SWEEP_BACKENDS`).
         cache: Optional evaluation cache shared with the other
             experiments (per-site cells reuse table/Pareto optimizer
             results at the same width).
@@ -204,7 +201,6 @@ def run_multisite_study(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        sweep_backend=sweep_backend,
         verify=verify,
     )
     run = runner.run(

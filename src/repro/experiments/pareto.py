@@ -191,7 +191,6 @@ def sweep_widths(
     groups: tuple[SITestGroup, ...] = (),
     capture_cycles: int = 1,
     jobs: int = 1,
-    sweep_backend: str = "auto",
     cache: EvaluationCache | None = None,
     checkpoint=None,
     verify: bool = False,
@@ -199,12 +198,9 @@ def sweep_widths(
     """Optimize the SOC at each budget and collect the trade-off curve.
 
     Budgets are independent, so ``jobs > 1`` fans them out over worker
-    processes; the curve is identical to a serial sweep.  ``sweep_backend``
-    picks the fan-out machinery (see
-    :data:`repro.runtime.executor.SWEEP_BACKENDS`); the curve is
-    backend-independent.  ``cache`` and ``checkpoint`` memoize and resume
-    individual curve points; ``verify`` independently re-checks every
-    swept schedule.
+    processes; the curve is identical to a serial sweep.  ``cache`` and
+    ``checkpoint`` memoize and resume individual curve points; ``verify``
+    independently re-checks every swept schedule.
 
     Raises:
         ValueError: If ``widths`` is empty or not strictly increasing.
@@ -213,7 +209,6 @@ def sweep_widths(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        sweep_backend=sweep_backend,
         verify=verify,
     )
     run = runner.run(

@@ -56,6 +56,32 @@ from repro.soc.model import Soc
 #: wall-clock measurements a caller explicitly wants re-run).
 UNCACHED = "__uncached__"
 
+#: Per-kind defaults of the experiment knobs (the CLI flag names, with
+#: ``_`` for ``-``).  The CLI commands and ``repro submit`` both take
+#: their defaults from here, so a local run and a submitted one build the
+#: same plan.
+KIND_DEFAULTS: dict[str, dict] = {
+    "table": {
+        "patterns": 10_000, "parts": [1, 2, 4, 8], "seed": 1,
+        "widths": [8, 16, 24, 32, 40, 48, 56, 64],
+    },
+    "pareto": {
+        "patterns": 0, "parts": 4, "seed": 1,
+        "widths": [8, 16, 24, 32, 40, 48, 56, 64],
+    },
+    "volume": {"patterns": 5_000, "parts": [1, 2, 4, 8], "seed": 1},
+    "compare": {"patterns": 0, "parts": 4, "seed": 1, "sa_steps": 4_000},
+    "multisite": {"patterns": 0, "parts": 4, "seed": 1, "channels": 64},
+    "scaling": {
+        "patterns": 2_000, "parts": 4, "seed": 0,
+        "cores": [8, 16, 24, 32], "wmax": 32,
+    },
+    "sensitivity": {"patterns": 2_000, "parts": 4, "seed": 1, "wmax": 32},
+    "stability": {"patterns": 2_000, "seeds": [1, 2, 3], "wmax": 24},
+    "optimize": {"patterns": 0, "parts": 4, "seed": 1},
+    "evaluate": {"patterns": 0, "parts": 4, "seed": 1},
+}
+
 
 @dataclass(frozen=True)
 class CellRef:

@@ -2,12 +2,12 @@
 
 :class:`PlanRunner` takes an :class:`~repro.experiments.plan.ExperimentPlan`
 and drives its cell graph to completion through the existing runtime —
-:func:`repro.runtime.executor.run_cells` fan-out (serial / classic pool /
-persistent work-stealing workers), the keyed
+:func:`repro.runtime.executor.run_cells` fan-out (serial, or the
+persistent work-stealing worker pool when ``jobs > 1``), the keyed
 :class:`~repro.runtime.cache.EvaluationCache`, and
 :class:`~repro.resilience.checkpoint.SweepCheckpoint` resume — so every
-experiment gets ``--jobs/--cache/--sweep-backend/--resume/--verify``
-uniformly, with counter totals identical to a serial run.
+experiment gets ``--jobs/--cache/--resume/--verify`` uniformly, with
+counter totals identical to a serial run.
 
 The execution model is a deterministic wave loop over the cell graph:
 
@@ -25,9 +25,9 @@ The execution model is a deterministic wave loop over the cell graph:
    optimizer run entirely);
 4. execute every needed cell whose dependencies are resolved — one
    :func:`run_cells` batch per wave, in expansion order, sharing one
-   warm :class:`~repro.runtime.pool.WorkerPool` across all waves on the
-   ``workers`` backend — absorb worker snapshots, cache and checkpoint
-   the results, and loop.
+   warm :class:`~repro.runtime.pool.WorkerPool` across all waves when
+   ``jobs > 1`` (a wave runs serially when no pool is available) —
+   absorb worker snapshots, cache and checkpoint the results, and loop.
 
 When the loop drains, still-unresolved cells are *pruned* (never
 needed), the kind's ``verify`` hook re-checks results independently when
@@ -35,10 +35,8 @@ requested, and the kind's pure ``assemble`` builds the report object.
 
 Heavy inputs travel as :class:`~repro.runtime.pool.PatternsRef`
 references: the runner points them at the cache's shared state store
-when one is configured, materializes them parent-side for the classic
-one-shot pool (whose disposable workers cannot amortize generation), and
-otherwise lets the cell resolve them through the warm per-process state
-cache — exactly the protocol the table experiment hand-rolled before.
+when one is configured and lets the cell resolve them through the warm
+per-process state cache, in a worker or in the parent alike.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from repro.experiments.plan import (
     project,
 )
 from repro.runtime.cache import EvaluationCache
-from repro.runtime.executor import CellError, resolve_sweep_backend, run_cells
+from repro.runtime.executor import CellError, open_pool, run_cells
 from repro.runtime.instrumentation import (
     absorb_snapshot,
     call_with_instrumentation,
@@ -70,14 +68,7 @@ from repro.runtime.supervision import (
     degraded_backend,
     use_policy,
 )
-from repro.runtime.pool import (
-    PatternsRef,
-    PoolUnavailable,
-    WorkerPool,
-    default_warmup,
-    resolve_patterns,
-)
-from repro.soc.model import Soc
+from repro.runtime.pool import PatternsRef, WorkerPool, default_warmup
 
 
 def _execute_plan_cell(spec):
@@ -107,7 +98,8 @@ class PlanRun:
         fingerprint: Its content hash (checkpoint/dedup scope).
         report: The kind's assembled report object.
         results: Cell results by cell id (pruned cells absent).
-        backend: The resolved sweep backend (``pool``/``workers``).
+        backend: What ran the executed cells: ``workers`` when any wave
+            ran on the worker pool, else ``serial``.
         jobs: Worker process count the run was configured with.
         wall_seconds: End-to-end elapsed time.
         cells: Total cells in the expanded graph.
@@ -130,7 +122,7 @@ class PlanRun:
     fingerprint: str
     report: object
     results: dict[str, object] = field(default_factory=dict)
-    backend: str = "pool"
+    backend: str = "serial"
     jobs: int = 1
     wall_seconds: float = 0.0
     cells: int = 0
@@ -148,15 +140,14 @@ class PlanRunner:
     """Execute any registered plan with caching, resume, and fan-out.
 
     Args:
-        jobs: Worker processes for cell fan-out (1 = serial; results are
-            bit-identical either way).
+        jobs: Worker processes for cell fan-out (1 = serial, more = the
+            work-stealing worker pool; results are bit-identical either
+            way).
         cache: Optional :class:`EvaluationCache` shared across runs.
         checkpoint: Optional
             :class:`~repro.resilience.checkpoint.SweepCheckpoint`; cells
             found in it are replayed, every completed cell (cache hits
             included) is recorded.
-        sweep_backend: One of
-            :data:`repro.runtime.executor.SWEEP_BACKENDS`.
         verify: Run the plan kind's independent verification over the
             results and raise on any violation.
         timeout: Optional per-cell budget in seconds (overrides the
@@ -166,8 +157,8 @@ class PlanRunner:
             partial-run salvage; the default policy reproduces the
             historical behavior exactly.
         pool: Optional externally-owned warm
-            :class:`~repro.runtime.pool.WorkerPool` to reuse for the
-            ``workers`` backend instead of creating one per run (e.g.
+            :class:`~repro.runtime.pool.WorkerPool` to reuse when
+            ``jobs > 1`` instead of creating one per run (e.g.
             the optimization service shares one pool across all jobs).
             The caller keeps ownership: the runner never closes it.
     """
@@ -177,17 +168,14 @@ class PlanRunner:
         jobs: int = 1,
         cache: EvaluationCache | None = None,
         checkpoint=None,
-        sweep_backend: str = "auto",
         verify: bool = False,
         timeout: float | None = None,
         policy: RunPolicy | None = None,
         pool: WorkerPool | None = None,
     ) -> None:
-        resolve_sweep_backend(sweep_backend)  # fail fast on a typo
         self.jobs = jobs
         self.cache = cache
         self.checkpoint = checkpoint
-        self.sweep_backend = sweep_backend
         self.verify = verify
         self.timeout = timeout
         self.policy = policy if policy is not None else RunPolicy()
@@ -235,7 +223,6 @@ class PlanRunner:
             return self._supervised_run(plan)
 
     def _supervised_run(self, plan: ExperimentPlan) -> PlanRun:
-        backend = resolve_sweep_backend(self.sweep_backend, jobs=self.jobs)
         start = time.perf_counter()
         fingerprint = plan.fingerprint()
         cells = plan.expand()
@@ -245,33 +232,24 @@ class PlanRunner:
         pool_failed = False
 
         def sweep_pool() -> WorkerPool | None:
-            """The run's shared warm worker pool (``workers`` backend
-            only), created on first parallel wave; ``None`` means the
-            classic pool (requested, workers unavailable here, or the
-            degradation ladder has retired the workers backend)."""
+            """The run's shared warm worker pool, created on the first
+            wave; ``None`` means the wave runs serially (``jobs`` is 1,
+            workers cannot start here, or the degradation ladder has
+            retired them)."""
             nonlocal pool, pool_failed
-            if (
-                backend != "workers"
-                or self.jobs <= 1
-                or pool_failed
-                or degraded_backend("workers") != "workers"
-            ):
+            if self.jobs <= 1 or degraded_backend("workers") != "workers":
                 return None
             if self.pool is not None:
                 return self.pool
-            if pool is None:
-                try:
-                    pool = WorkerPool(self.jobs, warmup=default_warmup)
-                except PoolUnavailable:
-                    pool_failed = True
-                    return None
+            if pool is None and not pool_failed:
+                pool = open_pool(self.jobs, warmup=default_warmup)
+                pool_failed = pool is None
             return pool
 
         run = PlanRun(
             plan=plan,
             fingerprint=fingerprint,
             report=None,
-            backend=backend,
             jobs=self.jobs,
             cells=len(cells),
         )
@@ -527,32 +505,25 @@ class PlanRunner:
         """Fan one wave of cells out through :func:`run_cells`."""
         store_dir = self._state_store_dir()
         spool = sweep_pool()
-        specs = []
-        for cell in batch:
-            args = _resolve_args(cell.args, results, store_dir)
-            if spool is None and self.jobs > 1:
-                # Classic one-shot pool: disposable workers cannot
-                # amortize reference resolution, so materialize in the
-                # parent (through the same state cache) and ship whole.
-                args = _materialize_refs(args)
-            specs.append((cell.fn, args))
+        if spool is not None:
+            run.backend = "workers"
+        specs = [
+            (cell.fn, _resolve_args(cell.args, results, store_dir))
+            for cell in batch
+        ]
         policy = self.policy
         timeout = (
             self.timeout if self.timeout is not None else policy.cell_timeout
         )
+        # Without a pool, ``run_cells`` runs the wave serially (``jobs``
+        # stays at its default of 1).
         outcomes = run_cells(
             _execute_plan_cell,
             specs,
-            jobs=self.jobs,
             timeout=timeout,
             validate=_valid_cell_payload,
-            backend="workers" if spool is not None else "pool",
             pool=spool,
-            shard_keys=(
-                [cell.shard_key for cell in batch]
-                if spool is not None
-                else None
-            ),
+            shard_keys=[cell.shard_key for cell in batch],
             on_error="return" if policy.allow_partial else "raise",
         )
         for cell, outcome in zip(batch, outcomes):
@@ -594,26 +565,3 @@ def _resolve_args(value, results, store_dir):
             for key, item in value.items()
         }
     return value
-
-
-def _materialize_refs(args: tuple) -> tuple:
-    """Resolve every :class:`PatternsRef` in ``args`` parent-side (classic
-    pool protocol).  The owning SOC is found in the same args tuple —
-    the convention every built-in plan follows."""
-    soc = next((item for item in args if isinstance(item, Soc)), None)
-
-    def materialize(value):
-        if isinstance(value, PatternsRef):
-            if soc is None:
-                raise ValueError(
-                    "cell args carry a PatternsRef but no Soc to "
-                    "resolve it against"
-                )
-            return resolve_patterns(soc, value)
-        if isinstance(value, tuple):
-            return tuple(materialize(item) for item in value)
-        if isinstance(value, list):
-            return [materialize(item) for item in value]
-        return value
-
-    return tuple(materialize(item) for item in args)

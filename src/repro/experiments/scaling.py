@@ -158,7 +158,6 @@ def run_scaling_study(
     parts: int = 4,
     seed: int = 0,
     jobs: int = 1,
-    sweep_backend: str = "auto",
     cache: EvaluationCache | None = None,
     checkpoint=None,
     verify: bool = False,
@@ -177,7 +176,6 @@ def run_scaling_study(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        sweep_backend=sweep_backend,
         verify=verify,
     )
     run = runner.run(

@@ -221,7 +221,6 @@ def run_sensitivity_study(
     seed: int = 1,
     variants: tuple[tuple[str, GeneratorConfig], ...] | None = None,
     jobs: int = 1,
-    sweep_backend: str = "auto",
     cache: EvaluationCache | None = None,
     checkpoint=None,
     verify: bool = False,
@@ -241,7 +240,6 @@ def run_sensitivity_study(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        sweep_backend=sweep_backend,
         verify=verify,
     )
     run = runner.run(

@@ -203,7 +203,6 @@ def run_stability_study(
     group_counts: tuple[int, ...] = (1, 4),
     generator_config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
-    sweep_backend: str = "auto",
     cache: EvaluationCache | None = None,
     checkpoint=None,
     verify: bool = False,
@@ -222,7 +221,6 @@ def run_stability_study(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        sweep_backend=sweep_backend,
         verify=verify,
     )
     run = runner.run(

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from repro.compaction.horizontal import GroupingResult, build_si_test_groups
 from repro.core.optimizer import evaluate_architecture, optimize_tam
 from repro.experiments.plan import (
+    KIND_DEFAULTS,
     CellRef,
     CellSpec,
     ExperimentPlan,
@@ -71,8 +72,8 @@ from repro.runtime.pool import PatternsRef, resolve_pattern_index
 from repro.sitest.generator import GeneratorConfig
 from repro.soc.model import Soc
 
-DEFAULT_GROUP_COUNTS = (1, 2, 4, 8)
-DEFAULT_WIDTHS = (8, 16, 24, 32, 40, 48, 56, 64)
+DEFAULT_GROUP_COUNTS = tuple(KIND_DEFAULTS["table"]["parts"])
+DEFAULT_WIDTHS = tuple(KIND_DEFAULTS["table"]["widths"])
 
 
 @dataclass(frozen=True)
@@ -393,7 +394,6 @@ def run_table_experiment(
     checkpoint=None,
     verify: bool = False,
     optimizer_backend: str = "auto",
-    sweep_backend: str = "auto",
 ) -> TableResult:
     """Run the full Table 2/3 experiment for one SOC and one ``N_r``.
 
@@ -405,8 +405,9 @@ def run_table_experiment(
         seed: Seed for the random SI pattern set.
         generator_config: Pattern generator knobs (paper defaults).
         verbose: Print progress lines after running.
-        jobs: Worker processes for the sweep cells (1 = serial; the table
-            is identical either way).
+        jobs: Worker processes for the sweep cells (1 = serial, more =
+            the work-stealing worker pool; the table is identical either
+            way).
         cache: Optional evaluation cache memoizing grouping and optimizer
             cells across runs.
         checkpoint: Optional
@@ -421,10 +422,6 @@ def run_table_experiment(
             :data:`repro.core.optimizer.OPTIMIZER_BACKENDS`.  All
             backends are bit-identical, so cache keys (and therefore
             hits) are shared across backends by design.
-        sweep_backend: Cell fan-out backend, one of
-            :data:`repro.runtime.executor.SWEEP_BACKENDS` (``auto``
-            resolves to the persistent work-stealing ``workers`` pool for
-            ``jobs > 1``).  All backends produce bit-identical tables.
     """
     from repro.core.optimizer import resolve_optimizer_backend
 
@@ -433,7 +430,6 @@ def run_table_experiment(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        sweep_backend=sweep_backend,
         verify=verify,
     )
     run = runner.run(

@@ -4,11 +4,11 @@ Hours-long sweeps die in boring ways: a worker process is OOM-killed, a
 worker hangs past its budget, a cell ships back a garbage payload, a
 cache entry is truncated by a crash mid-write, or the optional C scan
 engine fails to compile on a new host.  The runtime layer has recovery
-seams for all of these (serial retry, pool fallback, cache quarantine,
-pure-Python scan) — this module makes each failure *reproducible on
-demand* so those seams can be exercised by tests instead of waiting for
-production to exercise them (the SBFI fault-injection methodology,
-applied to the harness itself).
+seams for all of these (worker reassignment, parent retry, serial
+fallback, cache quarantine, pure-Python scan) — this module makes each
+failure *reproducible on demand* so those seams can be exercised by
+tests instead of waiting for production to exercise them (the SBFI
+fault-injection methodology, applied to the harness itself).
 
 A :class:`FaultPlan` is a deterministic schedule of named faults.  Each
 fault names a *kind* (one of :data:`FAULT_KINDS`), the zero-based
@@ -21,7 +21,8 @@ threaded through the stack:
 site                      hooked where
 ========================  ====================================================
 ``executor.cell``         :func:`repro.runtime.executor.run_cells` worker
-                          boundary (kinds ``worker-crash``, ``worker-hang``,
+                          boundary, one occurrence per cell attempt
+                          (kinds ``worker-crash``, ``worker-hang``,
                           ``garbage-result``, ``cell-error``)
 ``cache.store.write``     :meth:`repro.runtime.cache.EvaluationCache` disk
                           writes (kinds ``cache-truncate``, ``cache-bitflip``,

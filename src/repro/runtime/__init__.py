@@ -5,12 +5,12 @@ study) decompose into independent *cells* — one ``TAM_Optimization`` or
 grouping run per (``W_max``, group count) pair.  This package provides the
 machinery to run those cells fast and observably:
 
-* :mod:`repro.runtime.executor` — a process-pool sweep executor with
-  deterministic result ordering, per-cell timeout, retry-once fault
-  handling and a graceful serial fallback.
-* :mod:`repro.runtime.pool` — the work-stealing ``workers`` sweep
-  backend: persistent warm workers with shard queues, cell batching,
-  dead-worker reassignment and a shared warm-state cache.
+* :mod:`repro.runtime.executor` — the sweep executor: deterministic
+  result ordering, one per-cell attempt loop (retries, backoff, breaker,
+  validation) and a graceful serial fallback.
+* :mod:`repro.runtime.pool` — the work-stealing worker pool behind every
+  parallel sweep: persistent warm workers with shard queues, cell
+  batching, dead-worker reassignment and a shared warm-state cache.
 * :mod:`repro.runtime.cache` — a keyed evaluation cache (in-memory LRU
   plus an optional on-disk JSON store) memoizing grouping results and
   architecture optimizations by a stable content hash of their inputs.
@@ -39,10 +39,8 @@ from repro.runtime.cache import (
     verify_store,
 )
 from repro.runtime.executor import (
-    SWEEP_BACKENDS,
     CellError,
     CellFailure,
-    resolve_sweep_backend,
     run_cells,
 )
 from repro.runtime.pool import (
@@ -51,7 +49,6 @@ from repro.runtime.pool import (
     SharedStateStore,
     WorkerPool,
     resolve_patterns,
-    run_cells_stolen,
 )
 from repro.runtime.instrumentation import (
     Instrumentation,
@@ -88,7 +85,6 @@ __all__ = [
     "RetryPolicy",
     "RunPolicy",
     "RunReport",
-    "SWEEP_BACKENDS",
     "SharedStateStore",
     "WorkerPool",
     "absorb_snapshot",
@@ -104,9 +100,7 @@ __all__ = [
     "optimize_cache_key",
     "patterns_cache_key",
     "resolve_patterns",
-    "resolve_sweep_backend",
     "run_cells",
-    "run_cells_stolen",
     "soc_fingerprint",
     "stable_hash",
     "use_instrumentation",

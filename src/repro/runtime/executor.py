@@ -1,22 +1,30 @@
-"""Process-pool sweep executor with deterministic ordering and fallback.
+"""Sweep executor: deterministic ordering, retries and serial fallback.
 
 Experiment sweeps decompose into independent *cells* — one optimizer or
-grouping run per parameter combination.  :func:`run_cells` fans a list of
-cell specs over a :class:`concurrent.futures.ProcessPoolExecutor` and
-returns the results **in input order**, so a parallel sweep is
-indistinguishable from a serial one to the caller.
+grouping run per parameter combination.  :func:`run_cells` runs a list of
+cell specs and returns the results **in input order**, so a parallel
+sweep is indistinguishable from a serial one to the caller.
 
-Fault handling, in order of escalation:
+There is one parallel path: the work-stealing
+:class:`repro.runtime.pool.WorkerPool` (persistent warm workers, shard
+queues with stealing and batching, dead-worker reassignment, and
+reference-based specs resolved through the warm per-worker state cache).
+A call runs on the caller's warm pool when one is given, on a transient
+pool when ``jobs > 1`` and there is more than one cell, and serially in
+the calling process otherwise.  A pool that cannot start
+(:class:`~repro.runtime.pool.PoolUnavailable`, e.g. a sandbox without
+process support) counts one ``workers`` backend failure for the
+degradation ladder and the call runs serially.
 
-* ``jobs <= 1``, a single cell, or a pool that cannot be created (e.g.
-  a sandbox without process support) → plain serial execution;
-* a cell that raises, times out, returns a result its validator rejects,
-  or dies with its worker process → one serial retry in the parent
-  process (covers transient faults such as an OOM-killed worker — and a
-  hard bug reproduces identically in the parent, where it is debuggable);
-* a cell that fails its serial retry → :class:`CellError` carrying the
-  cell index, both failures chained (`retry failure from original
-  failure`), and the spec.
+Every cell runs through one attempt loop, :func:`run_cell`: attempts
+``k..N`` of the current policy's retry budget, with its deterministic
+backoff, the circuit-breaker fast-fail, result validation, and each
+failure chained onto the one before it.  The serial path starts it at
+attempt 1; the worker pool starts it at attempt 2 in the parent for a
+cell whose worker attempt raised, hung, died with its worker, or
+returned a result the validator rejects.  A cell that exhausts the
+budget escalates to :class:`CellError` carrying the cell index, the
+chained failures, and the spec.
 
 Workers must be module-level callables and specs picklable; both are
 standard :mod:`multiprocessing` constraints.
@@ -24,34 +32,15 @@ standard :mod:`multiprocessing` constraints.
 When a fault plan is active (:mod:`repro.resilience.faults`), the worker
 is wrapped with the ``executor.cell`` injection site; with no plan the
 wrap is an identity and the hot path is untouched.
-
-Two parallel backends implement the fan-out (``SWEEP_BACKENDS``):
-
-* ``pool`` — the classic one-shot ``ProcessPoolExecutor``: workers are
-  created per call and specs are shipped fully materialized.  Right for
-  a single phase of heavyweight cells.
-* ``workers`` — the work-stealing :class:`repro.runtime.pool.WorkerPool`:
-  persistent warm workers, shard queues with stealing and batching,
-  dead-worker reassignment, and reference-based specs resolved through
-  the warm per-worker state cache.  Right for sweeps of many small cells.
-
-``auto`` resolves to ``workers`` for a parallel multi-cell sweep.  The
-default of :func:`run_cells` stays ``pool`` so direct callers keep the
-exact pre-existing semantics; sweep harnesses opt into ``auto`` and pass
-a shared :class:`~repro.runtime.pool.WorkerPool` spanning their phases.
-Either parallel backend degrades to the other and ultimately to serial
-execution when processes cannot be spawned, and both return results in
-input order, bit-identical to serial.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable, Sequence
 
 from repro.runtime.instrumentation import incr
+from repro.runtime.pool import PoolUnavailable, WorkerPool
 from repro.runtime.supervision import (
     CircuitOpenError,
     current_breaker,
@@ -81,29 +70,6 @@ ON_ERROR_MODES = ("raise", "return")
 #: Public name for the structured failure the executor escalates to.
 CellFailure = CellError
 
-#: Recognized sweep fan-out backends (see module docstring).
-SWEEP_BACKENDS = ("auto", "pool", "workers")
-
-
-def resolve_sweep_backend(
-    backend: str, jobs: int = 2, cells: int = 2
-) -> str:
-    """Resolve a requested sweep backend to a concrete one.
-
-    ``auto`` picks ``workers`` whenever the sweep actually fans out
-    (``jobs > 1`` and more than one cell) — amortized warm-up wins there —
-    and ``pool`` otherwise (where ``run_cells`` short-circuits to serial
-    anyway).  Explicit names pass through; unknown names raise.
-    """
-    if backend not in SWEEP_BACKENDS:
-        raise ValueError(
-            f"unknown sweep backend {backend!r}; expected one of "
-            f"{', '.join(SWEEP_BACKENDS)}"
-        )
-    if backend != "auto":
-        return backend
-    return "workers" if jobs > 1 and cells > 1 else "pool"
-
 
 def run_cells(
     worker: Callable,
@@ -112,8 +78,7 @@ def run_cells(
     timeout: float | None = None,
     retry: bool = True,
     validate: Callable | None = None,
-    backend: str = "pool",
-    pool=None,
+    pool: WorkerPool | None = None,
     shard_keys: Sequence | None = None,
     warmup: Callable | None = None,
     on_error: str = "raise",
@@ -124,27 +89,24 @@ def run_cells(
         worker: Module-level callable applied to each spec.
         specs: The cell specs, one per cell.
         jobs: Worker process count; ``<= 1`` means serial in-process.
-        timeout: Per-cell budget in seconds to wait for a result once
-            submitted (``None`` = unbounded).  A cell that exceeds it is
-            abandoned in the pool and retried serially.
-        retry: Retry failed/timed-out cells serially in the parent before
-            giving up.  With ``retry=False`` the first failure raises.
+        timeout: Per-cell budget in seconds on the worker pool
+            (``None`` = unbounded).  A cell that exceeds it has its
+            worker killed and is retried in the parent under the same
+            budget.  Serial runs do not enforce it.
+        retry: Retry failed cells before giving up.  With
+            ``retry=False`` the first failure escalates.
         validate: Optional result validator; a result it raises on (or
             returns ``False`` for) is treated exactly like a raising
-            cell — retried serially, then escalated to
-            :class:`CellError`.  Guards against garbage/partial payloads
-            from a sick worker process.
-        backend: ``"pool"`` (default: classic one-shot process pool),
-            ``"workers"`` (persistent work-stealing pool) or ``"auto"``
-            (see :func:`resolve_sweep_backend`).
+            cell — retried, then escalated to :class:`CellError`.
+            Guards against garbage/partial payloads from a sick worker
+            process.
         pool: An already-warm :class:`repro.runtime.pool.WorkerPool` to
-            run on (implies the ``workers`` backend); the caller owns its
-            lifecycle, so one pool can span several sweep phases.
-        shard_keys: Optional per-spec state keys for the ``workers``
-            backend — cells sharing a key land on the same worker and
-            share its warm state.  Ignored by the classic pool.
-        warmup: Optional per-worker warm-up hook for a transient
-            ``workers`` pool.  Ignored by the classic pool.
+            run on; the caller owns its lifecycle, so one pool can span
+            several sweep phases.
+        shard_keys: Optional per-spec state keys for the worker pool —
+            cells sharing a key land on the same worker and share its
+            warm state.
+        warmup: Optional per-worker warm-up hook for a transient pool.
         on_error: ``"raise"`` (default) escalates the first cell whose
             retry budget is exhausted as :class:`CellError`; ``"return"``
             places the :class:`CellError` *in the results list* at the
@@ -166,120 +128,55 @@ def run_cells(
             f"{', '.join(ON_ERROR_MODES)}"
         )
     specs = list(specs)
-    resolved_backend = resolve_sweep_backend(
-        backend, jobs=jobs, cells=len(specs)
-    )
-    if pool is None:
-        # Repeated backend-level failure demotes a backend for the rest
-        # of the process (workers -> pool -> serial); an explicit warm
-        # pool is the caller's decision and stays untouched.
-        resolved_backend = degraded_backend(resolved_backend)
     if not specs:
         return []
     from repro.resilience.faults import wrap_worker
 
     worker = wrap_worker(worker)
-    if pool is None and (
-        jobs <= 1 or len(specs) == 1 or resolved_backend == "serial"
-    ):
-        return _run_serial(worker, specs, retry, validate, on_error)
-
-    if pool is not None or resolved_backend == "workers":
-        from repro.runtime.pool import PoolUnavailable, run_cells_stolen
-
-        try:
-            if pool is not None:
-                incr("executor.backend.workers")
-                return pool.run(
-                    worker, specs, timeout=timeout, retry=retry,
-                    validate=validate, shard_keys=shard_keys,
-                    on_error=on_error,
-                )
-            result = run_cells_stolen(
-                worker, specs, jobs=jobs, timeout=timeout, retry=retry,
-                validate=validate, warmup=warmup, shard_keys=shard_keys,
-                on_error=on_error,
-            )
-        except PoolUnavailable:
-            # No persistent workers here; the classic pool below makes its
-            # own serial-fallback decision.
-            incr("recovery.workers_pool_fallback")
-            note_backend_failure("workers")
-        else:
+    options = dict(
+        timeout=timeout, retry=retry, validate=validate,
+        shard_keys=shard_keys, on_error=on_error,
+    )
+    if pool is not None:
+        incr("executor.backend.workers")
+        return pool.run(worker, specs, **options)
+    if jobs > 1 and len(specs) > 1:
+        transient = open_pool(
+            min(jobs, len(specs)), warmup=warmup, timeout=timeout
+        )
+        if transient is not None:
             incr("executor.backend.workers")
-            return result
+            with transient:
+                return transient.run(worker, specs, **options)
+    return [
+        run_cell(
+            worker, spec, index, retry=retry, validate=validate,
+            on_error=on_error,
+        )
+        for index, spec in enumerate(specs)
+    ]
 
-    incr("executor.backend.pool")
+
+def open_pool(
+    jobs: int, warmup: Callable | None = None, timeout: float | None = None
+) -> WorkerPool | None:
+    """Start a :class:`~repro.runtime.pool.WorkerPool`, or ``None`` when
+    the caller should run serially instead.
+
+    That is when the degradation ladder has retired the worker pool for
+    this process, or when workers cannot start here (no process support
+    in a restricted sandbox).  A failed start is counted and noted as a
+    ``workers`` backend failure for the ladder.
+    """
+    if degraded_backend("workers") != "workers":
+        return None
     try:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
-    except (OSError, ValueError, NotImplementedError):
-        # No process support here (restricted sandbox); degrade gracefully.
+        return WorkerPool(jobs, warmup=warmup, timeout=timeout)
+    except PoolUnavailable:
         incr("executor.serial_fallbacks")
-        incr("recovery.pool_serial_fallback")
-        note_backend_failure("pool")
-        return _run_serial(worker, specs, retry, validate, on_error)
-
-    results: list = [None] * len(specs)
-    needs_retry: list[tuple[int, BaseException]] = []
-    breaker = current_breaker()
-    pool_broken = False
-    timed_out = False
-    try:
-        futures = [pool.submit(worker, spec) for spec in specs]
-        incr("executor.cells_submitted", len(specs))
-        for index, future in enumerate(futures):
-            try:
-                # Once the pool is known dead, only harvest what already
-                # finished — never wait on it again.
-                results[index] = future.result(
-                    timeout=0 if pool_broken else timeout
-                )
-            except FutureTimeoutError:
-                future.cancel()
-                timed_out = True
-                incr("executor.cell_timeouts")
-                needs_retry.append(
-                    (index, TimeoutError(f"cell exceeded {timeout}s"))
-                )
-            except (Exception, CancelledError) as error:
-                if _is_pool_death(error) and not pool_broken:
-                    # One dead pool surfaces on every outstanding future;
-                    # count the incident once.
-                    pool_broken = True
-                    incr("executor.pool_failures")
-                    note_backend_failure("pool")
-                needs_retry.append((index, error))
-            else:
-                problem = _invalid(validate, results[index])
-                if problem is not None:
-                    results[index] = None
-                    incr("executor.invalid_results")
-                    incr("recovery.garbage_results")
-                    needs_retry.append((index, problem))
-                elif breaker is not None:
-                    breaker.record(True)
-    finally:
-        # A timed-out or broken pool may hold hung workers; do not block
-        # shutdown on them.
-        pool.shutdown(wait=not (timed_out or pool_broken), cancel_futures=True)
-
-    for index, cause in needs_retry:
-        try:
-            results[index] = retry_cell(
-                worker, specs[index], index, cause, retry, validate
-            )
-        except CellError as failure:
-            if breaker is not None:
-                breaker.record(False)
-            if on_error == "return":
-                incr("executor.cells_failed")
-                results[index] = failure
-                continue
-            raise
-        else:
-            if breaker is not None:
-                breaker.record(True)
-    return results
+        incr("recovery.workers_serial_fallback")
+        note_backend_failure("workers")
+        return None
 
 
 def _invalid(validate: Callable | None, value) -> Exception | None:
@@ -336,109 +233,72 @@ def bounded_call(worker: Callable, spec, timeout: float | None):
     raise value
 
 
-def retry_cell(
+def run_cell(
     worker: Callable,
     spec,
     index: int,
-    first_cause: BaseException,
-    retry: bool,
+    first_attempt: int = 1,
+    cause: BaseException | None = None,
+    retry: bool = True,
     validate: Callable | None = None,
     timeout: float | None = None,
-) -> object:
-    """Serial retry attempts for a cell whose first attempt failed.
-
-    Runs attempts 2..N of the current policy's retry budget (with its
-    deterministic backoff between attempts) and returns the first good
-    value; raises :class:`CellError` when the budget is exhausted, the
-    breaker is open, or ``retry`` is off.  ``timeout`` bounds each retry
-    attempt via :func:`bounded_call` (the parent-takeover deadline).
-    """
-    cause = first_cause
-    if retry:
-        retry_policy = current_policy().retry
-        breaker = current_breaker()
-        for attempt in range(2, retry_policy.max_attempts + 1):
-            if breaker is not None and breaker.tripped:
-                break
-            incr("executor.cell_retries")
-            _backoff(retry_policy, index, attempt - 1)
-            try:
-                value = bounded_call(worker, spec, timeout)
-                problem = _invalid(validate, value)
-                if problem is not None:
-                    raise problem
-            except Exception as error:
-                if error.__cause__ is None and error is not cause:
-                    error.__cause__ = cause
-                cause = error
-                continue
-            incr("recovery.cell_retry_ok")
-            return value
-    raise CellError(index, spec, cause) from cause
-
-
-def _run_serial(
-    worker: Callable,
-    specs: list,
-    retry: bool,
-    validate: Callable | None = None,
     on_error: str = "raise",
-) -> list:
+):
+    """The attempt loop of one cell: attempts ``first_attempt..N``.
+
+    ``N`` is the current policy's ``max_attempts`` (``1`` with
+    ``retry=False``).  Each retry sleeps the policy's deterministic
+    backoff first; once the circuit breaker is open no further attempt
+    starts.  A result the validator rejects counts as a failure, and
+    every failure is chained onto ``cause`` (the failure of the attempt
+    before ``first_attempt``, when there was one).  ``timeout`` bounds
+    each attempt through :func:`bounded_call`.
+
+    The cell's final outcome is recorded on the breaker.  Returns the
+    first good value; when the budget is exhausted raises
+    :class:`CellError`, or returns it with ``on_error="return"``.
+    """
     retry_policy = current_policy().retry
     breaker = current_breaker()
-    results = []
-    for index, spec in enumerate(specs):
-        budget = retry_policy.max_attempts if retry else 1
-        cause: BaseException | None = None
-        value = None
-        for attempt in range(1, budget + 1):
-            if breaker is not None and breaker.tripped:
-                if cause is None:
-                    cause = CircuitOpenError(
-                        f"circuit breaker open ({breaker.describe()})"
-                    )
-                break
-            if attempt > 1:
-                incr("executor.cell_retries")
-                _backoff(retry_policy, index, attempt - 1)
-            try:
-                value = worker(spec)
-                problem = _invalid(validate, value)
-                if problem is not None:
-                    if attempt == 1:
-                        incr("recovery.garbage_results")
-                    raise problem
-            except Exception as error:
-                if (
-                    cause is not None
-                    and error.__cause__ is None
-                    and error is not cause
-                ):
-                    # Chain the retry's failure onto the original so
-                    # neither traceback is lost in the escalation.
-                    error.__cause__ = cause
-                cause = error
-                continue
-            if attempt > 1:
-                incr("recovery.cell_retry_ok")
-            cause = None
+    last_attempt = retry_policy.max_attempts if retry else 1
+    for attempt in range(first_attempt, last_attempt + 1):
+        if breaker is not None and breaker.tripped:
+            if cause is None:
+                cause = CircuitOpenError(
+                    f"circuit breaker open ({breaker.describe()})"
+                )
             break
-        if cause is not None:
-            if breaker is not None:
-                breaker.record(False)
-            failure = CellError(index, spec, cause)
-            if on_error == "return":
-                incr("executor.cells_failed")
-                results.append(failure)
-                continue
-            raise failure from cause
+        if attempt > 1:
+            incr("executor.cell_retries")
+            _backoff(retry_policy, index, attempt - 1)
+        try:
+            value = bounded_call(worker, spec, timeout)
+            problem = _invalid(validate, value)
+            if problem is not None:
+                if attempt == 1:
+                    incr("recovery.garbage_results")
+                raise problem
+        except Exception as error:
+            if (
+                cause is not None
+                and error.__cause__ is None
+                and error is not cause
+            ):
+                # Chain the retry's failure onto the original so
+                # neither traceback is lost in the escalation.
+                error.__cause__ = cause
+            cause = error
+            continue
+        if attempt > 1:
+            incr("recovery.cell_retry_ok")
         if breaker is not None:
             breaker.record(True)
-        results.append(value)
-    return results
-
-
-def _is_pool_death(error: BaseException) -> bool:
-    from concurrent.futures.process import BrokenProcessPool
-
-    return isinstance(error, BrokenProcessPool)
+        return value
+    if breaker is not None:
+        breaker.record(False)
+    failure = CellError(index, spec, cause)
+    failure.__cause__ = cause
+    if on_error == "return":
+        incr("executor.cells_failed")
+        return failure
+    raise failure

@@ -1,12 +1,10 @@
 """Work-stealing sweep runtime with persistent warm workers.
 
-The classic :mod:`repro.runtime.executor` pool creates a fresh
-``ProcessPoolExecutor`` per ``run_cells`` call, so every sweep phase pays
-its warm-up again: worker processes are recreated, the optional C scan
-engines are re-resolved, and big cell inputs (the SI pattern set) are
-pickled into every single cell.  For overhead-dominated sweeps — many
-small cells over modest SOCs, exactly the regime of the cross-architecture
-comparison tables — that fixed cost dominates the actual evaluation work.
+The one parallel path of :func:`repro.runtime.executor.run_cells`.
+Overhead-dominated sweeps — many small cells over modest SOCs — would
+otherwise pay their fixed costs per cell: worker start-up, resolving the
+optional C scan engines, and pickling big cell inputs (the SI pattern
+set) into every single cell.
 
 This module keeps ``jobs`` worker processes alive for the whole sweep:
 
@@ -24,8 +22,9 @@ This module keeps ``jobs`` worker processes alive for the whole sweep:
 * every cell start is tracked in the parent; a worker that dies
   (``worker-crash`` fault, OOM kill) has its in-flight cells reassigned to
   a live worker, a worker that hangs past the cell ``timeout``
-  (``worker-hang`` fault) is killed and its cell retried serially, and if
-  the whole pool is lost the parent finishes the remaining cells itself;
+  (``worker-hang`` fault) is killed and its cell retried in the parent,
+  and if the whole pool is lost the parent finishes the remaining cells
+  itself;
 * heavy shared inputs travel as *references* (:class:`PatternsRef`)
   resolved worker-side through :func:`cell_state` — a read-through cache:
   per-process memo first, then the shared on-disk
@@ -74,7 +73,6 @@ __all__ = [
     "default_warmup",
     "resolve_pattern_index",
     "resolve_patterns",
-    "run_cells_stolen",
     "warm_engines",
 ]
 
@@ -506,7 +504,7 @@ class WorkerPool:
         ``shard_keys`` (parallel to ``specs``) route cells sharing warm
         state to the same worker.
         """
-        from repro.runtime.executor import CellError, _invalid, retry_cell
+        from repro.runtime.executor import _invalid, run_cell
 
         if self._closed:
             raise RuntimeError("worker pool is closed")
@@ -713,26 +711,15 @@ class WorkerPool:
                     breaker.record(True)
         needs_retry.sort(key=lambda item: item[0])
         for index, cause in needs_retry:
-            # Parent takeover of one cell: the retry runs in the parent
+            # Parent takeover of one cell: attempts 2..N run in the parent
             # under the same cell deadline the workers enforce, so a
             # deterministic hang cannot stall the whole sweep here.
             incr("pool.parent_takeover")
-            try:
-                results[index] = retry_cell(
-                    worker, specs[index], index, cause, retry, validate,
-                    timeout=timeout,
-                )
-            except CellError as failure:
-                if breaker is not None:
-                    breaker.record(False)
-                if on_error == "return":
-                    incr("executor.cells_failed")
-                    results[index] = failure
-                    continue
-                raise
-            else:
-                if breaker is not None:
-                    breaker.record(True)
+            results[index] = run_cell(
+                worker, specs[index], index, first_attempt=2, cause=cause,
+                retry=retry, validate=validate, timeout=timeout,
+                on_error=on_error,
+            )
         return results
 
     # -- internals --------------------------------------------------------
@@ -838,30 +825,3 @@ class WorkerPool:
                 absorb_snapshot(message[2])
             elif message[0] == "hb":
                 incr("pool.heartbeats")
-
-
-def run_cells_stolen(
-    worker,
-    specs,
-    jobs: int = 2,
-    timeout: float | None = None,
-    retry: bool = True,
-    validate=None,
-    warmup=None,
-    shard_keys=None,
-    on_error: str = "raise",
-) -> list:
-    """One-shot convenience: a transient :class:`WorkerPool` for one phase.
-
-    Raises:
-        PoolUnavailable: When workers cannot be started (callers fall back
-            to the classic pool).
-    """
-    specs = list(specs)
-    with WorkerPool(
-        max(1, min(jobs, len(specs) or 1)), warmup=warmup, timeout=timeout
-    ) as pool:
-        return pool.run(
-            worker, specs, timeout=timeout, retry=retry,
-            validate=validate, shard_keys=shard_keys, on_error=on_error,
-        )

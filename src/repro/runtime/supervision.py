@@ -1,6 +1,6 @@
 """Service-grade run supervision: declarative policies for unattended runs.
 
-The resilience seams grown so far (serial retry, pool fallback, cache
+The resilience seams grown so far (serial retry, serial fallback, cache
 quarantine, checkpoint resume) are hard-coded one-shot recoveries: a cell
 that fails its fixed retries kills the whole plan, there is no backoff
 between attempts, and nothing preflights the resources a run is about to
@@ -24,8 +24,8 @@ bundles:
   *poisoned* cells (budget exhausted) instead of raising, prunes their
   dependents, and completes with an explicit ``partial`` run report;
 * a **degradation ladder** — repeated backend-level failure demotes
-  ``workers`` → ``pool`` → serial for the rest of the process, disclosed
-  by ``recovery.degraded.*`` counters;
+  ``workers`` → serial for the rest of the process, disclosed by
+  ``recovery.degraded.*`` counters;
 * **resource guards** — a free-disk preflight consulted before every
   cache/checkpoint/state-store write, and a worker RSS watchdog that
   kills over-limit workers and retires their in-flight cells to the
@@ -353,15 +353,15 @@ def use_policy(policy: RunPolicy):
 # ---------------------------------------------------------------------------
 
 #: Backend -> what it demotes to on repeated backend-level failure.
-DEGRADATION_LADDER: dict[str, str] = {"workers": "pool", "pool": "serial"}
+DEGRADATION_LADDER: dict[str, str] = {"workers": "serial"}
 
 _BACKEND_FAILURES: dict[str, int] = {}
 _DEMOTIONS: dict[str, str] = {}
 
 
 def note_backend_failure(backend: str) -> None:
-    """Account one backend-level failure (pool creation failed, broken
-    process pool, all workers lost...).  Past ``degrade_after`` failures
+    """Account one backend-level failure (the worker pool could not
+    start, all workers lost...).  Past ``degrade_after`` failures
     the backend is demoted one ladder rung for the rest of the process."""
     after = current_policy().degrade_after
     if after is None:
@@ -382,13 +382,9 @@ def note_backend_failure(backend: str) -> None:
 
 
 def degraded_backend(backend: str) -> str:
-    """Follow the demotion chain from ``backend`` to what should actually
-    run (identity when nothing is demoted)."""
-    seen = set()
-    while backend in _DEMOTIONS and backend not in seen:
-        seen.add(backend)
-        backend = _DEMOTIONS[backend]
-    return backend
+    """What should actually run in place of ``backend`` (identity when
+    it is not demoted)."""
+    return _DEMOTIONS.get(backend, backend)
 
 
 def reset_degradations() -> None:

@@ -2,8 +2,9 @@
 
 One entry point, :func:`build_plan`, maps a plan kind plus the familiar
 experiment flags (``--patterns``, ``--wmax``, ``--widths``, ...) onto
-the kind's plan builder, applying exactly the defaults the standalone
-CLI commands use — so ``repro submit table t5`` produces the same plan
+the kind's plan builder, applying the same per-kind defaults as the
+standalone CLI commands (:data:`~repro.experiments.plan.KIND_DEFAULTS`)
+— so ``repro submit table t5`` produces the same plan
 fingerprint as a local ``repro table t5`` run.  SI groups for the kinds
 that take prebuilt groups (pareto/compare/multisite) are computed
 client-side from ``patterns``/``parts``/``seed``, mirroring the CLI's
@@ -13,37 +14,15 @@ to local runs.
 
 from __future__ import annotations
 
-from repro.experiments.plan import ExperimentPlan
+from repro.experiments.plan import KIND_DEFAULTS, ExperimentPlan
 from repro.resilience.validation import ValidationError
 from repro.soc.model import Soc
 
 __all__ = ["SUBMITTABLE_KINDS", "build_plan"]
 
-#: Every kind ``repro submit`` accepts, with its per-kind defaults
-#: (matching the standalone CLI command of the same name).
-SUBMITTABLE_KINDS = (
-    "table", "pareto", "volume", "compare", "multisite", "scaling",
-    "sensitivity", "stability", "optimize", "evaluate",
-)
-
-_DEFAULTS: dict[str, dict] = {
-    "table": {"patterns": 10_000, "parts": [1, 2, 4, 8], "seed": 1},
-    "pareto": {
-        "patterns": 0, "parts": 4, "seed": 1,
-        "widths": [8, 16, 24, 32, 40, 48, 56, 64],
-    },
-    "volume": {"patterns": 5_000, "parts": [1, 2, 4, 8], "seed": 1},
-    "compare": {"patterns": 0, "parts": 4, "seed": 1, "sa_steps": 4_000},
-    "multisite": {"patterns": 0, "parts": 4, "seed": 1, "channels": 64},
-    "scaling": {
-        "patterns": 2_000, "parts": 4, "seed": 0,
-        "cores": [8, 16, 24, 32], "wmax": 32,
-    },
-    "sensitivity": {"patterns": 2_000, "parts": 4, "seed": 1, "wmax": 32},
-    "stability": {"patterns": 2_000, "seeds": [1, 2, 3], "wmax": 24},
-    "optimize": {"patterns": 0, "parts": 4, "seed": 1},
-    "evaluate": {"patterns": 0, "parts": 4, "seed": 1},
-}
+#: Every kind ``repro submit`` accepts (each has its
+#: :data:`~repro.experiments.plan.KIND_DEFAULTS` entry).
+SUBMITTABLE_KINDS = tuple(KIND_DEFAULTS)
 
 
 def _option(options: dict, defaults: dict, name: str):
@@ -97,7 +76,7 @@ def build_plan(kind: str, soc: Soc | None = None, **options) -> ExperimentPlan:
             f"{', '.join(SUBMITTABLE_KINDS)}",
             field="kind",
         )
-    defaults = _DEFAULTS[kind]
+    defaults = KIND_DEFAULTS[kind]
     if soc is None and kind != "scaling":
         raise ValidationError(
             f"plan kind {kind!r} requires a SOC", field="soc"
@@ -109,14 +88,9 @@ def build_plan(kind: str, soc: Soc | None = None, **options) -> ExperimentPlan:
     optimizer_backend = options.get("optimizer_backend") or "auto"
 
     if kind == "table":
-        from repro.experiments.table_runner import (
-            DEFAULT_WIDTHS,
-            table_plan,
-        )
+        from repro.experiments.table_runner import table_plan
 
-        widths = _option(options, defaults, "widths") or list(
-            DEFAULT_WIDTHS
-        )
+        widths = _option(options, defaults, "widths")
         return table_plan(
             soc,
             patterns,

@@ -49,15 +49,12 @@ from repro.experiments.runner import PlanRunner
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.validation import ValidationError
 from repro.runtime.cache import EvaluationCache
+from repro.runtime.executor import open_pool
 from repro.runtime.instrumentation import (
     Instrumentation,
     use_instrumentation,
 )
-from repro.runtime.pool import (
-    PoolUnavailable,
-    WorkerPool,
-    default_warmup,
-)
+from repro.runtime.pool import WorkerPool, default_warmup
 from repro.runtime.status import STATUS_OK, run_status
 from repro.runtime.supervision import RunPolicy
 from repro.service.jobs import Job, JobManager, JobStore
@@ -83,8 +80,8 @@ class ServiceConfig:
         state_dir: Root of the service's durable state: ``jobs/`` (the
             journal), ``checkpoints/`` (per-fingerprint resume files),
             and — unless ``cache_dir`` overrides it — ``cache/``.
-        jobs: Worker processes per plan run (1 = serial in-thread).
-        sweep_backend: Fan-out backend for plan cells.
+        jobs: Worker processes per plan run (1 = serial in-thread, more
+            = one warm worker pool shared by every job).
         cache_dir: Evaluation cache store shared by every job.
         queue_limit: Bounded queue capacity (0 = unbounded).
         retry_after: The ``Retry-After`` hint on a 429.
@@ -98,7 +95,6 @@ class ServiceConfig:
     port: int = 0
     state_dir: str | Path = Path("results") / "service"
     jobs: int = 1
-    sweep_backend: str = "auto"
     cache_dir: str | Path | None = None
     queue_limit: int = 256
     retry_after: float = 1.0
@@ -238,13 +234,8 @@ class OptimizationService:
         if self.config.jobs <= 1 or self._pool_failed:
             return None
         if self._pool is None:
-            try:
-                self._pool = WorkerPool(
-                    self.config.jobs, warmup=default_warmup
-                )
-            except PoolUnavailable:
-                self._pool_failed = True
-                return None
+            self._pool = open_pool(self.config.jobs, warmup=default_warmup)
+            self._pool_failed = self._pool is None
         return self._pool
 
     def _execute(self, job: Job) -> None:
@@ -266,7 +257,6 @@ class OptimizationService:
                     jobs=self.config.jobs,
                     cache=self.cache,
                     checkpoint=checkpoint,
-                    sweep_backend=self.config.sweep_backend,
                     verify=self.config.verify,
                     policy=self.policy,
                     pool=self._shared_pool(),

@@ -68,7 +68,7 @@ def _canon(value):
 def test_serial_equals_workers(kind, t5):
     plan = PLANS[kind](t5)
     serial = PlanRunner(jobs=1).run(plan)
-    workers = PlanRunner(jobs=2, sweep_backend="workers").run(plan)
+    workers = PlanRunner(jobs=2).run(plan)
     assert _canon(workers.report) == _canon(serial.report)
     assert serial.executed == serial.cells - serial.pruned
 
@@ -92,7 +92,7 @@ def test_worker_crash_recovers_to_identical_report(t5):
     plan = pareto_plan(t5, (4, 6, 8))
     clean = PlanRunner(jobs=1).run(plan)
     with faults.inject("worker:worker-crash@0", env=True):
-        crashed = PlanRunner(jobs=2, sweep_backend="workers").run(plan)
+        crashed = PlanRunner(jobs=2).run(plan)
     assert _canon(crashed.report) == _canon(clean.report)
 
 

@@ -5,9 +5,9 @@ The recovery matrix under test (see ``docs/resilience.md``):
 ==================  ====================================================
 fault kind          documented recovery
 ==================  ====================================================
-worker-crash        pool breaks -> serial retry in the parent succeeds
-worker-hang         per-cell timeout -> serial retry succeeds
-garbage-result      validator rejects -> serial retry succeeds
+worker-crash        worker dies -> cells rescued, parent retry succeeds
+worker-hang         per-cell timeout kills the worker -> parent retry
+garbage-result      validator rejects -> retry succeeds
 cache-truncate      corrupt entry quarantined -> recomputed
 cache-bitflip       checksum mismatch quarantined -> recomputed
 codec-mismatch      unsupported version quarantined -> recomputed
@@ -98,8 +98,8 @@ class TestExecutorFaults:
 
     def test_worker_crash_recovered_by_serial_retry(self):
         # Scope `worker:` so the fault only kills pool workers; the
-        # parent's serial retries must run clean.  Linux pools fork, so
-        # the workers inherit the activated plan.
+        # parent's retries must run clean.  Linux pools fork, so the
+        # workers inherit the activated plan.
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             with faults.inject("worker:worker-crash@0", env=True):
@@ -107,7 +107,7 @@ class TestExecutorFaults:
         assert results == [2, 4, 6, 8]
         counters = instrumentation.counters
         assert counters["recovery.cell_retry_ok"] >= 1
-        # the crash broke the pool (or at least failed cells)
+        # the crash failed at least one cell over to the parent
         assert counters["executor.cell_retries"] >= 1
 
     def test_worker_hang_recovered_by_timeout_and_retry(self):
@@ -121,15 +121,13 @@ class TestExecutorFaults:
         assert counters["recovery.cell_retry_ok"] >= 1
 
     def test_workers_backend_crash_reassigns_and_recovers(self):
-        # Same fault, work-stealing backend: the parent notices the dead
-        # worker and rescues its cells (reassignment to a live worker or
-        # the serial-retry path) without losing a single result.
+        # The parent notices the dead worker and rescues its cells
+        # (reassignment to a live worker or the parent-retry path)
+        # without losing a single result.
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             with faults.inject("worker:worker-crash@0", env=True):
-                results = run_cells(
-                    _double, [1, 2, 3, 4, 5, 6], jobs=2, backend="workers"
-                )
+                results = run_cells(_double, [1, 2, 3, 4, 5, 6], jobs=2)
         assert results == [2, 4, 6, 8, 10, 12]
         counters = instrumentation.counters
         assert counters["pool.workers_lost"] >= 1
@@ -140,8 +138,7 @@ class TestExecutorFaults:
         with use_instrumentation(instrumentation):
             with faults.inject("worker:worker-hang@0:30", env=True):
                 results = run_cells(
-                    _double, [1, 2, 3, 4], jobs=2, backend="workers",
-                    timeout=0.5,
+                    _double, [1, 2, 3, 4], jobs=2, timeout=0.5
                 )
         assert results == [2, 4, 6, 8]
         counters = instrumentation.counters

@@ -1,7 +1,8 @@
-"""Tests of the process-pool sweep executor."""
+"""Tests of the sweep executor: serial runs and the worker pool."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
@@ -42,9 +43,17 @@ def _slow(spec):
     return spec
 
 
+def _slow_in_worker(spec):
+    """Sleeps ``spec`` seconds in a pool worker, returns at once in the
+    parent process."""
+    if multiprocessing.parent_process() is not None:
+        time.sleep(spec)
+    return spec
+
+
 def _die_unless_pid(spec):
     """Hard-exits in any process other than the one whose pid is the spec
-    — kills pool workers, succeeds on the parent's serial retry."""
+    — kills pool workers, succeeds on the parent's retry."""
     if os.getpid() != spec:
         os._exit(1)
     return spec
@@ -103,19 +112,26 @@ class TestParallel:
         assert excinfo.value.index == 2
 
     def test_killed_worker_falls_back_to_serial(self):
-        # Workers hard-exit, breaking the pool (BrokenProcessPool); every
-        # dead cell must then be recovered by the parent's serial retry,
-        # where the pid matches and the worker function succeeds.
+        # Every worker hard-exits on its first cell; each dead cell must
+        # then be recovered in the parent, where the pid matches and the
+        # worker function succeeds.
         parent = os.getpid()
         specs = [parent, parent]
         assert run_cells(_die_unless_pid, specs, jobs=2) == specs
 
     def test_timeout_triggers_serial_retry(self):
-        # 10s cell against a 0.05s budget: abandoned in the pool, then
-        # the serial retry runs it to completion (0s variant) -- here we
-        # use a spec the retry CAN complete by sleeping a short time.
-        results = run_cells(_slow, [0.3, 0.0], jobs=2, timeout=0.1)
-        assert results == [0.3, 0.0]
+        # A cell that outlives its budget in a worker: the worker is
+        # killed and the parent's retry (bounded by the same budget, and
+        # fast in the parent) completes it.
+        instrumentation = Instrumentation()
+        with use_instrumentation(instrumentation):
+            results = run_cells(
+                _slow_in_worker, [1.0, 0.0], jobs=2, timeout=0.3
+            )
+        assert results == [1.0, 0.0]
+        counters = instrumentation.counters
+        assert counters["executor.cell_timeouts"] >= 1
+        assert counters["recovery.cell_retry_ok"] >= 1
 
     def test_counters_account_for_submissions(self):
         instrumentation = Instrumentation()
@@ -124,41 +140,36 @@ class TestParallel:
         assert instrumentation.counters["executor.cells_submitted"] == 3
 
 
-class TestPoolDeathDetection:
-    def test_broken_pool_is_pool_death(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.runtime.executor import _is_pool_death
-
-        assert _is_pool_death(BrokenProcessPool("worker died"))
-
-    def test_ordinary_errors_are_not_pool_death(self):
-        from repro.runtime.executor import _is_pool_death
-
-        assert not _is_pool_death(ValueError("boom"))
-        assert not _is_pool_death(TimeoutError("slow"))
-        assert not _is_pool_death(RuntimeError("generic"))
+class TestBackendFromJobs:
+    def test_workers_iff_jobs_above_one(self):
+        for jobs, expected in ((1, None), (2, 1)):
+            instrumentation = Instrumentation()
+            with use_instrumentation(instrumentation):
+                assert run_cells(_square, [1, 2, 3], jobs=jobs) == [1, 4, 9]
+            counters = instrumentation.counters
+            assert counters.get("executor.backend.workers") == expected
 
 
 class TestSerialFallback:
     def test_pool_creation_failure_degrades_to_serial(self, monkeypatch):
-        # A sandbox without process support: ProcessPoolExecutor raises at
-        # construction; the sweep must still complete, serially.
+        # A sandbox without process support: the worker pool cannot
+        # start; the sweep must still complete, serially.
         import repro.runtime.executor as executor_module
+        from repro.runtime.pool import PoolUnavailable
 
         def _no_pool(*args, **kwargs):
-            raise OSError("processes unavailable")
+            raise PoolUnavailable("processes unavailable")
 
-        monkeypatch.setattr(
-            executor_module, "ProcessPoolExecutor", _no_pool
-        )
+        monkeypatch.setattr(executor_module, "WorkerPool", _no_pool)
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             results = run_cells(_square, [1, 2, 3], jobs=4)
         assert results == [1, 4, 9]
         counters = instrumentation.counters
         assert counters["executor.serial_fallbacks"] == 1
-        assert counters["recovery.pool_serial_fallback"] == 1
+        assert counters["recovery.workers_serial_fallback"] == 1
+        assert "executor.backend.workers" not in counters
+        assert "executor.cells_submitted" not in counters
 
 
 class TestErrorChaining:

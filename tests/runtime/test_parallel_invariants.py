@@ -50,7 +50,8 @@ class TestParallelEqualsSerial:
 
 
 class TestWorkersBackendEqualsSerial:
-    """The work-stealing ``workers`` backend must be invisible too."""
+    """The work-stealing worker pool (``jobs=2``) must be invisible from a
+    cold parent memo and across a checkpoint resume too."""
 
     def test_table_rows_byte_identical(self, d695, serial_table):
         from repro.runtime.pool import clear_cell_state
@@ -58,7 +59,7 @@ class TestWorkersBackendEqualsSerial:
         clear_cell_state()
         stolen = run_table_experiment(
             d695, N_R, widths=WIDTHS, group_counts=PARTS, seed=SEED,
-            jobs=2, sweep_backend="workers",
+            jobs=2,
         )
         assert render_table(stolen) == render_table(serial_table)
         serial_dict = result_to_dict(serial_table)
@@ -75,21 +76,21 @@ class TestWorkersBackendEqualsSerial:
         path = tmp_path / "checkpoint.json"
         run_table_experiment(
             d695, N_R, widths=WIDTHS, group_counts=PARTS, seed=SEED,
-            jobs=2, sweep_backend="workers",
+            jobs=2,
             checkpoint=SweepCheckpoint(path),
         )
         resumed_checkpoint = SweepCheckpoint(path)
         assert resumed_checkpoint.resumed_from_disk
         resumed = run_table_experiment(
             d695, N_R, widths=WIDTHS, group_counts=PARTS, seed=SEED,
-            jobs=2, sweep_backend="workers",
+            jobs=2,
             checkpoint=resumed_checkpoint,
         )
         assert render_table(resumed) == render_table(serial_table)
 
     def test_pareto_curve_identical(self, d695):
         serial = sweep_widths(d695, WIDTHS, jobs=1)
-        stolen = sweep_widths(d695, WIDTHS, jobs=2, sweep_backend="workers")
+        stolen = sweep_widths(d695, WIDTHS, jobs=2)
         assert stolen == serial
 
     def test_volume_study_identical(self, d695):
@@ -97,7 +98,6 @@ class TestWorkersBackendEqualsSerial:
         serial = measure_compaction(d695, patterns, PARTS, seed=SEED, jobs=1)
         stolen = measure_compaction(
             d695, patterns, PARTS, seed=SEED, jobs=2,
-            sweep_backend="workers",
         )
         assert stolen == serial
 

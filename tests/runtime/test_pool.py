@@ -7,12 +7,7 @@ import os
 
 import pytest
 
-from repro.runtime.executor import (
-    SWEEP_BACKENDS,
-    CellError,
-    resolve_sweep_backend,
-    run_cells,
-)
+from repro.runtime.executor import CellError, run_cells
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.runtime.pool import (
     PatternsRef,
@@ -21,7 +16,6 @@ from repro.runtime.pool import (
     cell_state,
     clear_cell_state,
     resolve_patterns,
-    run_cells_stolen,
 )
 
 
@@ -46,24 +40,6 @@ def _crash_in_worker(spec):
 
 def _bad_warmup():
     raise RuntimeError("no engines here")
-
-
-class TestResolveSweepBackend:
-    def test_explicit_names_pass_through(self):
-        for name in ("pool", "workers"):
-            assert resolve_sweep_backend(name, jobs=1, cells=1) == name
-
-    def test_auto_picks_workers_for_parallel_sweeps(self):
-        assert resolve_sweep_backend("auto", jobs=2, cells=4) == "workers"
-        assert resolve_sweep_backend("auto", jobs=1, cells=4) == "pool"
-        assert resolve_sweep_backend("auto", jobs=2, cells=1) == "pool"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            resolve_sweep_backend("threads")
-
-    def test_registry_is_complete(self):
-        assert set(SWEEP_BACKENDS) == {"auto", "pool", "workers"}
 
 
 class TestSharedStateStore:
@@ -191,9 +167,10 @@ class TestBatchPlanning:
 class TestWorkerPool:
     def test_stolen_equals_serial_in_order(self):
         specs = list(range(20))
-        assert run_cells_stolen(_double, specs, jobs=2) == [
-            _double(spec) for spec in specs
-        ]
+        with WorkerPool(2) as pool:
+            assert run_cells(_double, specs, pool=pool) == [
+                _double(spec) for spec in specs
+            ]
 
     def test_pool_persists_across_phases(self):
         with WorkerPool(2) as pool:
@@ -202,29 +179,29 @@ class TestWorkerPool:
 
     def test_run_cells_workers_backend(self):
         specs = list(range(8))
-        assert run_cells(_double, specs, jobs=2, backend="workers") == [
+        assert run_cells(_double, specs, jobs=2) == [
             _double(spec) for spec in specs
         ]
 
     def test_shard_keys_accepted(self):
         specs = list(range(6))
-        assert run_cells_stolen(
+        assert run_cells(
             _double, specs, jobs=2, shard_keys=["warm"] * 6
         ) == [_double(spec) for spec in specs]
 
     def test_failing_cell_escalates_to_cell_error(self):
         with pytest.raises(CellError, match="always fails"):
-            run_cells_stolen(_explode, [1], jobs=2)
+            run_cells(_explode, [1, 2], jobs=2)
 
     def test_validator_rejection_retried_then_escalated(self):
         with pytest.raises(CellError):
-            run_cells_stolen(
-                _double, [1], jobs=2, validate=lambda value: value > 100
+            run_cells(
+                _double, [1, 2], jobs=2, validate=lambda value: value > 100
             )
 
     def test_crashed_worker_cells_are_rescued(self):
         with use_instrumentation(Instrumentation()) as instrumentation:
-            results = run_cells_stolen(_crash_in_worker, [1, 2, 3, 4], jobs=2)
+            results = run_cells(_crash_in_worker, [1, 2, 3, 4], jobs=2)
         assert results == [2, 4, 6, 8]
         counters = instrumentation.counters
         assert counters["pool.workers_lost"] >= 1
@@ -232,7 +209,7 @@ class TestWorkerPool:
 
     def test_hung_worker_killed_and_cell_retried(self):
         with use_instrumentation(Instrumentation()) as instrumentation:
-            results = run_cells_stolen(
+            results = run_cells(
                 _hang_in_worker, [1, 2], jobs=2, timeout=0.5
             )
         assert results == [2, 4]
@@ -240,7 +217,7 @@ class TestWorkerPool:
 
     def test_warmup_failure_falls_back_to_parent(self):
         with use_instrumentation(Instrumentation()) as instrumentation:
-            results = run_cells_stolen(
+            results = run_cells(
                 _double, [1, 2, 3], jobs=2, warmup=_bad_warmup
             )
         assert results == [2, 4, 6]

@@ -10,6 +10,7 @@ import pytest
 from repro.runtime.executor import CellError, run_cells
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.runtime.supervision import (
+    DEGRADATION_LADDER,
     CircuitBreaker,
     CircuitOpenError,
     PolicyError,
@@ -171,19 +172,17 @@ class TestDegradationLadder:
         assert degraded_backend("workers") == "workers"
         note_backend_failure("workers")
         assert degraded_backend("workers") == "workers"
-        with pytest.warns(RuntimeWarning, match="degrading to 'pool'"):
+        with pytest.warns(RuntimeWarning, match="degrading to 'serial'"):
             note_backend_failure("workers")
-        assert degraded_backend("workers") == "pool"
+        assert degraded_backend("workers") == "serial"
 
     def test_chain_follows_to_serial(self):
         reset_degradations()
+        assert DEGRADATION_LADDER == {"workers": "serial"}
         with pytest.warns(RuntimeWarning):
-            for _ in range(2):
+            for _ in range(3):
                 note_backend_failure("workers")
-            for _ in range(2):
-                note_backend_failure("pool")
         assert degraded_backend("workers") == "serial"
-        assert degraded_backend("pool") == "serial"
         assert degraded_backend("serial") == "serial"
 
     def test_counter_discloses_each_step(self):
@@ -191,10 +190,11 @@ class TestDegradationLadder:
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             with pytest.warns(RuntimeWarning):
-                note_backend_failure("pool")
-                note_backend_failure("pool")
+                note_backend_failure("workers")
+                note_backend_failure("workers")
+                note_backend_failure("workers")
         counters = instrumentation.counters
-        assert counters["recovery.degraded.pool_to_serial"] == 1
+        assert counters["recovery.degraded.workers_to_serial"] == 1
 
     def test_policy_can_turn_ladder_off(self):
         reset_degradations()

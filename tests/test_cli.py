@@ -73,27 +73,27 @@ class TestTable:
         data = json.loads(json_path.read_text())
         assert [row["w_max"] for row in data["rows"]] == [4, 8]
 
-    def test_sweep_backend_flag_identical_tables(self, capsys):
+    def test_jobs_flag_identical_tables(self, capsys):
         argv = [
             "table", "t5",
             "--patterns", "200",
             "--widths", "4", "8",
             "--parts", "1", "2",
-            "--jobs", "2",
         ]
-        assert main(argv + ["--sweep-backend", "pool"]) == 0
-        pool_out = capsys.readouterr().out
-        assert main(argv + ["--sweep-backend", "workers"]) == 0
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial_out = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
         workers_out = capsys.readouterr().out
         # Wall clock differs; every table line must not.
         strip = lambda out: [
             line for line in out.splitlines() if "elapsed" not in line
         ]
-        assert strip(pool_out) == strip(workers_out)
+        assert strip(serial_out) == strip(workers_out)
 
-    def test_unknown_sweep_backend_rejected(self):
+    def test_sweep_backend_flag_removed(self):
+        # The backend follows --jobs; the old selector is not a flag.
         with pytest.raises(SystemExit):
-            main(["table", "t5", "--sweep-backend", "threads"])
+            main(["table", "t5", "--sweep-backend", "workers"])
 
 
 class TestSaveEvaluate:

@@ -119,14 +119,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help="TAM optimizer engine for every sweep cell (all backends "
              "produce bit-identical tables)",
     )
-    from repro.runtime.executor import SWEEP_BACKENDS
-
-    parser.add_argument(
-        "--sweep-backend", choices=SWEEP_BACKENDS, default="auto",
-        help="sweep fan-out machinery: the classic one-shot process pool "
-             "or the persistent work-stealing worker pool (bit-identical "
-             "tables either way)",
-    )
     return parser.parse_args(argv)
 
 
@@ -168,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
                     checkpoint=checkpoint,
                     verify=args.verify,
                     optimizer_backend=args.optimizer_backend,
-                    sweep_backend=args.sweep_backend,
                 )
                 prefix = TABLE_OF.get(soc_name, "table")
                 stem = f"{prefix}_{soc_name}_nr{pattern_count}"
@@ -194,7 +185,6 @@ def main(argv: list[str] | None = None) -> int:
             ),
             "verify": args.verify,
             "optimizer_backend": args.optimizer_backend,
-            "sweep_backend": args.sweep_backend,
         },
         wall_seconds=time.perf_counter() - start,
         instrumentation=instrumentation,
