@@ -58,6 +58,7 @@ def bench_wrapper_design_sweep(benchmark, p93791):
     def sweep():
         design_wrapper.cache_clear()
         core_test_time.cache_clear()
+        core_time_table.cache_clear()
         total = 0
         for core in p93791:
             total += sum(core_time_table(core, 64))

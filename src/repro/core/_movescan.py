@@ -4,10 +4,11 @@
 optimizer's candidate moves (widen a rail / move a core / merge two
 rails) by patching at most two rails of a packed state and re-deriving
 ``T_soc``.  The patch arithmetic is pure integer work over flat arrays
-— per-rail InTest times, per-group shift depths, a ``(core, width)``
-time table, involved-rail bitmasks — so this module carries a small,
-dependency-free C translation of the scan (same row arithmetic, same
-entry sort, same greedy Algorithm 1 replay; see the evaluator docstring
+— per-rail InTest times, per-group shift depths, the evaluator's fixed
+``cores × W_max`` InTest time table, involved-rail bitmasks — so this
+module carries a small, dependency-free C translation of the scan (same
+row arithmetic, same entry sort, same greedy Algorithm 1 replay, one
+copy of each shared by both entry points; see the evaluator docstring
 for the equivalence argument) compiled on demand with whatever
 ``cc``/``gcc``/``clang`` the host provides and loaded through
 :mod:`ctypes`.
@@ -40,236 +41,17 @@ from array import array
 
 __all__ = ["available", "merge_sweep", "score_moves", "warm"]
 
-_SOURCE = r"""
-#include <stdint.h>
+_SOURCE = r"""#include <stdint.h>
 #include <stdlib.h>
 
-/* Batch scorer for single-move TAM candidates.
- *
- * Per candidate at most two rails change.  The new rows are derived
- * from the CSR rail membership, the per-core WOC counts and the flat
- * (core, width) InTest time table; unchanged rails are read straight
- * from the base state's arrays.  The SI makespan is then replayed with
- * the greedy scheduler over (time, rail-mask, group-id) entries sorted
- * by (-time, group-id) -- the exact tie-break order of the Python
- * scheduler, so every total matches the reference evaluator bit for
- * bit.
- *
- * Move kinds: 0 widen(rail a), 1 move(core a, rail b -> rail c),
- * 2 merge(rails a + b onto c wires, b removed).  Rail masks are one
- * uint64, so callers must keep n_rails <= 64.
- */
-int64_t repro_move_scan(
-    int64_t n_rails, int64_t n_groups, int64_t capture,
-    const int64_t *widths, const int64_t *time_in, const int64_t *depths,
-    const int64_t *rail_off, const int32_t *rail_cores,
-    const int64_t *woc, const int64_t *cg_off, const int32_t *cg_ids,
-    const int64_t *patterns, const int64_t *gids,
-    const int64_t *table, int64_t cap,
-    int64_t n_moves, const int64_t *kinds,
-    const int64_t *ma, const int64_t *mb, const int64_t *mc,
-    int64_t *totals_out)
-{
-    if (n_rails > 64)
-        return -1;
-    const int64_t G = n_groups ? n_groups : 1;
-    int64_t *row0 = calloc((size_t)G, 8);
-    int64_t *row1 = calloc((size_t)G, 8);
-    int64_t *et = malloc((size_t)G * 8);
-    int64_t *eg = malloc((size_t)G * 8);
-    int64_t *run_end = malloc((size_t)G * 8);
-    uint64_t *em = malloc((size_t)G * 8);
-    uint64_t *run_mask = malloc((size_t)G * 8);
-    char *used = malloc((size_t)G);
-    if (!row0 || !row1 || !et || !eg || !run_end || !em || !run_mask
-        || !used) {
-        free(row0); free(row1); free(et); free(eg); free(run_end);
-        free(em); free(run_mask); free(used);
-        return -1;
-    }
-
-    for (int64_t m = 0; m < n_moves; m++) {
-        const int64_t kind = kinds[m], a = ma[m], b = mb[m], c = mc[m];
-        int64_t changed0, changed1 = -1;
-        int64_t new_tin0 = 0, new_tin1 = 0;
-        int has1 = 0;
-        for (int64_t g = 0; g < n_groups; g++) {
-            row0[g] = 0;
-            row1[g] = 0;
-        }
-        if (kind == 0) {            /* widen rail a by one wire */
-            const int64_t w = widths[a] + 1;
-            changed0 = a;
-            for (int64_t k = rail_off[a]; k < rail_off[a + 1]; k++) {
-                const int32_t core = rail_cores[k];
-                new_tin0 += table[(size_t)core * cap + w - 1];
-                const int64_t oc = woc[core];
-                if (oc) {
-                    const int64_t d = (oc + w - 1) / w;
-                    for (int64_t kk = cg_off[core]; kk < cg_off[core + 1];
-                         kk++)
-                        row0[cg_ids[kk]] += d;
-                }
-            }
-        } else if (kind == 1) {     /* move core a from rail b to rail c */
-            changed0 = b;
-            changed1 = c;
-            has1 = 1;
-            for (int64_t g = 0; g < n_groups; g++) {
-                row0[g] = depths[b * n_groups + g];
-                row1[g] = depths[c * n_groups + g];
-            }
-            new_tin0 = time_in[b] - table[(size_t)a * cap + widths[b] - 1];
-            new_tin1 = time_in[c] + table[(size_t)a * cap + widths[c] - 1];
-            const int64_t oc = woc[a];
-            if (oc) {
-                const int64_t d_src = (oc + widths[b] - 1) / widths[b];
-                const int64_t d_dst = (oc + widths[c] - 1) / widths[c];
-                for (int64_t kk = cg_off[a]; kk < cg_off[a + 1]; kk++) {
-                    row0[cg_ids[kk]] -= d_src;
-                    row1[cg_ids[kk]] += d_dst;
-                }
-            }
-        } else {                    /* merge rails a + b onto c wires */
-            const int64_t w = c;
-            const int64_t pair[2] = { a, b };
-            changed0 = a;
-            changed1 = b;           /* removed: contributes nothing */
-            for (int p = 0; p < 2; p++) {
-                const int64_t r = pair[p];
-                for (int64_t k = rail_off[r]; k < rail_off[r + 1]; k++) {
-                    const int32_t core = rail_cores[k];
-                    new_tin0 += table[(size_t)core * cap + w - 1];
-                    const int64_t oc = woc[core];
-                    if (oc) {
-                        const int64_t d = (oc + w - 1) / w;
-                        for (int64_t kk = cg_off[core];
-                             kk < cg_off[core + 1]; kk++)
-                            row0[cg_ids[kk]] += d;
-                    }
-                }
-            }
-        }
-
-        int64_t t_in = new_tin0;
-        if (has1 && new_tin1 > t_in)
-            t_in = new_tin1;
-        for (int64_t r = 0; r < n_rails; r++) {
-            if (r == changed0 || r == changed1)
-                continue;
-            if (time_in[r] > t_in)
-                t_in = time_in[r];
-        }
-
-        int64_t ne = 0;
-        for (int64_t g = 0; g < n_groups; g++) {
-            int64_t best = 0;
-            uint64_t mask = 0;
-            for (int64_t r = 0; r < n_rails; r++) {
-                int64_t d;
-                if (r == changed0)
-                    d = row0[g];
-                else if (r == changed1)
-                    d = has1 ? row1[g] : 0;
-                else
-                    d = depths[r * n_groups + g];
-                if (d) {
-                    mask |= 1ULL << r;
-                    const int64_t t = patterns[g] * (d + capture);
-                    if (t > best)
-                        best = t;
-                }
-            }
-            if (mask) {
-                et[ne] = best;
-                em[ne] = mask;
-                eg[ne] = gids[g];
-                ne++;
-            }
-        }
-
-        /* sort entries by (-time, group_id); keys are unique */
-        for (int64_t i = 1; i < ne; i++) {
-            const int64_t t = et[i], g = eg[i];
-            const uint64_t mk = em[i];
-            int64_t j = i - 1;
-            while (j >= 0 && (et[j] < t || (et[j] == t && eg[j] > g))) {
-                et[j + 1] = et[j];
-                em[j + 1] = em[j];
-                eg[j + 1] = eg[j];
-                j--;
-            }
-            et[j + 1] = t;
-            em[j + 1] = mk;
-            eg[j + 1] = g;
-        }
-
-        /* greedy Algorithm 1 replay */
-        int64_t t_si = 0, current = 0, n_run = 0, left = ne;
-        for (int64_t i = 0; i < ne; i++)
-            used[i] = 0;
-        while (left) {
-            uint64_t busy = 0;
-            for (int64_t k = 0; k < n_run; k++)
-                if (run_end[k] > current)
-                    busy |= run_mask[k];
-            int64_t pick = -1;
-            for (int64_t i = 0; i < ne; i++)
-                if (!used[i] && !(busy & em[i])) {
-                    pick = i;
-                    break;
-                }
-            if (pick >= 0) {
-                used[pick] = 1;
-                left--;
-                const int64_t end = current + et[pick];
-                run_end[n_run] = end;
-                run_mask[n_run] = em[pick];
-                n_run++;
-                if (end > t_si)
-                    t_si = end;
-            } else {
-                int64_t next = INT64_MAX;
-                for (int64_t k = 0; k < n_run; k++)
-                    if (run_end[k] > current && run_end[k] < next)
-                        next = run_end[k];
-                if (next == INT64_MAX) {
-                    free(row0); free(row1); free(et); free(eg);
-                    free(run_end); free(em); free(run_mask); free(used);
-                    return -2;  /* stalled: cannot happen on valid input */
-                }
-                current = next;
-            }
-        }
-        totals_out[m] = t_in + t_si;
-    }
-    free(row0); free(row1); free(et); free(eg); free(run_end);
-    free(em); free(run_mask); free(used);
-    return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* One mergeTAMs sweep: every (partner, width) candidate of merging one
- * rail, walked in the optimizer's enumeration order.
- *
- * A merge-with-leftover candidate is "merge rails a+b onto c wires, then
- * hand the (w_a + w_b - c) freed wires to bottleneck rails one at a
- * time" -- a greedy loop whose every wire re-derives the bottleneck set
- * (InTest maxima plus the SI schedule's critical chain) and scores one
- * widen candidate per bottleneck rail.  The routines below replay that
- * loop with the exact Python semantics: the same group bottleneck
- * (first rail achieving the strict maximum, scanning ascending), the
- * same schedule order (picks sorted by (begin, group_id)), the same
- * stable critical-chain walk (end descending, ties in original order),
- * and the same first-candidate strict-< selection over ascending rail
- * indices.  Exact merges (no leftover) arrive pre-scored by the batch
- * scorer above, or with a negative total when their bound pruned them.
- *
- * The (core, width) time table is filled lazily by the caller, so
- * every read consults the parallel `have` byte map; a missing cell
- * suspends the walk with -3, reporting the rails to fill, and the
- * caller resumes it from the same candidate once the cells exist. */
-
+/* Inputs shared by both entry points: the packed base state (per-rail
+ * widths, InTest times and per-group shift depths; rail membership as
+ * dense core ids in CSR layout), per-core WOC counts, core-to-group CSR,
+ * per-group pattern counts and ids, and the fixed (core, width) InTest
+ * time table -- `cap` widths per core, T(core, w) at core * cap + w - 1.
+ * A width outside 1..cap is a hard error: reading it would land in
+ * another core's row.  Rail masks are one uint64, so callers must keep
+ * n_rails <= 64. */
 typedef struct {
     int64_t n_rails, n_groups, capture, cap;
     const int64_t *widths, *time_in, *depths, *rail_off;
@@ -277,12 +59,11 @@ typedef struct {
     const int64_t *woc, *cg_off;
     const int32_t *cg_ids;
     const int64_t *patterns, *gids, *table;
-    const uint8_t *have;
 } rpr_in;
 
-/* Scratch of one replay (the post-merge rails are "local": rail b
- * removed, the merged rail in rail a's shifted slot), carved out of one
- * allocation per sweep call. */
+/* Scratch of one scoring call: ld is a working copy of R rails' depth
+ * rows that candidates patch in place; lw/lt/loff/lcores describe the
+ * post-merge rails of a sweep replay.  Carved out of one allocation. */
 typedef struct {
     int64_t *lw, *lt, *ld, *loff, *gb, *et, *eg, *ex, *sb, *se, *sg, *sx;
     int64_t *ord, *crit, *run_end, *cand_d, *best_d, *choices;
@@ -312,6 +93,29 @@ static void *rpr_ws_alloc(rpr_ws *ws, int64_t R, int64_t G, int64_t ncores,
     return arena;
 }
 
+static int rpr_bad_width(const rpr_in *in, int64_t w)
+{
+    return w < 1 || w > in->cap;
+}
+
+/* Put `core` on a rail of w wires: add sign times its SI shift depth to
+ * every group it feeds in row, and return its InTest time. */
+static int64_t rpr_add_core(const rpr_in *in, int64_t core, int64_t w,
+                            int64_t *row, int64_t sign)
+{
+    const int64_t oc = in->woc[core];
+    if (oc) {
+        const int64_t d = sign * ((oc + w - 1) / w);
+        for (int64_t k = in->cg_off[core]; k < in->cg_off[core + 1]; k++)
+            row[in->cg_ids[k]] += d;
+    }
+    return in->table[core * in->cap + w - 1];
+}
+
+/* SI entries of R rails' depth rows: per group with any involved rail,
+ * (time, rail mask, group id, group index) sorted by (-time, group id)
+ * -- the Python scheduler's tie-break order -- plus every group's
+ * bottleneck rail (first rail achieving the strict maximum) in gb. */
 static int64_t rpr_groups(
     int64_t R, int64_t n_groups, int64_t capture,
     const int64_t *ld, const int64_t *patterns, const int64_t *gids,
@@ -432,6 +236,128 @@ static int64_t rpr_greedy(
     return ns;
 }
 
+/* Batch scorer for single-move TAM candidates.
+ *
+ * Per candidate at most two rails change.  Their new rows are patched
+ * into a working copy of the base depths, the SI makespan is replayed
+ * by rpr_groups/rpr_greedy -- the exact order of the Python scheduler,
+ * so every total matches the reference evaluator bit for bit -- and the
+ * base rows are copied back.  Unchanged rails' InTest times are read
+ * straight from the base state.
+ *
+ * Move kinds: 0 widen(rail a), 1 move(core a, rail b -> rail c),
+ * 2 merge(rails a + b onto c wires, b removed).  Returns 0, or -1/-2 on
+ * a hard error (bad width, too many rails, allocation, stall). */
+int64_t repro_move_scan(
+    int64_t n_rails, int64_t n_groups, int64_t capture,
+    const int64_t *widths, const int64_t *time_in, const int64_t *depths,
+    const int64_t *rail_off, const int32_t *rail_cores,
+    const int64_t *woc, const int64_t *cg_off, const int32_t *cg_ids,
+    const int64_t *patterns, const int64_t *gids,
+    const int64_t *table, int64_t cap,
+    int64_t n_moves, const int64_t *kinds,
+    const int64_t *ma, const int64_t *mb, const int64_t *mc,
+    int64_t *totals_out)
+{
+    if (n_rails > 64)
+        return -1;
+    const rpr_in in = {
+        n_rails, n_groups, capture, cap, widths, time_in, depths, rail_off,
+        rail_cores, woc, cg_off, cg_ids, patterns, gids, table,
+    };
+    rpr_ws ws;
+    void *arena = rpr_ws_alloc(&ws, n_rails, n_groups ? n_groups : 1, 0, 1);
+    if (!arena)
+        return -1;
+    int64_t *ld = ws.ld;
+    for (int64_t i = 0; i < n_rails * n_groups; i++)
+        ld[i] = depths[i];
+    int64_t status = 0;
+    for (int64_t m = 0; m < n_moves; m++) {
+        const int64_t kind = kinds[m], a = ma[m], b = mb[m], c = mc[m];
+        int64_t changed0 = a, changed1 = -1, tin0 = 0, tin1 = 0;
+        if (kind == 0) {            /* widen rail a by one wire */
+            const int64_t w = widths[a] + 1;
+            if (rpr_bad_width(&in, w)) {
+                status = -1;
+                break;
+            }
+            int64_t *row = ld + a * n_groups;
+            for (int64_t g = 0; g < n_groups; g++)
+                row[g] = 0;
+            for (int64_t k = rail_off[a]; k < rail_off[a + 1]; k++)
+                tin0 += rpr_add_core(&in, rail_cores[k], w, row, 1);
+        } else if (kind == 1) {     /* move core a from rail b to rail c */
+            if (rpr_bad_width(&in, widths[b])
+                || rpr_bad_width(&in, widths[c])) {
+                status = -1;
+                break;
+            }
+            changed0 = b;
+            changed1 = c;
+            tin0 = time_in[b] - rpr_add_core(&in, a, widths[b],
+                                             ld + b * n_groups, -1);
+            tin1 = time_in[c] + rpr_add_core(&in, a, widths[c],
+                                             ld + c * n_groups, 1);
+        } else {                    /* merge rails a + b onto c wires */
+            if (rpr_bad_width(&in, c)) {
+                status = -1;
+                break;
+            }
+            changed1 = b;           /* removed: contributes nothing */
+            for (int64_t g = 0; g < n_groups; g++) {
+                ld[a * n_groups + g] = 0;
+                ld[b * n_groups + g] = 0;
+            }
+            for (int64_t k = rail_off[a]; k < rail_off[a + 1]; k++)
+                tin0 += rpr_add_core(&in, rail_cores[k], c,
+                                     ld + a * n_groups, 1);
+            for (int64_t k = rail_off[b]; k < rail_off[b + 1]; k++)
+                tin0 += rpr_add_core(&in, rail_cores[k], c,
+                                     ld + a * n_groups, 1);
+        }
+
+        int64_t t_in = tin0 > tin1 ? tin0 : tin1;
+        for (int64_t r = 0; r < n_rails; r++)
+            if (r != changed0 && r != changed1 && time_in[r] > t_in)
+                t_in = time_in[r];
+        const int64_t ne = rpr_groups(n_rails, n_groups, capture, ld,
+                                      patterns, gids, ws.gb, ws.et, ws.em,
+                                      ws.eg, ws.ex);
+        int64_t t_si = 0;
+        if (rpr_greedy(ne, ws.et, ws.em, ws.eg, ws.ex, 0, 0, 0, 0,
+                       ws.run_end, ws.run_mask, ws.used, &t_si) < 0) {
+            status = -2;            /* stalled: cannot happen on valid input */
+            break;
+        }
+        totals_out[m] = t_in + t_si;
+        for (int64_t g = 0; g < n_groups; g++) {
+            ld[changed0 * n_groups + g] = depths[changed0 * n_groups + g];
+            if (changed1 >= 0)
+                ld[changed1 * n_groups + g] = depths[changed1 * n_groups + g];
+        }
+    }
+    free(arena);
+    return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* One mergeTAMs sweep: every (partner, width) candidate of merging one
+ * rail, walked in the optimizer's enumeration order.
+ *
+ * A merge-with-leftover candidate is "merge rails a+b onto c wires, then
+ * hand the (w_a + w_b - c) freed wires to bottleneck rails one at a
+ * time" -- a greedy loop whose every wire re-derives the bottleneck set
+ * (InTest maxima plus the SI schedule's critical chain) and scores one
+ * widen candidate per bottleneck rail.  The routines below replay that
+ * loop with the exact Python semantics: the same group bottleneck
+ * (first rail achieving the strict maximum, scanning ascending), the
+ * same schedule order (picks sorted by (begin, group_id)), the same
+ * stable critical-chain walk (end descending, ties in original order),
+ * and the same first-candidate strict-< selection over ascending rail
+ * indices.  Exact merges (no leftover) arrive pre-scored by the batch
+ * scorer above, or with a negative total when their bound pruned them. */
+
 /* Bottleneck rails: InTest maxima plus the bottleneck of every group on
  * the schedule's critical chain (walked end-descending, stable). */
 static uint64_t rpr_bottlenecks(
@@ -479,31 +405,22 @@ static uint64_t rpr_bottlenecks(
 }
 
 /* Score widening local rail r by one wire into ws->cand_d.  Returns the
- * candidate T_soc (always >= 0), -2 on stall, or -3 when a table cell
- * of the widened rail is absent.  new_tin_out receives the rail's
- * patched InTest time for a later apply. */
+ * candidate T_soc (always >= 0), -1 when the new width is outside the
+ * table, or -2 on stall.  new_tin_out receives the rail's patched InTest
+ * time for a later apply. */
 static int64_t rpr_score_widen(const rpr_in *in, const rpr_ws *ws,
                                int64_t R, int64_t r, int64_t *new_tin_out)
 {
-    const int64_t n_groups = in->n_groups, cap = in->cap;
+    const int64_t n_groups = in->n_groups;
     const int64_t w = ws->lw[r] + 1;
     int64_t *new_row = ws->cand_d;
     int64_t tin = 0;
+    if (rpr_bad_width(in, w))
+        return -1;
     for (int64_t g = 0; g < n_groups; g++)
         new_row[g] = 0;
-    for (int64_t k = ws->loff[r]; k < ws->loff[r + 1]; k++) {
-        const int32_t core = ws->lcores[k];
-        if (w > cap || !in->have[(size_t)core * cap + w - 1])
-            return -3;
-        tin += in->table[(size_t)core * cap + w - 1];
-        const int64_t oc = in->woc[core];
-        if (oc) {
-            const int64_t d = (oc + w - 1) / w;
-            for (int64_t kk = in->cg_off[core]; kk < in->cg_off[core + 1];
-                 kk++)
-                new_row[in->cg_ids[kk]] += d;
-        }
-    }
+    for (int64_t k = ws->loff[r]; k < ws->loff[r + 1]; k++)
+        tin += rpr_add_core(in, ws->lcores[k], w, new_row, 1);
     int64_t t_in = tin;
     for (int64_t rr = 0; rr < R; rr++)
         if (rr != r && ws->lt[rr] > t_in)
@@ -537,16 +454,16 @@ static int64_t rpr_score_widen(const rpr_in *in, const rpr_ws *ws,
 /* Replay one merge-with-leftover candidate: merge rails a + b onto c
  * wires, then distribute the leftover wires greedily.  The chosen local
  * rail per wire lands in ws->choices.  Returns 0 with *total_out set,
- * -2 on stall, or -3 with missing_out = (rail, rail or -1, width): the
- * original rails whose cells at that width must be filled. */
+ * -1 when a width falls outside the table, or -2 on stall. */
 static int64_t rpr_replay(const rpr_in *in, const rpr_ws *ws,
                           int64_t a, int64_t b, int64_t c, int64_t leftover,
-                          int64_t *total_out, int64_t *missing_out)
+                          int64_t *total_out)
 {
-    const int64_t n_groups = in->n_groups, cap = in->cap;
+    const int64_t n_groups = in->n_groups;
     const int64_t R = in->n_rails - 1;      /* rails after the merge */
-    const int64_t merged = a - (a > b);
     int64_t *lw = ws->lw, *lt = ws->lt, *ld = ws->ld;
+    if (rpr_bad_width(in, c))
+        return -1;
 
     /* local post-merge state: rail b removed, the merged rail takes
      * rail a's (shifted) slot -- the exact remap of the Python apply */
@@ -566,20 +483,7 @@ static int64_t rpr_replay(const rpr_in *in, const rpr_ws *ws,
                      k < in->rail_off[pair[p] + 1]; k++) {
                     const int32_t core = in->rail_cores[k];
                     ws->lcores[pos++] = core;
-                    if (c > cap || !in->have[(size_t)core * cap + c - 1]) {
-                        missing_out[0] = a;
-                        missing_out[1] = b;
-                        missing_out[2] = c;
-                        return -3;
-                    }
-                    tin += in->table[(size_t)core * cap + c - 1];
-                    const int64_t oc = in->woc[core];
-                    if (oc) {
-                        const int64_t d = (oc + c - 1) / c;
-                        for (int64_t kk = in->cg_off[core];
-                             kk < in->cg_off[core + 1]; kk++)
-                            ld[lr * n_groups + in->cg_ids[kk]] += d;
-                    }
+                    tin += rpr_add_core(in, core, c, ld + lr * n_groups, 1);
                 }
             }
             lw[lr] = c;
@@ -625,12 +529,6 @@ static int64_t rpr_replay(const rpr_in *in, const rpr_ws *ws,
                 continue;
             int64_t tin_r = 0;
             const int64_t total = rpr_score_widen(in, ws, R, r, &tin_r);
-            if (total == -3) {
-                missing_out[0] = (r == merged) ? a : r + (r >= b);
-                missing_out[1] = (r == merged) ? b : -1;
-                missing_out[2] = lw[r] + 1;
-                return -3;
-            }
             if (total < 0)
                 return total;
             if (total < best_total) {
@@ -652,25 +550,31 @@ static int64_t rpr_replay(const rpr_in *in, const rpr_ws *ws,
 }
 
 /* Walk n_cand candidates (partner, width, leftover, total) of merging
- * `rail` with the optimizer's first-minimum strict-< selection: once the
- * incumbent reaches floor_total no candidate can strictly beat it, so
- * the rest are pruned unscored.  cursor (in/out) holds the resumable
- * walk: next position, best index (-1: none), best total, pruned count,
- * wires distributed, replays run.  The winner's wire choices land in
- * choices_out.  Returns 0 when the walk is done, -3 when a table cell
- * is missing (cursor[0] is the candidate to resume at, missing_out the
- * rails and width to fill), and -1/-2 on hard errors (cursor[0] is the
- * first candidate not scored). */
+ * `rail` with the optimizer's first-minimum strict-< selection against
+ * `incumbent`: once the best reaches floor_total no candidate can
+ * strictly beat it, so the rest are pruned unscored.  cursor receives
+ * the walk's outcome on every return: candidates walked, best index (-1:
+ * none), best total, pruned count, wires distributed, replays run.  The
+ * winner's wire choices land in choices_out.  Returns 0 when the whole
+ * sweep was walked, or -1/-2 on a hard error with cursor[0] at the
+ * first candidate not scored. */
 int64_t repro_merge_sweep(
     int64_t n_rails, int64_t n_groups, int64_t capture,
     const int64_t *widths, const int64_t *time_in, const int64_t *depths,
     const int64_t *rail_off, const int32_t *rail_cores,
     const int64_t *woc, const int64_t *cg_off, const int32_t *cg_ids,
     const int64_t *patterns, const int64_t *gids,
-    const int64_t *table, const uint8_t *have, int64_t cap,
-    int64_t rail, int64_t floor_total, int64_t n_cand, const int64_t *cand,
-    int64_t *cursor, int64_t *choices_out, int64_t *missing_out)
+    const int64_t *table, int64_t cap,
+    int64_t rail, int64_t incumbent, int64_t floor_total,
+    int64_t n_cand, const int64_t *cand,
+    int64_t *cursor, int64_t *choices_out)
 {
+    int64_t pos = 0, best = -1, best_total = incumbent;
+    int64_t pruned = 0, wires = 0, runs = 0;
+    cursor[0] = pos;
+    cursor[1] = best;
+    cursor[2] = best_total;
+    cursor[3] = cursor[4] = cursor[5] = 0;
     if (n_rails > 64 || n_rails < 2)
         return -1;
     int64_t max_left = 1;
@@ -682,15 +586,13 @@ int64_t repro_merge_sweep(
     }
     const rpr_in in = {
         n_rails, n_groups, capture, cap, widths, time_in, depths, rail_off,
-        rail_cores, woc, cg_off, cg_ids, patterns, gids, table, have,
+        rail_cores, woc, cg_off, cg_ids, patterns, gids, table,
     };
     rpr_ws ws;
     void *arena = rpr_ws_alloc(&ws, n_rails - 1, n_groups ? n_groups : 1,
                                rail_off[n_rails], max_left);
     if (!arena)
         return -1;
-    int64_t pos = cursor[0], best = cursor[1], best_total = cursor[2];
-    int64_t pruned = cursor[3], wires = cursor[4], runs = cursor[5];
     int64_t status = 0;
     for (; pos < n_cand; pos++) {
         if (best_total <= floor_total) {
@@ -710,8 +612,7 @@ int64_t repro_merge_sweep(
             continue;
         }
         int64_t total = 0;
-        status = rpr_replay(&in, &ws, rail, cd[0], cd[1], leftover,
-                            &total, missing_out);
+        status = rpr_replay(&in, &ws, rail, cd[0], cd[1], leftover, &total);
         if (status < 0)
             break;
         wires += leftover;
@@ -735,10 +636,6 @@ int64_t repro_merge_sweep(
 """
 
 _DISABLE_VALUES = ("0", "off", "no", "false")
-
-#: :func:`merge_sweep` step status: the walk is suspended until the
-#: reported time-table cells are filled.
-SWEEP_MISSING = -3
 
 #: Cached load result: ``None`` = not attempted, ``False`` = unavailable.
 _engine = None
@@ -774,33 +671,32 @@ def _compile() -> str | None:
     return so_path
 
 
+#: The state arguments both entry points open with.
+_STATE_ARGTYPES = [
+    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # rails/groups/capture
+    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # widths/tin/depths
+    ctypes.c_void_p, ctypes.c_void_p,  # rail_off, rail_cores
+    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # woc, cg CSR
+    ctypes.c_void_p, ctypes.c_void_p,  # patterns, gids
+    ctypes.c_void_p, ctypes.c_int64,   # table, cap
+]
+
+
 def _bind(so_path: str):
     lib = ctypes.CDLL(so_path)
     fn = lib.repro_move_scan
     fn.restype = ctypes.c_int64
-    fn.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # rails/groups/capture
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # widths/tin/depths
-        ctypes.c_void_p, ctypes.c_void_p,  # rail_off, rail_cores
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # woc, cg CSR
-        ctypes.c_void_p, ctypes.c_void_p,  # patterns, gids
-        ctypes.c_void_p, ctypes.c_int64,   # table, cap
+    fn.argtypes = _STATE_ARGTYPES + [
         ctypes.c_int64, ctypes.c_void_p,   # n_moves, kinds
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # ma, mb, mc
         ctypes.c_void_p,                   # totals_out
     ]
     sweep = lib.repro_merge_sweep
     sweep.restype = ctypes.c_int64
-    sweep.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # rails/groups/capture
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # widths/tin/depths
-        ctypes.c_void_p, ctypes.c_void_p,  # rail_off, rail_cores
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # woc, cg CSR
-        ctypes.c_void_p, ctypes.c_void_p,  # patterns, gids
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # table, have, cap
-        ctypes.c_int64, ctypes.c_int64,    # rail, floor_total
+    sweep.argtypes = _STATE_ARGTYPES + [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # rail/incumbent/floor
         ctypes.c_int64, ctypes.c_void_p,   # n_cand, candidates
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # cursor/choices/missing
+        ctypes.c_void_p, ctypes.c_void_p,  # cursor, choices
     ]
     return fn, sweep
 
@@ -830,29 +726,20 @@ def _run(fn, n_rails, n_groups, capture, widths, time_in, depths,
     return list(totals)
 
 
-def _bind_sweep(sweep, n_rails, n_groups, capture, widths, time_in, depths,
-                rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
-                rail, floor_total, candidates, cursor, choices, missing):
-    """Bind everything but the time table once; the returned step
-    ``(table, have, cap) -> status`` runs or resumes the walk."""
-    buffers = (widths, time_in, depths, rail_off, rail_cores, woc, cg_off,
-               cg_ids, patterns, gids, candidates, cursor, choices, missing)
-    head = (
+def _sweep(fn, n_rails, n_groups, capture, widths, time_in, depths,
+           rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
+           table, cap, rail, incumbent, floor_total, candidates, cursor,
+           choices):
+    return fn(
         n_rails, n_groups, capture,
         _addr(widths), _addr(time_in), _addr(depths),
         _addr(rail_off), _addr(rail_cores),
         _addr(woc), _addr(cg_off), _addr(cg_ids),
         _addr(patterns), _addr(gids),
+        _addr(table), cap,
+        rail, incumbent, floor_total, len(candidates) // 4,
+        _addr(candidates), _addr(cursor), _addr(choices),
     )
-    tail = (
-        rail, floor_total, len(candidates) // 4, _addr(candidates),
-        _addr(cursor), _addr(choices), _addr(missing),
-    )
-
-    def step(table, have, cap, _keep=buffers):
-        return sweep(*head, _addr(table), _addr(have), cap, *tail)
-
-    return step
 
 
 def _smoke(fn) -> bool:
@@ -888,34 +775,25 @@ def _smoke_sweep(sweep) -> bool:
     merge batch-scored at 17, the first improvement.  Candidate 2 merges
     onto one wire with one leftover: 14 + 9 = 23 before redistribution,
     and widening the only (merged) rail lands on 10 + 6 = 16 with choice
-    [0].  Core 1's one-wire cell starts missing, so the walk first
-    suspends at candidate 2 naming rails (0, 1) at width 1, and resumes
-    there once the cell is filled.  16 reaches the floor, so candidates 3
-    and 4 are pruned unscored: 3 pruned, 1 wire, 1 replay, winner 2.
+    [0].  16 reaches the floor, so candidates 3 and 4 are pruned
+    unscored: 5 walked, winner 2 at 16, 3 pruned, 1 wire, 1 replay.
     """
-    table = array("q", (10, 6, 0, 4))
-    have = array("B", (1, 1, 0, 1))
-    cursor = array("q", (0, -1, 19, 0, 0, 0))
+    cursor = array("q", bytes(8 * 6))
     choices = array("q", (0,))
-    missing = array("q", (0, 0, 0))
-    step = _bind_sweep(
+    status = _sweep(
         sweep, 2, 1, 1,
         array("q", (1, 1)), array("q", (10, 4)), array("q", (2, 0)),
         array("q", (0, 1, 2)), array("i", (0, 1)),       # rail CSR
         array("q", (2, 0)),                               # woc
         array("q", (0, 1, 1)), array("i", (0,)),          # core-group CSR
         array("q", (3,)), array("q", (0,)),               # patterns, gids
-        0, 16,                                            # rail, floor
+        array("q", (10, 6, 4, 4)), 2,                     # time table, cap
+        0, 19, 16,                                        # rail, incumbent, floor
         array("q", (1, 2, 0, -1, 1, 2, 0, 17, 1, 1, 1, 0,
                     1, 2, 0, 16, 1, 1, 1, 0)),            # candidates
-        cursor, choices, missing,
+        cursor, choices,
     )
-    if (step(table, have, 2) != SWEEP_MISSING
-            or list(cursor) != [2, 1, 17, 1, 0, 0]
-            or list(missing) != [0, 1, 1]):
-        return False
-    table[2], have[2] = 4, 1
-    return (step(table, have, 2) == 0
+    return (status == 0
             and list(cursor) == [5, 2, 16, 3, 1, 1]
             and list(choices) == [0])
 
@@ -979,7 +857,8 @@ def score_moves(n_rails, n_groups, capture, widths, time_in, depths,
                 rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
                 table, cap, kinds, ma, mb, mc):
     """Score a candidate batch in C; ``None`` when the engine is
-    unavailable (callers fall back to the Python patch path).
+    unavailable or reports a hard error (callers fall back to the Python
+    patch path).
 
     All array arguments are :mod:`array` buffers in the layout described
     by the C source; returns one ``T_soc`` total per candidate.
@@ -993,25 +872,26 @@ def score_moves(n_rails, n_groups, capture, widths, time_in, depths,
 
 def merge_sweep(n_rails, n_groups, capture, widths, time_in, depths,
                 rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
-                rail, floor_total, candidates, cursor, choices, missing):
-    """Bind one mergeTAMs sweep in C; ``None`` when the engine is
-    unavailable.
+                table, cap, rail, incumbent, floor_total, candidates,
+                cursor, choices):
+    """Walk one mergeTAMs sweep in a single C call; ``None`` when the
+    engine is unavailable.
 
-    ``candidates`` holds four integers per candidate — partner, merged
-    width, leftover wires, and for exact merges the batch-scored total
-    (negative when bound-pruned).  ``cursor`` is the resumable walk
-    state (next position, best index, best total, pruned, wires, replays;
-    seed it with ``(0, -1, incumbent, 0, 0, 0)``), ``choices`` receives
-    the winner's chosen rail per leftover wire (post-merge indexing) and
-    ``missing`` the ``(rail, rail or -1, width)`` to fill on a
-    :data:`SWEEP_MISSING` suspension.  Returns the step
-    ``(table, have, cap) -> status``: 0 when the walk is done,
-    :data:`SWEEP_MISSING`, or another negative status on a hard error
-    with ``cursor[0]`` at the first unscored candidate.
+    ``table``/``cap`` are the fixed InTest time table, as for
+    :func:`score_moves`.  ``candidates`` holds four integers per
+    candidate — partner, merged width, leftover wires, and for exact
+    merges the batch-scored total (negative when bound-pruned).  The walk
+    starts from ``incumbent`` and writes its outcome into the six-slot
+    ``cursor`` (candidates walked, best index or -1, best total, pruned,
+    wires distributed, replays); ``choices`` receives the winner's chosen
+    rail per leftover wire (post-merge indexing).  Returns 0 when the
+    whole sweep was walked, or a negative status on a hard error (a
+    width outside the table, among others) with ``cursor[0]`` at the
+    first candidate not scored.
     """
     if not available():
         return None
-    return _bind_sweep(_engine[1], n_rails, n_groups, capture, widths,
-                       time_in, depths, rail_off, rail_cores, woc, cg_off,
-                       cg_ids, patterns, gids, rail, floor_total,
-                       candidates, cursor, choices, missing)
+    return _sweep(_engine[1], n_rails, n_groups, capture, widths, time_in,
+                  depths, rail_off, rail_cores, woc, cg_off, cg_ids,
+                  patterns, gids, table, cap, rail, incumbent, floor_total,
+                  candidates, cursor, choices)

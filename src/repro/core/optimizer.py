@@ -409,7 +409,7 @@ class _IncrementalOptimizer:
         self.soc = soc
         self.w_max = w_max
         self.evaluator = IncrementalTamEvaluator(
-            soc, groups, capture_cycles=capture_cycles
+            soc, groups, capture_cycles=capture_cycles, w_max=w_max
         )
         self.floor_total = intest_bandwidth_bound(soc, w_max) + si_floor(
             soc, self.evaluator.groups, w_max, capture_cycles
@@ -776,8 +776,11 @@ def evaluate_architecture(
     flag exists to keep ``evaluate``/``--verify`` flows on the same code
     path as the optimizer run they are checking.
     """
-    chosen = resolve_optimizer_backend(backend)
-    cls = IncrementalTamEvaluator if chosen == "incremental" else TamEvaluator
-    return cls(soc, groups, capture_cycles=capture_cycles).evaluate(
-        architecture
-    )
+    if resolve_optimizer_backend(backend) == "incremental":
+        evaluator = IncrementalTamEvaluator(
+            soc, groups, capture_cycles=capture_cycles,
+            w_max=architecture.total_width,
+        )
+    else:
+        evaluator = TamEvaluator(soc, groups, capture_cycles=capture_cycles)
+    return evaluator.evaluate(architecture)

@@ -24,7 +24,7 @@ from repro.compaction.groups import SITestGroup
 from repro.runtime.instrumentation import incr
 from repro.soc.model import Soc
 from repro.tam.testrail import TestRail, TestRailArchitecture
-from repro.wrapper.timing import core_test_time
+from repro.wrapper.timing import core_test_time, core_time_table
 
 #: Move kinds of the incremental evaluator, shared with the C engine:
 #: ``(MOVE_WIDEN, rail, 0, 0)`` adds one wire to ``rail``;
@@ -374,6 +374,12 @@ class IncrementalTamEvaluator(TamEvaluator):
     the per-``(cores, width)`` row cache plays the role the
     :class:`TestRail`-keyed cache plays for the reference path.
 
+    Every InTest time ``T(core, w)`` comes from one dense ``cores × w_max``
+    table built at construction from :func:`core_time_table` (itself
+    cached per process); the Python rows and both C entry points read
+    it, and a width outside ``1..w_max`` is an error, never a lookup in
+    another core's row.
+
     Scoring is exact — the same integers the reference evaluator would
     produce — which is what makes the incremental optimizer backend
     bit-identical.  ``evaluate`` (inherited) still produces the reference
@@ -385,8 +391,13 @@ class IncrementalTamEvaluator(TamEvaluator):
         soc: Soc,
         groups: tuple[SITestGroup, ...] = (),
         capture_cycles: int = 1,
+        *,
+        w_max: int,
     ) -> None:
+        """Args: as :class:`TamEvaluator`, plus ``w_max``, the widest rail
+        any scored architecture may hold (the SOC pin budget)."""
         super().__init__(soc, groups, capture_cycles=capture_cycles)
+        self.w_max = w_max
         self._gids = [group.group_id for group in self.groups]
         # core -> indices of the groups it contributes shift depth to
         self._core_groups: dict[int, tuple[int, ...]] = {}
@@ -411,29 +422,28 @@ class IncrementalTamEvaluator(TamEvaluator):
             self._payload_of[core.core_id] = word * core.total_patterns
         # (cores, width) -> (time_in, depths, time_used)
         self._rows: dict[tuple, tuple] = {}
-        # (core_id, width) -> InTest time; shared by the packed rows and
-        # the flat C table so each wrapper design happens exactly once.
-        self._core_times: dict[tuple[int, int], int] = {}
-        self._core_ids = soc.core_ids
-        self._static = None
-        self._table = array("q")
-        self._table_have = array("B")  # per-cell flags read by C
-        self._table_cap = 0
-        # (cores, width) rail keys whose table cells are filled
-        self._table_filled: set[tuple] = set()
+        # dense core position -> row of w_max InTest times, flattened
+        core_ids = soc.core_ids
+        self._dense = {
+            core_id: position for position, core_id in enumerate(core_ids)
+        }
+        self._table = array("q", chain.from_iterable(
+            core_time_table(self._core_of[core_id], w_max)
+            for core_id in core_ids
+        ))
+        self._static = self._build_static(core_ids)
 
     # ------------------------------------------------------------------
     # packed rows and states
 
     def _core_time(self, core_id: int, width: int) -> int:
-        """Memoized ``core_test_time`` — one wrapper design per pair."""
-        key = (core_id, width)
-        value = self._core_times.get(key)
-        if value is None:
-            value = self._core_times[key] = core_test_time(
-                self._core_of[core_id], width
+        """``T(core, width)`` from the fixed InTest table."""
+        if not 1 <= width <= self.w_max:
+            raise ValueError(
+                f"core {core_id}: width {width} is outside the InTest "
+                f"table's 1..{self.w_max}"
             )
-        return value
+        return self._table[self._dense[core_id] * self.w_max + width - 1]
 
     def _row(self, cores: tuple[int, ...], width: int) -> tuple:
         """Per-rail figures of ``cores`` on ``width`` wires (memoized)."""
@@ -877,11 +887,7 @@ class IncrementalTamEvaluator(TamEvaluator):
     # ------------------------------------------------------------------
     # C engine interface
 
-    def _build_static(self):
-        core_ids = self._core_ids
-        dense = {
-            core_id: position for position, core_id in enumerate(core_ids)
-        }
+    def _build_static(self, core_ids):
         woc = array("q", (self._woc_of[core_id] for core_id in core_ids))
         cg_off = array("q", [0])
         cg_ids = array("i")
@@ -891,48 +897,10 @@ class IncrementalTamEvaluator(TamEvaluator):
             cg_off.append(len(cg_ids))
         patterns = array("q", self._group_patterns)
         gids = array("q", self._gids)
-        return (dense, woc, cg_off, cg_ids, patterns, gids)
-
-    def _ensure_cells(self, keys) -> None:
-        """Fill the flat ``(core, width)`` InTest time table for every
-        ``(cores, width)`` rail key — only the cells the C kernel will
-        actually read, so no wrapper is designed speculatively."""
-        seen = self._table_filled
-        missing = [key for key in keys if key not in seen]
-        if not missing:
-            return
-        cap = max(width for _, width in missing)
-        if cap > self._table_cap:
-            old_cap, old_table = self._table_cap, self._table
-            old_have = self._table_have
-            new_cap = max(cap, 2 * old_cap)
-            core_ids = self._core_ids
-            table = array("q", bytes(8 * len(core_ids) * new_cap))
-            have = array("B", bytes(len(core_ids) * new_cap))
-            for position in range(len(core_ids)):
-                table[position * new_cap:position * new_cap + old_cap] = (
-                    old_table[position * old_cap:(position + 1) * old_cap]
-                )
-                have[position * new_cap:position * new_cap + old_cap] = (
-                    old_have[position * old_cap:(position + 1) * old_cap]
-                )
-            self._table, self._table_have = table, have
-            self._table_cap = new_cap
-        cap = self._table_cap
-        core_time = self._core_time
-        dense = self._static[0]
-        for key in missing:
-            if key in seen:
-                continue
-            seen.add(key)
-            cores, width = key
-            for core_id in cores:
-                cell = dense[core_id] * cap + width - 1
-                self._table[cell] = core_time(core_id, width)
-                self._table_have[cell] = 1
+        return (woc, cg_off, cg_ids, patterns, gids)
 
     def _flatten_state(self, state: PackedState):
-        dense = self._static[0]
+        dense = self._dense
         widths = array("q", state.widths)
         time_in = array("q", state.time_in)
         depths = array(
@@ -949,23 +917,8 @@ class IncrementalTamEvaluator(TamEvaluator):
     def _score_moves_c(self, state: PackedState, moves):
         from repro.core import _movescan
 
-        if self._static is None:
-            self._static = self._build_static()
-        dense, woc, cg_off, cg_ids, patterns, gids = self._static
-        needed = []
-        for kind, a, b, c in moves:
-            if kind == MOVE_WIDEN:
-                needed.append((state.cores[a], state.widths[a] + 1))
-            elif kind == MOVE_CORE:
-                # Source keeps its width; the destination rail and the
-                # moved core are re-timed at the destination width.
-                needed.append((state.cores[b], state.widths[b]))
-                needed.append((state.cores[c], state.widths[c]))
-                needed.append(((a,), state.widths[c]))
-            else:
-                needed.append((state.cores[a], c))
-                needed.append((state.cores[b], c))
-        self._ensure_cells(needed)
+        dense = self._dense
+        woc, cg_off, cg_ids, patterns, gids = self._static
         if state.flat is None:
             state.flat = self._flatten_state(state)
         widths, time_in, depths, rail_off, rail_cores = state.flat
@@ -982,7 +935,7 @@ class IncrementalTamEvaluator(TamEvaluator):
             len(state.cores), len(self.groups), self.capture_cycles,
             widths, time_in, depths, rail_off, rail_cores,
             woc, cg_off, cg_ids, patterns, gids,
-            self._table, self._table_cap,
+            self._table, self.w_max,
             kinds, move_a, move_b, move_c,
         )
         if totals is not None:
@@ -1003,14 +956,13 @@ class IncrementalTamEvaluator(TamEvaluator):
         replays every merge-with-leftover candidate — the merge plus the
         greedy wire-by-wire redistribution — with the optimizer's
         strict-``<`` selection against ``incumbent`` and its
-        ``floor`` pruning, so only the winner is ever materialized.
-        When the walk needs a ``(core, width)`` cell the table lacks, it
-        suspends; the cells of that rail are filled and the walk resumes
-        at the same candidate, so no wrapper is designed speculatively.
+        ``floor`` pruning, so only the winner is ever materialized.  It
+        reads InTest times from the evaluator's fixed table.
 
         The returned :class:`MergeSweep` stops at ``position`` 0 when the
         engine is unavailable (or the state has more than 64 rails) and
-        mid-sweep on a hard engine error; the caller walks the rest.
+        mid-sweep on a hard engine error, such as a width past ``w_max``;
+        the caller walks the rest.
         """
         outcome = MergeSweep(0, -1, incumbent, (), 0, 0)
         if not sweep or len(state.cores) > 64:
@@ -1019,35 +971,21 @@ class IncrementalTamEvaluator(TamEvaluator):
 
         if not _movescan.available():
             return outcome
-        if self._static is None:
-            self._static = self._build_static()
-        _, woc, cg_off, cg_ids, patterns, gids = self._static
+        woc, cg_off, cg_ids, patterns, gids = self._static
         if state.flat is None:
             state.flat = self._flatten_state(state)
         widths, time_in, depths, rail_off, rail_cores = state.flat
-        cursor = array("q", (0, -1, incumbent, 0, 0, 0))
+        cursor = array("q", bytes(8 * 6))
         most = max(leftover for _, _, leftover, _ in sweep)
         choices = array("q", bytes(8 * max(most, 1)))
-        missing = array("q", (0, 0, 0))
-        step = _movescan.merge_sweep(
+        _movescan.merge_sweep(
             len(state.cores), len(self.groups), self.capture_cycles,
             widths, time_in, depths, rail_off, rail_cores,
-            woc, cg_off, cg_ids, patterns, gids, rail, floor,
-            array("q", chain.from_iterable(sweep)), cursor, choices, missing,
+            woc, cg_off, cg_ids, patterns, gids, self._table, self.w_max,
+            rail, incumbent, floor, array("q", chain.from_iterable(sweep)),
+            cursor, choices,
         )
         incr("movescan.sweeps")
-        suspended = None
-        while (step(self._table, self._table_have, self._table_cap)
-               == _movescan.SWEEP_MISSING):
-            first, second, width = missing
-            if suspended == (cursor[0], first, second, width):
-                break  # the fill did not take: leave the rest to Python
-            suspended = (cursor[0], first, second, width)
-            incr("movescan.sweep_resumes")
-            keys = [(state.cores[first], width)]
-            if second >= 0:
-                keys.append((state.cores[second], width))
-            self._ensure_cells(keys)
         position, best_index, best_total, pruned, wires, replays = cursor
         if replays:
             incr("movescan.distributes", replays)

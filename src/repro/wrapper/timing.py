@@ -38,11 +38,13 @@ def core_test_time(core: Core, width: int) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
 def core_time_table(core: Core, max_width: int) -> tuple[int, ...]:
     """InTest times of ``core`` for every width ``1..max_width``.
 
-    Index ``w - 1`` holds the time at width ``w``.  Useful for Pareto
-    analysis and for fast lookups inside the optimizers.
+    Index ``w - 1`` holds the time at width ``w``.  Cached per process
+    like :func:`core_test_time`: the incremental optimizer builds its
+    per-run InTest table from these rows.
     """
     if max_width <= 0:
         raise ValueError(f"max_width must be positive, got {max_width}")

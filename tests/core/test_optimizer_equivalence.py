@@ -31,11 +31,16 @@ from repro.core.optimizer import (
     optimize_tam,
     resolve_optimizer_backend,
 )
-from repro.core.scheduling import TamEvaluator
+from repro.core.scheduling import (
+    MOVE_WIDEN,
+    IncrementalTamEvaluator,
+    TamEvaluator,
+)
 from repro.resilience.verify import verify_optimization
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.sitest.generator import generate_random_patterns
 from repro.soc.benchmarks import load_benchmark
+from repro.wrapper.timing import core_time_table
 
 #: (SOC, W_max) sweep: every shipped ITC'02 SOC over a budget range that
 #: exercises merge-down starts (W < cores), free-wire starts (W > cores),
@@ -122,8 +127,8 @@ class TestBitIdentity:
 
 
 class TestMergeSweep:
-    """The C mergeTAMs sweep: a lazily filled time table, a resumable
-    walk, and a hand-over to the Python loop on a hard engine error."""
+    """The C mergeTAMs sweep: one call over the evaluator's fixed InTest
+    table, and a hand-over to the Python loop on a hard engine error."""
 
     @pytest.fixture(autouse=True)
     def _engine(self):
@@ -133,7 +138,7 @@ class TestMergeSweep:
     def test_hand_worked_sweep(self):
         assert _movescan._smoke_sweep(_movescan._engine[1])
 
-    def test_cold_table_resumes(self, suite):
+    def test_sweeps_replay_redistribution_in_c(self, suite):
         socs, groups, reference = suite
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
@@ -143,7 +148,6 @@ class TestMergeSweep:
         _assert_identical(reference[("p93791", 32)], result)
         counters = instrumentation.counters
         assert counters["movescan.sweeps"] > 0
-        assert counters["movescan.sweep_resumes"] >= 1
         assert counters["movescan.distributes"] > 0
 
     def test_hard_error_hands_the_rest_to_python(self, suite, monkeypatch):
@@ -158,23 +162,18 @@ class TestMergeSweep:
         handed_over = []
 
         def failing_midway(*args):
-            # Bind the first half of the sweep only, and report a hard
+            # Walk the first half of the sweep only, and report a hard
             # error where the second half would start.
             bound = signature.bind(*args)
             candidates = bound.arguments["candidates"]
             count = len(candidates) // 4
             half = count // 2
             bound.arguments["candidates"] = array("q", candidates[:4 * half])
-            step = real(*bound.args)
-
-            def broken(table, have, cap):
-                status = step(table, have, cap)
-                if status == 0 and half < count:
-                    handed_over.append(count - half)
-                    return -2
-                return status
-
-            return broken
+            status = real(*bound.args)
+            if status == 0 and half < count:
+                handed_over.append(count - half)
+                return -2
+            return status
 
         monkeypatch.setattr(_movescan, "merge_sweep", failing_midway)
         faulted = Instrumentation()
@@ -185,6 +184,69 @@ class TestMergeSweep:
         for name in ("optimizer.merges_tried", "optimizer.moves_pruned",
                      "optimizer.wires_distributed"):
             assert faulted.counters.get(name) == clean.counters.get(name)
+
+
+class TestFixedTable:
+    """One InTest table per evaluator: built to ``W_max`` at
+    construction, equal to ``core_time_table``, and never read past its
+    bounds on either engine leg."""
+
+    def test_table_equals_core_time_table(self, suite):
+        socs, groups, _ = suite
+        soc = socs["p93791"]
+        evaluator = IncrementalTamEvaluator(soc, groups["p93791"], w_max=64)
+        assert len(evaluator._table) == 64 * len(soc.core_ids)
+        for core in soc:
+            start = 64 * evaluator._dense[core.core_id]
+            row = tuple(evaluator._table[start:start + 64])
+            assert row == core_time_table(core, 64), core.core_id
+
+    @pytest.mark.parametrize("toggle", ["1", "0"], ids=["c", "python"])
+    def test_widen_past_w_max_raises(self, suite, monkeypatch, toggle):
+        monkeypatch.setenv("REPRO_OPTIMIZER_CSCAN", toggle)
+        monkeypatch.setattr(_movescan, "_engine", None)  # fresh probe
+        if toggle == "1" and not _movescan.available():
+            pytest.skip("C move scanner unavailable")
+        socs, groups, _ = suite
+        soc, w_max = socs["d695"], 4
+        evaluator = IncrementalTamEvaluator(soc, groups["d695"], w_max=w_max)
+        core_ids = soc.core_ids
+        state = evaluator.pack(
+            [(core_id,) for core_id in core_ids], [w_max] * len(core_ids)
+        )
+        # one widen per rail: a batch large enough for the C scorer
+        moves = [(MOVE_WIDEN, index, 0, 0) for index in range(len(core_ids))]
+        c_totals = []
+        real = _movescan.score_moves
+
+        def spy(*args):
+            c_totals.append(real(*args))
+            return c_totals[-1]
+
+        monkeypatch.setattr(_movescan, "score_moves", spy)
+        with pytest.raises(ValueError, match=f"width {w_max + 1} is outside"):
+            evaluator.score_moves(state, moves)
+        # the C leg refuses the batch (hard error) before Python raises
+        assert c_totals == ([None] if toggle == "1" else [])
+
+    def test_sweep_stops_at_a_merge_past_w_max(self, suite):
+        if not _movescan.available():
+            pytest.skip("C move scanner unavailable")
+        socs, groups, _ = suite
+        soc, w_max = socs["d695"], 4
+        evaluator = IncrementalTamEvaluator(soc, groups["d695"], w_max=w_max)
+        core_ids = soc.core_ids
+        state = evaluator.pack(
+            [(core_id,) for core_id in core_ids],
+            [3, 3] + [1] * (len(core_ids) - 2),
+        )
+        # merge rails 0 + 1 onto w_max + 1 wires, one wire left over
+        outcome = evaluator.score_merge_sweep(
+            state, 0, [(1, w_max + 1, 1, 0)], state.t_total, 0
+        )
+        assert outcome.position == 0
+        assert outcome.best_index == -1
+        assert outcome.best_total == state.t_total
 
 
 class TestVerifiedAndComposed:

@@ -125,7 +125,9 @@ class TestIncrementalScoringIsExact:
     def test_single_move_equals_full_recompute(self, instance):
         core_count, soc_seed, with_groups, assignment, widths = instance
         soc, groups = _make_instance(soc_seed, core_count, with_groups)
-        evaluator = IncrementalTamEvaluator(soc, groups)
+        evaluator = IncrementalTamEvaluator(
+            soc, groups, w_max=sum(widths) + 1
+        )
         reference = TamEvaluator(soc, groups)
         state = _build_state(evaluator, soc, assignment, widths)
         architecture = evaluator.state_architecture(state)
@@ -142,7 +144,9 @@ class TestIncrementalScoringIsExact:
     def test_apply_move_lands_on_moved_architecture(self, instance):
         core_count, soc_seed, with_groups, assignment, widths = instance
         soc, groups = _make_instance(soc_seed, core_count, with_groups)
-        evaluator = IncrementalTamEvaluator(soc, groups)
+        evaluator = IncrementalTamEvaluator(
+            soc, groups, w_max=sum(widths) + 1
+        )
         state = _build_state(evaluator, soc, assignment, widths)
         architecture = evaluator.state_architecture(state)
         for move in _moves_of(state)[:12]:
@@ -163,7 +167,9 @@ class TestIncrementalScoringIsExact:
 
         core_count, soc_seed, with_groups, assignment, widths = instance
         soc, groups = _make_instance(soc_seed, core_count, with_groups)
-        evaluator = IncrementalTamEvaluator(soc, groups)
+        evaluator = IncrementalTamEvaluator(
+            soc, groups, w_max=sum(widths) + 1
+        )
         reference = TamEvaluator(soc, groups)
         state = _build_state(evaluator, soc, assignment, widths)
         architecture = evaluator.state_architecture(state)
@@ -178,7 +184,9 @@ class TestPruningIsSound:
     def test_exclusion_bound_never_exceeds_true_score(self, instance):
         core_count, soc_seed, with_groups, assignment, widths = instance
         soc, groups = _make_instance(soc_seed, core_count, with_groups)
-        evaluator = IncrementalTamEvaluator(soc, groups)
+        evaluator = IncrementalTamEvaluator(
+            soc, groups, w_max=sum(widths) + 1
+        )
         state = _build_state(evaluator, soc, assignment, widths)
         optimizer = _IncrementalOptimizer.__new__(_IncrementalOptimizer)
         optimizer.evaluator = evaluator
@@ -209,7 +217,9 @@ class TestPruningIsSound:
     def test_floor_bounds_every_architecture(self, instance):
         core_count, soc_seed, with_groups, assignment, widths = instance
         soc, groups = _make_instance(soc_seed, core_count, with_groups)
-        evaluator = IncrementalTamEvaluator(soc, groups)
+        evaluator = IncrementalTamEvaluator(
+            soc, groups, w_max=sum(widths) + 1
+        )
         state = _build_state(evaluator, soc, assignment, widths)
         w_max = sum(state.widths)
         floor = intest_bandwidth_bound(soc, w_max) + si_floor(
@@ -222,7 +232,9 @@ class TestPruningIsSound:
     def test_merged_rail_bound_never_exceeds_true_score(self, instance):
         core_count, soc_seed, with_groups, assignment, widths = instance
         soc, groups = _make_instance(soc_seed, core_count, with_groups)
-        evaluator = IncrementalTamEvaluator(soc, groups)
+        evaluator = IncrementalTamEvaluator(
+            soc, groups, w_max=sum(widths) + 1
+        )
         state = _build_state(evaluator, soc, assignment, widths)
         if len(state.cores) < 2:
             return
