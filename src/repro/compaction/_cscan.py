@@ -1,4 +1,4 @@
-"""Optional C scan engine for the greedy bitset kernel.
+"""Optional C engine for the greedy bitset scan and hypergraph bisection.
 
 :func:`repro.compaction.kernel.greedy_compact_bitset` spends its time in
 two bit-parallel inner loops: building the conflict index and pruning the
@@ -9,14 +9,26 @@ rules — see the kernel docstring for the equivalence argument) that is
 compiled on demand with whatever ``cc``/``gcc``/``clang`` the host
 provides and loaded through :mod:`ctypes`.
 
+The same library bisects core hypergraphs of at most 64 vertices for
+:func:`repro.hypergraph.partition`, on one 64-bit pin mask per edge
+(:class:`~repro.hypergraph.packed.PackedHypergraph`): :func:`restrict`
+maps the edges onto a vertex subset, :func:`grow` is the greedy initial
+bisection, :func:`refine` runs the FM passes and :func:`cut` prices a
+k-way assignment.  Each replays its Python counterpart in
+:mod:`repro.hypergraph.multilevel` / :mod:`repro.hypergraph.fm` exactly
+(same floating-point summation order, same move order and tie-breaks),
+so the partition is identical on either path.
+
 The engine is strictly optional: if no compiler is present, compilation
 fails, the smoke check fails, or ``REPRO_COMPACTION_CSCAN=0`` is set, the
-kernel silently falls back to its pure-Python big-int scan.  Compiled
+scan and the partitioner silently fall back to pure Python.  Compiled
 objects are cached in the system temp directory keyed by a hash of the C
 source, so the (sub-second) compile happens once per source revision per
-machine, not once per process.
+machine, not once per process.  The source is built without
+``-ffast-math``: the bisection's attachment sums must round as Python's
+do.
 
-The C side works on the flat integer arrays of a
+The scan works on the flat integer arrays of a
 :class:`~repro.compaction.kernel.PatternIndex` only — pattern cares as
 dense ``(terminal, symbol)`` ids in CSR layout, bus claims likewise — plus
 the rows of the bucket to scan, which it gathers itself.  It
@@ -37,7 +49,8 @@ import threading
 from array import array
 from types import SimpleNamespace
 
-__all__ = ["available", "greedy_scan", "warm"]
+__all__ = ["available", "cut", "greedy_scan", "grow", "refine", "restrict",
+           "warm"]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -284,6 +297,212 @@ int64_t repro_greedy_scan(
     free(flat); free(group_of); free(off); free(local);
     return cycles;
 }
+
+/* Hypergraph bisection over pin masks.
+ *
+ * A graph of n <= 64 vertices is one uint64 per edge (bit v = vertex v
+ * is a pin) plus parallel edge weights, in the Python graph's edge order.
+ * Assignments cross the boundary as one int32 part per vertex.  Each
+ * step replays the Python code of repro.hypergraph exactly: the same
+ * summation order for the floating-point attachments, the same move
+ * order and tie-breaks for FM.
+ */
+
+/* Edges of `masks` mapped onto vertices[0..k): local pin j is vertex
+ * vertices[j]; edges left with fewer than two pins are dropped.  Returns
+ * the number of edges written. */
+int64_t repro_hg_restrict(
+    int64_t m, const uint64_t *masks, const int64_t *edge_w,
+    int64_t k, const int32_t *vertices,
+    uint64_t *masks_out, int64_t *edge_w_out)
+{
+    uint64_t keep = 0;
+    for (int64_t j = 0; j < k; j++)
+        keep |= 1ULL << vertices[j];
+    int64_t out = 0;
+    for (int64_t e = 0; e < m; e++) {
+        const uint64_t src = masks[e] & keep;
+        if (__builtin_popcountll(src) < 2)
+            continue;
+        uint64_t dst = 0;
+        for (int64_t j = 0; j < k; j++)
+            dst |= ((src >> vertices[j]) & 1ULL) << j;
+        masks_out[out] = dst;
+        edge_w_out[out++] = edge_w[e];
+    }
+    return out;
+}
+
+/* Greedy region growth from `seed`: absorb the unabsorbed vertex with
+ * the largest attachment (ties: lighter, then lower index) until part 0
+ * reaches `target0`.  Attachments add w(e) / (|e| - 1) per absorbed pin,
+ * in ascending edge order, then ascending pin order. */
+void repro_hg_grow(
+    int64_t n, const int64_t *vertex_w,
+    int64_t m, const uint64_t *masks, const int64_t *edge_w,
+    int64_t seed, int64_t target0, int32_t *part_out)
+{
+    double attachment[64] = {0};
+    uint64_t in0 = 1ULL << seed;
+    int64_t weight0 = vertex_w[seed];
+    int64_t vertex = seed;
+    for (;;) {
+        const uint64_t bit = 1ULL << vertex;
+        for (int64_t e = 0; e < m; e++) {
+            if (!(masks[e] & bit))
+                continue;
+            const double share = (double)edge_w[e]
+                / (double)(__builtin_popcountll(masks[e]) - 1);
+            for (uint64_t rest = masks[e] & ~in0; rest; rest &= rest - 1)
+                attachment[__builtin_ctzll(rest)] += share;
+        }
+        if (weight0 >= target0)
+            break;
+        int64_t best = -1;
+        double best_attachment = -1.0;
+        int64_t best_weight = 0;
+        for (int64_t v = 0; v < n; v++) {
+            if (in0 >> v & 1ULL)
+                continue;
+            if (attachment[v] > best_attachment
+                || (attachment[v] == best_attachment
+                    && -vertex_w[v] > best_weight)) {
+                best = v;
+                best_attachment = attachment[v];
+                best_weight = -vertex_w[v];
+            }
+        }
+        if (best < 0)
+            break;
+        in0 |= 1ULL << best;
+        weight0 += vertex_w[best];
+        vertex = best;
+    }
+    for (int64_t v = 0; v < n; v++)
+        part_out[v] = (int32_t)(~in0 >> v & 1ULL);
+}
+
+/* Gain of moving each vertex of `side` (the part-1 mask) across. */
+static void hg_gains(
+    int64_t m, const uint64_t *masks, const int64_t *edge_w,
+    uint64_t side, int64_t *gain)
+{
+    for (int64_t e = 0; e < m; e++) {
+        const uint64_t mask = masks[e];
+        const int in1 = __builtin_popcountll(mask & side);
+        const int in0 = __builtin_popcountll(mask) - in1;
+        const int64_t w = edge_w[e];
+        const int64_t g0 = w * ((in0 == 1) - (in1 == 0));
+        const int64_t g1 = w * ((in1 == 1) - (in0 == 0));
+        for (uint64_t p = mask & ~side; g0 && p; p &= p - 1)
+            gain[__builtin_ctzll(p)] += g0;
+        for (uint64_t p = mask & side; g1 && p; p &= p - 1)
+            gain[__builtin_ctzll(p)] += g1;
+    }
+}
+
+/* One FM pass over `*side`; returns whether the cut strictly improved.
+ * The next move is the unlocked vertex of largest gain, lowest index on
+ * ties: the order the Python pass pops its lazy heap in. */
+static int hg_fm_pass(
+    int64_t n, const int64_t *vertex_w,
+    int64_t m, const uint64_t *masks, const int64_t *edge_w,
+    int64_t lower, int64_t upper, uint64_t *side)
+{
+    const uint64_t all = n == 64 ? ~0ULL : (1ULL << n) - 1;
+    int64_t gain[64] = {0};
+    int32_t moves[64];
+    int64_t weight0 = 0;
+    for (int64_t v = 0; v < n; v++)
+        if (!(*side >> v & 1ULL))
+            weight0 += vertex_w[v];
+    hg_gains(m, masks, edge_w, *side, gain);
+    uint64_t locked = 0;
+    int64_t count = 0, cumulative = 0, best_cumulative = 0, best_prefix = 0;
+    while (locked != all) {
+        int64_t vertex = -1;
+        for (uint64_t free_ = all & ~locked; free_; free_ &= free_ - 1) {
+            const int64_t v = __builtin_ctzll(free_);
+            if (vertex < 0 || gain[v] > gain[vertex])
+                vertex = v;
+        }
+        const uint64_t bit = 1ULL << vertex;
+        const int to1 = !(*side & bit);
+        const int64_t new_weight0 =
+            to1 ? weight0 - vertex_w[vertex] : weight0 + vertex_w[vertex];
+        locked |= bit;
+        if (new_weight0 < lower || new_weight0 > upper)
+            continue;  /* cannot move this pass */
+        weight0 = new_weight0;
+        cumulative += gain[vertex];
+        moves[count++] = (int32_t)vertex;
+        if (cumulative > best_cumulative) {
+            best_cumulative = cumulative;
+            best_prefix = count;
+        }
+        /* Patch the gains of unlocked pins on the incident edges by each
+         * edge's change in contribution. */
+        const uint64_t old_side = *side;
+        *side ^= bit;
+        for (int64_t e = 0; e < m; e++) {
+            const uint64_t mask = masks[e];
+            if (!(mask & bit))
+                continue;
+            const int size = __builtin_popcountll(mask);
+            const int old1 = __builtin_popcountll(mask & old_side);
+            const int new1 = old1 + (to1 ? 1 : -1);
+            const int old0 = size - old1, new0 = size - new1;
+            const int64_t w = edge_w[e];
+            const int64_t d0 = w * ((new0 == 1) - (old0 == 1)
+                                    - (new1 == 0) + (old1 == 0));
+            const int64_t d1 = w * ((new1 == 1) - (old1 == 1)
+                                    - (new0 == 0) + (old0 == 0));
+            const uint64_t open = mask & ~locked;
+            for (uint64_t p = open & ~*side; d0 && p; p &= p - 1)
+                gain[__builtin_ctzll(p)] += d0;
+            for (uint64_t p = open & *side; d1 && p; p &= p - 1)
+                gain[__builtin_ctzll(p)] += d1;
+        }
+    }
+    for (int64_t i = best_prefix; i < count; i++)
+        *side ^= 1ULL << moves[i];
+    return best_cumulative > 0;
+}
+
+/* Up to `max_passes` FM passes on the bisection `part` (in place),
+ * keeping part 0's weight within [lower, upper]. */
+void repro_hg_refine(
+    int64_t n, const int64_t *vertex_w,
+    int64_t m, const uint64_t *masks, const int64_t *edge_w,
+    int64_t lower, int64_t upper, int64_t max_passes, int32_t *part)
+{
+    uint64_t side = 0;
+    for (int64_t v = 0; v < n; v++)
+        if (part[v])
+            side |= 1ULL << v;
+    for (int64_t pass = 0; pass < max_passes; pass++)
+        if (!hg_fm_pass(n, vertex_w, m, masks, edge_w, lower, upper, &side))
+            break;
+    for (int64_t v = 0; v < n; v++)
+        part[v] = (int32_t)(side >> v & 1ULL);
+}
+
+/* Total weight of edges spanning more than one part; parts are 0..63. */
+int64_t repro_hg_cut(
+    int64_t n, const int32_t *part,
+    int64_t m, const uint64_t *masks, const int64_t *edge_w)
+{
+    uint64_t members[64] = {0};
+    for (int64_t v = 0; v < n; v++)
+        members[part[v] & 63] |= 1ULL << v;
+    int64_t total = 0;
+    for (int64_t e = 0; e < m; e++) {
+        const uint64_t mask = masks[e];
+        if (mask & ~members[part[__builtin_ctzll(mask)] & 63])
+            total += edge_w[e];
+    }
+    return total;
+}
 """
 
 _DISABLE_VALUES = ("0", "off", "no", "false")
@@ -322,22 +541,36 @@ def _compile() -> str | None:
     return so_path
 
 
-def _bind(so_path: str):
+def _bind(so_path: str) -> SimpleNamespace:
     lib = ctypes.CDLL(so_path)
-    fn = lib.repro_greedy_scan
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [
-        ctypes.c_int64, ctypes.c_void_p,   # n, rows
-        ctypes.c_void_p, ctypes.c_void_p,  # care_flat, care_off
-        ctypes.c_void_p,                   # tid_of
-        ctypes.c_int64, ctypes.c_int64,    # n_care_ids, n_tids
-        ctypes.c_void_p, ctypes.c_void_p,  # bus_flat, bus_off
-        ctypes.c_void_p,                   # line_of
-        ctypes.c_int64, ctypes.c_int64,    # n_bus_ids, n_lines
-        ctypes.c_void_p, ctypes.c_void_p,  # members_out, cycle_off_out
-        ctypes.c_void_p,                   # stats_out
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    scan = lib.repro_greedy_scan
+    scan.restype = i64
+    scan.argtypes = [
+        i64, ptr,                # n, rows
+        ptr, ptr, ptr,           # care_flat, care_off, tid_of
+        i64, i64,                # n_care_ids, n_tids
+        ptr, ptr, ptr,           # bus_flat, bus_off, line_of
+        i64, i64,                # n_bus_ids, n_lines
+        ptr, ptr, ptr,           # members_out, cycle_off_out, stats_out
     ]
-    return fn
+    restrict = lib.repro_hg_restrict
+    restrict.restype = i64
+    # m, masks, edge_w, k, vertices, masks_out, edge_w_out
+    restrict.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr]
+    grow = lib.repro_hg_grow
+    grow.restype = None
+    # n, vertex_w, m, masks, edge_w, seed, target0, part_out
+    grow.argtypes = [i64, ptr, i64, ptr, ptr, i64, i64, ptr]
+    refine = lib.repro_hg_refine
+    refine.restype = None
+    # n, vertex_w, m, masks, edge_w, lower, upper, max_passes, part
+    refine.argtypes = [i64, ptr, i64, ptr, ptr, i64, i64, i64, ptr]
+    cut = lib.repro_hg_cut
+    cut.restype = i64
+    cut.argtypes = [i64, ptr, i64, ptr, ptr]  # n, part, m, masks, edge_w
+    return SimpleNamespace(scan=scan, restrict=restrict, grow=grow,
+                           refine=refine, cut=cut)
 
 
 def _addr(buffer: array) -> int:
@@ -368,13 +601,77 @@ def _run(fn, rows: array, index):
     return member_lists, stats[0], stats[1]
 
 
-def _smoke(fn) -> bool:
-    """One hand-rolled call guarding against ABI/layout mishaps.
+def restrict(graph, vertices, lib=None) -> tuple[array, array]:
+    """The edges of ``graph`` (a
+    :class:`~repro.hypergraph.packed.PackedHypergraph`) mapped onto
+    ``vertices``: local pin ``j`` is vertex ``vertices[j]``, and edges
+    left with fewer than two pins are dropped.  Returns the new ``(masks,
+    edge_weights)``."""
+    lib = lib or _engine
+    local = array("i", vertices)
+    m = len(graph.masks)
+    masks_out = array("Q", bytes(8 * m))
+    weights_out = array("q", bytes(8 * m))
+    kept = lib.restrict(m, _addr(graph.masks), _addr(graph.edge_weights),
+                        len(local), _addr(local),
+                        _addr(masks_out), _addr(weights_out))
+    del masks_out[kept:], weights_out[kept:]
+    return masks_out, weights_out
 
-    Four patterns on one terminal, scanned at rows 0, 2 and 3: rows 0
-    (``0``) and 2 (``1``) clash, row 3 assigns nothing, and the skipped
-    row 1 (``F``) would clash with both.  The greedy scan must merge
-    positions {0, 2} and leave {1}, pruning position 1 from cycle 0.
+
+def grow(graph, seed: int, target0: int, lib=None) -> list[int]:
+    """Greedy initial bisection of ``graph`` grown from vertex ``seed``
+    until part 0 weighs ``target0``; a 0/1 part per vertex."""
+    lib = lib or _engine
+    part = array("i", bytes(4 * len(graph.weights)))
+    lib.grow(len(graph.weights), _addr(graph.weights),
+             len(graph.masks), _addr(graph.masks), _addr(graph.edge_weights),
+             seed, target0, _addr(part))
+    return part.tolist()
+
+
+def refine(graph, assignment: list[int], lower: int, upper: int,
+           max_passes: int = 10, lib=None) -> None:
+    """Up to ``max_passes`` FM passes (the default of
+    :func:`~repro.hypergraph.fm.fm_refine`) on the bisection
+    ``assignment`` of ``graph``, in place, keeping part 0's weight within
+    ``[lower, upper]``."""
+    lib = lib or _engine
+    part = array("i", assignment)
+    lib.refine(len(part), _addr(graph.weights),
+               len(graph.masks), _addr(graph.masks),
+               _addr(graph.edge_weights), lower, upper, max_passes,
+               _addr(part))
+    assignment[:] = part.tolist()
+
+
+def cut(graph, assignment, lib=None) -> int:
+    """Total weight of the edges of ``graph`` spanning more than one part
+    of ``assignment`` (any number of parts up to 64)."""
+    lib = lib or _engine
+    part = array("i", assignment)
+    return lib.cut(len(part), _addr(part), len(graph.masks),
+                   _addr(graph.masks), _addr(graph.edge_weights))
+
+
+def _smoke(lib) -> bool:
+    """Hand-worked calls guarding against ABI/layout mishaps.
+
+    Scan: four patterns on one terminal, scanned at rows 0, 2 and 3:
+    rows 0 (``0``) and 2 (``1``) clash, row 3 assigns nothing, and the
+    skipped row 1 (``F``) would clash with both.  The greedy scan must
+    merge positions {0, 2} and leave {1}, pruning position 1 from cycle 0.
+
+    Bisection: the path 0-1-2-3 with edge weights 5, 1, 5 and unit
+    vertices.  Growing part 0 from vertex 1 to weight 2 absorbs vertex 0
+    (attachment 5 beats vertex 2's 1): {0, 1} | {2, 3}, cut 1.  FM with
+    part 0's weight in [1, 3], from {0} | {1, 2, 3} (cut 5): vertex 0
+    has the top gain, 5, but may not empty part 0; vertex 1 (gain 4)
+    moves, then vertex 2 (gain -4), and vertex 3 may not fill part 0.
+    The pass keeps its best prefix, one move, so it also ends at cut 1.
+    The k-way cut of the four singletons is 11.  Restricting the path to
+    vertices (2, 3, 1) keeps edges {1, 2} and {2, 3} as local pins
+    {0, 2} and {0, 1}.
     """
     encoded = SimpleNamespace(
         care_flat=array("i", (0, 1, 2)),
@@ -383,8 +680,21 @@ def _smoke(fn) -> bool:
         bus_flat=array("i"), bus_off=array("q", (0, 0, 0, 0, 0)),
         line_of=array("i"), n_lines=0,
     )
-    out = _run(fn, array("i", (0, 2, 3)), encoded)
-    return out == ([[0, 2], [1]], 1, 2)
+    if _run(lib.scan, array("i", (0, 2, 3)), encoded) != ([[0, 2], [1]],
+                                                           1, 2):
+        return False
+    path = SimpleNamespace(weights=array("q", (1, 1, 1, 1)),
+                           masks=array("Q", (0b0011, 0b0110, 0b1100)),
+                           edge_weights=array("q", (5, 1, 5)))
+    grown = grow(path, 1, 2, lib)
+    refined = [0, 1, 1, 1]
+    refine(path, refined, 1, 3, 10, lib)
+    restricted = restrict(path, (2, 3, 1), lib)
+    return (grown == [0, 0, 1, 1] and refined == grown
+            and cut(path, refined, lib) == 1
+            and cut(path, (0, 1, 2, 3), lib) == 11
+            and restricted == (array("Q", (0b101, 0b011)),
+                               array("q", (1, 5))))
 
 
 def _probe():
@@ -395,11 +705,11 @@ def _probe():
     so_path = _compile()
     if so_path is not None:
         try:
-            fn = _bind(so_path)
-        except OSError:
-            fn = None
-        if fn is not None and _smoke(fn):
-            return fn
+            lib = _bind(so_path)
+        except (OSError, AttributeError):
+            lib = None
+        if lib is not None and _smoke(lib):
+            return lib
     # The engine was wanted but would not resolve on this host (no
     # compiler, bad .so, failed smoke): disclose the pure-Python
     # degradation once per process.
@@ -459,4 +769,4 @@ def greedy_scan(patterns):
     view = as_view(patterns)
     if not len(view):
         return [], 0, 0
-    return _run(_engine, view.rows, view.index)
+    return _run(_engine.scan, view.rows, view.index)

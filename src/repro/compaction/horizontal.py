@@ -18,6 +18,7 @@ from repro.compaction.kernel import IndexView, PatternIndex
 from repro.compaction.vertical import CompactionResult, greedy_compact
 from repro.hypergraph.hypergraph import build_hypergraph
 from repro.hypergraph.multilevel import partition
+from repro.hypergraph.packed import MAX_VERTICES, build_packed_hypergraph
 from repro.runtime.instrumentation import get_instrumentation, incr
 from repro.sitest.patterns import SIPattern
 from repro.soc.model import Soc
@@ -187,18 +188,36 @@ def _partition_cores(
     seed: int,
 ) -> dict[int, int]:
     """Partition the cores with output cells into ``parts`` balanced groups
-    minimizing the weight of cut care-core sets (Fig. 2)."""
-    index_of = {core_id: position for position, core_id in enumerate(host_ids)}
-    vertex_weights = [soc.core_by_id(core_id).woc_count for core_id in host_ids]
+    minimizing the weight of cut care-core sets (Fig. 2).
 
-    weighted_edges = {
-        frozenset(index_of[core_id] for core_id in cores): count
-        for cores, count in zip(index.care_sets, index.care_set_counts)
-        if len(cores) >= 2
-    }
-
-    graph = build_hypergraph(vertex_weights, weighted_edges)
-    result = partition(graph, parts, epsilon=epsilon, seed=seed)
-    return {
-        core_id: result.assignment[index_of[core_id]] for core_id in host_ids
-    }
+    Up to 64 cores, the hypergraph is built as one pin mask per care set,
+    straight from the index's set table, which is what the C bisection
+    kernel reads; larger SOCs get pin tuples.
+    """
+    with get_instrumentation().timeit("compaction.partition"):
+        index_of = {core_id: position
+                    for position, core_id in enumerate(host_ids)}
+        vertex_weights = [soc.core_by_id(core_id).woc_count
+                          for core_id in host_ids]
+        if len(host_ids) <= MAX_VERTICES:
+            bit_of = {core_id: 1 << position
+                      for core_id, position in index_of.items()}
+            weighted_masks = {}
+            for cores, count in zip(index.care_sets, index.care_set_counts):
+                mask = 0
+                for core_id in cores:
+                    mask |= bit_of[core_id]
+                weighted_masks[mask] = count  # distinct sets, distinct masks
+            graph = build_packed_hypergraph(vertex_weights, weighted_masks)
+        else:
+            graph = build_hypergraph(vertex_weights, {
+                frozenset(index_of[core_id] for core_id in cores): count
+                for cores, count in zip(index.care_sets,
+                                        index.care_set_counts)
+                if len(cores) >= 2
+            })
+        result = partition(graph, parts, epsilon=epsilon, seed=seed)
+        return {
+            core_id: result.assignment[index_of[core_id]]
+            for core_id in host_ids
+        }

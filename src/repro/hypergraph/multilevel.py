@@ -7,6 +7,15 @@ the solution is projected back level by level with FM refinement
 (:mod:`repro.hypergraph.fm`) after every projection.  Several random starts
 are tried and the best cut kept, so results are deterministic for a fixed
 seed.
+
+A graph of at most 64 vertices runs on one pin mask per edge
+(:class:`~repro.hypergraph.packed.PackedHypergraph`) when the C engine of
+:mod:`repro.compaction._cscan` is available: restriction, initial growth,
+FM refinement and cut pricing then run in C, while the random draws and
+coarsening stay here.  The kernel replays the Python steps exactly, so
+both paths return the same partition; the Python one is the fallback
+when there is no compiler or ``REPRO_COMPACTION_CSCAN=0``, and the
+kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -14,8 +23,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.compaction import _cscan
 from repro.hypergraph.fm import BalanceEnvelope, fm_refine
 from repro.hypergraph.hypergraph import Hypergraph, cut_weight
+from repro.hypergraph.packed import MAX_VERTICES, PackedHypergraph
 
 _COARSEST_SIZE = 32
 _RANDOM_STARTS = 4
@@ -35,7 +46,7 @@ class PartitionResult:
 
 
 def partition(
-    graph: Hypergraph,
+    graph: Hypergraph | PackedHypergraph,
     parts: int,
     epsilon: float = 0.10,
     seed: int = 0,
@@ -43,7 +54,8 @@ def partition(
     """Partition ``graph`` into ``parts`` parts minimizing hyperedge cut.
 
     Args:
-        graph: The hypergraph to partition.
+        graph: The hypergraph to partition, with pin tuples or pin masks;
+            either form gives the same result.
         parts: Number of parts (>= 1).
         epsilon: Allowed relative part-weight imbalance.
         seed: RNG seed for the randomized starts.
@@ -59,6 +71,7 @@ def partition(
         )
     assignment = [0] * graph.vertex_count
     rng = random.Random(seed)
+    graph = _engine_graph(graph)
     _recursive_bisect(
         graph,
         vertices=list(range(graph.vertex_count)),
@@ -70,12 +83,41 @@ def partition(
     )
     return PartitionResult(
         assignment=tuple(assignment),
-        cut=cut_weight(graph, assignment),
+        cut=_cut(graph, assignment),
     )
 
 
+def _engine_graph(
+    graph: Hypergraph | PackedHypergraph,
+) -> Hypergraph | PackedHypergraph:
+    """``graph`` in the form the partition runs on: packed for the C
+    kernel when it is available and the graph fits a mask, with pin
+    tuples otherwise."""
+    packed = isinstance(graph, PackedHypergraph)
+    if graph.vertex_count <= MAX_VERTICES and _cscan.available():
+        return graph if packed else PackedHypergraph.of(graph)
+    return graph.hypergraph() if packed else graph
+
+
+def _refine(
+    graph: Hypergraph | PackedHypergraph,
+    assignment: list[int],
+    envelope: BalanceEnvelope,
+) -> None:
+    if isinstance(graph, PackedHypergraph):
+        _cscan.refine(graph, assignment, envelope.lower, envelope.upper)
+    else:
+        fm_refine(graph, assignment, envelope)
+
+
+def _cut(graph: Hypergraph | PackedHypergraph, assignment: list[int]) -> int:
+    if isinstance(graph, PackedHypergraph):
+        return _cscan.cut(graph, assignment)
+    return cut_weight(graph, assignment)
+
+
 def _recursive_bisect(
-    graph: Hypergraph,
+    graph: Hypergraph | PackedHypergraph,
     vertices: list[int],
     parts: int,
     first_part: int,
@@ -90,13 +132,15 @@ def _recursive_bisect(
 
     left_parts = (parts + 1) // 2
     right_parts = parts - left_parts
-    sub, local_of = _subgraph(graph, vertices)
+    if isinstance(graph, PackedHypergraph):
+        sub = graph.restrict(vertices)
+    else:
+        sub, _ = _subgraph(graph, vertices)
     fraction = left_parts / parts
     local_assignment = _bisect(sub, fraction, epsilon, rng)
 
     left = [vertices[v] for v in range(len(vertices)) if local_assignment[v] == 0]
     right = [vertices[v] for v in range(len(vertices)) if local_assignment[v] == 1]
-    del local_of  # only needed while building the subgraph
     # Every side must receive at least as many vertices as the parts it has
     # to host, or the recursion would starve a part.  Move the lightest
     # vertices from the surplus side when the bisection was too lopsided.
@@ -135,7 +179,7 @@ def _subgraph(
 
 
 def _bisect(
-    graph: Hypergraph,
+    graph: Hypergraph | PackedHypergraph,
     fraction: float,
     epsilon: float,
     rng: random.Random,
@@ -157,8 +201,8 @@ def _bisect(
         coarse_envelope = BalanceEnvelope(
             target0, total, epsilon, max(coarsest.vertex_weights, default=1)
         )
-        fm_refine(coarsest, candidate, coarse_envelope)
-        cut = cut_weight(coarsest, candidate)
+        _refine(coarsest, candidate, coarse_envelope)
+        cut = _cut(coarsest, candidate)
         if best_cut is None or cut < best_cut:
             best_cut = cut
             best_assignment = candidate
@@ -175,16 +219,16 @@ def _bisect(
         level_envelope = BalanceEnvelope(
             target0, total, epsilon, max(finer_graph.vertex_weights, default=1)
         )
-        fm_refine(finer_graph, finer_assignment, level_envelope)
+        _refine(finer_graph, finer_assignment, level_envelope)
         assignment = finer_assignment
 
     if len(levels) == 1:
-        fm_refine(graph, assignment, envelope)
+        _refine(graph, assignment, envelope)
     return assignment
 
 
 def _initial_bisection(
-    graph: Hypergraph, target0: int, rng: random.Random
+    graph: Hypergraph | PackedHypergraph, target0: int, rng: random.Random
 ) -> list[int]:
     """Greedy region growth: seed part 0 from a random vertex and keep
     absorbing the most strongly attached outside vertex until part 0
@@ -193,8 +237,10 @@ def _initial_bisection(
     assignment = [1] * n
     if n == 0:
         return assignment
-    incident = graph.incidence()
     seed_vertex = rng.randrange(n)
+    if isinstance(graph, PackedHypergraph):
+        return _cscan.grow(graph, seed_vertex, target0)
+    incident = graph.incidence()
     assignment[seed_vertex] = 0
     weight0 = graph.vertex_weights[seed_vertex]
     attachment = [0.0] * n
@@ -230,22 +276,31 @@ def _initial_bisection(
 
 
 def _coarsen(
-    graph: Hypergraph, rng: random.Random
-) -> list[tuple[Hypergraph, list[int] | None]]:
+    graph: Hypergraph | PackedHypergraph, rng: random.Random
+) -> list[tuple[Hypergraph | PackedHypergraph, list[int] | None]]:
     """Build the coarsening hierarchy.
 
     Returns ``[(graph_0, None), (graph_1, map_0to1), ...]`` where
     ``map_ito(i+1)[v]`` is the coarse vertex containing fine vertex ``v``.
+    Coarsening runs on pin tuples; the coarse levels of a packed graph
+    are packed again for the kernel.
     """
-    levels: list[tuple[Hypergraph, list[int] | None]] = [(graph, None)]
-    current = graph
+    levels: list[tuple[Hypergraph | PackedHypergraph, list[int] | None]] = [
+        (graph, None)
+    ]
+    if graph.vertex_count <= _COARSEST_SIZE:
+        return levels
+    packed = isinstance(graph, PackedHypergraph)
+    current = graph.hypergraph() if packed else graph
     while current.vertex_count > _COARSEST_SIZE:
         mapping = _heavy_edge_matching(current, rng)
         coarse_count = max(mapping) + 1
         if coarse_count >= current.vertex_count:
             break  # no progress; stop coarsening
         current = _contract(current, mapping, coarse_count)
-        levels.append((current, mapping))
+        levels.append(
+            (PackedHypergraph.of(current) if packed else current, mapping)
+        )
     return levels
 
 

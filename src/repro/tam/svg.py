@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import TYPE_CHECKING
-from xml.sax.saxutils import escape
 
 from repro.soc.model import Soc
 from repro.tam.testrail import TestRailArchitecture
@@ -28,6 +27,12 @@ _WIDTH = 860
 _INTEST_FILL = "#4c78a8"
 _SI_FILLS = ("#f58518", "#54a24b", "#b279a2", "#e45756", "#72b7b2",
              "#eeca3b", "#9d755d", "#bab0ac")
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for XML character data (``&`` first,
+    so the entities the other two add are not escaped again)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_schedule_svg(
@@ -49,7 +54,7 @@ def render_schedule_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{height}" font-family="sans-serif" font-size="11">',
         f'<text x="{_LEFT_MARGIN}" y="16" font-size="13">'
-        f"SOC {escape(soc.name)}: T_in={evaluation.t_in} cc, "
+        f"SOC {_escape(soc.name)}: T_in={evaluation.t_in} cc, "
         f"T_si={evaluation.t_si} cc, T_total={evaluation.t_total} cc</text>",
     ]
 

@@ -159,3 +159,67 @@ def test_foreign_care_core_is_a_value_error(parts, foreign, reason):
                        match=f"pattern 17 cares about core {foreign}, "
                              f"which {reason}"):
         build_si_test_groups(soc, patterns, parts)
+
+
+class TestEngineFallback:
+    """Grouping is identical whether the C engine partitions and scans,
+    is switched off, or fails to load; only the recovery counters tell
+    the three apart."""
+
+    @staticmethod
+    def _group(monkeypatch, p93791, patterns, *, disable=False, fault=False):
+        from repro.compaction import _cscan
+        from repro.resilience import faults
+        from repro.runtime.instrumentation import (
+            Instrumentation,
+            use_instrumentation,
+        )
+
+        if disable:
+            monkeypatch.setenv("REPRO_COMPACTION_CSCAN", "0")
+        else:
+            monkeypatch.delenv("REPRO_COMPACTION_CSCAN", raising=False)
+        monkeypatch.setattr(_cscan, "_engine", None)  # probe afresh
+        instrumentation = Instrumentation()
+        with use_instrumentation(instrumentation):
+            if fault:
+                with faults.inject("cscan-compile-fail@0"):
+                    grouping = build_si_test_groups(p93791, patterns,
+                                                    parts=8)
+            else:
+                grouping = build_si_test_groups(p93791, patterns, parts=8)
+        engine = _cscan.available()
+        monkeypatch.undo()
+        return grouping, engine, instrumentation.counters
+
+    def test_p93791_groups_identical_on_every_leg(self, monkeypatch,
+                                                  p93791):
+        patterns = generate_random_patterns(p93791, 10_000, seed=0)
+        legs = {
+            "engine": self._group(monkeypatch, p93791, patterns),
+            "disabled": self._group(monkeypatch, p93791, patterns,
+                                    disable=True),
+            "fault": self._group(monkeypatch, p93791, patterns, fault=True),
+        }
+        groupings = {
+            leg: (grouping.groups, grouping.part_of_core,
+                  grouping.cut_patterns)
+            for leg, (grouping, _, _) in legs.items()
+        }
+        assert groupings["disabled"] == groupings["engine"]
+        assert groupings["fault"] == groupings["engine"]
+
+        _, disabled_engine, disabled = legs["disabled"]
+        assert disabled_engine is False
+        assert "recovery.degraded.cscan" not in disabled
+        assert "recovery.cscan_fallback" not in disabled
+        _, fault_engine, faulted = legs["fault"]
+        assert fault_engine is False
+        assert faulted["recovery.cscan_fallback"] == 1
+        assert "recovery.degraded.cscan" not in faulted
+        _, engine, counters = legs["engine"]
+        if engine:
+            assert "recovery.degraded.cscan" not in counters
+        else:  # no compiler on this host: disclosed once
+            assert counters["recovery.degraded.cscan"] == 1
+        assert "recovery.cscan_fallback" not in counters

@@ -67,3 +67,23 @@ class TestRenderSvg:
         path = tmp_path / "schedule.svg"
         write_schedule_svg(soc, architecture, evaluation, path)
         assert path.read_text().startswith("<svg")
+
+
+def test_markup_in_soc_name_is_escaped(rendered):
+    from xml.sax.saxutils import escape
+
+    soc, architecture, evaluation = rendered
+    name = 'a&b<c>d "e" \'f\''
+    marked = Soc(name=name, cores=soc.cores)
+    document = render_schedule_svg(marked, architecture, evaluation)
+    plain = render_schedule_svg(soc, architecture, evaluation)
+    # Byte-identical to the standard library's escaping of the name.
+    assert document == plain.replace(
+        f"SOC {soc.name}:", f"SOC {escape(name)}:"
+    )
+    assert "SOC a&amp;b&lt;c&gt;d \"e\" 'f':" in document
+    header = next(
+        el.text for el in ET.fromstring(document).iter()
+        if el.text and el.text.startswith("SOC ")
+    )
+    assert header.startswith(f"SOC {name}:")

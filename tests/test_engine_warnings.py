@@ -35,3 +35,21 @@ def test_source_compiles_without_warnings(module, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cscan_is_built_with_exact_floating_point(tmp_path, monkeypatch):
+    # The bisection kernel's attachment sums must round exactly as
+    # Python's do, so no flag may license reassociation.
+    commands = []
+
+    def record(command, **_kwargs):
+        commands.append(command)
+        raise subprocess.CalledProcessError(1, command)
+
+    monkeypatch.setattr(_cscan.shutil, "which", lambda name: "/bin/" + name)
+    monkeypatch.setattr(_cscan.tempfile, "gettempdir", lambda: str(tmp_path))
+    monkeypatch.setattr(_cscan.subprocess, "run", record)
+    assert _cscan._compile() is None
+    assert len(commands) == 1
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                "-fassociative-math"} & set(commands[0])
