@@ -58,8 +58,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.compaction.horizontal import build_si_test_groups
 from repro.compaction.vertical import greedy_compact
 from repro.core.optimizer import optimize_tam
+from repro.experiments.knobs import build_plan
 from repro.experiments.runner import PlanRunner
-from repro.experiments.table_runner import run_table_experiment, table_plan
+from repro.experiments.table_runner import run_table_experiment
 from repro.runtime import EvaluationCache
 from repro.runtime.instrumentation import (
     Instrumentation,
@@ -288,8 +289,9 @@ def bench_plan(soc_name, pattern_count, widths, parts, seed, repeats):
     from repro.experiments.plan import ExperimentPlan
 
     soc = load_benchmark(soc_name)
-    plan = table_plan(
-        soc, pattern_count, widths=widths, group_counts=parts, seed=seed
+    plan = build_plan(
+        "table", soc, patterns=pattern_count, widths=widths, parts=parts,
+        seed=seed,
     )
 
     iterations = 50
@@ -368,8 +370,9 @@ def bench_supervision(
     from repro.runtime.supervision import RetryPolicy, RunPolicy
 
     soc = load_benchmark(soc_name)
-    plan = table_plan(
-        soc, pattern_count, widths=widths, group_counts=parts, seed=seed
+    plan = build_plan(
+        "table", soc, patterns=pattern_count, widths=widths, parts=parts,
+        seed=seed,
     )
     armed = RunPolicy(
         retry=RetryPolicy(max_attempts=3, backoff_base=0.05, seed=seed),
@@ -436,8 +439,9 @@ def bench_service(
     from repro.service.server import OptimizationService
 
     soc = load_benchmark(soc_name)
-    plan = table_plan(
-        soc, pattern_count, widths=widths, group_counts=parts, seed=seed
+    plan = build_plan(
+        "table", soc, patterns=pattern_count, widths=widths, parts=parts,
+        seed=seed,
     )
 
     def direct_once(workdir):

@@ -22,24 +22,25 @@ Subcommands:
 * ``stability SOC`` — seed-stability of the table metrics.
 * ``cache verify|gc`` — integrity-check / prune the on-disk cache store.
 * ``serve`` — run the optimization service (async HTTP job server).
-* ``submit`` — submit an experiment to a running service and wait.
+* ``submit KIND`` — submit an experiment to a running service and wait.
 * ``jobs`` — list, inspect, or stream jobs on a running service.
 
 Exit codes are uniform across commands (``repro.runtime.status``):
 0 = ok, 1 = failed, 3 = partial (``--allow-partial`` salvage), 2 =
 argparse usage error, 87 = injected fault abort (test harness only).
 
-Every experiment command (``pareto``, ``scaling``, ``table``,
-``volume``, ``compare``, ``multisite``, ``sensitivity``, ``stability``)
-runs through the declarative plan layer
-(:mod:`repro.experiments.plan` / :class:`~repro.experiments.runner.PlanRunner`)
-and uniformly accepts ``--jobs``, ``--cache``, ``--resume`` and
-``--verify``, plus ``--profile`` for the unified JSON run report
-(``docs/experiments.md``).  The ten kinds ``repro submit`` accepts take
-their knob defaults from :data:`repro.experiments.plan.KIND_DEFAULTS`,
-the table the service applies too.  ``optimize`` and ``evaluate``
-also accept ``--verify`` for the independent schedule post-condition
-verifier (``docs/resilience.md``).
+The ten plan kinds take their knob flags from one schema,
+:data:`repro.experiments.knobs.SCHEMA`, which generates both the local
+commands and the ``repro submit KIND`` subcommands.  Every such command
+builds its plan with :func:`repro.experiments.knobs.build_plan` and runs
+it through :class:`~repro.experiments.runner.PlanRunner`, as do
+``bounds``, ``svg`` and ``whatif`` (optimize's plan).  The eight
+experiment commands (``pareto``, ``scaling``, ``table``, ``volume``,
+``compare``, ``multisite``, ``sensitivity``, ``stability``) also take
+``--jobs``, ``--cache``, ``--resume`` and ``--verify``, plus
+``--profile`` for the unified JSON run report (``docs/experiments.md``);
+``optimize`` and ``evaluate`` take ``--verify`` for the independent
+schedule post-condition verifier (``docs/resilience.md``).
 
 See ``docs/cli.md`` for worked examples of every command.
 """
@@ -50,16 +51,10 @@ import argparse
 import sys
 import time
 
-from repro.compaction.horizontal import build_si_test_groups
-from repro.compaction.vertical import BACKENDS
-from repro.core.optimizer import optimize_tam
-from repro.experiments.plan import KIND_DEFAULTS
-from repro.experiments.reporting import save_result
-from repro.sitest.generator import generate_random_patterns
+from repro.experiments.knobs import SCHEMA, KindSchema, Knob, build_plan
 from repro.soc.benchmarks import available_benchmarks, load_benchmark
 from repro.soc.itc02 import parse_file
 from repro.soc.model import Soc
-from repro.tam.gantt import render_schedule
 
 
 def _load_soc(name: str) -> Soc:
@@ -152,50 +147,69 @@ def _render_partial(run) -> None:
     )
 
 
-def _run_plan(args: argparse.Namespace, command: str, make_plan,
-              arguments: dict, render) -> int:
-    """Execute one experiment plan under the uniform runtime flags.
+def _knob_values(args: argparse.Namespace, schema: KindSchema) -> dict:
+    """The parsed knob flags of ``schema`` (``None`` for a knob the
+    command does not take, so :func:`build_plan` applies its default)."""
+    return {knob.name: getattr(args, knob.name, None) for knob in schema.knobs}
 
-    ``make_plan`` is called inside the instrumentation context (so any
-    parent-side preparation it does — e.g. building SI groups — is
-    counted), then the plan runs through :class:`PlanRunner` with the
-    command's ``--jobs/--cache/--resume/--verify``
-    settings and ``render(run)`` prints the command's output.
-    ``--profile`` then emits the unified run report
-    (:func:`repro.experiments.reporting.experiment_report`).
 
-    Returns the uniform exit code for the run's status
-    (:mod:`repro.runtime.status`): 0 ok, 3 partial.
+def _run_plan(
+    args: argparse.Namespace, kind: str, render, verify: bool | None = None
+) -> int:
+    """Build ``kind``'s plan from the parsed knobs and execute it under
+    the uniform runtime flags.
+
+    The plan is built inside the instrumentation context (so parent-side
+    preparation such as building SI groups is counted), then runs
+    through :class:`PlanRunner` with the command's
+    ``--jobs/--cache/--resume/--verify`` settings (``verify``, when
+    given, overrides ``--verify``) and ``render(run)`` prints the
+    command's output.  ``--profile`` then emits the unified run report
+    (:func:`repro.experiments.reporting.experiment_report`), whose
+    ``arguments`` are the SOC, the kind's knobs and the runtime flags.
+
+    Returns ``render``'s exit code when it gave one, else the uniform
+    exit code for the run's status (:mod:`repro.runtime.status`): 0 ok,
+    3 partial.
     """
     from repro.experiments.runner import PlanRunner
     from repro.runtime import Instrumentation, use_instrumentation
     from repro.runtime.status import exit_code, run_status
 
+    schema = SCHEMA[kind]
+    soc = _load_soc(args.soc) if schema.soc else None
+    knobs = _knob_values(args, schema)
     cache = _make_cache(args)
     instrumentation = Instrumentation()
     start = time.perf_counter()
     with use_instrumentation(instrumentation):
-        plan = make_plan()
+        plan = build_plan(kind, soc, **knobs)
         checkpoint = _make_checkpoint(args, plan)
         runner = PlanRunner(
-            jobs=args.jobs,
+            jobs=getattr(args, "jobs", 1),
             cache=cache,
             checkpoint=checkpoint,
-            verify=getattr(args, "verify", False),
+            verify=getattr(args, "verify", False) if verify is None
+            else verify,
             policy=_make_policy(args),
         )
         run = runner.run(plan)
+    code = None
     if run.status == "partial":
         _render_partial(run)
     else:
-        render(run)
+        code = render(run)
     destination = getattr(args, "profile", None)
     if destination is not None:
         from repro.experiments.reporting import experiment_report
 
         report = experiment_report(
-            command,
-            arguments,
+            kind,
+            {
+                **({"soc": args.soc} if schema.soc else {}),
+                **knobs,
+                **_runtime_arguments(args),
+            },
             run,
             wall_seconds=time.perf_counter() - start,
             instrumentation=instrumentation,
@@ -206,7 +220,7 @@ def _run_plan(args: argparse.Namespace, command: str, make_plan,
         else:
             report.save(destination)
             print(f"run report written to {destination}")
-    return exit_code(run_status(run))
+    return exit_code(run_status(run)) if code is None else code
 
 
 def _plan_renderer(kind: str):
@@ -219,6 +233,116 @@ def _plan_renderer(kind: str):
     return lambda run: print(render_report(kind, run.report))
 
 
+def _render_table(args: argparse.Namespace):
+    """``table``'s render hook: the shared renderer plus the elapsed
+    line, ``--verbose`` progress and the ``--json`` summary."""
+
+    def render(run) -> None:
+        from repro.experiments.render import render_report
+        from repro.experiments.reporting import save_result
+        from repro.experiments.table_runner import print_table_progress
+
+        result = run.report
+        result.elapsed_seconds = run.wall_seconds
+        if args.verbose:
+            print_table_progress(result)
+        print(render_report("table", result))
+        print(f"(elapsed: {result.elapsed_seconds:.1f}s)")
+        if args.json:
+            save_result(result, args.json)
+            print(f"JSON written to {args.json}")
+
+    return render
+
+
+def _cmd_plan(args: argparse.Namespace) -> int:
+    """Every experiment command: the kind's plan, rendered by the shared
+    renderer."""
+    return _run_plan(args, args.command, _plan_renderer(args.command))
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    return _run_plan(args, "table", _render_table(args))
+
+
+def _run_single(args: argparse.Namespace, kind: str, render) -> int:
+    """Run ``optimize``'s or ``evaluate``'s plan: ``render`` the report,
+    then the ``--verify`` verdict under it — ``passed``, or each
+    violation on stderr and exit 1."""
+    from repro.experiments.plan import plan_kind
+    from repro.runtime.status import EXIT_FAILED
+
+    def verified(run):
+        render(run)
+        if not args.verify:
+            return None
+        violations = plan_kind(kind).verify(
+            dict(run.plan.params), dict(run.results)
+        )
+        print()
+        if violations:
+            print("schedule verification FAILED:", file=sys.stderr)
+            for violation in violations:
+                print(f"  - {violation}", file=sys.stderr)
+            return EXIT_FAILED
+        print("schedule verification passed")
+        return None
+
+    return _run_plan(args, kind, verified, verify=False)
+
+
+def _cmd_optimize(args: argparse.Namespace) -> int:
+    shared = _plan_renderer("optimize")
+
+    def render(run) -> None:
+        shared(run)
+        result = run.report.result
+        if args.utilization:
+            from repro.tam.report import format_utilization_report
+
+            print()
+            print(
+                format_utilization_report(
+                    run.report.soc, result.architecture, result.evaluation
+                )
+            )
+        if args.save_arch:
+            from repro.tam.serialize import save_architecture
+
+            save_architecture(result.architecture, args.save_arch)
+            print(f"\narchitecture written to {args.save_arch}")
+
+    return _run_single(args, "optimize", render)
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    return _run_single(args, "evaluate", _plan_renderer("evaluate"))
+
+
+def _add_soc_and_knobs(
+    parser: argparse.ArgumentParser, schema: KindSchema, skip=()
+) -> None:
+    """The schema's SOC argument and knob flags (all but ``skip``)."""
+    if schema.soc:
+        parser.add_argument("soc", help="benchmark name or .soc file path")
+    for knob in schema.knobs:
+        if knob.name not in skip:
+            _add_knob(parser, knob)
+
+
+def _add_knob(parser: argparse.ArgumentParser, knob: Knob) -> None:
+    parser.add_argument(
+        knob.flag,
+        type=knob.type,
+        nargs="+" if knob.many else None,
+        default=list(knob.default) if knob.many else knob.default,
+        required=knob.required,
+        choices=knob.choices,
+        help=knob.help if knob.required
+        else f"{knob.help} (default: %(default)s)",
+    )
+
+
 def _add_verify_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verify", action="store_true",
@@ -226,45 +350,6 @@ def _add_verify_flag(parser: argparse.ArgumentParser) -> None:
         "budget, full core/group coverage, no rail overlap, recomputed "
         "T_soc) and fail on any violation",
     )
-
-
-def _verify_or_fail(soc, architecture, evaluation, groups,
-                    w_max=None) -> int:
-    """Run the post-condition verifier; print the verdict, return an
-    exit code."""
-    from repro.resilience.verify import verify_schedule
-
-    violations = verify_schedule(
-        soc, architecture, evaluation, groups, w_max=w_max
-    )
-    if violations:
-        print()
-        print("schedule verification FAILED:", file=sys.stderr)
-        for violation in violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
-    print()
-    print("schedule verification passed")
-    return 0
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--compaction-backend", choices=BACKENDS, default="auto",
-        help="vertical compaction implementation: the plain reference, the "
-        "packed-bitset kernel, or auto-select by pattern count (results "
-        "are identical either way)",
-    )
-
-
-def _kind_defaults(kind: str) -> dict:
-    """The kind's :data:`~repro.experiments.plan.KIND_DEFAULTS` as
-    argparse defaults (lists copied, so a parse never aliases the
-    shared table)."""
-    return {
-        name: list(value) if isinstance(value, list) else value
-        for name, value in KIND_DEFAULTS[kind].items()
-    }
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
@@ -313,18 +398,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_optimizer_backend_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.core.optimizer import OPTIMIZER_BACKENDS
-
-    parser.add_argument(
-        "--optimizer-backend", choices=OPTIMIZER_BACKENDS, default="auto",
-        help="TAM optimizer engine: the reference Algorithm 2, the "
-        "incremental kernel (packed states, bounds pruning, optional C "
-        "move scanner), or auto-select (results are bit-identical "
-        "either way)",
-    )
-
-
 def _cmd_list(_: argparse.Namespace) -> int:
     for name in available_benchmarks():
         soc = load_benchmark(name)
@@ -342,6 +415,9 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
+    from repro.compaction.horizontal import build_si_test_groups
+    from repro.sitest.generator import generate_random_patterns
+
     soc = _load_soc(args.soc)
     patterns = generate_random_patterns(soc, args.patterns, seed=args.seed)
     grouping = build_si_test_groups(soc, patterns, parts=args.parts,
@@ -363,181 +439,21 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    soc = _load_soc(args.soc)
-    groups = ()
-    if args.patterns:
-        patterns = generate_random_patterns(soc, args.patterns, seed=args.seed)
-        grouping = build_si_test_groups(soc, patterns, parts=args.parts,
-                                        seed=args.seed)
-        groups = grouping.groups
-    result = optimize_tam(
-        soc, args.wmax, groups=groups, backend=args.optimizer_backend
-    )
-    evaluation = result.evaluation
-    print(
-        f"T_total = {evaluation.t_total} cc "
-        f"(T_in = {evaluation.t_in}, T_si = {evaluation.t_si})"
-    )
-    for index, rail in enumerate(result.architecture.rails):
-        cores = ", ".join(str(core_id) for core_id in rail.cores)
-        print(f"  TAM{index}: width {rail.width:>2}, cores [{cores}]")
-    print()
-    print(render_schedule(soc, result.architecture, evaluation))
-    if args.utilization:
-        from repro.tam.report import format_utilization_report
-
-        print()
-        print(format_utilization_report(soc, result.architecture, evaluation))
-    if args.save_arch:
-        from repro.tam.serialize import save_architecture
-
-        save_architecture(result.architecture, args.save_arch)
-        print(f"\narchitecture written to {args.save_arch}")
-    if args.verify:
-        return _verify_or_fail(
-            soc, result.architecture, evaluation, groups, w_max=args.wmax
-        )
-    return 0
-
-
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.core.optimizer import evaluate_architecture
-    from repro.tam.serialize import load_architecture
-
-    soc = _load_soc(args.soc)
-    architecture = load_architecture(args.arch)
-    groups = _si_groups_for(args, soc)
-    evaluation = evaluate_architecture(
-        soc, architecture, groups, backend=args.optimizer_backend
-    )
-    print(
-        f"T_total = {evaluation.t_total} cc "
-        f"(T_in = {evaluation.t_in}, T_si = {evaluation.t_si})"
-    )
-    print(render_schedule(soc, architecture, evaluation))
-    if args.verify:
-        return _verify_or_fail(soc, architecture, evaluation, groups)
-    return 0
-
-
-def _cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.experiments.pareto import pareto_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "pareto",
-        lambda: pareto_plan(
-            soc, tuple(args.widths), groups=_si_groups_for(args, soc)
-        ),
-        {
-            "soc": args.soc,
-            "widths": list(args.widths),
-            "patterns": args.patterns,
-            "parts": args.parts,
-            "seed": args.seed,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("pareto"),
-    )
-
-
-def _cmd_scaling(args: argparse.Namespace) -> int:
-    from repro.experiments.scaling import scaling_plan
-
-    return _run_plan(
-        args,
-        "scaling",
-        lambda: scaling_plan(
-            tuple(args.cores),
-            w_max=args.wmax,
-            pattern_count=args.patterns,
-            parts=args.parts,
-            seed=args.seed,
-        ),
-        {
-            "cores": list(args.cores),
-            "wmax": args.wmax,
-            "patterns": args.patterns,
-            "parts": args.parts,
-            "seed": args.seed,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("scaling"),
-    )
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    from repro.core.optimizer import resolve_optimizer_backend
-    from repro.experiments.table_runner import (
-        print_table_progress,
-        table_plan,
-    )
-
-    resolve_optimizer_backend(args.optimizer_backend)  # fail fast
-    soc = _load_soc(args.soc)
-
-    def render(run) -> None:
-        from repro.experiments.render import render_report
-
-        result = run.report
-        result.elapsed_seconds = run.wall_seconds
-        if args.verbose:
-            print_table_progress(result)
-        print(render_report("table", result))
-        print(f"(elapsed: {result.elapsed_seconds:.1f}s)")
-        if args.json:
-            save_result(result, args.json)
-            print(f"JSON written to {args.json}")
-
-    return _run_plan(
-        args,
-        "table",
-        lambda: table_plan(
-            soc,
-            args.patterns,
-            widths=tuple(args.widths),
-            group_counts=tuple(args.parts),
-            seed=args.seed,
-            optimizer_backend=args.optimizer_backend,
-        ),
-        {
-            "soc": args.soc,
-            "patterns": args.patterns,
-            "widths": list(args.widths),
-            "parts": list(args.parts),
-            "seed": args.seed,
-            "optimizer_backend": args.optimizer_backend,
-            **_runtime_arguments(args),
-        },
-        render,
-    )
-
-
-def _si_groups_for(args: argparse.Namespace, soc: Soc):
-    if not args.patterns:
-        return ()
-    patterns = generate_random_patterns(soc, args.patterns, seed=args.seed)
-    return build_si_test_groups(
-        soc, patterns, parts=args.parts, seed=args.seed
-    ).groups
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
     from repro.core.bounds import bound_report
 
-    soc = _load_soc(args.soc)
-    groups = _si_groups_for(args, soc)
-    report = bound_report(soc, args.wmax, groups)
-    result = optimize_tam(soc, args.wmax, groups=groups)
-    print(f"core floor:        {report.core_floor} cc")
-    print(f"bandwidth bound:   {report.bandwidth_bound} cc")
-    print(f"SI floor:          {report.si_floor} cc")
-    print(f"T_total bound:     {report.t_total_bound} cc")
-    print(f"achieved T_total:  {result.t_total} cc")
-    print(f"optimality gap:    {report.gap(result.t_total):.1%}")
-    return 0
+    def render(run) -> None:
+        optimized = run.report
+        report = bound_report(optimized.soc, args.wmax, optimized.groups)
+        t_total = optimized.result.t_total
+        print(f"core floor:        {report.core_floor} cc")
+        print(f"bandwidth bound:   {report.bandwidth_bound} cc")
+        print(f"SI floor:          {report.si_floor} cc")
+        print(f"T_total bound:     {report.t_total_bound} cc")
+        print(f"achieved T_total:  {t_total} cc")
+        print(f"optimality gap:    {report.gap(t_total):.1%}")
+
+    return _run_plan(args, "optimize", render)
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
@@ -550,12 +466,15 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 def _cmd_svg(args: argparse.Namespace) -> int:
     from repro.tam.svg import write_schedule_svg
 
-    soc = _load_soc(args.soc)
-    groups = _si_groups_for(args, soc)
-    result = optimize_tam(soc, args.wmax, groups=groups)
-    write_schedule_svg(soc, result.architecture, result.evaluation, args.out)
-    print(f"wrote {args.out} (T_total = {result.t_total} cc)")
-    return 0
+    def render(run) -> None:
+        optimized = run.report
+        result = optimized.result
+        write_schedule_svg(
+            optimized.soc, result.architecture, result.evaluation, args.out
+        )
+        print(f"wrote {args.out} (T_total = {result.t_total} cc)")
+
+    return _run_plan(args, "optimize", render)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -569,33 +488,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_volume(args: argparse.Namespace) -> int:
-    from repro.experiments.compaction_study import volume_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "volume",
-        lambda: volume_plan(
-            soc,
-            args.patterns,
-            group_counts=tuple(args.parts),
-            seed=args.seed,
-            backend=args.compaction_backend,
-        ),
-        {
-            "soc": args.soc,
-            "patterns": args.patterns,
-            "parts": list(args.parts),
-            "seed": args.seed,
-            "compaction_backend": args.compaction_backend,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("volume"),
-    )
-
-
 def _cmd_coverage(args: argparse.Namespace) -> int:
+    from repro.sitest.generator import generate_random_patterns
     from repro.sitest.simulator import coverage_curve, simulate
     from repro.sitest.topology import random_topology
 
@@ -619,102 +513,19 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 def _cmd_whatif(args: argparse.Namespace) -> int:
     from repro.core.whatif import format_whatif_report, what_if
 
-    soc = _load_soc(args.soc)
-    groups = _si_groups_for(args, soc)
-    result = optimize_tam(soc, args.wmax, groups=groups)
-    print(format_whatif_report(what_if(soc, result.architecture, groups)))
-    return 0
+    def render(run) -> None:
+        optimized = run.report
+        print(
+            format_whatif_report(
+                what_if(
+                    optimized.soc,
+                    optimized.result.architecture,
+                    optimized.groups,
+                )
+            )
+        )
 
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.compare import compare_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "compare",
-        lambda: compare_plan(
-            soc,
-            args.wmax,
-            groups=_si_groups_for(args, soc),
-            annealing_steps=args.sa_steps,
-        ),
-        {
-            "soc": args.soc,
-            "wmax": args.wmax,
-            "patterns": args.patterns,
-            "parts": args.parts,
-            "seed": args.seed,
-            "sa_steps": args.sa_steps,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("compare"),
-    )
-
-
-def _cmd_multisite(args: argparse.Namespace) -> int:
-    from repro.experiments.multisite import multisite_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "multisite",
-        lambda: multisite_plan(
-            soc, args.channels, groups=_si_groups_for(args, soc)
-        ),
-        {
-            "soc": args.soc,
-            "channels": args.channels,
-            "patterns": args.patterns,
-            "parts": args.parts,
-            "seed": args.seed,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("multisite"),
-    )
-
-
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    from repro.experiments.sensitivity import sensitivity_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "sensitivity",
-        lambda: sensitivity_plan(
-            soc, args.patterns, args.wmax, parts=args.parts, seed=args.seed
-        ),
-        {
-            "soc": args.soc,
-            "wmax": args.wmax,
-            "patterns": args.patterns,
-            "parts": args.parts,
-            "seed": args.seed,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("sensitivity"),
-    )
-
-
-def _cmd_stability(args: argparse.Namespace) -> int:
-    from repro.experiments.stability import stability_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "stability",
-        lambda: stability_plan(
-            soc, args.patterns, args.wmax, seeds=tuple(args.seeds)
-        ),
-        {
-            "soc": args.soc,
-            "wmax": args.wmax,
-            "patterns": args.patterns,
-            "seeds": list(args.seeds),
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("stability"),
-    )
+    return _run_plan(args, "optimize", render)
 
 
 def _cmd_cache_verify(args: argparse.Namespace) -> int:
@@ -792,25 +603,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.runtime.status import STATUS_FAILED, exit_code
-    from repro.service import ServiceClient, build_plan
+    from repro.service import ServiceClient
 
-    soc = _load_soc(args.soc) if args.soc is not None else None
-    plan = build_plan(
-        args.kind,
-        soc,
-        patterns=args.patterns,
-        wmax=args.wmax,
-        widths=args.widths,
-        parts=args.parts,
-        seed=args.seed,
-        seeds=args.seeds,
-        cores=args.cores,
-        channels=args.channels,
-        sa_steps=args.sa_steps,
-        arch=args.arch,
-        optimizer_backend=args.optimizer_backend,
-        compaction_backend=args.compaction_backend,
-    )
+    schema = SCHEMA[args.kind]
+    soc = _load_soc(args.soc) if schema.soc else None
+    plan = build_plan(args.kind, soc, **_knob_values(args, schema))
     client = ServiceClient(args.url, timeout=args.timeout)
     response = client.submit(
         plan, priority=args.priority, fresh=args.fresh, tag=args.tag
@@ -880,6 +677,35 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _submit_parser() -> argparse.ArgumentParser:
+    """The flags every ``repro submit KIND`` shares (a parent parser)."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--url", default="http://127.0.0.1:8787",
+        help="service base URL",
+    )
+    common.add_argument(
+        "--priority", type=int, default=0,
+        help="queue priority (higher runs first; -100..100)",
+    )
+    common.add_argument(
+        "--fresh", action="store_true",
+        help="bypass dedup: force a new job even if an identical plan "
+        "is already queued, running, or finished",
+    )
+    common.add_argument("--tag", default=None, help="free-form job label")
+    common.add_argument(
+        "--no-wait", action="store_true",
+        help="print the job id and return immediately instead of "
+        "waiting for the result",
+    )
+    common.add_argument(
+        "--timeout", type=float, default=3600.0,
+        help="seconds to wait for the result",
+    )
+    return common
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-soc",
@@ -903,94 +729,57 @@ def build_parser() -> argparse.ArgumentParser:
     compact.add_argument("--parts", type=int, default=4,
                          help="number of core groups")
     compact.add_argument("--seed", type=int, default=1)
-    _add_backend_flag(compact)
+    _add_knob(compact, SCHEMA["volume"].knob("compaction_backend"))
     compact.set_defaults(func=_cmd_compact)
 
-    optimize = sub.add_parser("optimize", help="optimize a test architecture")
-    optimize.add_argument("soc")
-    optimize.add_argument("--wmax", type=int, required=True,
-                          help="SOC TAM width budget W_max")
-    optimize.add_argument("--patterns", type=int,
-                          help="SI pattern count (0 = InTest only)")
-    optimize.add_argument("--parts", type=int)
-    optimize.add_argument("--seed", type=int)
-    optimize.add_argument("--utilization", action="store_true",
-                          help="also print the per-rail utilization report")
-    optimize.add_argument("--save-arch",
-                          help="write the architecture to this JSON file")
-    _add_optimizer_backend_flag(optimize)
-    _add_verify_flag(optimize)
-    optimize.set_defaults(func=_cmd_optimize, **_kind_defaults("optimize"))
-
-    evaluate = sub.add_parser(
-        "evaluate", help="price a saved architecture against a test set"
-    )
-    evaluate.add_argument("soc")
-    evaluate.add_argument("--arch", required=True,
-                          help="architecture JSON from 'optimize --save-arch'")
-    evaluate.add_argument("--patterns", type=int)
-    evaluate.add_argument("--parts", type=int)
-    evaluate.add_argument("--seed", type=int)
-    _add_optimizer_backend_flag(evaluate)
-    _add_verify_flag(evaluate)
-    evaluate.set_defaults(func=_cmd_evaluate, **_kind_defaults("evaluate"))
-
-    pareto = sub.add_parser(
-        "pareto", help="sweep W_max and report the trade-off curve"
-    )
-    pareto.add_argument("soc")
-    pareto.add_argument("--widths", type=int, nargs="+")
-    pareto.add_argument("--patterns", type=int)
-    pareto.add_argument("--parts", type=int)
-    pareto.add_argument("--seed", type=int)
-    _add_experiment_flags(pareto)
-    pareto.set_defaults(func=_cmd_pareto, **_kind_defaults("pareto"))
-
-    scaling = sub.add_parser(
-        "scaling", help="optimizer scaling study on synthetic SOCs"
-    )
-    scaling.add_argument("--cores", type=int, nargs="+")
-    scaling.add_argument("--wmax", type=int)
-    scaling.add_argument("--patterns", type=int)
-    scaling.add_argument("--parts", type=int)
-    scaling.add_argument("--seed", type=int)
-    _add_experiment_flags(scaling)
-    scaling.set_defaults(func=_cmd_scaling, **_kind_defaults("scaling"))
-
-    table = sub.add_parser("table", help="regenerate a Table 2/3 experiment")
-    table.add_argument("soc")
-    table.add_argument("--patterns", type=int)
-    table.add_argument("--widths", type=int, nargs="+")
-    table.add_argument("--parts", type=int, nargs="+")
-    table.add_argument("--seed", type=int)
+    # The ten plan kinds, generated from the knob schema.  The eight
+    # sweeps take the uniform runner flags; the single-shot optimize and
+    # evaluate take only --verify.
+    for kind, schema in SCHEMA.items():
+        command = sub.add_parser(kind, help=schema.help)
+        _add_soc_and_knobs(command, schema)
+        command.set_defaults(func=_cmd_plan)
+    single_shot = ("optimize", "evaluate")
+    for kind in SCHEMA:
+        if kind not in single_shot:
+            _add_experiment_flags(sub.choices[kind])
+    for kind in single_shot:
+        _add_verify_flag(sub.choices[kind])
+    table = sub.choices["table"]
     table.add_argument("--json", help="also write a JSON summary here")
     table.add_argument("--verbose", action="store_true")
-    _add_experiment_flags(table)
-    _add_optimizer_backend_flag(table)
-    table.set_defaults(func=_cmd_table, **_kind_defaults("table"))
+    table.set_defaults(func=_cmd_table)
+    optimize = sub.choices["optimize"]
+    optimize.add_argument(
+        "--utilization", action="store_true",
+        help="also print the per-rail utilization report",
+    )
+    optimize.add_argument(
+        "--save-arch", help="write the architecture to this JSON file"
+    )
+    optimize.set_defaults(func=_cmd_optimize)
+    sub.choices["evaluate"].set_defaults(func=_cmd_evaluate)
 
-    bounds = sub.add_parser("bounds",
-                            help="lower bounds and the optimality gap")
-    bounds.add_argument("soc")
-    bounds.add_argument("--wmax", type=int, required=True)
-    bounds.add_argument("--patterns", type=int, default=0)
-    bounds.add_argument("--parts", type=int, default=4)
-    bounds.add_argument("--seed", type=int, default=1)
-    bounds.set_defaults(func=_cmd_bounds)
+    # bounds, svg and whatif run optimize's plan: its knobs, less the
+    # optimizer backend they do not offer.
+    for name, func, help_text in (
+        ("bounds", _cmd_bounds, "lower bounds and the optimality gap"),
+        ("svg", _cmd_svg, "export the schedule as an SVG figure"),
+        ("whatif", _cmd_whatif,
+         "marginal pin/move analysis of the optimized design"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        _add_soc_and_knobs(
+            command, SCHEMA["optimize"], skip=("optimizer_backend",)
+        )
+        if name == "svg":
+            command.add_argument("--out", default="schedule.svg")
+        command.set_defaults(func=func)
 
     overhead = sub.add_parser("overhead",
                               help="DFT area cost of SI-capable wrappers")
     overhead.add_argument("soc")
     overhead.set_defaults(func=_cmd_overhead)
-
-    svg = sub.add_parser("svg", help="export the schedule as an SVG figure")
-    svg.add_argument("soc")
-    svg.add_argument("--wmax", type=int, required=True)
-    svg.add_argument("--patterns", type=int, default=0)
-    svg.add_argument("--parts", type=int, default=4)
-    svg.add_argument("--seed", type=int, default=1)
-    svg.add_argument("--out", default="schedule.svg")
-    svg.set_defaults(func=_cmd_svg)
 
     synth = sub.add_parser("synth",
                            help="generate a synthetic ITC'02-style SOC")
@@ -999,17 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", default="synth.soc")
     synth.set_defaults(func=_cmd_synth)
-
-    volume = sub.add_parser(
-        "volume", help="test-data-volume study of 2-D compaction"
-    )
-    volume.add_argument("soc")
-    volume.add_argument("--patterns", type=int)
-    volume.add_argument("--parts", type=int, nargs="+")
-    volume.add_argument("--seed", type=int)
-    _add_experiment_flags(volume)
-    _add_backend_flag(volume)
-    volume.set_defaults(func=_cmd_volume, **_kind_defaults("volume"))
 
     coverage = sub.add_parser(
         "coverage", help="MA fault coverage of a random pattern set"
@@ -1020,67 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     coverage.add_argument("--locality", type=int, default=2)
     coverage.add_argument("--seed", type=int, default=1)
     coverage.set_defaults(func=_cmd_coverage)
-
-    whatif = sub.add_parser(
-        "whatif", help="marginal pin/move analysis of the optimized design"
-    )
-    whatif.add_argument("soc")
-    whatif.add_argument("--wmax", type=int, required=True)
-    whatif.add_argument("--patterns", type=int, default=0)
-    whatif.add_argument("--parts", type=int, default=4)
-    whatif.add_argument("--seed", type=int, default=1)
-    whatif.set_defaults(func=_cmd_whatif)
-
-    compare = sub.add_parser(
-        "compare", help="head-to-head optimizer comparison"
-    )
-    compare.add_argument("soc")
-    compare.add_argument("--wmax", type=int, required=True)
-    compare.add_argument("--patterns", type=int)
-    compare.add_argument("--parts", type=int)
-    compare.add_argument("--seed", type=int)
-    compare.add_argument("--sa-steps", type=int)
-    _add_experiment_flags(compare)
-    compare.set_defaults(func=_cmd_compare, **_kind_defaults("compare"))
-
-    multisite = sub.add_parser(
-        "multisite", help="multi-site throughput study"
-    )
-    multisite.add_argument("soc")
-    multisite.add_argument("--channels", type=int,
-                           help="total tester channel budget")
-    multisite.add_argument("--patterns", type=int)
-    multisite.add_argument("--parts", type=int)
-    multisite.add_argument("--seed", type=int)
-    _add_experiment_flags(multisite)
-    multisite.set_defaults(
-        func=_cmd_multisite, **_kind_defaults("multisite")
-    )
-
-    sensitivity = sub.add_parser(
-        "sensitivity", help="generator-knob sensitivity study"
-    )
-    sensitivity.add_argument("soc")
-    sensitivity.add_argument("--wmax", type=int)
-    sensitivity.add_argument("--patterns", type=int)
-    sensitivity.add_argument("--parts", type=int)
-    sensitivity.add_argument("--seed", type=int)
-    _add_experiment_flags(sensitivity)
-    sensitivity.set_defaults(
-        func=_cmd_sensitivity, **_kind_defaults("sensitivity")
-    )
-
-    stability = sub.add_parser(
-        "stability", help="seed-stability of the table metrics"
-    )
-    stability.add_argument("soc")
-    stability.add_argument("--wmax", type=int)
-    stability.add_argument("--patterns", type=int)
-    stability.add_argument("--seeds", type=int, nargs="+")
-    _add_experiment_flags(stability)
-    stability.set_defaults(
-        func=_cmd_stability, **_kind_defaults("stability")
-    )
 
     serve = sub.add_parser(
         "serve", help="run the optimization service (HTTP job server)"
@@ -1126,57 +843,12 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit an experiment to a running service"
     )
-    submit.add_argument(
-        "kind",
-        help="plan kind: table, pareto, volume, compare, multisite, "
-        "scaling, sensitivity, stability, optimize, evaluate",
-    )
-    submit.add_argument(
-        "soc", nargs="?", default=None,
-        help="benchmark name or .soc path (omit for 'scaling')",
-    )
-    submit.add_argument(
-        "--url", default="http://127.0.0.1:8787",
-        help="service base URL",
-    )
-    submit.add_argument("--patterns", type=int, default=None)
-    submit.add_argument("--wmax", type=int, default=None)
-    submit.add_argument("--widths", type=int, nargs="+", default=None)
-    submit.add_argument("--parts", type=int, nargs="+", default=None)
-    submit.add_argument("--seed", type=int, default=None)
-    submit.add_argument("--seeds", type=int, nargs="+", default=None)
-    submit.add_argument("--cores", type=int, nargs="+", default=None)
-    submit.add_argument("--channels", type=int, default=None)
-    submit.add_argument("--sa-steps", type=int, default=None)
-    submit.add_argument(
-        "--arch", default=None,
-        help="architecture JSON (the 'evaluate' kind)",
-    )
-    submit.add_argument(
-        "--optimizer-backend", default=None,
-        help="TAM optimizer engine for kinds that take one",
-    )
-    submit.add_argument("--compaction-backend", default=None)
-    submit.add_argument(
-        "--priority", type=int, default=0,
-        help="queue priority (higher runs first; -100..100)",
-    )
-    submit.add_argument(
-        "--fresh", action="store_true",
-        help="bypass dedup: force a new job even if an identical plan "
-        "is already queued, running, or finished",
-    )
-    submit.add_argument("--tag", default=None, help="free-form job label")
-    submit.add_argument(
-        "--no-wait", action="store_true",
-        help="print the job id and return immediately instead of "
-        "waiting for the result",
-    )
-    submit.add_argument(
-        "--timeout", type=float, default=3600.0,
-        help="seconds to wait for the result",
-    )
-    submit.set_defaults(func=_cmd_submit)
+    kinds = submit.add_subparsers(dest="kind", required=True, metavar="KIND")
+    common = _submit_parser()
+    for kind, schema in SCHEMA.items():
+        command = kinds.add_parser(kind, parents=[common], help=schema.help)
+        _add_soc_and_knobs(command, schema)
+        command.set_defaults(func=_cmd_submit)
 
     jobs_cmd = sub.add_parser(
         "jobs", help="list or inspect jobs on a running service"

@@ -1,11 +1,11 @@
 """Single-shot ``optimize`` and ``evaluate`` experiments as plans.
 
-The CLI's ``repro optimize`` and ``repro evaluate`` commands predate the
-declarative plan layer and run their optimizer calls inline.  These two
-kinds express the same computations as ordinary
-:class:`~repro.experiments.plan.ExperimentPlan`\\ s so they can travel
-over the wire to the :mod:`repro.service` job server, dedup by content
-fingerprint, and share the evaluation cache with every sweep:
+``repro optimize`` and ``repro evaluate`` (and ``bounds``, ``svg`` and
+``whatif``, which run optimize's plan) express their computations as
+ordinary :class:`~repro.experiments.plan.ExperimentPlan`\\ s, so the
+same plans travel over the wire to the :mod:`repro.service` job server,
+dedup by content fingerprint, and share the evaluation cache with every
+sweep:
 
 * ``optimize`` — one grouping cell (when ``pattern_count > 0``) feeding
   one ``TAM_Optimization`` cell, keyed by
@@ -306,7 +306,7 @@ def evaluate_plan(
 
 
 def format_optimize_report(report: OptimizeReport) -> str:
-    """Text rendering identical to the ``repro optimize`` command."""
+    """Text rendering of an optimize run (``repro optimize``'s output)."""
     evaluation = report.result.evaluation
     lines = [
         f"T_total = {evaluation.t_total} cc "
@@ -323,7 +323,7 @@ def format_optimize_report(report: OptimizeReport) -> str:
 
 
 def format_evaluate_report(report: EvaluateReport) -> str:
-    """Text rendering identical to the ``repro evaluate`` command."""
+    """Text rendering of an evaluate run (``repro evaluate``'s output)."""
     evaluation = report.evaluation
     lines = [
         f"T_total = {evaluation.t_total} cc "

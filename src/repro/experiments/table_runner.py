@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 
 from repro.compaction.horizontal import GroupingResult, build_si_test_groups
 from repro.core.optimizer import evaluate_architecture, optimize_tam
+from repro.experiments.knobs import DEFAULT_GROUP_COUNTS, DEFAULT_WIDTHS
 from repro.experiments.plan import (
-    KIND_DEFAULTS,
     CellRef,
     CellSpec,
     ExperimentPlan,
@@ -71,9 +71,6 @@ from repro.runtime.instrumentation import incr
 from repro.runtime.pool import PatternsRef, resolve_pattern_index
 from repro.sitest.generator import GeneratorConfig
 from repro.soc.model import Soc
-
-DEFAULT_GROUP_COUNTS = tuple(KIND_DEFAULTS["table"]["parts"])
-DEFAULT_WIDTHS = tuple(KIND_DEFAULTS["table"]["widths"])
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,50 @@ class TestErrors:
             main(["optimize", "t5"])
 
 
+class TestSubmitFlags:
+    """``submit KIND`` takes exactly the kind's knobs: anything else is
+    a usage error before any server is contacted."""
+
+    @pytest.fixture(autouse=True)
+    def no_server(self, monkeypatch):
+        from repro.service.client import ServiceClient
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("submit contacted a server")
+
+        monkeypatch.setattr(ServiceClient, "submit", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "t5", "--sa-steps", "5"],
+            ["table", "t5", "--channels", "3"],
+            ["table", "t5", "--optimizer-backend", "bogus"],
+            ["pareto", "t5", "--optimizer-backend", "reference"],
+            ["volume", "t5", "--compaction-backend", "bogus"],
+            ["scaling", "t5"],
+            ["compare", "t5"],
+        ],
+        ids=["sa-steps", "channels", "bogus-backend", "pareto-backend",
+             "bogus-compaction", "scaling-soc", "compare-wmax"],
+    )
+    def test_foreign_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["submit", *argv, "--url", "http://127.0.0.1:9"])
+        assert exit_info.value.code == 2
+
+    def test_parts_takes_the_kinds_shape(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(
+            ["submit", "pareto", "t5", "--parts", "2"]
+        ).parts == 2
+        assert parser.parse_args(
+            ["submit", "table", "t5", "--parts", "1", "2"]
+        ).parts == [1, 2]
+
+
 class TestCacheMaintenance:
     def _seed_store(self, t5, store_dir):
         from repro.core.optimizer import optimize_tam
@@ -314,6 +358,33 @@ class TestVerifyFlag:
              "--parts", "2", "--verify"]
         ) == 0
         assert "schedule verification passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["optimize", "evaluate"])
+    def test_failed_verify_prints_the_report_then_the_violations(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        import repro.resilience.verify as verify
+
+        arch = tmp_path / "arch.json"
+        assert main(
+            ["optimize", "t5", "--wmax", "8", "--save-arch", str(arch)]
+        ) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(
+            verify, "verify_schedule", lambda *a, **k: ["forced violation"]
+        )
+        argv = (
+            ["optimize", "t5", "--wmax", "8"] if command == "optimize"
+            else ["evaluate", "t5", "--arch", str(arch)]
+        )
+        assert main([*argv, "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("T_total = ")
+        assert captured.out.endswith("\n\n")
+        assert "verification passed" not in captured.out
+        assert captured.err == (
+            "schedule verification FAILED:\n  - forced violation\n"
+        )
 
     def test_table_verify_passes(self, capsys, tmp_path):
         assert main(

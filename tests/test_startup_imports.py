@@ -1,8 +1,9 @@
-"""Starting the CLI loads no network or mail stack.
+"""Starting the CLI loads no network or mail stack, and no service.
 
 ``urllib.request``, ``http.client``, ``ssl`` and ``email`` together
 cost tens of milliseconds at every start, and no local command needs
-them.
+them.  ``repro.service`` loads ``http.client`` and ``http.server``; the
+knob schema and plan builder the CLI uses live outside it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-HEAVY = ("urllib.request", "http.client", "ssl", "email")
+HEAVY = ("urllib.request", "http.client", "ssl", "email", "repro.service")
 
 
 def test_cli_import_loads_no_network_stack():

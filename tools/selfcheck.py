@@ -209,39 +209,45 @@ def _workers_backend():
     assert run_cells(_selfcheck_cell, specs, jobs=2) == serial
 
 
-@check("experiment plans: every kind expands deterministically")
-def _plans():
-    from repro.experiments import registered_plans
-    from repro.experiments.compare import compare_plan
-    from repro.experiments.compaction_study import volume_plan
-    from repro.experiments.multisite import multisite_plan
-    from repro.experiments.pareto import pareto_plan
-    from repro.experiments.scaling import scaling_plan
-    from repro.experiments.sensitivity import sensitivity_plan
-    from repro.experiments.single import evaluate_plan, optimize_plan
-    from repro.experiments.stability import stability_plan
-    from repro.experiments.table_runner import table_plan
+def _sample_plans() -> dict:
+    """One small plan per registered kind, built from its knobs."""
+    import tempfile
+
     from repro.core.optimizer import optimize_tam
+    from repro.experiments import registered_plans
+    from repro.experiments.knobs import build_plan
     from repro.soc.benchmarks import load_benchmark
+    from repro.tam.serialize import save_architecture
 
     soc = load_benchmark("t5")
-    plans = {
-        "table": table_plan(soc, 100, widths=(8,), group_counts=(1, 2)),
-        "pareto": pareto_plan(soc, (8, 16)),
-        "volume": volume_plan(soc, 100, group_counts=(1, 2)),
-        "compare": compare_plan(soc, 8),
-        "multisite": multisite_plan(soc, 16),
-        "scaling": scaling_plan((4, 6), w_max=8, pattern_count=100),
-        "sensitivity": sensitivity_plan(soc, 100, 8, parts=2),
-        "stability": stability_plan(soc, 100, 8, seeds=(1, 2)),
-        "optimize": optimize_plan(soc, 8, pattern_count=100, parts=2),
-        "evaluate": evaluate_plan(
-            soc, optimize_tam(soc, 8).architecture,
-            pattern_count=100, parts=2,
-        ),
-    }
+    with tempfile.TemporaryDirectory() as workdir:
+        arch = str(Path(workdir) / "arch.json")
+        save_architecture(optimize_tam(soc, 8).architecture, arch)
+        knobs = {
+            "table": dict(patterns=100, widths=[8], parts=[1, 2]),
+            "pareto": dict(widths=[8, 16]),
+            "volume": dict(patterns=100, parts=[1, 2]),
+            "compare": dict(wmax=8),
+            "multisite": dict(channels=16),
+            "scaling": dict(cores=[4, 6], wmax=8, patterns=100),
+            "sensitivity": dict(patterns=100, wmax=8, parts=2),
+            "stability": dict(patterns=100, wmax=8, seeds=[1, 2]),
+            "optimize": dict(wmax=8, patterns=100, parts=2),
+            "evaluate": dict(arch=arch, patterns=100, parts=2),
+        }
+        plans = {
+            kind: build_plan(
+                kind, None if kind == "scaling" else soc, **values
+            )
+            for kind, values in knobs.items()
+        }
     assert set(plans) == set(registered_plans())
-    for name, plan in plans.items():
+    return plans
+
+
+@check("experiment plans: every kind expands deterministically")
+def _plans():
+    for name, plan in _sample_plans().items():
         first = [cell.signature() for cell in plan.expand()]
         second = [cell.signature() for cell in plan.expand()]
         assert first == second, f"{name} expansion is not deterministic"
@@ -251,41 +257,12 @@ def _plans():
 
 @check("supervision: every plan kind survives a poisoned cell as partial")
 def _supervision():
-    from repro.experiments import registered_plans
-    from repro.experiments.compare import compare_plan
-    from repro.experiments.compaction_study import volume_plan
-    from repro.experiments.multisite import multisite_plan
-    from repro.experiments.pareto import pareto_plan
     from repro.experiments.runner import PlanRunner
-    from repro.experiments.scaling import scaling_plan
-    from repro.experiments.sensitivity import sensitivity_plan
-    from repro.experiments.single import evaluate_plan, optimize_plan
-    from repro.experiments.stability import stability_plan
-    from repro.experiments.table_runner import table_plan
-    from repro.core.optimizer import optimize_tam
     from repro.resilience import inject
     from repro.runtime import RunPolicy
-    from repro.soc.benchmarks import load_benchmark
 
-    soc = load_benchmark("t5")
-    plans = {
-        "table": table_plan(soc, 100, widths=(8,), group_counts=(1, 2)),
-        "pareto": pareto_plan(soc, (8, 16)),
-        "volume": volume_plan(soc, 100, group_counts=(1, 2)),
-        "compare": compare_plan(soc, 8),
-        "multisite": multisite_plan(soc, 16),
-        "scaling": scaling_plan((4, 6), w_max=8, pattern_count=100),
-        "sensitivity": sensitivity_plan(soc, 100, 8, parts=2),
-        "stability": stability_plan(soc, 100, 8, seeds=(1, 2)),
-        "optimize": optimize_plan(soc, 8, pattern_count=100, parts=2),
-        "evaluate": evaluate_plan(
-            soc, optimize_tam(soc, 8).architecture,
-            pattern_count=100, parts=2,
-        ),
-    }
-    assert set(plans) == set(registered_plans())
     runner = PlanRunner(policy=RunPolicy(allow_partial=True))
-    for name, plan in plans.items():
+    for name, plan in _sample_plans().items():
         # cell-error@1 with no repeat bound: the second executor.cell
         # occurrence onward always raises, so a mid-graph cell exhausts
         # its budget and must be quarantined, never crash the run.
