@@ -61,7 +61,7 @@ from repro.core.optimizer import optimize_tam
 from repro.experiments.knobs import build_plan
 from repro.experiments.runner import PlanRunner
 from repro.experiments.table_runner import run_table_experiment
-from repro.runtime import EvaluationCache
+from repro.runtime.cache import EvaluationCache
 from repro.runtime.instrumentation import (
     Instrumentation,
     use_instrumentation,
@@ -435,7 +435,8 @@ def bench_service(
     """
     from repro.experiments.render import render_report
     from repro.resilience.checkpoint import SweepCheckpoint
-    from repro.service import ServiceClient, ServiceConfig
+    from repro.service.client import ServiceClient
+    from repro.service.server import ServiceConfig
     from repro.service.server import OptimizationService
 
     soc = load_benchmark(soc_name)

@@ -16,116 +16,51 @@ Typical use::
     grouping = build_si_test_groups(soc, patterns, parts=4)
     result = optimize_tam(soc, w_max=32, groups=grouping.groups)
     print(result.t_total)
+
+The names below resolve lazily (PEP 562) from their defining modules, so
+``import repro`` loads nothing else; every other name is imported from
+the module that defines it.
 """
 
-from repro.compaction import (
-    CompactionResult,
-    GroupingResult,
-    SITestGroup,
-    build_si_test_groups,
-    color_compact,
-    greedy_compact,
-)
-from repro.core import (
-    AnnealingConfig,
-    exact_optimize,
-    BoundReport,
-    Evaluation,
-    OptimizationResult,
-    PowerAwareEvaluator,
-    PowerModel,
-    TamEvaluator,
-    anneal_tam,
-    bound_report,
-    evaluate_architecture,
-    optimize_tam,
-    schedule_si_tests,
-)
-from repro.sitest import (
-    GeneratorConfig,
-    SIPattern,
-    generate_ma_patterns,
-    generate_random_patterns,
-    generate_reduced_mt_patterns,
-    random_topology,
-)
-from repro.sitest import fault_universe, simulate
-from repro.soc import (
-    Core,
-    CoreTest,
-    Soc,
-    available_benchmarks,
-    load_benchmark,
-    synthesize_soc,
-)
-from repro.tam import (
-    TestRail,
-    load_architecture,
-    save_architecture,
-    TestRailArchitecture,
-    optimize_testbus,
-    render_schedule,
-    render_schedule_svg,
-    si_oblivious_total,
-    tr_architect,
-    write_schedule_svg,
-)
-from repro.wrapper import (
-    CellLibrary,
-    core_test_time,
-    design_wrapper,
-    soc_wrapper_overhead,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnnealingConfig",
-    "BoundReport",
-    "CellLibrary",
-    "CompactionResult",
-    "PowerAwareEvaluator",
-    "PowerModel",
-    "anneal_tam",
-    "bound_report",
-    "fault_universe",
-    "optimize_testbus",
-    "render_schedule_svg",
-    "simulate",
-    "soc_wrapper_overhead",
-    "synthesize_soc",
-    "write_schedule_svg",
-    "Core",
-    "CoreTest",
-    "Evaluation",
-    "GeneratorConfig",
-    "GroupingResult",
-    "OptimizationResult",
-    "SIPattern",
-    "SITestGroup",
-    "Soc",
-    "TamEvaluator",
-    "TestRail",
-    "TestRailArchitecture",
-    "available_benchmarks",
-    "build_si_test_groups",
-    "color_compact",
-    "core_test_time",
-    "design_wrapper",
-    "evaluate_architecture",
-    "exact_optimize",
-    "load_architecture",
-    "save_architecture",
-    "generate_ma_patterns",
-    "generate_random_patterns",
-    "generate_reduced_mt_patterns",
-    "greedy_compact",
-    "load_benchmark",
-    "optimize_tam",
-    "random_topology",
-    "render_schedule",
-    "schedule_si_tests",
-    "si_oblivious_total",
-    "tr_architect",
-    "__version__",
-]
+#: export name -> defining module.
+_DEFINED_IN = {
+    "build_si_test_groups": "repro.compaction.horizontal",
+    "greedy_compact": "repro.compaction.vertical",
+    "evaluate_architecture": "repro.core.optimizer",
+    "optimize_tam": "repro.core.optimizer",
+    "generate_ma_patterns": "repro.sitest.faults",
+    "generate_reduced_mt_patterns": "repro.sitest.faults",
+    "generate_random_patterns": "repro.sitest.generator",
+    "fault_universe": "repro.sitest.simulator",
+    "simulate": "repro.sitest.simulator",
+    "random_topology": "repro.sitest.topology",
+    "load_benchmark": "repro.soc.benchmarks",
+    "Core": "repro.soc.model",
+    "CoreTest": "repro.soc.model",
+    "Soc": "repro.soc.model",
+    "render_schedule": "repro.tam.gantt",
+    "si_oblivious_total": "repro.tam.tr_architect",
+    "tr_architect": "repro.tam.tr_architect",
+    "design_wrapper": "repro.wrapper.design",
+}
+
+__all__ = sorted(_DEFINED_IN) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _DEFINED_IN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_DEFINED_IN))

@@ -69,7 +69,7 @@ def _make_cache(args: argparse.Namespace):
     store_dir = getattr(args, "cache", None)
     if store_dir is None:
         return None
-    from repro.runtime import EvaluationCache
+    from repro.runtime.cache import EvaluationCache
 
     return EvaluationCache(store_dir=store_dir)
 
@@ -173,7 +173,10 @@ def _run_plan(
     3 partial.
     """
     from repro.experiments.runner import PlanRunner
-    from repro.runtime import Instrumentation, use_instrumentation
+    from repro.runtime.instrumentation import (
+        Instrumentation,
+        use_instrumentation,
+    )
     from repro.runtime.status import exit_code, run_status
 
     schema = SCHEMA[kind]
@@ -566,7 +569,7 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.service import OptimizationService, ServiceConfig
+    from repro.service.server import OptimizationService, ServiceConfig
 
     service = OptimizationService(
         ServiceConfig(
@@ -603,7 +606,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.runtime.status import STATUS_FAILED, exit_code
-    from repro.service import ServiceClient
+    from repro.service.client import ServiceClient
 
     schema = SCHEMA[args.kind]
     soc = _load_soc(args.soc) if schema.soc else None
@@ -649,7 +652,8 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.runtime.status import exit_code
-    from repro.service import ServiceClient, TERMINAL_STATES
+    from repro.service.client import ServiceClient
+    from repro.service.wire import TERMINAL_STATES
 
     client = ServiceClient(args.url)
     if args.job is None:

@@ -1,90 +1,1 @@
 """The paper's contribution: SI-aware scheduling and TAM optimization."""
-
-from repro.core.annealing import AnnealingConfig, anneal_tam
-from repro.core.bounds import (
-    BoundReport,
-    bound_report,
-    intest_bandwidth_bound,
-    intest_core_floor,
-    si_floor,
-)
-from repro.core.exact import MAX_EXACT_CORES, ExactResult, exact_optimize
-from repro.core.exact_schedule import (
-    MAX_EXACT_TESTS,
-    ExactScheduleResult,
-    exact_si_schedule,
-)
-from repro.core.whatif import (
-    WhatIfReport,
-    WireDelta,
-    format_whatif_report,
-    what_if,
-)
-from repro.core.session_sim import (
-    SessionEvent,
-    SessionTrace,
-    SimulationError,
-    simulate_session,
-    utilization_from_trace,
-)
-from repro.core.optimizer import (
-    OptimizationResult,
-    bottleneck_rails,
-    core_reshuffle,
-    distribute_free_wires,
-    evaluate_architecture,
-    merge_tams,
-    optimize_tam,
-)
-from repro.core.power import (
-    PowerAwareEvaluator,
-    PowerModel,
-    schedule_si_tests_power,
-)
-from repro.core.scheduling import (
-    Evaluation,
-    RailStats,
-    SIScheduleEntry,
-    TamEvaluator,
-    schedule_si_tests,
-)
-
-__all__ = [
-    "AnnealingConfig",
-    "BoundReport",
-    "Evaluation",
-    "ExactResult",
-    "MAX_EXACT_CORES",
-    "MAX_EXACT_TESTS",
-    "ExactScheduleResult",
-    "exact_si_schedule",
-    "exact_optimize",
-    "PowerAwareEvaluator",
-    "PowerModel",
-    "SessionEvent",
-    "SessionTrace",
-    "SimulationError",
-    "WhatIfReport",
-    "WireDelta",
-    "format_whatif_report",
-    "what_if",
-    "simulate_session",
-    "utilization_from_trace",
-    "anneal_tam",
-    "bound_report",
-    "intest_bandwidth_bound",
-    "intest_core_floor",
-    "schedule_si_tests_power",
-    "si_floor",
-    "OptimizationResult",
-    "RailStats",
-    "SIScheduleEntry",
-    "TamEvaluator",
-    "bottleneck_rails",
-    "core_reshuffle",
-    "distribute_free_wires",
-    "evaluate_architecture",
-    "merge_tams",
-    "optimize_tam",
-    "schedule_si_tests",
-]

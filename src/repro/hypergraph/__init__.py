@@ -1,18 +1,1 @@
 """Multilevel hypergraph partitioning (hMetis substitute)."""
-
-from repro.hypergraph.hypergraph import (
-    Hypergraph,
-    build_hypergraph,
-    cut_weight,
-    part_weights,
-)
-from repro.hypergraph.multilevel import PartitionResult, partition
-
-__all__ = [
-    "Hypergraph",
-    "PartitionResult",
-    "build_hypergraph",
-    "cut_weight",
-    "part_weights",
-    "partition",
-]

@@ -14,55 +14,5 @@ Four layers, threaded through the runtime and experiment stack:
 * :mod:`repro.resilience.checkpoint` — atomic sweep checkpoints backing
   ``run_experiments.py --resume``.
 
-Attributes resolve lazily (PEP 562): the validation layer is imported by
-leaf parsers (:mod:`repro.soc.itc02`, :mod:`repro.sitest.io`), so the
-package must be importable mid-way through ``repro``'s own package
-initialization without dragging the model stack in.
-
 See ``docs/resilience.md`` for the fault taxonomy and recovery matrix.
 """
-
-from __future__ import annotations
-
-import importlib
-
-#: export name -> defining submodule.
-_SUBMODULE_OF = {
-    "FAULT_KINDS": "faults",
-    "Fault": "faults",
-    "FaultPlan": "faults",
-    "FaultPlanError": "faults",
-    "GarbageResult": "faults",
-    "InjectedCellError": "faults",
-    "check_fault": "faults",
-    "fault_injection_active": "faults",
-    "inject": "faults",
-    "wrap_worker": "faults",
-    "ValidationError": "validation",
-    "validate_soc": "validation",
-    "validate_topology_shape": "validation",
-    "ScheduleVerificationError": "verify",
-    "assert_valid_schedule": "verify",
-    "verify_optimization": "verify",
-    "verify_schedule": "verify",
-    "SweepCheckpoint": "checkpoint",
-    "atomic_write_text": "checkpoint",
-}
-
-__all__ = sorted(_SUBMODULE_OF)
-
-
-def __getattr__(name: str):
-    submodule = _SUBMODULE_OF.get(name)
-    if submodule is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    module = importlib.import_module(f"{__name__}.{submodule}")
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_SUBMODULE_OF))

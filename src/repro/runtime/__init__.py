@@ -25,85 +25,3 @@ machinery to run those cells fast and observably:
 * :mod:`repro.runtime.codec` — exact JSON round-trips for the cached
   result objects.
 """
-
-from repro.runtime.cache import (
-    EvaluationCache,
-    audit_store,
-    default_codecs,
-    gc_store,
-    grouping_cache_key,
-    optimize_cache_key,
-    patterns_cache_key,
-    soc_fingerprint,
-    stable_hash,
-    verify_store,
-)
-from repro.runtime.executor import (
-    CellError,
-    CellFailure,
-    run_cells,
-)
-from repro.runtime.pool import (
-    PatternsRef,
-    PoolUnavailable,
-    SharedStateStore,
-    WorkerPool,
-    resolve_patterns,
-)
-from repro.runtime.instrumentation import (
-    Instrumentation,
-    RunReport,
-    absorb_snapshot,
-    call_with_instrumentation,
-    get_instrumentation,
-    incr,
-    use_instrumentation,
-)
-from repro.runtime.supervision import (
-    CircuitBreaker,
-    CircuitOpenError,
-    PlanDeadlineError,
-    PolicyError,
-    RetryPolicy,
-    RunPolicy,
-    current_breaker,
-    current_policy,
-    use_policy,
-)
-
-__all__ = [
-    "CellError",
-    "CellFailure",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "EvaluationCache",
-    "Instrumentation",
-    "PatternsRef",
-    "PlanDeadlineError",
-    "PolicyError",
-    "PoolUnavailable",
-    "RetryPolicy",
-    "RunPolicy",
-    "RunReport",
-    "SharedStateStore",
-    "WorkerPool",
-    "absorb_snapshot",
-    "audit_store",
-    "call_with_instrumentation",
-    "current_breaker",
-    "current_policy",
-    "default_codecs",
-    "gc_store",
-    "get_instrumentation",
-    "grouping_cache_key",
-    "incr",
-    "optimize_cache_key",
-    "patterns_cache_key",
-    "resolve_patterns",
-    "run_cells",
-    "soc_fingerprint",
-    "stable_hash",
-    "use_instrumentation",
-    "use_policy",
-    "verify_store",
-]

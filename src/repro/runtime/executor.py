@@ -36,6 +36,7 @@ wrap is an identity and the hot path is untouched.
 
 from __future__ import annotations
 
+import reprlib
 import time
 from typing import Callable, Sequence
 
@@ -51,12 +52,16 @@ from repro.runtime.supervision import (
 
 
 class CellError(RuntimeError):
-    """A sweep cell failed every attempt its retry budget allowed."""
+    """A sweep cell failed every attempt its retry budget allowed.
+
+    The message abbreviates the spec (:func:`reprlib.repr`): a plan
+    cell's spec holds its whole SOC, whose full repr runs to kilobytes.
+    """
 
     def __init__(self, index: int, spec, cause: BaseException) -> None:
         super().__init__(
-            f"sweep cell {index} (spec {spec!r}) failed after exhausting "
-            f"its retry budget: {cause!r}"
+            f"sweep cell {index} (spec {reprlib.repr(spec)}) failed after "
+            f"exhausting its retry budget: {cause!r}"
         )
         self.index = index
         self.spec = spec

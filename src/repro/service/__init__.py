@@ -20,35 +20,3 @@ Layering:
 
 See ``docs/service.md``.
 """
-
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import Job, JobManager, JobStore
-from repro.service.plans import SUBMITTABLE_KINDS, build_plan
-from repro.service.queue import JobQueue, QueueFullError
-from repro.service.server import OptimizationService, ServiceConfig
-from repro.service.wire import (
-    JOB_STATES,
-    TERMINAL_STATES,
-    Submission,
-    error_body,
-    parse_submission,
-)
-
-__all__ = [
-    "JOB_STATES",
-    "SUBMITTABLE_KINDS",
-    "TERMINAL_STATES",
-    "Job",
-    "JobManager",
-    "JobQueue",
-    "JobStore",
-    "OptimizationService",
-    "QueueFullError",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "Submission",
-    "build_plan",
-    "error_body",
-    "parse_submission",
-]

@@ -1,153 +1,1 @@
 """SI fault models, pattern algebra, topology, and pattern generation."""
-
-from repro.sitest.economics import (
-    CoverageEconomicsPoint,
-    coverage_economics,
-    defect_level_dppm,
-    format_economics_report,
-    williams_brown_defect_level,
-)
-from repro.sitest.faults import (
-    MA_FAULT_TYPES,
-    generate_ma_patterns,
-    generate_reduced_mt_patterns,
-    ma_pattern_count,
-    reduced_mt_pattern_count,
-)
-from repro.sitest.generator import (
-    GeneratorConfig,
-    generate_random_patterns,
-    generate_topology_patterns,
-)
-from repro.sitest.io import (
-    load_patterns,
-    patterns_from_dict,
-    patterns_to_dict,
-    save_patterns,
-    validate_patterns,
-)
-from repro.sitest.patterns import (
-    FALL,
-    RISE,
-    SIPattern,
-    STEADY_ONE,
-    STEADY_ZERO,
-    SYMBOLS,
-    TRANSITIONS,
-    format_pattern_table,
-)
-from repro.sitest.crosstalk import (
-    CrosstalkAnalysis,
-    PlacedWire,
-    WireGeometry,
-    analyze_crosstalk,
-    channel_placement,
-    coupling_capacitance_ff,
-    glitch_peak_v,
-    ground_capacitance_ff,
-    topology_from_placement,
-)
-from repro.sitest.diagnosis import (
-    FaultDictionary,
-    build_dictionary,
-    syndrome_of,
-)
-from repro.sitest.shorts import (
-    ShortsTestPlan,
-    aliased_pairs,
-    counting_codes,
-    counting_sequence_length,
-    modified_counting_sequence_length,
-    plan_shorts_test,
-)
-from repro.sitest.simulator import (
-    CoverageReport,
-    MAFault,
-    coverage_curve,
-    detects,
-    fault_universe,
-    simulate,
-)
-from repro.sitest.vectors import (
-    GroupVectors,
-    RailVectors,
-    expand_group,
-    format_vectors,
-)
-from repro.sitest.topology_io import (
-    load_topology,
-    save_topology,
-    topology_from_dict,
-    topology_to_dict,
-)
-from repro.sitest.topology import (
-    InterconnectTopology,
-    Net,
-    SharedBus,
-    random_topology,
-)
-
-__all__ = [
-    "CoverageEconomicsPoint",
-    "CoverageReport",
-    "coverage_economics",
-    "defect_level_dppm",
-    "format_economics_report",
-    "williams_brown_defect_level",
-    "CrosstalkAnalysis",
-    "FaultDictionary",
-    "PlacedWire",
-    "WireGeometry",
-    "analyze_crosstalk",
-    "build_dictionary",
-    "channel_placement",
-    "coupling_capacitance_ff",
-    "glitch_peak_v",
-    "ground_capacitance_ff",
-    "syndrome_of",
-    "topology_from_placement",
-    "FALL",
-    "MAFault",
-    "coverage_curve",
-    "detects",
-    "fault_universe",
-    "simulate",
-    "GeneratorConfig",
-    "GroupVectors",
-    "RailVectors",
-    "expand_group",
-    "format_vectors",
-    "InterconnectTopology",
-    "MA_FAULT_TYPES",
-    "Net",
-    "RISE",
-    "SIPattern",
-    "STEADY_ONE",
-    "STEADY_ZERO",
-    "SYMBOLS",
-    "SharedBus",
-    "ShortsTestPlan",
-    "aliased_pairs",
-    "counting_codes",
-    "counting_sequence_length",
-    "modified_counting_sequence_length",
-    "plan_shorts_test",
-    "TRANSITIONS",
-    "format_pattern_table",
-    "generate_ma_patterns",
-    "generate_random_patterns",
-    "generate_topology_patterns",
-    "load_patterns",
-    "load_topology",
-    "patterns_from_dict",
-    "patterns_to_dict",
-    "save_patterns",
-    "save_topology",
-    "topology_from_dict",
-    "topology_to_dict",
-    "validate_patterns",
-    "generate_reduced_mt_patterns",
-    "ma_pattern_count",
-    "random_topology",
-    "reduced_mt_pattern_count",
-]

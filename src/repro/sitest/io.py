@@ -67,35 +67,49 @@ def patterns_from_dict(data: dict) -> list[SIPattern]:
     """Rebuild a pattern set from :func:`patterns_to_dict` output.
 
     Raises:
-        ValidationError: On an unrecognized payload or malformed entries.
+        ValidationError: On an unrecognized payload or malformed entries;
+            an entry's error names its pattern index.
     """
+    if not isinstance(data, dict):
+        raise ValidationError(
+            f"not an SI pattern payload (a JSON {type(data).__name__})"
+        )
     if data.get("format") != _FORMAT:
         raise ValidationError(
             f"not an SI pattern payload (format={data.get('format')!r})"
         )
     if data.get("version") != _VERSION:
         raise ValidationError(f"unsupported version {data.get('version')!r}")
+    entries = data.get("patterns", [])
+    if not isinstance(entries, list):
+        raise ValidationError("'patterns' must be a list", field="patterns")
     patterns = []
-    for index, entry in enumerate(data.get("patterns", [])):
-        cares = {}
-        for item in entry.get("cares", []):
-            if len(item) != 3:
-                raise ValidationError(f"pattern {index}: malformed care {item}")
-            core_id, terminal, symbol = item
-            cares[(int(core_id), int(terminal))] = symbol
-        bus_claims = {
-            int(line): int(driver)
-            for line, driver in entry.get("bus", {}).items()
-        }
-        victim = entry.get("victim")
-        patterns.append(
-            SIPattern(
-                cares=cares,
-                bus_claims=bus_claims,
-                victim=tuple(victim) if victim is not None else None,
-            )
-        )
+    for index, entry in enumerate(entries):
+        try:
+            patterns.append(_pattern_from_dict(entry))
+        except (AttributeError, TypeError, ValueError) as error:
+            raise ValidationError(f"pattern {index}: {error}") from error
     return patterns
+
+
+def _pattern_from_dict(entry: dict) -> SIPattern:
+    """One pattern entry; malformed fields raise the builtin error."""
+    cares = {}
+    for item in entry.get("cares", []):
+        if len(item) != 3:
+            raise ValueError(f"malformed care {item}")
+        core_id, terminal, symbol = item
+        cares[(int(core_id), int(terminal))] = symbol
+    bus_claims = {
+        int(line): int(driver)
+        for line, driver in entry.get("bus", {}).items()
+    }
+    victim = entry.get("victim")
+    if victim is not None:
+        if len(victim) != 2:
+            raise ValueError(f"malformed victim {victim}")
+        victim = (int(victim[0]), int(victim[1]))
+    return SIPattern(cares=cares, bus_claims=bus_claims, victim=victim)
 
 
 def save_patterns(

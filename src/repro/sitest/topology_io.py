@@ -61,34 +61,65 @@ def topology_from_dict(data: dict) -> InterconnectTopology:
     """Rebuild a topology from :func:`topology_to_dict` output.
 
     Raises:
-        ValidationError: On an unrecognized payload.
+        ValidationError: On an unrecognized payload or malformed entries;
+            a net's error names its index.
     """
+    if not isinstance(data, dict):
+        raise ValidationError(
+            f"not a topology payload (a JSON {type(data).__name__})"
+        )
     if data.get("format") != _FORMAT:
         raise ValidationError(
             f"not a topology payload (format={data.get('format')!r})"
         )
     if data.get("version") != _VERSION:
         raise ValidationError(f"unsupported version {data.get('version')!r}")
-    nets = [
-        Net(
-            net_id=int(entry["id"]),
-            driver=(int(entry["driver"][0]), int(entry["driver"][1])),
-            receivers=tuple(int(r) for r in entry.get("receivers", [])),
-        )
-        for entry in data.get("nets", [])
-    ]
+    entries = data.get("nets", [])
+    if not isinstance(entries, list):
+        raise ValidationError("'nets' must be a list", field="nets")
+    nets = []
+    for index, entry in enumerate(entries):
+        try:
+            nets.append(_net_from_dict(entry))
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValidationError(f"net {index}: {_describe(error)}",
+                                  field="nets") from error
     bus = None
     if "bus" in data:
-        bus = SharedBus(
-            width=int(data["bus"]["width"]),
-            connected_cores=tuple(int(c) for c in data["bus"]["cores"]),
-        )
-    neighborhoods = {
-        int(net_id): tuple(int(n) for n in neighbors)
-        for net_id, neighbors in data.get("neighborhoods", {}).items()
-    }
+        try:
+            bus = SharedBus(
+                width=int(data["bus"]["width"]),
+                connected_cores=tuple(int(c) for c in data["bus"]["cores"]),
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValidationError(_describe(error), field="bus") from error
+    try:
+        neighborhoods = {
+            int(net_id): tuple(int(n) for n in neighbors)
+            for net_id, neighbors in data.get("neighborhoods", {}).items()
+        }
+    except (AttributeError, TypeError, ValueError) as error:
+        raise ValidationError(str(error), field="neighborhoods") from error
     return InterconnectTopology(nets=nets, bus=bus,
                                 neighborhoods=neighborhoods)
+
+
+def _net_from_dict(entry: dict) -> Net:
+    """One net entry; malformed fields raise the builtin error."""
+    driver = entry["driver"]
+    if len(driver) != 2:
+        raise ValueError(f"malformed driver {driver}")
+    return Net(
+        net_id=int(entry["id"]),
+        driver=(int(driver[0]), int(driver[1])),
+        receivers=tuple(int(r) for r in entry.get("receivers", [])),
+    )
+
+
+def _describe(error: Exception) -> str:
+    if isinstance(error, KeyError):
+        return f"missing field {error}"
+    return str(error)
 
 
 def save_topology(topology: InterconnectTopology, path: str | Path) -> None:

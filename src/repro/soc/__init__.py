@@ -1,51 +1,1 @@
 """SOC data model, ITC'02 benchmark format, and shipped benchmarks."""
-
-from repro.soc.benchmarks import available_benchmarks, load_benchmark
-from repro.soc.hierarchy import (
-    HierarchyError,
-    children_of,
-    flatten,
-    hierarchy_depth,
-    top_level_cores,
-    validate_hierarchy,
-)
-from repro.soc.itc02 import Itc02ParseError, dump_file, dumps, parse, parse_file
-from repro.soc.model import Core, CoreTest, Soc, SocModelError
-from repro.soc.synth import (
-    DEFAULT_MIX,
-    GLUE,
-    LARGE,
-    MEDIUM,
-    SMALL,
-    CoreProfile,
-    synthesize_core,
-    synthesize_soc,
-)
-
-__all__ = [
-    "Core",
-    "CoreProfile",
-    "DEFAULT_MIX",
-    "GLUE",
-    "LARGE",
-    "MEDIUM",
-    "SMALL",
-    "synthesize_core",
-    "synthesize_soc",
-    "CoreTest",
-    "HierarchyError",
-    "Itc02ParseError",
-    "children_of",
-    "flatten",
-    "hierarchy_depth",
-    "top_level_cores",
-    "validate_hierarchy",
-    "Soc",
-    "SocModelError",
-    "available_benchmarks",
-    "dump_file",
-    "dumps",
-    "load_benchmark",
-    "parse",
-    "parse_file",
-]

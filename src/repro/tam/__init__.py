@@ -1,77 +1,1 @@
 """TestRail architectures, the TR-Architect baseline, and visualization."""
-
-from repro.tam.gantt import render_schedule
-from repro.tam.ordering import (
-    OrderingReport,
-    YieldModel,
-    expected_rail_time,
-    optimal_rail_order,
-    order_architecture,
-)
-from repro.tam.rectangles import (
-    PlacedRectangle,
-    RectangleSchedule,
-    format_rectangle_schedule,
-    schedule_rectangles,
-)
-from repro.tam.report import (
-    RailUtilization,
-    format_utilization_report,
-    rail_utilizations,
-)
-from repro.tam.serialize import (
-    architecture_from_dict,
-    architecture_to_dict,
-    load_architecture,
-    save_architecture,
-)
-from repro.tam.svg import render_schedule_svg, write_schedule_svg
-from repro.tam.testrail import (
-    TestRail,
-    TestRailArchitecture,
-    initial_architecture,
-)
-from repro.tam.tr_architect import si_oblivious_total, tr_architect
-
-__all__ = [
-    "TestBusEvaluator",
-    "OrderingReport",
-    "PlacedRectangle",
-    "RectangleSchedule",
-    "format_rectangle_schedule",
-    "schedule_rectangles",
-    "RailUtilization",
-    "YieldModel",
-    "expected_rail_time",
-    "optimal_rail_order",
-    "order_architecture",
-    "TestRail",
-    "architecture_from_dict",
-    "architecture_to_dict",
-    "format_utilization_report",
-    "load_architecture",
-    "rail_utilizations",
-    "save_architecture",
-    "optimize_testbus",
-    "render_schedule_svg",
-    "write_schedule_svg",
-    "TestRailArchitecture",
-    "initial_architecture",
-    "render_schedule",
-    "si_oblivious_total",
-    "tr_architect",
-]
-
-
-_LAZY = {"TestBusEvaluator", "optimize_testbus"}
-
-
-def __getattr__(name):
-    # repro.tam.testbus subclasses the evaluator from repro.core, which in
-    # turn depends on repro.tam.testrail; loading it lazily keeps the
-    # package import acyclic.
-    if name in _LAZY:
-        from repro.tam import testbus
-
-        return getattr(testbus, name)
-    raise AttributeError(f"module 'repro.tam' has no attribute {name!r}")

@@ -1,53 +1,1 @@
 """Test wrapper design and InTest timing."""
-
-from repro.wrapper.cells import (
-    CellLibrary,
-    WrapperOverhead,
-    core_wrapper_overhead,
-    format_overhead_report,
-    soc_si_area_um2,
-    soc_wrapper_overhead,
-)
-from repro.wrapper.design import WrapperDesign, design_wrapper, si_shift_depth
-from repro.wrapper.netlist import (
-    WrapperCell,
-    WrapperChain,
-    WrapperNetlist,
-    build_wrapper_netlist,
-    format_wrapper_summary,
-    save_wrapper_netlist,
-)
-from repro.wrapper.p1500 import (
-    SessionOverhead,
-    WirConfig,
-    core_wir_length,
-    overhead_report,
-    session_overhead,
-)
-from repro.wrapper.timing import core_test_time, core_time_table, pareto_widths
-
-__all__ = [
-    "CellLibrary",
-    "WrapperCell",
-    "WrapperChain",
-    "WrapperDesign",
-    "WrapperNetlist",
-    "build_wrapper_netlist",
-    "format_wrapper_summary",
-    "save_wrapper_netlist",
-    "SessionOverhead",
-    "WirConfig",
-    "WrapperOverhead",
-    "core_wir_length",
-    "overhead_report",
-    "session_overhead",
-    "core_wrapper_overhead",
-    "format_overhead_report",
-    "soc_si_area_um2",
-    "soc_wrapper_overhead",
-    "core_test_time",
-    "core_time_table",
-    "design_wrapper",
-    "pareto_widths",
-    "si_shift_depth",
-]

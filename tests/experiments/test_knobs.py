@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import registered_plans
 from repro.experiments.knobs import SCHEMA, SUBMITTABLE_KINDS, build_plan
+from repro.experiments.plan import registered_plans
 from repro.experiments.single import evaluate_plan
 from repro.experiments.stability import stability_plan
 from repro.experiments.table_runner import table_plan

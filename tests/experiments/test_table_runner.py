@@ -130,3 +130,23 @@ class TestOptimizerBackend:
                 d695, pattern_count=100, widths=(8,), group_counts=(1,),
                 optimizer_backend="incremental",
             )
+
+    def test_cell_error_message_is_short(self, p93791, monkeypatch):
+        # The spec holds the whole SOC; the message abbreviates it rather
+        # than printing kilobytes of core table, and still names the
+        # backend.
+        from repro.experiments import table_runner
+        from repro.runtime.executor import CellError
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic optimizer failure")
+
+        monkeypatch.setattr(table_runner, "optimize_tam", boom)
+        with pytest.raises(CellError) as excinfo:
+            run_table_experiment(
+                p93791, pattern_count=100, widths=(16,), group_counts=(1,),
+                optimizer_backend="incremental",
+            )
+        message = str(excinfo.value)
+        assert len(message) < 500
+        assert "incremental" in message

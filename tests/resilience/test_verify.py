@@ -15,7 +15,7 @@ import pytest
 
 from repro.compaction.horizontal import build_si_test_groups
 from repro.core.optimizer import optimize_tam
-from repro.experiments import DEFAULT_WIDTHS
+from repro.experiments.table_runner import DEFAULT_WIDTHS
 from repro.resilience.verify import (
     ScheduleVerificationError,
     assert_valid_schedule,

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import OptimizationService, ServiceClient, ServiceConfig
+from repro.service.client import ServiceClient
+from repro.service.server import OptimizationService, ServiceConfig
 
 DEFAULT_DEADLINE_SECONDS = 120
 

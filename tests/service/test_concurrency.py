@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.experiments.pareto import pareto_plan
-from repro.service import ServiceClient, ServiceError
+from repro.service.client import ServiceClient, ServiceError
 
 THREADS = 8
 

@@ -12,6 +12,7 @@ from repro.cli import main as cli_main
 from repro.compaction.horizontal import build_si_test_groups
 from repro.experiments.compaction_study import volume_plan
 from repro.experiments.compare import compare_plan
+from repro.experiments.knobs import build_plan
 from repro.experiments.multisite import multisite_plan
 from repro.experiments.pareto import pareto_plan
 from repro.experiments.scaling import scaling_plan
@@ -19,12 +20,8 @@ from repro.experiments.sensitivity import sensitivity_plan
 from repro.experiments.single import optimize_plan
 from repro.experiments.stability import stability_plan
 from repro.experiments.table_runner import table_plan
-from repro.service import (
-    OptimizationService,
-    ServiceClient,
-    ServiceConfig,
-    build_plan,
-)
+from repro.service.client import ServiceClient
+from repro.service.server import OptimizationService, ServiceConfig
 from repro.sitest.generator import generate_random_patterns
 from repro.soc.benchmarks import load_benchmark
 

@@ -21,7 +21,7 @@ from repro.runtime.status import (
     STATUS_PARTIAL,
     exit_code,
 )
-from repro.service import TERMINAL_STATES
+from repro.service.wire import TERMINAL_STATES
 
 #: Every experiment command with knobs small enough for a smoke run.
 OK_COMMANDS = {

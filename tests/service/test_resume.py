@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments.table_runner import table_plan
 from repro.resilience.faults import ABORT_EXIT_CODE
-from repro.service import ServiceClient
+from repro.service.client import ServiceClient
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 

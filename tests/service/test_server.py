@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.experiments.pareto import pareto_plan
-from repro.service import ServiceClient, ServiceError
+from repro.service.client import ServiceClient, ServiceError
 
 
 def test_healthz(client):

@@ -16,11 +16,8 @@ from hypothesis import strategies as st
 from repro.experiments.pareto import pareto_plan
 from repro.experiments.plan import plan_from_dict, plan_to_dict
 from repro.resilience.validation import ValidationError
-from repro.service import (
-    OptimizationService,
-    ServiceConfig,
-    parse_submission,
-)
+from repro.service.server import OptimizationService, ServiceConfig
+from repro.service.wire import parse_submission
 from repro.soc.benchmarks import load_benchmark
 
 json_values = st.recursive(

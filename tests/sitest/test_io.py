@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.resilience.validation import ValidationError
 from repro.sitest.generator import generate_random_patterns
 from repro.sitest.io import (
     load_patterns,
@@ -72,6 +73,39 @@ class TestPayloadValidation:
         }
         with pytest.raises(ValueError, match="malformed"):
             patterns_from_dict(data)
+
+
+def _payload(*patterns):
+    return {"format": "repro-si-patterns", "version": 1,
+            "patterns": list(patterns)}
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "not an SI pattern payload"),
+            (_payload({"cares": 5}), "pattern 0"),
+            (_payload({"cares": [5]}), "pattern 0"),
+            (_payload({"cares": [["a", 0, RISE]]}), "pattern 0"),
+            (_payload({}, {"bus": [1, 2]}), "pattern 1"),
+            (_payload({"cares": [[1, 0, RISE]], "victim": [1]}),
+             "pattern 0: malformed victim"),
+            (_payload(5), "pattern 0"),
+            ({"format": "repro-si-patterns", "version": 1, "patterns": 5},
+             "must be a list"),
+        ],
+    )
+    def test_raises_validation_error(self, payload, message):
+        with pytest.raises(ValidationError, match=message):
+            patterns_from_dict(payload)
+
+    def test_victim_given_as_strings_loads_as_ints(self, soc):
+        patterns = patterns_from_dict(
+            _payload({"cares": [[1, 1, RISE]], "victim": ["1", "1"]})
+        )
+        assert patterns[0].victim == (1, 1)
+        validate_patterns(soc, patterns)  # the victim is a care bit
 
 
 class TestValidatePatterns:

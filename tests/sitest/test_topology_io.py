@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.resilience.validation import ValidationError
 from repro.sitest.generator import (
     GeneratorConfig,
     generate_topology_patterns,
@@ -61,6 +62,37 @@ class TestTopologyIo:
         path = tmp_path / "topo.json"
         save_topology(topology, path)
         load_topology(path).validate(soc)  # must not raise
+
+
+def _payload(**fields):
+    data = {"format": "repro-topology", "version": 1,
+            "nets": [{"id": 0, "driver": [1, 0], "receivers": [2]}]}
+    data.update(fields)
+    return data
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "not a topology payload"),
+            (_payload(nets=[{"id": 0, "driver": [1, 0]},
+                            {"driver": [1, 1]}]), "net 1: missing field"),
+            (_payload(nets=[{"id": 0, "driver": [1]}]),
+             "net 0: malformed driver"),
+            (_payload(nets=[{"id": 0, "driver": ["a", 0]}]), "net 0"),
+            (_payload(nets=[{"id": 0, "driver": 5}]), "net 0"),
+            (_payload(nets=[5]), "net 0"),
+            (_payload(nets=5), "must be a list"),
+            (_payload(bus=[1, 2]), "bus"),
+            (_payload(bus={"width": 8}), "bus: missing field"),
+            (_payload(neighborhoods=[1]), "neighborhoods"),
+            (_payload(neighborhoods={"0": 5}), "neighborhoods"),
+        ],
+    )
+    def test_raises_validation_error(self, payload, message):
+        with pytest.raises(ValidationError, match=message):
+            topology_from_dict(payload)
 
 
 class TestTopologyPatternGenerator:

@@ -133,3 +133,36 @@ class TestRoundTrip:
         )
         soc = Soc(name="rt", cores=cores)
         assert parse(dumps(soc)) == soc
+
+
+def _core(core_id, level=1, parent=None):
+    return Core(
+        core_id=core_id,
+        name=f"c{core_id}",
+        inputs=4,
+        outputs=4,
+        bidirs=0,
+        tests=(CoreTest(patterns=5),),
+        level=level,
+        parent=parent,
+    )
+
+
+class TestHierarchyFields:
+    def test_parent_round_trips(self):
+        soc = Soc(
+            name="hier",
+            cores=(
+                _core(1, level=1),
+                _core(2, level=1),
+                _core(3, level=2, parent=1),
+                _core(4, level=2, parent=1),
+                _core(5, level=2, parent=2),
+            ),
+        )
+        assert parse(dumps(soc)) == soc
+
+    def test_parent_line_optional(self):
+        text = dumps(Soc(name="flat", cores=(_core(1),)))
+        assert "Parent" not in text
+        assert parse(text).cores[0].parent is None

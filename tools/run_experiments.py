@@ -41,8 +41,8 @@ from repro.experiments.table_runner import (
     run_table_experiment,
 )
 from repro.resilience.checkpoint import SweepCheckpoint
-from repro.runtime import (
-    EvaluationCache,
+from repro.runtime.cache import EvaluationCache
+from repro.runtime.instrumentation import (
     Instrumentation,
     RunReport,
     use_instrumentation,

@@ -93,9 +93,8 @@ def _simulation():
     assert trace.makespan == result.t_total
 
 
-@check("fault simulator + diagnosis")
+@check("fault simulator")
 def _simulator():
-    from repro.sitest.diagnosis import build_dictionary
     from repro.sitest.faults import generate_ma_patterns
     from repro.sitest.simulator import simulate
     from repro.sitest.topology import random_topology
@@ -105,7 +104,6 @@ def _simulator():
     topology = random_topology(soc, locality=1, seed=1)
     patterns = list(generate_ma_patterns(topology))
     assert simulate(topology, patterns).coverage == 1.0
-    assert build_dictionary(topology, patterns[:50]).faults
 
 
 @check("parallel sweep executor")
@@ -123,7 +121,11 @@ def _executor():
 def _cache():
     import tempfile
 
-    from repro.runtime import EvaluationCache, optimize_cache_key, verify_store
+    from repro.runtime.cache import (
+        EvaluationCache,
+        optimize_cache_key,
+        verify_store,
+    )
     from repro.core.optimizer import optimize_tam
     from repro.soc.benchmarks import load_benchmark
 
@@ -143,7 +145,11 @@ def _instrumentation():
     import json
 
     from repro.core.optimizer import optimize_tam
-    from repro.runtime import Instrumentation, RunReport, use_instrumentation
+    from repro.runtime.instrumentation import (
+        Instrumentation,
+        RunReport,
+        use_instrumentation,
+    )
     from repro.soc.benchmarks import load_benchmark
 
     soc = load_benchmark("t5")
@@ -164,13 +170,11 @@ def _resilience():
     from pathlib import Path as _Path
 
     from repro.core.optimizer import optimize_tam
-    from repro.resilience import (
-        FaultPlan,
-        SweepCheckpoint,
-        inject,
-        verify_optimization,
-    )
-    from repro.runtime import optimize_cache_key, run_cells
+    from repro.resilience.checkpoint import SweepCheckpoint
+    from repro.resilience.faults import FaultPlan, inject
+    from repro.resilience.verify import verify_optimization
+    from repro.runtime.cache import optimize_cache_key
+    from repro.runtime.executor import run_cells
     from repro.soc.benchmarks import load_benchmark
 
     soc = load_benchmark("t5")
@@ -201,7 +205,7 @@ def _selfcheck_cell(value):
 
 @check("runtime: work-stealing workers backend")
 def _workers_backend():
-    from repro.runtime import run_cells
+    from repro.runtime.executor import run_cells
 
     specs = list(range(8))
     serial = run_cells(_selfcheck_cell, specs, jobs=1)
@@ -214,7 +218,7 @@ def _sample_plans() -> dict:
     import tempfile
 
     from repro.core.optimizer import optimize_tam
-    from repro.experiments import registered_plans
+    from repro.experiments.plan import registered_plans
     from repro.experiments.knobs import build_plan
     from repro.soc.benchmarks import load_benchmark
     from repro.tam.serialize import save_architecture
@@ -258,8 +262,8 @@ def _plans():
 @check("supervision: every plan kind survives a poisoned cell as partial")
 def _supervision():
     from repro.experiments.runner import PlanRunner
-    from repro.resilience import inject
-    from repro.runtime import RunPolicy
+    from repro.resilience.faults import inject
+    from repro.runtime.supervision import RunPolicy
 
     runner = PlanRunner(policy=RunPolicy(allow_partial=True))
     for name, plan in _sample_plans().items():
