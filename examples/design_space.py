@@ -3,12 +3,16 @@
 `W_max` is a routing-area budget someone has to pick.  This example sweeps
 it on p34392, finds the knee of the `(W, T_soc)` trade-off curve, shows
 where the dominant core makes extra wires worthless, and prints the
-utilization report and SVG schedule for the chosen design point.
+utilization report and SVG schedule for the chosen design point (the
+SVG goes to the system temp directory).
 
 Run with::
 
     python examples/design_space.py
 """
+
+import os
+import tempfile
 
 from repro import (
     build_si_test_groups,
@@ -49,7 +53,7 @@ def main() -> None:
     print(format_utilization_report(soc, result.architecture,
                                     result.evaluation))
 
-    svg_path = "p34392_schedule.svg"
+    svg_path = os.path.join(tempfile.gettempdir(), "p34392_schedule.svg")
     write_schedule_svg(soc, result.architecture, result.evaluation, svg_path)
     print(f"\nschedule figure written to {svg_path}")
 

@@ -5,9 +5,7 @@ two bit-parallel inner loops: building the conflict index and pruning the
 candidate bitset as the merge acquires cares.  Both are pure word-level
 AND/OR sweeps, so this module carries a small, dependency-free C
 translation of the scan (same algorithm, same visit order, same dedup
-rules — see the kernel docstring for the equivalence argument) that is
-compiled on demand with whatever ``cc``/``gcc``/``clang`` the host
-provides and loaded through :mod:`ctypes`.
+rules — see the kernel docstring for the equivalence argument).
 
 The same library bisects core hypergraphs of at most 64 vertices for
 :func:`repro.hypergraph.partition`, on one 64-bit pin mask per edge
@@ -19,14 +17,10 @@ k-way assignment.  Each replays its Python counterpart in
 (same floating-point summation order, same move order and tie-breaks),
 so the partition is identical on either path.
 
-The engine is strictly optional: if no compiler is present, compilation
-fails, the smoke check fails, or ``REPRO_COMPACTION_CSCAN=0`` is set, the
-scan and the partitioner silently fall back to pure Python.  Compiled
-objects are cached in the system temp directory keyed by a hash of the C
-source, so the (sub-second) compile happens once per source revision per
-machine, not once per process.  The source is built without
-``-ffast-math``: the bisection's attachment sums must round as Python's
-do.
+The engine is optional and loaded by :mod:`repro.runtime.native`
+(toggle ``REPRO_COMPACTION_CSCAN``): when it is unavailable, the scan and
+the partitioner fall back to pure Python.  The bisection's attachment
+sums round as Python's do because the loader builds without fast-math.
 
 The scan works on the flat integer arrays of a
 :class:`~repro.compaction.kernel.PatternIndex` only — pattern cares as
@@ -40,17 +34,13 @@ object.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
 from array import array
 from types import SimpleNamespace
 
-__all__ = ["available", "cut", "greedy_scan", "grow", "refine", "restrict",
-           "warm"]
+from repro.runtime.native import Engine, _addr
+
+__all__ = ["ENGINE", "available", "cut", "greedy_scan", "grow", "refine",
+           "restrict"]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -505,41 +495,6 @@ int64_t repro_hg_cut(
 }
 """
 
-_DISABLE_VALUES = ("0", "off", "no", "false")
-
-#: Cached load result: ``None`` = not attempted, ``False`` = unavailable.
-_engine = None
-#: Serializes the first probe: a thread asking while another compiles
-#: waits for the answer instead of reading a half-made one.
-_probe_lock = threading.Lock()
-
-
-def _compile() -> str | None:
-    """Compile the C source into a cached shared object; return its path."""
-    compiler = (shutil.which("cc") or shutil.which("gcc")
-                or shutil.which("clang"))
-    if compiler is None:
-        return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    so_path = os.path.join(tempfile.gettempdir(),
-                           f"repro-cscan-{digest}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        with tempfile.TemporaryDirectory() as workdir:
-            source = os.path.join(workdir, "cscan.c")
-            with open(source, "w", encoding="ascii") as handle:
-                handle.write(_SOURCE)
-            built = os.path.join(workdir, "cscan.so")
-            subprocess.run(
-                [compiler, "-O3", "-shared", "-fPIC", "-o", built, source],
-                check=True, capture_output=True, timeout=120,
-            )
-            os.replace(built, so_path)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return so_path
-
 
 def _bind(so_path: str) -> SimpleNamespace:
     lib = ctypes.CDLL(so_path)
@@ -573,19 +528,30 @@ def _bind(so_path: str) -> SimpleNamespace:
                            refine=refine, cut=cut)
 
 
-def _addr(buffer: array) -> int:
-    return buffer.buffer_info()[0]
+def greedy_scan(patterns, lib=None):
+    """Run the greedy scan in C; ``None`` when the engine is unavailable
+    or runs out of memory.
 
+    ``patterns`` is an :class:`~repro.compaction.kernel.IndexView` (a
+    plain sequence is indexed first).  Returns ``(member_lists, pruned,
+    words)``: the merge cycles as lists of positions in ``patterns`` in
+    absorption order, plus the two instrumentation totals (candidates
+    pruned, 64-bit words touched).
+    """
+    lib = lib or ENGINE.get()
+    if lib is None:
+        return None
+    from repro.compaction.kernel import as_view
 
-def _run(fn, rows: array, index):
-    """Scan ``rows`` of an encoded set (a
-    :class:`~repro.compaction.kernel.PatternIndex` or the same arrays);
-    ``None`` on allocation failure."""
+    view = as_view(patterns)
+    rows, index = view.rows, view.index
     n = len(rows)
+    if not n:
+        return [], 0, 0
     members = array("i", bytes(4 * n))
     cycle_off = array("q", bytes(8 * (n + 1)))
     stats = array("q", (0, 0))
-    cycles = fn(
+    cycles = lib.scan(
         n, _addr(rows),
         _addr(index.care_flat), _addr(index.care_off), _addr(index.tid_of),
         len(index.tid_of), index.n_tids,
@@ -607,7 +573,7 @@ def restrict(graph, vertices, lib=None) -> tuple[array, array]:
     ``vertices``: local pin ``j`` is vertex ``vertices[j]``, and edges
     left with fewer than two pins are dropped.  Returns the new ``(masks,
     edge_weights)``."""
-    lib = lib or _engine
+    lib = lib or ENGINE.get()
     local = array("i", vertices)
     m = len(graph.masks)
     masks_out = array("Q", bytes(8 * m))
@@ -622,7 +588,7 @@ def restrict(graph, vertices, lib=None) -> tuple[array, array]:
 def grow(graph, seed: int, target0: int, lib=None) -> list[int]:
     """Greedy initial bisection of ``graph`` grown from vertex ``seed``
     until part 0 weighs ``target0``; a 0/1 part per vertex."""
-    lib = lib or _engine
+    lib = lib or ENGINE.get()
     part = array("i", bytes(4 * len(graph.weights)))
     lib.grow(len(graph.weights), _addr(graph.weights),
              len(graph.masks), _addr(graph.masks), _addr(graph.edge_weights),
@@ -636,7 +602,7 @@ def refine(graph, assignment: list[int], lower: int, upper: int,
     :func:`~repro.hypergraph.fm.fm_refine`) on the bisection
     ``assignment`` of ``graph``, in place, keeping part 0's weight within
     ``[lower, upper]``."""
-    lib = lib or _engine
+    lib = lib or ENGINE.get()
     part = array("i", assignment)
     lib.refine(len(part), _addr(graph.weights),
                len(graph.masks), _addr(graph.masks),
@@ -648,7 +614,7 @@ def refine(graph, assignment: list[int], lower: int, upper: int,
 def cut(graph, assignment, lib=None) -> int:
     """Total weight of the edges of ``graph`` spanning more than one part
     of ``assignment`` (any number of parts up to 64)."""
-    lib = lib or _engine
+    lib = lib or ENGINE.get()
     part = array("i", assignment)
     return lib.cut(len(part), _addr(part), len(graph.masks),
                    _addr(graph.masks), _addr(graph.edge_weights))
@@ -673,6 +639,8 @@ def _smoke(lib) -> bool:
     vertices (2, 3, 1) keeps edges {1, 2} and {2, 3} as local pins
     {0, 2} and {0, 1}.
     """
+    from repro.compaction.kernel import IndexView
+
     encoded = SimpleNamespace(
         care_flat=array("i", (0, 1, 2)),
         care_off=array("q", (0, 1, 2, 3, 3)),
@@ -680,8 +648,8 @@ def _smoke(lib) -> bool:
         bus_flat=array("i"), bus_off=array("q", (0, 0, 0, 0, 0)),
         line_of=array("i"), n_lines=0,
     )
-    if _run(lib.scan, array("i", (0, 2, 3)), encoded) != ([[0, 2], [1]],
-                                                           1, 2):
+    view = IndexView(encoded, array("i", (0, 2, 3)))
+    if greedy_scan(view, lib) != ([[0, 2], [1]], 1, 2):
         return False
     path = SimpleNamespace(weights=array("q", (1, 1, 1, 1)),
                            masks=array("Q", (0b0011, 0b0110, 0b1100)),
@@ -697,76 +665,5 @@ def _smoke(lib) -> bool:
                                array("q", (1, 5))))
 
 
-def _probe():
-    """Resolve the engine handle, or ``False`` when unavailable."""
-    toggle = os.environ.get("REPRO_COMPACTION_CSCAN", "").strip().lower()
-    if toggle in _DISABLE_VALUES or _load_fault_injected():
-        return False
-    so_path = _compile()
-    if so_path is not None:
-        try:
-            lib = _bind(so_path)
-        except (OSError, AttributeError):
-            lib = None
-        if lib is not None and _smoke(lib):
-            return lib
-    # The engine was wanted but would not resolve on this host (no
-    # compiler, bad .so, failed smoke): disclose the pure-Python
-    # degradation once per process.
-    from repro.runtime.instrumentation import incr
-
-    incr("recovery.degraded.cscan")
-    return False
-
-
-def available() -> bool:
-    """Whether the C scan engine compiled, loaded, and passed its smoke."""
-    global _engine
-    if _engine is None:
-        with _probe_lock:
-            if _engine is None:
-                _engine = _probe()
-    return _engine is not False
-
-
-def warm() -> bool:
-    """Resolve the engine now, instead of lazily inside the first scan.
-
-    The resolved handle is cached for the life of the process (module
-    global), so a persistent sweep worker that calls this during warm-up
-    pays the compile/load/smoke cost exactly once, outside any cell's
-    wall clock — later cells reuse the handle with a dict lookup.
-    """
-    return available()
-
-
-def _load_fault_injected() -> bool:
-    """``cscan.load`` injection site: a due ``cscan-compile-fail`` fault
-    makes the engine unavailable, exactly like a host with no compiler;
-    the kernel then takes its pure-Python fallback."""
-    from repro.resilience.faults import check_fault
-    from repro.runtime.instrumentation import incr
-
-    if check_fault("cscan.load") is None:
-        return False
-    incr("recovery.cscan_fallback")
-    return True
-
-
-def greedy_scan(patterns):
-    """Run the greedy scan in C; ``None`` when the engine is unavailable.
-
-    ``patterns`` is an :class:`~repro.compaction.kernel.IndexView` (a
-    plain sequence is indexed first).  Returns ``(member_lists, pruned,
-    words)``: the merge cycles as lists of positions in ``patterns`` in
-    absorption order, plus the two instrumentation totals (candidates
-    pruned, 64-bit words touched).
-    """
-    if not available():
-        return None
-    from repro.compaction.kernel import as_view
-
-    view = as_view(patterns)
-    if not len(view):
-        return [], 0, 0
-    return _run(_engine.scan, view.rows, view.index)
+ENGINE = Engine("cscan", _SOURCE, "REPRO_COMPACTION_CSCAN", _bind, _smoke)
+available = ENGINE.available

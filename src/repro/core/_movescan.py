@@ -9,17 +9,12 @@ rails) by patching at most two rails of a packed state and re-deriving
 module carries a small, dependency-free C translation of the scan (same
 row arithmetic, same entry sort, same greedy Algorithm 1 replay, one
 copy of each shared by both entry points; see the evaluator docstring
-for the equivalence argument) compiled on demand with whatever
-``cc``/``gcc``/``clang`` the host provides and loaded through
-:mod:`ctypes`.
+for the equivalence argument).
 
-The engine is strictly optional: if no compiler is present, compilation
-fails, the smoke check fails, or ``REPRO_OPTIMIZER_CSCAN=0`` is set, the
-evaluator silently falls back to its pure-Python patch path — scoring is
-bit-identical either way.  Compiled objects are cached in the system
-temp directory keyed by a hash of the C source, so the (sub-second)
-compile happens once per source revision per machine, not once per
-process.
+The engine is optional and loaded by :mod:`repro.runtime.native`
+(toggle ``REPRO_OPTIMIZER_CSCAN``): when it is unavailable, the
+evaluator falls back to its pure-Python patch path — scoring is
+bit-identical either way.
 
 The C side works on flattened integer streams only — rail membership as
 dense core ids in CSR layout, core-to-group membership likewise — and
@@ -31,15 +26,12 @@ stay in Python; the C code never sees a rail object.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
 from array import array
+from types import SimpleNamespace
 
-__all__ = ["available", "merge_sweep", "score_moves", "warm"]
+from repro.runtime.native import Engine, _addr
+
+__all__ = ["ENGINE", "available", "merge_sweep", "score_moves"]
 
 _SOURCE = r"""#include <stdint.h>
 #include <stdlib.h>
@@ -635,42 +627,6 @@ int64_t repro_merge_sweep(
 }
 """
 
-_DISABLE_VALUES = ("0", "off", "no", "false")
-
-#: Cached load result: ``None`` = not attempted, ``False`` = unavailable.
-_engine = None
-#: Serializes the first probe: a thread asking while another compiles
-#: waits for the answer instead of reading a half-made one.
-_probe_lock = threading.Lock()
-
-
-def _compile() -> str | None:
-    """Compile the C source into a cached shared object; return its path."""
-    compiler = (shutil.which("cc") or shutil.which("gcc")
-                or shutil.which("clang"))
-    if compiler is None:
-        return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    so_path = os.path.join(tempfile.gettempdir(),
-                           f"repro-movescan-{digest}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        with tempfile.TemporaryDirectory() as workdir:
-            source = os.path.join(workdir, "movescan.c")
-            with open(source, "w", encoding="ascii") as handle:
-                handle.write(_SOURCE)
-            built = os.path.join(workdir, "movescan.so")
-            subprocess.run(
-                [compiler, "-O3", "-shared", "-fPIC", "-o", built, source],
-                check=True, capture_output=True, timeout=120,
-            )
-            os.replace(built, so_path)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return so_path
-
-
 #: The state arguments both entry points open with.
 _STATE_ARGTYPES = [
     ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # rails/groups/capture
@@ -682,11 +638,11 @@ _STATE_ARGTYPES = [
 ]
 
 
-def _bind(so_path: str):
+def _bind(so_path: str) -> SimpleNamespace:
     lib = ctypes.CDLL(so_path)
-    fn = lib.repro_move_scan
-    fn.restype = ctypes.c_int64
-    fn.argtypes = _STATE_ARGTYPES + [
+    scan = lib.repro_move_scan
+    scan.restype = ctypes.c_int64
+    scan.argtypes = _STATE_ARGTYPES + [
         ctypes.c_int64, ctypes.c_void_p,   # n_moves, kinds
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # ma, mb, mc
         ctypes.c_void_p,                   # totals_out
@@ -698,19 +654,25 @@ def _bind(so_path: str):
         ctypes.c_int64, ctypes.c_void_p,   # n_cand, candidates
         ctypes.c_void_p, ctypes.c_void_p,  # cursor, choices
     ]
-    return fn, sweep
+    return SimpleNamespace(scan=scan, sweep=sweep)
 
 
-def _addr(buffer: array) -> int:
-    return buffer.buffer_info()[0]
+def score_moves(n_rails, n_groups, capture, widths, time_in, depths,
+                rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
+                table, cap, kinds, ma, mb, mc, lib=None):
+    """Score a candidate batch in C; ``None`` when the engine is
+    unavailable or reports a hard error (callers fall back to the Python
+    patch path).
 
-
-def _run(fn, n_rails, n_groups, capture, widths, time_in, depths,
-         rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
-         table, cap, kinds, ma, mb, mc):
+    All array arguments are :mod:`array` buffers in the layout described
+    by the C source; returns one ``T_soc`` total per candidate.
+    """
+    lib = lib or ENGINE.get()
+    if lib is None:
+        return None
     n_moves = len(kinds)
     totals = array("q", bytes(8 * n_moves))
-    status = fn(
+    status = lib.scan(
         n_rails, n_groups, capture,
         _addr(widths), _addr(time_in), _addr(depths),
         _addr(rail_off), _addr(rail_cores),
@@ -726,154 +688,10 @@ def _run(fn, n_rails, n_groups, capture, widths, time_in, depths,
     return list(totals)
 
 
-def _sweep(fn, n_rails, n_groups, capture, widths, time_in, depths,
-           rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
-           table, cap, rail, incumbent, floor_total, candidates, cursor,
-           choices):
-    return fn(
-        n_rails, n_groups, capture,
-        _addr(widths), _addr(time_in), _addr(depths),
-        _addr(rail_off), _addr(rail_cores),
-        _addr(woc), _addr(cg_off), _addr(cg_ids),
-        _addr(patterns), _addr(gids),
-        _addr(table), cap,
-        rail, incumbent, floor_total, len(candidates) // 4,
-        _addr(candidates), _addr(cursor), _addr(choices),
-    )
-
-
-def _smoke(fn) -> bool:
-    """One hand-rolled call guarding against ABI/layout mishaps.
-
-    Two one-core rails of width 1; core 0 has WOC 2 and belongs to the
-    single SI group (3 patterns, 1 capture cycle), core 1 has none.  The
-    base state costs 10 + 9 = 19; widening rail 0 must score 12, moving
-    core 1 onto rail 0 must score 23, and merging both rails onto two
-    wires must score 16 — worked by hand from the timing model.
-    """
-    out = _run(
-        fn, 2, 1, 1,
-        array("q", (1, 1)), array("q", (10, 4)), array("q", (2, 0)),
-        array("q", (0, 1, 2)), array("i", (0, 1)),       # rail CSR
-        array("q", (2, 0)),                               # woc
-        array("q", (0, 1, 1)), array("i", (0,)),          # core-group CSR
-        array("q", (3,)), array("q", (0,)),               # patterns, gids
-        array("q", (10, 6, 4, 4)), 2,                     # time table, cap
-        array("q", (0, 1, 2)),                            # kinds
-        array("q", (0, 1, 0)),                            # a
-        array("q", (0, 1, 1)),                            # b
-        array("q", (0, 0, 2)),                            # c
-    )
-    return out == [12, 23, 16]
-
-
-def _smoke_sweep(sweep) -> bool:
-    """Hand-worked sweep on the same tiny SOC, merging rail 0 with rail 1
-    from the incumbent 19 against a floor of 16.
-
-    Candidate 0 is an exact merge its bound pruned; candidate 1 an exact
-    merge batch-scored at 17, the first improvement.  Candidate 2 merges
-    onto one wire with one leftover: 14 + 9 = 23 before redistribution,
-    and widening the only (merged) rail lands on 10 + 6 = 16 with choice
-    [0].  16 reaches the floor, so candidates 3 and 4 are pruned
-    unscored: 5 walked, winner 2 at 16, 3 pruned, 1 wire, 1 replay.
-    """
-    cursor = array("q", bytes(8 * 6))
-    choices = array("q", (0,))
-    status = _sweep(
-        sweep, 2, 1, 1,
-        array("q", (1, 1)), array("q", (10, 4)), array("q", (2, 0)),
-        array("q", (0, 1, 2)), array("i", (0, 1)),       # rail CSR
-        array("q", (2, 0)),                               # woc
-        array("q", (0, 1, 1)), array("i", (0,)),          # core-group CSR
-        array("q", (3,)), array("q", (0,)),               # patterns, gids
-        array("q", (10, 6, 4, 4)), 2,                     # time table, cap
-        0, 19, 16,                                        # rail, incumbent, floor
-        array("q", (1, 2, 0, -1, 1, 2, 0, 17, 1, 1, 1, 0,
-                    1, 2, 0, 16, 1, 1, 1, 0)),            # candidates
-        cursor, choices,
-    )
-    return (status == 0
-            and list(cursor) == [5, 2, 16, 3, 1, 1]
-            and list(choices) == [0])
-
-
-def _probe():
-    """Resolve the engine handles, or ``False`` when unavailable."""
-    toggle = os.environ.get("REPRO_OPTIMIZER_CSCAN", "").strip().lower()
-    if toggle in _DISABLE_VALUES or _load_fault_injected():
-        return False
-    so_path = _compile()
-    if so_path is not None:
-        try:
-            fns = _bind(so_path)
-        except (OSError, AttributeError):
-            fns = None
-        if fns is not None and _smoke(fns[0]) and _smoke_sweep(fns[1]):
-            return fns
-    # Wanted but unresolvable on this host: disclose the pure-Python
-    # degradation once per process.
-    from repro.runtime.instrumentation import incr
-
-    incr("recovery.degraded.movescan")
-    return False
-
-
-def available() -> bool:
-    """Whether the C move scanner compiled, loaded, and passed its smoke."""
-    global _engine
-    if _engine is None:
-        with _probe_lock:
-            if _engine is None:
-                _engine = _probe()
-    return _engine is not False
-
-
-def warm() -> bool:
-    """Resolve the engine now, instead of lazily inside the first scan.
-
-    The resolved handles are cached for the life of the process (module
-    global), so a persistent sweep worker that calls this during warm-up
-    pays the compile/load/smoke cost exactly once, outside any cell's
-    wall clock — later cells reuse the handles with a dict lookup.
-    """
-    return available()
-
-
-def _load_fault_injected() -> bool:
-    """``movescan.load`` injection site: a due ``movescan-compile-fail``
-    fault makes the engine unavailable, exactly like a host with no
-    compiler; the evaluator then takes its pure-Python patch path."""
-    from repro.resilience.faults import check_fault
-    from repro.runtime.instrumentation import incr
-
-    if check_fault("movescan.load") is None:
-        return False
-    incr("recovery.movescan_fallback")
-    return True
-
-
-def score_moves(n_rails, n_groups, capture, widths, time_in, depths,
-                rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
-                table, cap, kinds, ma, mb, mc):
-    """Score a candidate batch in C; ``None`` when the engine is
-    unavailable or reports a hard error (callers fall back to the Python
-    patch path).
-
-    All array arguments are :mod:`array` buffers in the layout described
-    by the C source; returns one ``T_soc`` total per candidate.
-    """
-    if not available():
-        return None
-    return _run(_engine[0], n_rails, n_groups, capture, widths, time_in,
-                depths, rail_off, rail_cores, woc, cg_off, cg_ids,
-                patterns, gids, table, cap, kinds, ma, mb, mc)
-
-
 def merge_sweep(n_rails, n_groups, capture, widths, time_in, depths,
                 rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
                 table, cap, rail, incumbent, floor_total, candidates,
-                cursor, choices):
+                cursor, choices, lib=None):
     """Walk one mergeTAMs sweep in a single C call; ``None`` when the
     engine is unavailable.
 
@@ -889,9 +707,78 @@ def merge_sweep(n_rails, n_groups, capture, widths, time_in, depths,
     width outside the table, among others) with ``cursor[0]`` at the
     first candidate not scored.
     """
-    if not available():
+    lib = lib or ENGINE.get()
+    if lib is None:
         return None
-    return _sweep(_engine[1], n_rails, n_groups, capture, widths, time_in,
-                  depths, rail_off, rail_cores, woc, cg_off, cg_ids,
-                  patterns, gids, table, cap, rail, incumbent, floor_total,
-                  candidates, cursor, choices)
+    return lib.sweep(
+        n_rails, n_groups, capture,
+        _addr(widths), _addr(time_in), _addr(depths),
+        _addr(rail_off), _addr(rail_cores),
+        _addr(woc), _addr(cg_off), _addr(cg_ids),
+        _addr(patterns), _addr(gids),
+        _addr(table), cap,
+        rail, incumbent, floor_total, len(candidates) // 4,
+        _addr(candidates), _addr(cursor), _addr(choices),
+    )
+
+
+def _smoke(lib) -> bool:
+    """Hand-rolled calls guarding against ABI/layout mishaps.
+
+    Two one-core rails of width 1; core 0 has WOC 2 and belongs to the
+    single SI group (3 patterns, 1 capture cycle), core 1 has none.  The
+    base state costs 10 + 9 = 19; widening rail 0 must score 12, moving
+    core 1 onto rail 0 must score 23, and merging both rails onto two
+    wires must score 16 — worked by hand from the timing model.  The
+    sweep on the same SOC is :func:`_smoke_sweep`.
+    """
+    out = score_moves(
+        2, 1, 1,
+        array("q", (1, 1)), array("q", (10, 4)), array("q", (2, 0)),
+        array("q", (0, 1, 2)), array("i", (0, 1)),       # rail CSR
+        array("q", (2, 0)),                               # woc
+        array("q", (0, 1, 1)), array("i", (0,)),          # core-group CSR
+        array("q", (3,)), array("q", (0,)),               # patterns, gids
+        array("q", (10, 6, 4, 4)), 2,                     # time table, cap
+        array("q", (0, 1, 2)),                            # kinds
+        array("q", (0, 1, 0)),                            # a
+        array("q", (0, 1, 1)),                            # b
+        array("q", (0, 0, 2)),                            # c
+        lib=lib,
+    )
+    return out == [12, 23, 16] and _smoke_sweep(lib)
+
+
+def _smoke_sweep(lib) -> bool:
+    """Hand-worked sweep on the same tiny SOC, merging rail 0 with rail 1
+    from the incumbent 19 against a floor of 16.
+
+    Candidate 0 is an exact merge its bound pruned; candidate 1 an exact
+    merge batch-scored at 17, the first improvement.  Candidate 2 merges
+    onto one wire with one leftover: 14 + 9 = 23 before redistribution,
+    and widening the only (merged) rail lands on 10 + 6 = 16 with choice
+    [0].  16 reaches the floor, so candidates 3 and 4 are pruned
+    unscored: 5 walked, winner 2 at 16, 3 pruned, 1 wire, 1 replay.
+    """
+    cursor = array("q", bytes(8 * 6))
+    choices = array("q", (0,))
+    status = merge_sweep(
+        2, 1, 1,
+        array("q", (1, 1)), array("q", (10, 4)), array("q", (2, 0)),
+        array("q", (0, 1, 2)), array("i", (0, 1)),       # rail CSR
+        array("q", (2, 0)),                               # woc
+        array("q", (0, 1, 1)), array("i", (0,)),          # core-group CSR
+        array("q", (3,)), array("q", (0,)),               # patterns, gids
+        array("q", (10, 6, 4, 4)), 2,                     # time table, cap
+        0, 19, 16,                                        # rail, incumbent, floor
+        array("q", (1, 2, 0, -1, 1, 2, 0, 17, 1, 1, 1, 0,
+                    1, 2, 0, 16, 1, 1, 1, 0)),            # candidates
+        cursor, choices, lib=lib,
+    )
+    return (status == 0
+            and list(cursor) == [5, 2, 16, 3, 1, 1]
+            and list(choices) == [0])
+
+
+ENGINE = Engine("movescan", _SOURCE, "REPRO_OPTIMIZER_CSCAN", _bind, _smoke)
+available = ENGINE.available

@@ -35,11 +35,7 @@ from repro.experiments.plan import (
     register_plan_kind,
 )
 from repro.experiments.runner import PlanRunner
-from repro.runtime.cache import (
-    EvaluationCache,
-    grouping_cache_key,
-    patterns_cache_key,
-)
+from repro.runtime.cache import grouping_cache_key, patterns_cache_key
 from repro.runtime.pool import PatternsRef, resolve_pattern_index
 from repro.sitest.generator import GeneratorConfig
 from repro.sitest.patterns import SIPattern
@@ -273,41 +269,6 @@ def measure_compaction(
                 "seed": seed,
                 "backend": backend,
             },
-        )
-    )
-    return run.report
-
-
-def run_volume_study(
-    soc: Soc,
-    pattern_count: int,
-    group_counts: tuple[int, ...] = (1, 2, 4, 8),
-    seed: int = 0,
-    generator_config: GeneratorConfig = GeneratorConfig(),
-    backend: str = "auto",
-    jobs: int = 1,
-    cache: EvaluationCache | None = None,
-    checkpoint=None,
-    verify: bool = False,
-) -> tuple[CompactionVolume, ...]:
-    """The recipe path: generate ``pattern_count`` patterns at ``seed``
-    (inside the cells, via a shared :class:`PatternsRef`) and measure the
-    compaction — cacheable and resumable, unlike the raw-pattern
-    :func:`measure_compaction` library path."""
-    runner = PlanRunner(
-        jobs=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-        verify=verify,
-    )
-    run = runner.run(
-        volume_plan(
-            soc,
-            pattern_count,
-            group_counts=group_counts,
-            seed=seed,
-            generator_config=generator_config,
-            backend=backend,
         )
     )
     return run.report

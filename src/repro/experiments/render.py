@@ -12,13 +12,10 @@ line, ``--verbose`` progress) stay CLI-side.
 from __future__ import annotations
 
 import importlib
-from typing import Callable
-
-_RENDERERS: dict[str, Callable] = {}
 
 #: kind -> (module, attribute); ``None`` attribute means the report
 #: renders itself via ``report.format()``.
-_BUILTIN_RENDERERS = {
+_RENDERERS = {
     "table": ("repro.experiments.reporting", "render_table"),
     "pareto": ("repro.experiments.pareto", "format_curve"),
     "volume": ("repro.experiments.compaction_study", "format_volume_report"),
@@ -34,30 +31,18 @@ _BUILTIN_RENDERERS = {
 }
 
 
-def register_renderer(kind: str, fn: Callable) -> None:
-    """Register ``fn(report) -> str`` for a plan kind (external kinds)."""
-    _RENDERERS[kind] = fn
-
-
 def render_report(kind: str, report) -> str:
     """Render ``report`` (a plan kind's assembled object) to text.
 
     Raises:
-        ValueError: On a kind with no registered renderer.
+        ValueError: On a kind with no renderer.
     """
-    fn = _RENDERERS.get(kind)
-    if fn is None and kind in _BUILTIN_RENDERERS:
-        module_name, attribute = _BUILTIN_RENDERERS[kind]
-        importlib.import_module(module_name)
-        fn = (
-            (lambda rendered: rendered.format())
-            if attribute is None
-            else getattr(importlib.import_module(module_name), attribute)
-        )
-        _RENDERERS[kind] = fn
-    if fn is None:
-        known = sorted(set(_RENDERERS) | set(_BUILTIN_RENDERERS))
+    if kind not in _RENDERERS:
         raise ValueError(
-            f"no renderer for plan kind {kind!r}; known: {', '.join(known)}"
+            f"no renderer for plan kind {kind!r}; known: "
+            f"{', '.join(sorted(_RENDERERS))}"
         )
-    return fn(report)
+    module_name, attribute = _RENDERERS[kind]
+    if attribute is None:
+        return report.format()
+    return getattr(importlib.import_module(module_name), attribute)(report)

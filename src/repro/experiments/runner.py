@@ -68,7 +68,7 @@ from repro.runtime.supervision import (
     degraded_backend,
     use_policy,
 )
-from repro.runtime.pool import PatternsRef, WorkerPool, default_warmup
+from repro.runtime.pool import PatternsRef, WorkerPool, warm_engines
 
 
 def _execute_plan_cell(spec):
@@ -242,7 +242,7 @@ class PlanRunner:
             if self.pool is not None:
                 return self.pool
             if pool is None and not pool_failed:
-                pool = open_pool(self.jobs, warmup=default_warmup)
+                pool = open_pool(self.jobs, warmup=warm_engines)
                 pool_failed = pool is None
             return pool
 

@@ -51,16 +51,28 @@ from repro.runtime.supervision import (
 )
 
 
+class _SpecRepr(reprlib.Repr):
+    """:mod:`reprlib` abbreviation that names a function
+    ``module.qualname`` instead of printing its memory address."""
+
+    def repr_function(self, x, level):
+        return f"{x.__module__}.{x.__qualname__}"
+
+
+_abbreviate = _SpecRepr().repr
+
+
 class CellError(RuntimeError):
     """A sweep cell failed every attempt its retry budget allowed.
 
-    The message abbreviates the spec (:func:`reprlib.repr`): a plan
-    cell's spec holds its whole SOC, whose full repr runs to kilobytes.
+    The message abbreviates the spec: a plan cell's spec holds its whole
+    SOC, whose full repr runs to kilobytes, and the same failure prints
+    the same message on every run.
     """
 
     def __init__(self, index: int, spec, cause: BaseException) -> None:
         super().__init__(
-            f"sweep cell {index} (spec {reprlib.repr(spec)}) failed after "
+            f"sweep cell {index} (spec {_abbreviate(spec)}) failed after "
             f"exhausting its retry budget: {cause!r}"
         )
         self.index = index
@@ -70,10 +82,6 @@ class CellError(RuntimeError):
 
 #: Accepted ``on_error`` modes of :func:`run_cells`.
 ON_ERROR_MODES = ("raise", "return")
-
-
-#: Public name for the structured failure the executor escalates to.
-CellFailure = CellError
 
 
 def run_cells(

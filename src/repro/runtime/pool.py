@@ -70,7 +70,6 @@ __all__ = [
     "WorkerPool",
     "cell_state",
     "clear_cell_state",
-    "default_warmup",
     "resolve_pattern_index",
     "resolve_patterns",
     "warm_engines",
@@ -256,12 +255,7 @@ def warm_engines() -> dict:
     from repro.compaction import _cscan
     from repro.core import _movescan
 
-    return {"cscan": _cscan.warm(), "movescan": _movescan.warm()}
-
-
-def default_warmup() -> dict:
-    """Standard worker warm-up: pre-load the C engines."""
-    return warm_engines()
+    return {"cscan": _cscan.available(), "movescan": _movescan.available()}
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from repro.runtime.instrumentation import (
     Instrumentation,
     use_instrumentation,
 )
-from repro.runtime.pool import WorkerPool, default_warmup
+from repro.runtime.pool import WorkerPool, warm_engines
 from repro.runtime.status import STATUS_OK, run_status
 from repro.runtime.supervision import RunPolicy
 from repro.service.jobs import Job, JobManager, JobStore
@@ -230,11 +230,11 @@ class OptimizationService:
 
     def _shared_pool(self) -> WorkerPool | None:
         """The one warm worker pool every job shares (created on first
-        parallel job, engines pre-compiled by ``default_warmup``)."""
+        parallel job, engines pre-compiled by ``warm_engines``)."""
         if self.config.jobs <= 1 or self._pool_failed:
             return None
         if self._pool is None:
-            self._pool = open_pool(self.config.jobs, warmup=default_warmup)
+            self._pool = open_pool(self.config.jobs, warmup=warm_engines)
             self._pool_failed = self._pool is None
         return self._pool
 

@@ -179,7 +179,7 @@ class TestEngineFallback:
             monkeypatch.setenv("REPRO_COMPACTION_CSCAN", "0")
         else:
             monkeypatch.delenv("REPRO_COMPACTION_CSCAN", raising=False)
-        monkeypatch.setattr(_cscan, "_engine", None)  # probe afresh
+        monkeypatch.setattr(_cscan.ENGINE, "handle", None)  # probe afresh
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             if fault:

@@ -312,7 +312,7 @@ def test_scan_engines_agree():
 def test_cscan_disabled_by_environment(monkeypatch):
     from repro.compaction import _cscan
 
-    monkeypatch.setattr(_cscan, "_engine", None)  # force a fresh probe
+    monkeypatch.setattr(_cscan.ENGINE, "handle", None)  # force a fresh probe
     monkeypatch.setenv("REPRO_COMPACTION_CSCAN", "0")
     assert not _cscan.available()
     assert _cscan.greedy_scan([SIPattern(cares={(1, 0): "R"})]) is None

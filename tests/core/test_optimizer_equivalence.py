@@ -96,7 +96,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("name,w_max", CASES, ids=IDS)
     def test_without_c_kernel(self, suite, monkeypatch, name, w_max):
-        monkeypatch.setattr(_movescan, "_engine", False)
+        monkeypatch.setattr(_movescan.ENGINE, "handle", False)
         socs, groups, reference = suite
         result = optimize_tam(
             socs[name], w_max, groups[name], backend="incremental"
@@ -117,7 +117,7 @@ class TestBitIdentity:
 
     def test_environment_toggle_disables_engine(self, suite, monkeypatch):
         monkeypatch.setenv("REPRO_OPTIMIZER_CSCAN", "0")
-        monkeypatch.setattr(_movescan, "_engine", None)  # fresh probe
+        monkeypatch.setattr(_movescan.ENGINE, "handle", None)  # fresh probe
         assert _movescan.available() is False
         socs, groups, reference = suite
         result = optimize_tam(
@@ -136,7 +136,7 @@ class TestMergeSweep:
             pytest.skip("C move scanner unavailable")
 
     def test_hand_worked_sweep(self):
-        assert _movescan._smoke_sweep(_movescan._engine[1])
+        assert _movescan._smoke_sweep(_movescan.ENGINE.get())
 
     def test_sweeps_replay_redistribution_in_c(self, suite):
         socs, groups, reference = suite
@@ -204,7 +204,7 @@ class TestFixedTable:
     @pytest.mark.parametrize("toggle", ["1", "0"], ids=["c", "python"])
     def test_widen_past_w_max_raises(self, suite, monkeypatch, toggle):
         monkeypatch.setenv("REPRO_OPTIMIZER_CSCAN", toggle)
-        monkeypatch.setattr(_movescan, "_engine", None)  # fresh probe
+        monkeypatch.setattr(_movescan.ENGINE, "handle", None)  # fresh probe
         if toggle == "1" and not _movescan.available():
             pytest.skip("C move scanner unavailable")
         socs, groups, _ = suite

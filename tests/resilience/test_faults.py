@@ -197,7 +197,7 @@ class TestCscanFault:
         # would short-circuit before the injection site; pin it clean so
         # the fault, not the toggle, disables the engine.
         monkeypatch.delenv("REPRO_COMPACTION_CSCAN", raising=False)
-        monkeypatch.setattr(_cscan, "_engine", None)
+        monkeypatch.setattr(_cscan.ENGINE, "handle", None)
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             with faults.inject("cscan-compile-fail@0"):
@@ -217,7 +217,7 @@ class TestCscanFault:
         patterns = generate_random_patterns(t5, 200, seed=3)
         baseline = greedy_compact_bitset(patterns)
         monkeypatch.delenv("REPRO_COMPACTION_CSCAN", raising=False)
-        monkeypatch.setattr(_cscan, "_engine", None)
+        monkeypatch.setattr(_cscan.ENGINE, "handle", None)
         with faults.inject("cscan-compile-fail@0"):
             faulted = greedy_compact_bitset(patterns)
         assert faulted.members == baseline.members
@@ -229,7 +229,7 @@ class TestMovescanFault:
         from repro.core import _movescan
 
         monkeypatch.delenv("REPRO_OPTIMIZER_CSCAN", raising=False)
-        monkeypatch.setattr(_movescan, "_engine", None)
+        monkeypatch.setattr(_movescan.ENGINE, "handle", None)
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             with faults.inject("movescan-compile-fail@0"):
@@ -246,7 +246,7 @@ class TestMovescanFault:
 
         baseline = optimize_tam(d695, 16, backend="incremental")
         monkeypatch.delenv("REPRO_OPTIMIZER_CSCAN", raising=False)
-        monkeypatch.setattr(_movescan, "_engine", None)
+        monkeypatch.setattr(_movescan.ENGINE, "handle", None)
         with faults.inject("movescan-compile-fail@0"):
             faulted = optimize_tam(d695, 16, backend="incremental")
         assert faulted.architecture == baseline.architecture

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -181,6 +183,27 @@ class TestErrorChaining:
         assert error.spec == 3
         assert "spec 3" in str(error)
         assert "retry budget" in str(error)
+
+    def test_cell_error_message_is_deterministic(self):
+        # A plan cell's spec opens with its cell function: the message
+        # names it by module and qualified name, never by address, so the
+        # same failure prints the same line in every process.
+        script = (
+            "from repro.runtime.executor import CellError, run_cells\n"
+            "spec = (run_cells, (lambda: 0, 'p93791' * 20), 16)\n"
+            "print(CellError(0, spec, RuntimeError('boom')))\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "random"}
+        runs = [
+            subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=60).stdout
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+        assert "0x" not in runs[0]
+        assert "repro.runtime.executor.run_cells" in runs[0]
+        assert "<lambda>" in runs[0]
 
     def test_original_traceback_is_chained(self):
         # CellError from-chains the retry failure, which itself chains

@@ -238,10 +238,10 @@ class TestWorkerPool:
             pool.run(_double, [1])
 
     def test_warmup_snapshot_absorbed_on_close(self):
-        from repro.runtime.pool import default_warmup
+        from repro.runtime.pool import warm_engines
 
         with use_instrumentation(Instrumentation()) as instrumentation:
-            with WorkerPool(2, warmup=default_warmup) as pool:
+            with WorkerPool(2, warmup=warm_engines) as pool:
                 pool.run(_double, [1, 2, 3, 4])
         counters = instrumentation.counters
         assert counters["pool.workers_started"] == 2
