@@ -1,26 +1,27 @@
-"""Optional C engine for the incremental move-evaluation scan.
+"""Optional C engine that runs the whole incremental Algorithm 2.
 
-:class:`repro.core.scheduling.IncrementalTamEvaluator` scores the
-optimizer's candidate moves (widen a rail / move a core / merge two
-rails) by patching at most two rails of a packed state and re-deriving
-``T_soc``.  The patch arithmetic is pure integer work over flat arrays
-— per-rail InTest times, per-group shift depths, the evaluator's fixed
-``cores × W_max`` InTest time table, involved-rail bitmasks — so this
-module carries a small, dependency-free C translation of the scan (same
-row arithmetic, same entry sort, same greedy Algorithm 1 replay, one
-copy of each shared by both entry points; see the evaluator docstring
-for the equivalence argument).
+:class:`repro.core.optimizer._IncrementalOptimizer` mirrors the
+reference ``TAM_Optimization`` decision for decision over packed states:
+the one-wire start solution (merge-down or free-wire padding), the
+bottom-up, top-down and remaining-rail ``mergeTAMs`` loops with their
+skip set, partner, exclusion and floor pruning and leftover
+redistribution, then ``coreReshuffle``.  Every step is pure integer work
+over flat arrays — per-rail InTest times and per-group shift depths, the
+evaluator's fixed ``cores × W_max`` InTest time table, involved-rail
+bitmasks — so this module carries a small, dependency-free C translation
+of the whole run (:func:`optimize`): one call per optimizer run, with the
+same candidate order, the same strict-``<`` selections and the same
+tie-breaks as the Python loop, so the final architecture and every
+``optimizer.*`` count are identical.
 
 The engine is optional and loaded by :mod:`repro.runtime.native`
-(toggle ``REPRO_OPTIMIZER_CSCAN``): when it is unavailable, the
-evaluator falls back to its pure-Python patch path — scoring is
-bit-identical either way.
+(toggle ``REPRO_OPTIMIZER_CSCAN``): when it is unavailable, or the SOC
+has more than 64 cores (a rail's cores are one ``uint64`` mask), the
+optimizer runs its pure-Python loop.
 
-The C side works on flattened integer streams only — rail membership as
-dense core ids in CSR layout, core-to-group membership likewise — and
-returns one ``T_soc`` total per batch candidate, or the winner of a
-whole mergeTAMs sweep (:func:`merge_sweep`).  All core/group semantics
-stay in Python; the C code never sees a rail object.
+The C side sees dense core indices (ascending core id) and integer
+arrays only; Python turns the returned rail masks and widths into the
+:class:`~repro.tam.testrail.TestRailArchitecture`.
 """
 
 from __future__ import annotations
@@ -31,77 +32,80 @@ from types import SimpleNamespace
 
 from repro.runtime.native import Engine, _addr
 
-__all__ = ["ENGINE", "available", "merge_sweep", "score_moves"]
+__all__ = ["COUNTERS", "ENGINE", "EngineError", "available", "optimize"]
 
 _SOURCE = r"""#include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-/* Inputs shared by both entry points: the packed base state (per-rail
- * widths, InTest times and per-group shift depths; rail membership as
- * dense core ids in CSR layout), per-core WOC counts, core-to-group CSR,
- * per-group pattern counts and ids, and the fixed (core, width) InTest
- * time table -- `cap` widths per core, T(core, w) at core * cap + w - 1.
- * A width outside 1..cap is a hard error: reading it would land in
- * another core's row.  Rail masks are one uint64, so callers must keep
- * n_rails <= 64. */
+/* Static inputs of one run: per-core WOC counts, core-to-group CSR,
+ * per-group pattern counts and ids, per-core InTest payload bits, and the
+ * fixed (core, width) InTest time table -- `cap` (= W_max) widths per
+ * core, T(core, w) at core * cap + w - 1.  A width outside 1..cap is a
+ * hard error: reading it would land in another core's row. */
 typedef struct {
-    int64_t n_rails, n_groups, capture, cap;
-    const int64_t *widths, *time_in, *depths, *rail_off;
-    const int32_t *rail_cores;
-    const int64_t *woc, *cg_off;
+    int64_t n_groups, capture, cap;
+    const int64_t *table, *woc, *cg_off;
     const int32_t *cg_ids;
-    const int64_t *patterns, *gids, *table;
+    const int64_t *patterns, *gids, *payload;
 } rpr_in;
 
-/* Scratch of one scoring call: ld is a working copy of R rails' depth
- * rows that candidates patch in place; lw/lt/loff/lcores describe the
- * post-merge rails of a sweep replay.  Carved out of one allocation. */
+/* One architecture: rail r carries the cores of mask[r] (bit k = dense
+ * core k) on w[r] wires, with InTest time tin[r] and its SI shift depth
+ * per group in d[r * n_groups + g].  Rails keep the optimizer's order. */
 typedef struct {
-    int64_t *lw, *lt, *ld, *loff, *gb, *et, *eg, *ex, *sb, *se, *sg, *sx;
-    int64_t *ord, *crit, *run_end, *cand_d, *best_d, *choices;
+    int64_t R;
+    uint64_t mask[64];
+    int64_t w[64], tin[64];
+    int64_t *d;
+} rpr_st;
+
+/* Scratch of one run: entry, schedule and critical-chain arrays of G
+ * each, the rail order of rpr_order, per-destination bounds, the last
+ * rpr_total's figures and the run's counts. */
+typedef struct {
+    int64_t *gb, *et, *eg, *ex, *sb, *se, *sg, *sx, *ord, *crit;
+    int64_t *run_end, *save, *row;
     uint64_t *em, *run_mask;
-    int32_t *lcores;
     char *used;
+    int64_t rank[64], bound[64];
+    int64_t t_in, t_si, ns;
+    int64_t *counts;
 } rpr_ws;
 
-static void *rpr_ws_alloc(rpr_ws *ws, int64_t R, int64_t G, int64_t ncores,
-                          int64_t max_left)
-{
-    const size_t words = (size_t)(3 * R + 1 + R * G + 15 * G + 1
-                                  + max_left);
-    char *arena = malloc(words * 8 + (size_t)ncores * 4 + (size_t)G);
-    if (!arena)
-        return 0;
-    int64_t *p = (int64_t *)arena;
-#define TAKE(field, n) do { ws->field = (void *)p; p += (n); } while (0)
-    TAKE(lw, R); TAKE(lt, R); TAKE(ld, R * G); TAKE(loff, R + 1);
-    TAKE(gb, G); TAKE(et, G); TAKE(eg, G); TAKE(ex, G); TAKE(sb, G);
-    TAKE(se, G); TAKE(sg, G); TAKE(sx, G); TAKE(ord, G); TAKE(crit, G + 1);
-    TAKE(run_end, G); TAKE(cand_d, G); TAKE(best_d, G);
-    TAKE(choices, max_left); TAKE(em, G); TAKE(run_mask, G);
-#undef TAKE
-    ws->lcores = (int32_t *)p;
-    ws->used = (char *)(ws->lcores + ncores);
-    return arena;
-}
+/* counts[]: the optimizer.* counters plus movescan.moves_scored */
+enum { N_MERGES, N_CORE_MOVES, N_PRUNED, N_WIRES, N_SCORED, N_COUNTS };
 
-static int rpr_bad_width(const rpr_in *in, int64_t w)
-{
-    return w < 1 || w > in->cap;
-}
-
-/* Put `core` on a rail of w wires: add sign times its SI shift depth to
- * every group it feeds in row, and return its InTest time. */
-static int64_t rpr_add_core(const rpr_in *in, int64_t core, int64_t w,
-                            int64_t *row, int64_t sign)
+/* Add `core`'s SI shift depth on w wires to every group it feeds. */
+static void rpr_add_depth(const rpr_in *in, int64_t core, int64_t w,
+                          int64_t *row)
 {
     const int64_t oc = in->woc[core];
     if (oc) {
-        const int64_t d = sign * ((oc + w - 1) / w);
+        const int64_t d = (oc + w - 1) / w;
         for (int64_t k = in->cg_off[core]; k < in->cg_off[core + 1]; k++)
             row[in->cg_ids[k]] += d;
     }
-    return in->table[core * in->cap + w - 1];
+}
+
+/* Re-derive rail r's InTest time and depth row from its cores and width.
+ * Returns 0, or -1 when the width is outside the table. */
+static int64_t rpr_set_row(const rpr_in *in, rpr_st *s, int64_t r)
+{
+    const int64_t w = s->w[r];
+    int64_t *row = s->d + r * in->n_groups;
+    int64_t tin = 0;
+    if (w < 1 || w > in->cap)
+        return -1;
+    for (int64_t g = 0; g < in->n_groups; g++)
+        row[g] = 0;
+    for (uint64_t m = s->mask[r]; m; m &= m - 1) {
+        const int64_t core = __builtin_ctzll(m);
+        rpr_add_depth(in, core, w, row);
+        tin += in->table[core * in->cap + w - 1];
+    }
+    s->tin[r] = tin;
+    return 0;
 }
 
 /* SI entries of R rails' depth rows: per group with any involved rail,
@@ -228,128 +232,6 @@ static int64_t rpr_greedy(
     return ns;
 }
 
-/* Batch scorer for single-move TAM candidates.
- *
- * Per candidate at most two rails change.  Their new rows are patched
- * into a working copy of the base depths, the SI makespan is replayed
- * by rpr_groups/rpr_greedy -- the exact order of the Python scheduler,
- * so every total matches the reference evaluator bit for bit -- and the
- * base rows are copied back.  Unchanged rails' InTest times are read
- * straight from the base state.
- *
- * Move kinds: 0 widen(rail a), 1 move(core a, rail b -> rail c),
- * 2 merge(rails a + b onto c wires, b removed).  Returns 0, or -1/-2 on
- * a hard error (bad width, too many rails, allocation, stall). */
-int64_t repro_move_scan(
-    int64_t n_rails, int64_t n_groups, int64_t capture,
-    const int64_t *widths, const int64_t *time_in, const int64_t *depths,
-    const int64_t *rail_off, const int32_t *rail_cores,
-    const int64_t *woc, const int64_t *cg_off, const int32_t *cg_ids,
-    const int64_t *patterns, const int64_t *gids,
-    const int64_t *table, int64_t cap,
-    int64_t n_moves, const int64_t *kinds,
-    const int64_t *ma, const int64_t *mb, const int64_t *mc,
-    int64_t *totals_out)
-{
-    if (n_rails > 64)
-        return -1;
-    const rpr_in in = {
-        n_rails, n_groups, capture, cap, widths, time_in, depths, rail_off,
-        rail_cores, woc, cg_off, cg_ids, patterns, gids, table,
-    };
-    rpr_ws ws;
-    void *arena = rpr_ws_alloc(&ws, n_rails, n_groups ? n_groups : 1, 0, 1);
-    if (!arena)
-        return -1;
-    int64_t *ld = ws.ld;
-    for (int64_t i = 0; i < n_rails * n_groups; i++)
-        ld[i] = depths[i];
-    int64_t status = 0;
-    for (int64_t m = 0; m < n_moves; m++) {
-        const int64_t kind = kinds[m], a = ma[m], b = mb[m], c = mc[m];
-        int64_t changed0 = a, changed1 = -1, tin0 = 0, tin1 = 0;
-        if (kind == 0) {            /* widen rail a by one wire */
-            const int64_t w = widths[a] + 1;
-            if (rpr_bad_width(&in, w)) {
-                status = -1;
-                break;
-            }
-            int64_t *row = ld + a * n_groups;
-            for (int64_t g = 0; g < n_groups; g++)
-                row[g] = 0;
-            for (int64_t k = rail_off[a]; k < rail_off[a + 1]; k++)
-                tin0 += rpr_add_core(&in, rail_cores[k], w, row, 1);
-        } else if (kind == 1) {     /* move core a from rail b to rail c */
-            if (rpr_bad_width(&in, widths[b])
-                || rpr_bad_width(&in, widths[c])) {
-                status = -1;
-                break;
-            }
-            changed0 = b;
-            changed1 = c;
-            tin0 = time_in[b] - rpr_add_core(&in, a, widths[b],
-                                             ld + b * n_groups, -1);
-            tin1 = time_in[c] + rpr_add_core(&in, a, widths[c],
-                                             ld + c * n_groups, 1);
-        } else {                    /* merge rails a + b onto c wires */
-            if (rpr_bad_width(&in, c)) {
-                status = -1;
-                break;
-            }
-            changed1 = b;           /* removed: contributes nothing */
-            for (int64_t g = 0; g < n_groups; g++) {
-                ld[a * n_groups + g] = 0;
-                ld[b * n_groups + g] = 0;
-            }
-            for (int64_t k = rail_off[a]; k < rail_off[a + 1]; k++)
-                tin0 += rpr_add_core(&in, rail_cores[k], c,
-                                     ld + a * n_groups, 1);
-            for (int64_t k = rail_off[b]; k < rail_off[b + 1]; k++)
-                tin0 += rpr_add_core(&in, rail_cores[k], c,
-                                     ld + a * n_groups, 1);
-        }
-
-        int64_t t_in = tin0 > tin1 ? tin0 : tin1;
-        for (int64_t r = 0; r < n_rails; r++)
-            if (r != changed0 && r != changed1 && time_in[r] > t_in)
-                t_in = time_in[r];
-        const int64_t ne = rpr_groups(n_rails, n_groups, capture, ld,
-                                      patterns, gids, ws.gb, ws.et, ws.em,
-                                      ws.eg, ws.ex);
-        int64_t t_si = 0;
-        if (rpr_greedy(ne, ws.et, ws.em, ws.eg, ws.ex, 0, 0, 0, 0,
-                       ws.run_end, ws.run_mask, ws.used, &t_si) < 0) {
-            status = -2;            /* stalled: cannot happen on valid input */
-            break;
-        }
-        totals_out[m] = t_in + t_si;
-        for (int64_t g = 0; g < n_groups; g++) {
-            ld[changed0 * n_groups + g] = depths[changed0 * n_groups + g];
-            if (changed1 >= 0)
-                ld[changed1 * n_groups + g] = depths[changed1 * n_groups + g];
-        }
-    }
-    free(arena);
-    return status;
-}
-
-/* ------------------------------------------------------------------ */
-/* One mergeTAMs sweep: every (partner, width) candidate of merging one
- * rail, walked in the optimizer's enumeration order.
- *
- * A merge-with-leftover candidate is "merge rails a+b onto c wires, then
- * hand the (w_a + w_b - c) freed wires to bottleneck rails one at a
- * time" -- a greedy loop whose every wire re-derives the bottleneck set
- * (InTest maxima plus the SI schedule's critical chain) and scores one
- * widen candidate per bottleneck rail.  The routines below replay that
- * loop with the exact Python semantics: the same group bottleneck
- * (first rail achieving the strict maximum, scanning ascending), the
- * same schedule order (picks sorted by (begin, group_id)), the same
- * stable critical-chain walk (end descending, ties in original order),
- * and the same first-candidate strict-< selection over ascending rail
- * indices.  Exact merges (no leftover) arrive pre-scored by the batch
- * scorer above, or with a negative total when their bound pruned them. */
-
 /* Bottleneck rails: InTest maxima plus the bottleneck of every group on
  * the schedule's critical chain (walked end-descending, stable). */
 static uint64_t rpr_bottlenecks(
@@ -396,388 +278,627 @@ static uint64_t rpr_bottlenecks(
     return mask;
 }
 
-/* Score widening local rail r by one wire into ws->cand_d.  Returns the
- * candidate T_soc (always >= 0), -1 when the new width is outside the
- * table, or -2 on stall.  new_tin_out receives the rail's patched InTest
- * time for a later apply. */
-static int64_t rpr_score_widen(const rpr_in *in, const rpr_ws *ws,
-                               int64_t R, int64_t r, int64_t *new_tin_out)
+/* T_soc of s.  With sched set, the schedule stays in ws for
+ * rpr_bottlenecks.  Returns -2 on a stall (cannot happen on valid
+ * input). */
+static int64_t rpr_total(const rpr_in *in, rpr_ws *ws, const rpr_st *s,
+                         int sched)
 {
-    const int64_t n_groups = in->n_groups;
-    const int64_t w = ws->lw[r] + 1;
-    int64_t *new_row = ws->cand_d;
-    int64_t tin = 0;
-    if (rpr_bad_width(in, w))
-        return -1;
-    for (int64_t g = 0; g < n_groups; g++)
-        new_row[g] = 0;
-    for (int64_t k = ws->loff[r]; k < ws->loff[r + 1]; k++)
-        tin += rpr_add_core(in, ws->lcores[k], w, new_row, 1);
-    int64_t t_in = tin;
-    for (int64_t rr = 0; rr < R; rr++)
-        if (rr != r && ws->lt[rr] > t_in)
-            t_in = ws->lt[rr];
-    /* swap the widened row in for the entry build, then back out, so
-     * new_row again holds the candidate's row for a later apply */
-    int64_t *row = ws->ld + r * n_groups;
-    for (int64_t g = 0; g < n_groups; g++) {
-        const int64_t d = row[g];
-        row[g] = new_row[g];
-        new_row[g] = d;
-    }
-    const int64_t ne = rpr_groups(R, n_groups, in->capture, ws->ld,
-                                  in->patterns, in->gids, ws->gb,
-                                  ws->et, ws->em, ws->eg, ws->ex);
-    for (int64_t g = 0; g < n_groups; g++) {
-        const int64_t d = row[g];
-        row[g] = new_row[g];
-        new_row[g] = d;
-    }
-    int64_t t_si = 0;
+    const int64_t ne = rpr_groups(s->R, in->n_groups, in->capture, s->d,
+                                  in->patterns, in->gids, ws->gb, ws->et,
+                                  ws->em, ws->eg, ws->ex);
+    int64_t t_si = 0, t_in = 0;
     const int64_t ns = rpr_greedy(ne, ws->et, ws->em, ws->eg, ws->ex,
-                                  0, 0, 0, 0, ws->run_end, ws->run_mask,
-                                  ws->used, &t_si);
+                                  sched ? ws->sb : 0, ws->se, ws->sg, ws->sx,
+                                  ws->run_end, ws->run_mask, ws->used, &t_si);
     if (ns < 0)
         return -2;
-    *new_tin_out = tin;
+    for (int64_t r = 0; r < s->R; r++)
+        if (s->tin[r] > t_in)
+            t_in = s->tin[r];
+    ws->t_in = t_in;
+    ws->t_si = t_si;
+    ws->ns = ns;
     return t_in + t_si;
 }
 
-/* Replay one merge-with-leftover candidate: merge rails a + b onto c
- * wires, then distribute the leftover wires greedily.  The chosen local
- * rail per wire lands in ws->choices.  Returns 0 with *total_out set,
- * -1 when a width falls outside the table, or -2 on stall. */
-static int64_t rpr_replay(const rpr_in *in, const rpr_ws *ws,
-                          int64_t a, int64_t b, int64_t c, int64_t leftover,
-                          int64_t *total_out)
+/* Bottleneck rails of s -- every rail when there is none -- in *out;
+ * ws->t_in + ws->t_si is then s's T_soc.  Returns 0 or -2. */
+static int64_t rpr_sources(const rpr_in *in, rpr_ws *ws, const rpr_st *s,
+                           uint64_t *out)
 {
-    const int64_t n_groups = in->n_groups;
-    const int64_t R = in->n_rails - 1;      /* rails after the merge */
-    int64_t *lw = ws->lw, *lt = ws->lt, *ld = ws->ld;
-    if (rpr_bad_width(in, c))
-        return -1;
+    if (rpr_total(in, ws, s, 1) < 0)
+        return -2;
+    const uint64_t mask = rpr_bottlenecks(s->R, s->tin, ws->t_in, ws->ns,
+                                          ws->sb, ws->se, ws->sx, ws->gb,
+                                          ws->t_si, ws->ord, ws->crit);
+    *out = mask ? mask : (s->R == 64 ? ~0ULL : (1ULL << s->R) - 1);
+    return 0;
+}
 
-    /* local post-merge state: rail b removed, the merged rail takes
-     * rail a's (shifted) slot -- the exact remap of the Python apply */
-    int64_t pos = 0;
-    for (int64_t r = 0; r < in->n_rails; r++) {
-        if (r == b)
-            continue;
-        const int64_t lr = r - (r > b);
-        ws->loff[lr] = pos;
-        if (r == a) {
-            const int64_t pair[2] = { a, b };
-            int64_t tin = 0;
-            for (int64_t g = 0; g < n_groups; g++)
-                ld[lr * n_groups + g] = 0;
-            for (int p = 0; p < 2; p++) {
-                for (int64_t k = in->rail_off[pair[p]];
-                     k < in->rail_off[pair[p] + 1]; k++) {
-                    const int32_t core = in->rail_cores[k];
-                    ws->lcores[pos++] = core;
-                    tin += rpr_add_core(in, core, c, ld + lr * n_groups, 1);
-                }
-            }
-            lw[lr] = c;
-            lt[lr] = tin;
-        } else {
-            lw[lr] = in->widths[r];
-            lt[lr] = in->time_in[r];
-            for (int64_t g = 0; g < n_groups; g++)
-                ld[lr * n_groups + g] = in->depths[r * n_groups + g];
-            for (int64_t k = in->rail_off[r]; k < in->rail_off[r + 1]; k++)
-                ws->lcores[pos++] = in->rail_cores[k];
+/* time_used(r): InTest time plus the rail's own SI occupancy. */
+static int64_t rpr_used(const rpr_in *in, const rpr_st *s, int64_t r)
+{
+    const int64_t *row = s->d + r * in->n_groups;
+    int64_t used = s->tin[r];
+    for (int64_t g = 0; g < in->n_groups; g++)
+        if (row[g])
+            used += in->patterns[g] * (row[g] + in->capture);
+    return used;
+}
+
+/* ws->rank: rail indices by non-increasing time_used, ties by index. */
+static void rpr_order(const rpr_in *in, rpr_ws *ws, const rpr_st *s)
+{
+    int64_t used[64];
+    for (int64_t r = 0; r < s->R; r++) {
+        used[r] = rpr_used(in, s, r);
+        int64_t j = r - 1;
+        while (j >= 0 && used[ws->rank[j]] < used[r]) {
+            ws->rank[j + 1] = ws->rank[j];
+            j--;
         }
+        ws->rank[j + 1] = r;
     }
-    ws->loff[R] = pos;
+}
 
-    for (int64_t wire = 0; ; wire++) {
-        const int64_t ne = rpr_groups(R, n_groups, in->capture, ld,
-                                      in->patterns, in->gids, ws->gb,
-                                      ws->et, ws->em, ws->eg, ws->ex);
-        int64_t t_si = 0;
-        const int64_t ns = rpr_greedy(ne, ws->et, ws->em, ws->eg, ws->ex,
-                                      ws->sb, ws->se, ws->sg, ws->sx,
-                                      ws->run_end, ws->run_mask, ws->used,
-                                      &t_si);
-        if (ns < 0)
+static void rpr_copy(const rpr_in *in, rpr_st *dst, const rpr_st *src)
+{
+    const int64_t R = src->R;
+    dst->R = R;
+    memcpy(dst->mask, src->mask, (size_t)R * sizeof(uint64_t));
+    memcpy(dst->w, src->w, (size_t)R * sizeof(int64_t));
+    memcpy(dst->tin, src->tin, (size_t)R * sizeof(int64_t));
+    memcpy(dst->d, src->d, (size_t)(R * in->n_groups) * sizeof(int64_t));
+}
+
+/* Merge rails a and b onto c wires in place: the merged rail takes a's
+ * position and b's slot closes up.  Returns 0 or -1 (bad width). */
+static int64_t rpr_merge(const rpr_in *in, rpr_st *s, int64_t a, int64_t b,
+                         int64_t c)
+{
+    const int64_t G = in->n_groups;
+    s->mask[a] |= s->mask[b];
+    s->w[a] = c;
+    if (rpr_set_row(in, s, a) < 0)
+        return -1;
+    for (int64_t r = b + 1; r < s->R; r++) {
+        s->mask[r - 1] = s->mask[r];
+        s->w[r - 1] = s->w[r];
+        s->tin[r - 1] = s->tin[r];
+        memcpy(s->d + (r - 1) * G, s->d + r * G, (size_t)G * sizeof(int64_t));
+    }
+    s->R--;
+    return 0;
+}
+
+/* Move dense core `core` from rail `from` to rail `to` in place. */
+static int64_t rpr_move_core(const rpr_in *in, rpr_st *s, int64_t core,
+                             int64_t from, int64_t to)
+{
+    s->mask[from] &= ~(1ULL << core);
+    s->mask[to] |= 1ULL << core;
+    return rpr_set_row(in, s, from) < 0 || rpr_set_row(in, s, to) < 0
+        ? -1 : 0;
+}
+
+/* T_soc of s with rail r one wire wider; s is left as it was. */
+static int64_t rpr_score_widen(const rpr_in *in, rpr_ws *ws, rpr_st *s,
+                               int64_t r)
+{
+    const int64_t G = in->n_groups;
+    int64_t *row = s->d + r * G;
+    const int64_t tin = s->tin[r];
+    memcpy(ws->save, row, (size_t)G * sizeof(int64_t));
+    s->w[r]++;
+    int64_t total = rpr_set_row(in, s, r);
+    if (!total)
+        total = rpr_total(in, ws, s, 0);
+    s->w[r]--;
+    s->tin[r] = tin;
+    memcpy(row, ws->save, (size_t)G * sizeof(int64_t));
+    ws->counts[N_SCORED]++;
+    return total;
+}
+
+/* distributeFreeWires on s in place: each wire goes to the bottleneck
+ * rail whose widening scores lowest (first minimum in rail order; every
+ * rail when there is no bottleneck).  Returns 0 or a negative error. */
+static int64_t rpr_distribute(const rpr_in *in, rpr_ws *ws, rpr_st *s,
+                              int64_t wires)
+{
+    ws->counts[N_WIRES] += wires;
+    for (int64_t wire = 0; wire < wires; wire++) {
+        uint64_t cand;
+        if (rpr_sources(in, ws, s, &cand) < 0)
             return -2;
-        int64_t t_in = 0;
-        for (int64_t r = 0; r < R; r++)
-            if (lt[r] > t_in)
-                t_in = lt[r];
-        if (wire == leftover) {
-            *total_out = t_in + t_si;
-            return 0;
-        }
-        uint64_t cand = rpr_bottlenecks(R, lt, t_in, ns, ws->sb, ws->se,
-                                        ws->sx, ws->gb, t_si, ws->ord,
-                                        ws->crit);
-        if (!cand)
-            cand = (R == 64) ? ~0ULL : ((1ULL << R) - 1);
-        int64_t best_total = INT64_MAX, best_r = -1, best_tin = 0;
-        for (int64_t r = 0; r < R; r++) {
-            if (!(cand & (1ULL << r)))
-                continue;
-            int64_t tin_r = 0;
-            const int64_t total = rpr_score_widen(in, ws, R, r, &tin_r);
+        int64_t best_total = INT64_MAX, best_r = 0;
+        for (; cand; cand &= cand - 1) {
+            const int64_t r = __builtin_ctzll(cand);
+            const int64_t total = rpr_score_widen(in, ws, s, r);
             if (total < 0)
                 return total;
             if (total < best_total) {
                 best_total = total;
                 best_r = r;
-                best_tin = tin_r;
-                for (int64_t g = 0; g < n_groups; g++)
-                    ws->best_d[g] = ws->cand_d[g];
             }
         }
-        if (best_r < 0)
+        s->w[best_r]++;
+        if (rpr_set_row(in, s, best_r) < 0)
             return -1;
-        ws->choices[wire] = best_r;
-        lw[best_r] += 1;
-        lt[best_r] = best_tin;
-        for (int64_t g = 0; g < n_groups; g++)
-            ld[best_r * n_groups + g] = ws->best_d[g];
+    }
+    return 0;
+}
+
+/* Exclusion bound: a lower bound on T_soc of any candidate that changes
+ * only rails f and x -- the unchanged rails' InTest maximum plus the
+ * largest unchanged involved-rail time of any group. */
+static int64_t rpr_move_bound(const rpr_in *in, const rpr_st *s, int64_t f,
+                              int64_t x)
+{
+    const int64_t G = in->n_groups;
+    int64_t t_in = 0, t_si = 0;
+    for (int64_t r = 0; r < s->R; r++) {
+        if (r == f || r == x)
+            continue;
+        if (s->tin[r] > t_in)
+            t_in = s->tin[r];
+        for (int64_t g = 0; g < G; g++) {
+            const int64_t d = s->d[r * G + g];
+            if (d && in->patterns[g] * (d + in->capture) > t_si)
+                t_si = in->patterns[g] * (d + in->capture);
+        }
+    }
+    return t_in + t_si;
+}
+
+/* Lower bound on T_soc of any architecture holding a rail with the cores
+ * of `mask` on at most w wires: per core at least ceil(payload / w)
+ * InTest cycles, plus the rail's own longest SI group at w. */
+static int64_t rpr_merged_bound(const rpr_in *in, rpr_ws *ws, uint64_t mask,
+                                int64_t w)
+{
+    int64_t t_in = 0, t_si = 0;
+    for (int64_t g = 0; g < in->n_groups; g++)
+        ws->row[g] = 0;
+    for (; mask; mask &= mask - 1) {
+        const int64_t core = __builtin_ctzll(mask);
+        t_in += (in->payload[core] + w - 1) / w;
+        rpr_add_depth(in, core, w, ws->row);
+    }
+    for (int64_t g = 0; g < in->n_groups; g++)
+        if (ws->row[g] && in->patterns[g] * (ws->row[g] + in->capture) > t_si)
+            t_si = in->patterns[g] * (ws->row[g] + in->capture);
+    return t_in + t_si;
+}
+
+/* mergeTAMs of `rail` from `incumbent` = T_soc(s): every partner, every
+ * merged width from max(w_1, w_i) up to w_1 + w_i, the freed wires
+ * redistributed, first strict-< minimum wins.  A partner whose merged
+ * rail bound reaches the incumbent is pruned whole, an exact merge
+ * (no leftover) whose exclusion bound does, alone, and once the best
+ * reaches the floor nothing can strictly beat it.  s becomes the winner
+ * (t and best are scratch); returns its T_soc or a negative error. */
+static int64_t rpr_merge_tams(const rpr_in *in, rpr_ws *ws, rpr_st *s,
+                              rpr_st *t, rpr_st *best, int64_t rail,
+                              int64_t incumbent, int64_t floor_total)
+{
+    const int64_t base = s->w[rail];
+    int64_t best_total = incumbent, found = 0;
+    for (int64_t p = 0; p < s->R; p++) {
+        if (p == rail)
+            continue;
+        const int64_t sum = base + s->w[p];
+        const int64_t lo = base > s->w[p] ? base : s->w[p];
+        ws->counts[N_MERGES] += sum - lo + 1;
+        if (incumbent <= floor_total
+            || rpr_merged_bound(in, ws, s->mask[rail] | s->mask[p], sum)
+               >= incumbent) {
+            ws->counts[N_PRUNED] += sum - lo + 1;
+            continue;
+        }
+        const int exact = rpr_move_bound(in, s, rail, p) < incumbent;
+        for (int64_t width = lo; width <= sum; width++) {
+            const int64_t left = sum - width;
+            if (best_total <= floor_total || (!left && !exact)) {
+                ws->counts[N_PRUNED]++;
+                continue;
+            }
+            rpr_copy(in, t, s);
+            int64_t total = rpr_merge(in, t, rail, p, width);
+            if (!total && left)
+                total = rpr_distribute(in, ws, t, left);
+            if (!total) {
+                total = rpr_total(in, ws, t, 0);
+                ws->counts[N_SCORED]++;
+            }
+            if (total < 0)
+                return total;
+            if (total < best_total) {
+                best_total = total;
+                found = 1;
+                rpr_copy(in, best, t);
+            }
+        }
+    }
+    if (found)
+        rpr_copy(in, s, best);
+    return best_total;
+}
+
+/* coreReshuffle: move the one core off a bottleneck rail that lowers
+ * T_soc most (first strict-< minimum over source, core, destination),
+ * until no move improves; candidates whose exclusion bound reaches the
+ * incumbent are pruned unscored.  Returns 0 or a negative error. */
+static int64_t rpr_reshuffle(const rpr_in *in, rpr_ws *ws, rpr_st *s,
+                             rpr_st *t, int64_t floor_total)
+{
+    for (;;) {
+        uint64_t sources;
+        if (rpr_sources(in, ws, s, &sources) < 0)
+            return -2;
+        const int64_t current = ws->t_in + ws->t_si;
+        int64_t movable = 0;
+        for (uint64_t m = sources; m; m &= m - 1) {
+            const int64_t r = __builtin_ctzll(m);
+            const int64_t n = __builtin_popcountll(s->mask[r]);
+            if (n >= 2)
+                movable += n;
+        }
+        const int64_t count = (s->R - 1) * movable;
+        if (!count)
+            return 0;
+        ws->counts[N_CORE_MOVES] += count;
+        if (current <= floor_total) {
+            ws->counts[N_PRUNED] += count;
+            return 0;
+        }
+        int64_t best_total = current, bc = -1, bs = 0, bd = 0;
+        for (; sources; sources &= sources - 1) {
+            const int64_t from = __builtin_ctzll(sources);
+            if (__builtin_popcountll(s->mask[from]) < 2)
+                continue;
+            for (int64_t to = 0; to < s->R; to++)
+                ws->bound[to] = to == from ? 0
+                    : rpr_move_bound(in, s, from, to);
+            for (uint64_t m = s->mask[from]; m; m &= m - 1) {
+                const int64_t core = __builtin_ctzll(m);
+                for (int64_t to = 0; to < s->R; to++) {
+                    if (to == from)
+                        continue;
+                    if (ws->bound[to] >= current) {
+                        ws->counts[N_PRUNED]++;
+                        continue;
+                    }
+                    rpr_copy(in, t, s);
+                    int64_t total = rpr_move_core(in, t, core, from, to);
+                    if (!total) {
+                        total = rpr_total(in, ws, t, 0);
+                        ws->counts[N_SCORED]++;
+                    }
+                    if (total < 0)
+                        return total;
+                    if (total < best_total) {
+                        best_total = total;
+                        bc = core;
+                        bs = from;
+                        bd = to;
+                    }
+                }
+            }
+        }
+        if (bc < 0)
+            return 0;
+        if (rpr_move_core(in, s, bc, bs, bd) < 0)
+            return -1;
     }
 }
 
-/* Walk n_cand candidates (partner, width, leftover, total) of merging
- * `rail` with the optimizer's first-minimum strict-< selection against
- * `incumbent`: once the best reaches floor_total no candidate can
- * strictly beat it, so the rest are pruned unscored.  cursor receives
- * the walk's outcome on every return: candidates walked, best index (-1:
- * none), best total, pruned count, wires distributed, replays run.  The
- * winner's wire choices land in choices_out.  Returns 0 when the whole
- * sweep was walked, or -1/-2 on a hard error with cursor[0] at the
- * first candidate not scored. */
-int64_t repro_merge_sweep(
-    int64_t n_rails, int64_t n_groups, int64_t capture,
-    const int64_t *widths, const int64_t *time_in, const int64_t *depths,
-    const int64_t *rail_off, const int32_t *rail_cores,
-    const int64_t *woc, const int64_t *cg_off, const int32_t *cg_ids,
-    const int64_t *patterns, const int64_t *gids,
-    const int64_t *table, int64_t cap,
-    int64_t rail, int64_t incumbent, int64_t floor_total,
-    int64_t n_cand, const int64_t *cand,
-    int64_t *cursor, int64_t *choices_out)
+/* Algorithm 2 from the start solution in s (one-wire rails) to the end
+ * of coreReshuffle, in place.  skip_m/skip_w (n_skip slots) hold the
+ * skip set of the remaining-rails loop.  Returns 0 or a negative error. */
+static int64_t rpr_run(const rpr_in *in, rpr_ws *ws, rpr_st *s, rpr_st *t,
+                       rpr_st *best, int64_t floor_total, uint64_t *skip_m,
+                       int64_t *skip_w, int64_t n_skip)
 {
-    int64_t pos = 0, best = -1, best_total = incumbent;
-    int64_t pruned = 0, wires = 0, runs = 0;
-    cursor[0] = pos;
-    cursor[1] = best;
-    cursor[2] = best_total;
-    cursor[3] = cursor[4] = cursor[5] = 0;
-    if (n_rails > 64 || n_rails < 2)
-        return -1;
-    int64_t max_left = 1;
-    for (int64_t i = 0; i < n_cand; i++) {
-        if (cand[4 * i + 2] < 0)
+    const int64_t w_max = in->cap;
+    int64_t total, initial, skipped = 0;
+
+    /* start solution: merge down to W_max rails, or pad with free wires */
+    while (s->R > w_max) {
+        rpr_order(in, ws, s);
+        const int64_t over = ws->rank[w_max];
+        int64_t best_total = INT64_MAX, best_pos = 0;
+        for (int64_t k = 0; k < w_max; k++) {
+            rpr_copy(in, t, s);
+            total = rpr_merge(in, t, ws->rank[k], over, 1);
+            if (!total) {
+                total = rpr_total(in, ws, t, 0);
+                ws->counts[N_SCORED]++;
+            }
+            if (total < 0)
+                return total;
+            if (total < best_total) {
+                best_total = total;
+                best_pos = ws->rank[k];
+            }
+        }
+        if (rpr_merge(in, s, best_pos, over, 1) < 0)
             return -1;
-        if (cand[4 * i + 2] > max_left)
-            max_left = cand[4 * i + 2];
     }
+    if (w_max > s->R && (total = rpr_distribute(in, ws, s, w_max - s->R)) < 0)
+        return total;
+
+    /* bottom-up: merge the least-utilized rail */
+    while (s->R > 1) {
+        if ((initial = rpr_total(in, ws, s, 0)) < 0)
+            return initial;
+        rpr_order(in, ws, s);
+        total = rpr_merge_tams(in, ws, s, t, best, ws->rank[s->R - 1],
+                               initial, floor_total);
+        if (total < 0)
+            return total;
+        if (total == initial)
+            break;
+    }
+
+    /* top-down: merge the most-utilized rail */
+    while (s->R > 1) {
+        if ((initial = rpr_total(in, ws, s, 0)) < 0)
+            return initial;
+        rpr_order(in, ws, s);
+        const int64_t top = ws->rank[0];
+        total = rpr_merge_tams(in, ws, s, t, best, top, initial, floor_total);
+        if (total < 0)
+            return total;
+        if (total == initial) {
+            skip_m[0] = s->mask[top];
+            skip_w[0] = s->w[top];
+            skipped = 1;
+            break;
+        }
+    }
+
+    /* the remaining rails, most-utilized first; a rail (cores, width)
+     * whose merge did not improve is skipped from then on */
+    while (s->R > 1) {
+        int64_t target = -1, target_used = 0;
+        for (int64_t r = 0; r < s->R; r++) {
+            int64_t k = 0;
+            while (k < skipped
+                   && (skip_m[k] != s->mask[r] || skip_w[k] != s->w[r]))
+                k++;
+            if (k < skipped)
+                continue;
+            const int64_t used = rpr_used(in, s, r);
+            if (target < 0 || used > target_used) {
+                target = r;
+                target_used = used;
+            }
+        }
+        if (target < 0)
+            break;
+        if ((initial = rpr_total(in, ws, s, 0)) < 0)
+            return initial;
+        const uint64_t mask = s->mask[target];
+        const int64_t width = s->w[target];
+        total = rpr_merge_tams(in, ws, s, t, best, target, initial,
+                               floor_total);
+        if (total < 0)
+            return total;
+        if (total == initial) {
+            if (skipped == n_skip)
+                return -1;
+            skip_m[skipped] = mask;
+            skip_w[skipped++] = width;
+        }
+    }
+
+    return rpr_reshuffle(in, ws, s, t, floor_total);
+}
+
+/* One whole incremental Algorithm 2 run over n_cores <= 64 cores with
+ * pin budget w_max (the table's width).  start[r] is the dense core of
+ * one-wire start rail r.  On success returns the final rail count R
+ * with rail r's core mask and width in masks_out[r] / widths_out[r];
+ * counts_out receives merges tried, core moves tried, moves pruned,
+ * wires distributed and candidates scored.  Returns -1 on a bad width,
+ * bad input or failed allocation, -2 on a schedule stall. */
+int64_t repro_optimize(
+    int64_t n_cores, int64_t n_groups, int64_t capture, int64_t w_max,
+    const int64_t *table, const int64_t *woc, const int64_t *cg_off,
+    const int32_t *cg_ids, const int64_t *patterns, const int64_t *gids,
+    const int64_t *payload, const int64_t *start, int64_t floor_total,
+    uint64_t *masks_out, int64_t *widths_out, int64_t *counts_out)
+{
+    for (int64_t k = 0; k < N_COUNTS; k++)
+        counts_out[k] = 0;
+    if (n_cores < 1 || n_cores > 64 || w_max < 1 || n_groups < 0)
+        return -1;
     const rpr_in in = {
-        n_rails, n_groups, capture, cap, widths, time_in, depths, rail_off,
-        rail_cores, woc, cg_off, cg_ids, patterns, gids, table,
+        n_groups, capture, w_max, table, woc, cg_off, cg_ids, patterns,
+        gids, payload,
     };
-    rpr_ws ws;
-    void *arena = rpr_ws_alloc(&ws, n_rails - 1, n_groups ? n_groups : 1,
-                               rail_off[n_rails], max_left);
+    const int64_t G = n_groups ? n_groups : 1;
+    const int64_t n_skip = n_cores * (n_cores + 1) / 2 + 1;
+    const size_t words = (size_t)(3 * 64 * G + 15 * G + 1 + 2 * n_skip);
+    char *arena = malloc(words * sizeof(int64_t) + (size_t)G);
     if (!arena)
         return -1;
+    rpr_st s, t, best;
+    rpr_ws ws;
+    int64_t *p = (int64_t *)arena;
+#define TAKE(field, n) do { field = (void *)p; p += (n); } while (0)
+    TAKE(s.d, 64 * G); TAKE(t.d, 64 * G); TAKE(best.d, 64 * G);
+    TAKE(ws.gb, G); TAKE(ws.et, G); TAKE(ws.eg, G); TAKE(ws.ex, G);
+    TAKE(ws.sb, G); TAKE(ws.se, G); TAKE(ws.sg, G); TAKE(ws.sx, G);
+    TAKE(ws.ord, G); TAKE(ws.crit, G + 1); TAKE(ws.run_end, G);
+    TAKE(ws.save, G); TAKE(ws.row, G); TAKE(ws.em, G); TAKE(ws.run_mask, G);
+    uint64_t *skip_m;
+    int64_t *skip_w;
+    TAKE(skip_m, n_skip); TAKE(skip_w, n_skip);
+#undef TAKE
+    ws.used = (char *)p;
+    ws.counts = counts_out;
+
     int64_t status = 0;
-    for (; pos < n_cand; pos++) {
-        if (best_total <= floor_total) {
-            pruned += n_cand - pos;
-            pos = n_cand;
-            break;
-        }
-        const int64_t *cd = cand + 4 * pos;
-        const int64_t leftover = cd[2];
-        if (!leftover) {                /* exact merge, batch-scored */
-            if (cd[3] < 0)
-                pruned++;
-            else if (cd[3] < best_total) {
-                best_total = cd[3];
-                best = pos;
-            }
-            continue;
-        }
-        int64_t total = 0;
-        status = rpr_replay(&in, &ws, rail, cd[0], cd[1], leftover, &total);
-        if (status < 0)
-            break;
-        wires += leftover;
-        runs++;
-        if (total < best_total) {
-            best_total = total;
-            best = pos;
-            for (int64_t w = 0; w < leftover; w++)
-                choices_out[w] = ws.choices[w];
+    s.R = n_cores;
+    for (int64_t r = 0; r < n_cores && !status; r++) {
+        if (start[r] < 0 || start[r] >= n_cores)
+            status = -1;
+        else {
+            s.mask[r] = 1ULL << start[r];
+            s.w[r] = 1;
+            status = rpr_set_row(&in, &s, r);
         }
     }
-    cursor[0] = pos;
-    cursor[1] = best;
-    cursor[2] = best_total;
-    cursor[3] = pruned;
-    cursor[4] = wires;
-    cursor[5] = runs;
+    if (!status)
+        status = rpr_run(&in, &ws, &s, &t, &best, floor_total, skip_m,
+                         skip_w, n_skip);
+    if (!status) {
+        for (int64_t r = 0; r < s.R; r++) {
+            masks_out[r] = s.mask[r];
+            widths_out[r] = s.w[r];
+        }
+        status = s.R;
+    }
     free(arena);
     return status;
 }
 """
 
-#: The state arguments both entry points open with.
-_STATE_ARGTYPES = [
-    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # rails/groups/capture
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # widths/tin/depths
-    ctypes.c_void_p, ctypes.c_void_p,  # rail_off, rail_cores
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # woc, cg CSR
-    ctypes.c_void_p, ctypes.c_void_p,  # patterns, gids
-    ctypes.c_void_p, ctypes.c_int64,   # table, cap
-]
+#: What ``repro_optimize`` counts, in the order of its ``counts_out``.
+COUNTERS = (
+    "optimizer.merges_tried",
+    "optimizer.core_moves_tried",
+    "optimizer.moves_pruned",
+    "optimizer.wires_distributed",
+    "movescan.moves_scored",
+)
+
+
+class EngineError(RuntimeError):
+    """The native run reported a hard error (a width outside the InTest
+    table, a schedule stall, bad input or a failed allocation)."""
 
 
 def _bind(so_path: str) -> SimpleNamespace:
     lib = ctypes.CDLL(so_path)
-    scan = lib.repro_move_scan
-    scan.restype = ctypes.c_int64
-    scan.argtypes = _STATE_ARGTYPES + [
-        ctypes.c_int64, ctypes.c_void_p,   # n_moves, kinds
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # ma, mb, mc
-        ctypes.c_void_p,                   # totals_out
+    run = lib.repro_optimize
+    run.restype = ctypes.c_int64
+    run.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # cores/groups/capture
+        ctypes.c_int64,                    # w_max (the table's width)
+        ctypes.c_void_p, ctypes.c_void_p,  # table, woc
+        ctypes.c_void_p, ctypes.c_void_p,  # core-group CSR
+        ctypes.c_void_p, ctypes.c_void_p,  # patterns, gids
+        ctypes.c_void_p, ctypes.c_void_p,  # payload, start
+        ctypes.c_int64,                    # floor_total
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # outputs
     ]
-    sweep = lib.repro_merge_sweep
-    sweep.restype = ctypes.c_int64
-    sweep.argtypes = _STATE_ARGTYPES + [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # rail/incumbent/floor
-        ctypes.c_int64, ctypes.c_void_p,   # n_cand, candidates
-        ctypes.c_void_p, ctypes.c_void_p,  # cursor, choices
-    ]
-    return SimpleNamespace(scan=scan, sweep=sweep)
+    return SimpleNamespace(run=run)
 
 
-def score_moves(n_rails, n_groups, capture, widths, time_in, depths,
-                rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
-                table, cap, kinds, ma, mb, mc, lib=None):
-    """Score a candidate batch in C; ``None`` when the engine is
-    unavailable or reports a hard error (callers fall back to the Python
-    patch path).
+def optimize(n_groups, capture, w_max, table, woc, cg_off, cg_ids,
+             patterns, gids, payload, start, floor_total, lib=None):
+    """Run the whole incremental Algorithm 2 in one C call; ``None``
+    when the engine is unavailable.
 
-    All array arguments are :mod:`array` buffers in the layout described
-    by the C source; returns one ``T_soc`` total per candidate.
+    All array arguments are :mod:`array` buffers in the layout the C
+    source describes (``cg_ids`` of type ``"i"``, the rest ``"q"``);
+    ``start`` names the dense core of each one-wire start rail, so its
+    length is the core count (at most 64).  Returns ``(masks, widths,
+    counts)``: each final rail's dense-core bitmask and width, and the
+    run's counts keyed by :data:`COUNTERS`.
+
+    Raises:
+        ValueError: When the array sizes do not match the core count,
+            ``w_max`` and ``n_groups``.
+        EngineError: When the run reports a hard error.
     """
+    cores = len(start)
+    if not (
+        len(table) == cores * w_max and len(woc) == len(payload) == cores
+        and len(cg_off) == cores + 1 and len(cg_ids) == cg_off[-1]
+        and cg_ids.itemsize == 4 and len(patterns) == len(gids) == n_groups
+    ):
+        raise ValueError("optimize: array sizes do not match the core count, "
+                         "W_max and group count")
     lib = lib or ENGINE.get()
     if lib is None:
         return None
-    n_moves = len(kinds)
-    totals = array("q", bytes(8 * n_moves))
-    status = lib.scan(
-        n_rails, n_groups, capture,
-        _addr(widths), _addr(time_in), _addr(depths),
-        _addr(rail_off), _addr(rail_cores),
-        _addr(woc), _addr(cg_off), _addr(cg_ids),
-        _addr(patterns), _addr(gids),
-        _addr(table), cap,
-        n_moves, _addr(kinds),
-        _addr(ma), _addr(mb), _addr(mc),
-        _addr(totals),
+    masks = array("Q", bytes(8 * 64))
+    widths = array("q", bytes(8 * 64))
+    counts = array("q", bytes(8 * len(COUNTERS)))
+    rails = lib.run(
+        len(start), n_groups, capture, w_max,
+        _addr(table), _addr(woc), _addr(cg_off), _addr(cg_ids),
+        _addr(patterns), _addr(gids), _addr(payload), _addr(start),
+        floor_total, _addr(masks), _addr(widths), _addr(counts),
     )
-    if status < 0:
-        return None
-    return list(totals)
-
-
-def merge_sweep(n_rails, n_groups, capture, widths, time_in, depths,
-                rail_off, rail_cores, woc, cg_off, cg_ids, patterns, gids,
-                table, cap, rail, incumbent, floor_total, candidates,
-                cursor, choices, lib=None):
-    """Walk one mergeTAMs sweep in a single C call; ``None`` when the
-    engine is unavailable.
-
-    ``table``/``cap`` are the fixed InTest time table, as for
-    :func:`score_moves`.  ``candidates`` holds four integers per
-    candidate — partner, merged width, leftover wires, and for exact
-    merges the batch-scored total (negative when bound-pruned).  The walk
-    starts from ``incumbent`` and writes its outcome into the six-slot
-    ``cursor`` (candidates walked, best index or -1, best total, pruned,
-    wires distributed, replays); ``choices`` receives the winner's chosen
-    rail per leftover wire (post-merge indexing).  Returns 0 when the
-    whole sweep was walked, or a negative status on a hard error (a
-    width outside the table, among others) with ``cursor[0]`` at the
-    first candidate not scored.
-    """
-    lib = lib or ENGINE.get()
-    if lib is None:
-        return None
-    return lib.sweep(
-        n_rails, n_groups, capture,
-        _addr(widths), _addr(time_in), _addr(depths),
-        _addr(rail_off), _addr(rail_cores),
-        _addr(woc), _addr(cg_off), _addr(cg_ids),
-        _addr(patterns), _addr(gids),
-        _addr(table), cap,
-        rail, incumbent, floor_total, len(candidates) // 4,
-        _addr(candidates), _addr(cursor), _addr(choices),
-    )
+    if rails < 0:
+        raise EngineError(f"native optimizer run failed (status {rails})")
+    return (list(masks[:rails]), list(widths[:rails]),
+            dict(zip(COUNTERS, counts)))
 
 
 def _smoke(lib) -> bool:
-    """Hand-rolled calls guarding against ABI/layout mishaps.
+    """One hand-worked instance through :func:`optimize`, guarding
+    against ABI/layout mishaps.
 
-    Two one-core rails of width 1; core 0 has WOC 2 and belongs to the
-    single SI group (3 patterns, 1 capture cycle), core 1 has none.  The
-    base state costs 10 + 9 = 19; widening rail 0 must score 12, moving
-    core 1 onto rail 0 must score 23, and merging both rails onto two
-    wires must score 16 — worked by hand from the timing model.  The
-    sweep on the same SOC is :func:`_smoke_sweep`.
+    Three cores on W_max = 4 wires, InTest times T(c, 1..4): c0 59 29 21
+    21, c1 32 15 12 11, c2 45 24 24 24.  c1 (2 WOCs) and c2 (3 WOCs) form
+    the single SI group (1 pattern, 1 capture cycle), which takes
+    ``depth + 1`` cycles on a rail, ``depth = sum ceil(woc / w)`` over the
+    rail's members.  T_soc is written ``T_in + T_si``.
+
+    With a floor of 0:
+
+    * Start: {c0} {c1} {c2} on one wire each, 59 + 4; the free wire goes
+      to bottleneck c0 (45 + 4 = 49; widening c2 scores 59 + 4).
+    * Bottom-up merges the least-used rail {c0}.  With {c1}, the exact
+      3-wire merge is pruned: the untouched {c2} alone costs 45 + 4.  The
+      2-wire merge (InTest 44, depth 1) hands its leftover wire to the
+      bottleneck {c2} (InTest 24, depth 2) and scores 44 + 3 = 47, the
+      winner.  With {c2}, the 2-wire merge plus a wire and the exact
+      3-wire merge both score 45 + 3.
+    * {c0, c1} and {c2}, 2 wires each, cannot merge better: merging all
+      three cores on 2, 3 or 4 wires ends at 56 + 3 on 4 wires.  That
+      sweep runs once each in the bottom-up, top-down and remaining-rail
+      loops.
+    * Reshuffle moves c1 to {c2}: 39 + 4 = 43 (moving c0 scores 53 + 3);
+      neither move back improves.
+
+    Result: rails {c0} and {c1, c2} on 2 wires each; 13 merges and 4 core
+    moves tried, 1 pruned, 12 wires distributed, 29 candidates scored.
+
+    With a floor of 47, the first sweep stops at the 47 it finds: the
+    three candidates after it are pruned, as are the three later sweeps
+    (3 merges each) and both reshuffle moves: rails {c0, c1} and {c2};
+    13 merges and 2 core moves tried, 14 pruned, 2 wires, 4 scored.
     """
-    out = score_moves(
-        2, 1, 1,
-        array("q", (1, 1)), array("q", (10, 4)), array("q", (2, 0)),
-        array("q", (0, 1, 2)), array("i", (0, 1)),       # rail CSR
-        array("q", (2, 0)),                               # woc
-        array("q", (0, 1, 1)), array("i", (0,)),          # core-group CSR
-        array("q", (3,)), array("q", (0,)),               # patterns, gids
-        array("q", (10, 6, 4, 4)), 2,                     # time table, cap
-        array("q", (0, 1, 2)),                            # kinds
-        array("q", (0, 1, 0)),                            # a
-        array("q", (0, 1, 1)),                            # b
-        array("q", (0, 0, 2)),                            # c
-        lib=lib,
+    inputs = (
+        1, 1, 4,                                    # groups, capture, W_max
+        array("q", (59, 29, 21, 21, 32, 15, 12, 11, 45, 24, 24, 24)),
+        array("q", (0, 2, 3)),                      # woc
+        array("q", (0, 0, 1, 2)), array("i", (0, 0)),  # core-group CSR
+        array("q", (1,)), array("q", (0,)),         # patterns, gids
+        array("q", (58, 30, 45)),                   # payload
+        array("q", (0, 1, 2)),                      # start rails
     )
-    return out == [12, 23, 16] and _smoke_sweep(lib)
-
-
-def _smoke_sweep(lib) -> bool:
-    """Hand-worked sweep on the same tiny SOC, merging rail 0 with rail 1
-    from the incumbent 19 against a floor of 16.
-
-    Candidate 0 is an exact merge its bound pruned; candidate 1 an exact
-    merge batch-scored at 17, the first improvement.  Candidate 2 merges
-    onto one wire with one leftover: 14 + 9 = 23 before redistribution,
-    and widening the only (merged) rail lands on 10 + 6 = 16 with choice
-    [0].  16 reaches the floor, so candidates 3 and 4 are pruned
-    unscored: 5 walked, winner 2 at 16, 3 pruned, 1 wire, 1 replay.
-    """
-    cursor = array("q", bytes(8 * 6))
-    choices = array("q", (0,))
-    status = merge_sweep(
-        2, 1, 1,
-        array("q", (1, 1)), array("q", (10, 4)), array("q", (2, 0)),
-        array("q", (0, 1, 2)), array("i", (0, 1)),       # rail CSR
-        array("q", (2, 0)),                               # woc
-        array("q", (0, 1, 1)), array("i", (0,)),          # core-group CSR
-        array("q", (3,)), array("q", (0,)),               # patterns, gids
-        array("q", (10, 6, 4, 4)), 2,                     # time table, cap
-        0, 19, 16,                                        # rail, incumbent, floor
-        array("q", (1, 2, 0, -1, 1, 2, 0, 17, 1, 1, 1, 0,
-                    1, 2, 0, 16, 1, 1, 1, 0)),            # candidates
-        cursor, choices, lib=lib,
-    )
-    return (status == 0
-            and list(cursor) == [5, 2, 16, 3, 1, 1]
-            and list(choices) == [0])
+    try:
+        return (
+            optimize(*inputs, 0, lib=lib) == (
+                [0b001, 0b110], [2, 2],
+                dict(zip(COUNTERS, (13, 4, 1, 12, 29))),
+            )
+            and optimize(*inputs, 47, lib=lib) == (
+                [0b011, 0b100], [2, 2],
+                dict(zip(COUNTERS, (13, 2, 14, 2, 4))),
+            )
+        )
+    except EngineError:
+        return False
 
 
 ENGINE = Engine("movescan", _SOURCE, "REPRO_OPTIMIZER_CSCAN", _bind, _smoke)

@@ -26,7 +26,6 @@ from repro.core.scheduling import (
     MOVE_CORE,
     MOVE_MERGE,
     MOVE_WIDEN,
-    SWEEP_PRUNED,
     Evaluation,
     IncrementalTamEvaluator,
     PackedState,
@@ -39,9 +38,10 @@ from repro.tam.testrail import TestRailArchitecture, initial_architecture
 
 #: Selectable optimizer backends: ``reference`` is the original
 #: object-based Algorithm 2; ``incremental`` mirrors its decision
-#: sequence over packed states with bounds pruning and (optionally) the
-#: C move scanner; ``auto`` picks ``incremental`` whenever the default
-#: cost model applies.  All backends produce bit-identical results.
+#: sequence over packed states with bounds pruning, in one call to the
+#: optional C engine or in its pure-Python loop; ``auto`` picks
+#: ``incremental`` whenever the default cost model applies.  All
+#: backends produce bit-identical results.
 OPTIMIZER_BACKENDS = ("auto", "reference", "incremental")
 
 
@@ -284,9 +284,9 @@ def optimize_tam(
             ``groups``.
         backend: One of :data:`OPTIMIZER_BACKENDS`.  The ``incremental``
             backend mirrors the reference decision sequence over a packed
-            state representation (with bounds pruning and the optional C
-            move scanner) and returns bit-identical results; ``auto``
-            uses it whenever the default cost model applies.
+            state representation (with bounds pruning, natively when the
+            C engine is available) and returns bit-identical results;
+            ``auto`` uses it whenever the default cost model applies.
 
     Returns:
         The optimized architecture and its evaluation.
@@ -397,6 +397,13 @@ class _IncrementalOptimizer:
     A pruned candidate's cost is at least the incumbent's at the moment
     of pruning, and the incumbent only improves, so pruning never alters
     which candidate a strict-``<`` scan selects — bit-identity survives.
+
+    :meth:`run` hands the whole sequence to the C engine of
+    ``core/_movescan.py`` in one call when it is available and the SOC
+    has at most 64 cores; the pure-Python loop (:meth:`_run_python`) is
+    the fallback and the engine's test oracle, and reruns the
+    optimization from the start solution when the engine reports a hard
+    error.  Both count every ``optimizer.*`` counter alike.
     """
 
     def __init__(
@@ -416,6 +423,43 @@ class _IncrementalOptimizer:
         )
 
     def run(self) -> OptimizationResult:
+        architecture = None
+        if len(self.soc) <= 64:
+            architecture = self._run_native()
+        if architecture is None:
+            architecture = self.evaluator.state_architecture(
+                self._run_python()
+            )
+        return OptimizationResult(
+            architecture=architecture,
+            evaluation=self.evaluator.evaluate(architecture),
+            w_max=self.w_max,
+        )
+
+    def _run_native(self) -> TestRailArchitecture | None:
+        """The whole run in one C call (``core/_movescan.py``); ``None``
+        when the engine is unavailable or reports a hard error, which the
+        Python loop then reruns from the start solution."""
+        from repro.core import _movescan
+
+        evaluator = self.evaluator
+        try:
+            outcome = _movescan.optimize(
+                *evaluator.native_inputs(), self.floor_total
+            )
+        except _movescan.EngineError:
+            incr("recovery.movescan_run_fallback")
+            return None
+        if outcome is None:
+            return None
+        masks, widths, counts = outcome
+        incr("movescan.runs")
+        for name, value in counts.items():
+            if value:  # as in the Python loop, which never counts a zero
+                incr(name, value)
+        return evaluator.masks_architecture(masks, widths)
+
+    def _run_python(self) -> PackedState:
         evaluator = self.evaluator
         state = self._start_solution()
 
@@ -457,14 +501,7 @@ class _IncrementalOptimizer:
                 skip.add(candidate_rail)
 
         # Final polish: move cores off bottleneck rails.
-        state = self._core_reshuffle(state)
-
-        architecture = evaluator.state_architecture(state)
-        return OptimizationResult(
-            architecture=architecture,
-            evaluation=evaluator.evaluate(architecture),
-            w_max=self.w_max,
-        )
+        return self._core_reshuffle(state)
 
     # ------------------------------------------------------------------
     # pruning bounds and the shared strict-< scan
@@ -580,136 +617,61 @@ class _IncrementalOptimizer:
     def _merge_tams(self, state: PackedState, rail_index: int) -> PackedState:
         evaluator = self.evaluator
         floor = self.floor_total
-        best_total = state.t_total
+        incumbent = best_total = state.t_total
         base_width = state.widths[rail_index]
-        partners = [
-            index
-            for index in range(len(state.cores))
-            if index != rail_index
-        ]
-        if best_total <= floor:
-            # No merge can strictly improve an incumbent at the floor;
-            # count the enumeration the reference would have performed
-            # (min(w_1, w_i) + 1 widths per partner) and keep the state.
-            tried = sum(
-                min(base_width, state.widths[index]) + 1
-                for index in partners
-            )
-            incr("optimizer.merges_tried", tried)
-            incr("optimizer.moves_pruned", tried)
-            return state
-
-        # The merged rail serializes the cores of both rails on at most
-        # ``w_1 + w_i`` wires, whatever the sweep width or the leftover
-        # redistribution — when its arithmetic bound already matches the
-        # incumbent, the whole partner sweep is pruned unbuilt.
-        skip_partner = {
-            index
-            for index in partners
-            if evaluator.merged_rail_bound(
-                state.cores[rail_index],
-                state.cores[index],
-                base_width + state.widths[index],
-            )
-            >= best_total
-        }
-
-        # Exact merges (leftover == 0, one per partner: width == w_1 + w_i)
-        # change exactly two rails, so the exclusion bound covers them and
-        # the survivors can be pre-scored in a single batch — scoring is
-        # side-effect-free, so batch order cannot alter the walk below.
-        exact_totals: dict[int, int] = {}
-        batch = [
-            index
-            for index in partners
-            if index not in skip_partner
-            and self._move_bound(state, rail_index, index) < best_total
-        ]
-        if batch:
-            exact_moves = [
-                (MOVE_MERGE, rail_index, index,
-                 base_width + state.widths[index])
-                for index in batch
-            ]
-            for index, total in zip(
-                batch, evaluator.score_moves(state, exact_moves)
-            ):
-                exact_totals[index] = total
-
-        # The sweep in enumeration order: (partner, width, leftover,
-        # total), exact merges carrying their batch total or the pruned
-        # marker — a bound-pruned exact merge stays pruned, as the bound
-        # only tightens while the incumbent improves.  Merges with
-        # leftover wires carry no bound: redistribution may widen any
-        # rail.
-        sweep = []
         tried = 0
         pruned = 0
-        for partner_index in partners:
+        best_state = None
+        best_move = None
+        for partner_index in range(len(state.cores)):
+            if partner_index == rail_index:
+                continue
             width_sum = base_width + state.widths[partner_index]
             width_min = max(base_width, state.widths[partner_index])
             tried += width_sum - width_min + 1
-            if partner_index in skip_partner:
+            # No merge can strictly improve an incumbent at the floor.
+            # Otherwise the merged rail serializes the cores of both rails
+            # on at most ``w_1 + w_i`` wires, whatever the sweep width or
+            # the leftover redistribution: when that arithmetic bound
+            # already matches the incumbent, the partner is pruned whole.
+            if incumbent <= floor or evaluator.merged_rail_bound(
+                state.cores[rail_index],
+                state.cores[partner_index],
+                width_sum,
+            ) >= incumbent:
                 pruned += width_sum - width_min + 1
                 continue
-            for width in range(width_min, width_sum):
-                sweep.append((partner_index, width, width_sum - width, 0))
-            sweep.append((
-                partner_index, width_sum, 0,
-                exact_totals.get(partner_index, SWEEP_PRUNED),
-            ))
-
-        # The C engine walks the sweep, replaying each merge-with-leftover
-        # candidate's full wire-by-wire redistribution; it stops early
-        # only when unavailable or on a hard error, and the Python loop
-        # below walks whatever it left, building those candidates whole.
-        outcome = evaluator.score_merge_sweep(
-            state, rail_index, sweep, best_total, floor
-        )
-        best_total = outcome.best_total
-        best_index = outcome.best_index
-        choices = outcome.choices
-        pruned += outcome.pruned
-        if outcome.wires:
-            incr("optimizer.wires_distributed", outcome.wires)
-        best_state = None
-        for position in range(outcome.position, len(sweep)):
-            if best_total <= floor:
-                pruned += len(sweep) - position
-                break
-            partner_index, width, leftover, total = sweep[position]
-            if not leftover:
-                if total == SWEEP_PRUNED:
-                    pruned += 1
-                elif total < best_total:
-                    best_total, best_index, choices = total, position, ()
-                    best_state = None
-                continue
-            merged = self._distribute(
-                evaluator.apply_move(
-                    state, (MOVE_MERGE, rail_index, partner_index, width)
-                ),
-                leftover,
+            # The exact merge (no leftover) changes exactly two rails, so
+            # the exclusion bound against the incumbent covers it; merges
+            # with leftover wires carry no bound: redistribution may widen
+            # any rail.
+            exact = self._move_bound(state, rail_index, partner_index) < (
+                incumbent
             )
-            if merged.t_total < best_total:
-                best_total = merged.t_total
-                best_state = merged
+            for width in range(width_min, width_sum + 1):
+                leftover = width_sum - width
+                if best_total <= floor or not (leftover or exact):
+                    pruned += 1
+                    continue
+                move = (MOVE_MERGE, rail_index, partner_index, width)
+                if not leftover:
+                    total = evaluator.score_moves(state, [move])[0]
+                    if total < best_total:
+                        best_total, best_move, best_state = total, move, None
+                    continue
+                merged = self._distribute(
+                    evaluator.apply_move(state, move), leftover
+                )
+                if merged.t_total < best_total:
+                    best_total, best_move, best_state = (
+                        merged.t_total, None, merged
+                    )
         incr("optimizer.merges_tried", tried)
         if pruned:
             incr("optimizer.moves_pruned", pruned)
-        if best_state is not None:
-            return best_state
-        if best_index < 0:
-            return state
-        partner_index, width, _, _ = sweep[best_index]
-        best_state = evaluator.apply_move(
-            state, (MOVE_MERGE, rail_index, partner_index, width)
-        )
-        for rail in choices:
-            best_state = evaluator.apply_move(
-                best_state, (MOVE_WIDEN, rail, 0, 0)
-            )
-        return best_state
+        if best_move is not None:
+            return evaluator.apply_move(state, best_move)
+        return best_state if best_state is not None else state
 
     def _core_reshuffle(self, state: PackedState) -> PackedState:
         evaluator = self.evaluator
@@ -770,17 +732,11 @@ def evaluate_architecture(
     """Evaluate a fixed architecture under a (possibly different) SI
     grouping — used e.g. to price the SI-oblivious baseline ``T_[8]``.
 
-    ``backend`` selects the evaluator class the same way
-    :func:`optimize_tam` does; full evaluations are identical either way
-    (the incremental evaluator only adds move-scoring machinery), so the
-    flag exists to keep ``evaluate``/``--verify`` flows on the same code
-    path as the optimizer run they are checking.
+    ``backend`` is validated as for :func:`optimize_tam`; full evaluations
+    are identical on every backend (the incremental evaluator only adds
+    move-scoring machinery over the same ``evaluate``), so the plain
+    evaluator always prices the architecture.
     """
-    if resolve_optimizer_backend(backend) == "incremental":
-        evaluator = IncrementalTamEvaluator(
-            soc, groups, capture_cycles=capture_cycles,
-            w_max=architecture.total_width,
-        )
-    else:
-        evaluator = TamEvaluator(soc, groups, capture_cycles=capture_cycles)
+    resolve_optimizer_backend(backend)
+    evaluator = TamEvaluator(soc, groups, capture_cycles=capture_cycles)
     return evaluator.evaluate(architecture)

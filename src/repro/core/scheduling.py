@@ -18,7 +18,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 from repro.compaction.groups import SITestGroup
 from repro.runtime.instrumentation import incr
@@ -34,9 +33,6 @@ from repro.wrapper.timing import core_test_time, core_time_table
 MOVE_WIDEN = 0
 MOVE_CORE = 1
 MOVE_MERGE = 2
-
-#: ``total`` of an exact-merge sweep candidate its bound pruned.
-SWEEP_PRUNED = -1
 
 
 @dataclass(frozen=True)
@@ -307,17 +303,6 @@ def _excl_max(top, first: int, second: int) -> int:
     return 0
 
 
-class MergeSweep(NamedTuple):
-    """Outcome of :meth:`IncrementalTamEvaluator.score_merge_sweep`."""
-
-    position: int  # first candidate not walked; len(sweep) when done
-    best_index: int  # the winning candidate, -1 when none beat the incumbent
-    best_total: int
-    choices: tuple[int, ...]  # the winner's rail per leftover wire
-    pruned: int
-    wires: int  # leftover wires the walk distributed
-
-
 class PackedState:
     """Flat mirror of one candidate architecture plus derived figures.
 
@@ -336,7 +321,6 @@ class PackedState:
     __slots__ = (
         "cores", "widths", "time_in", "depths", "group_time", "group_mask",
         "group_btn", "group_top", "in_top", "t_in", "t_si", "scheduled",
-        "flat",
     )
 
     def __init__(self, cores, widths, time_in, depths, group_time,
@@ -354,7 +338,6 @@ class PackedState:
         self.t_in = t_in
         self.t_si = t_si
         self.scheduled = scheduled
-        self.flat = None  # lazily built arrays for the C engine
 
     @property
     def t_total(self) -> int:
@@ -376,9 +359,9 @@ class IncrementalTamEvaluator(TamEvaluator):
 
     Every InTest time ``T(core, w)`` comes from one dense ``cores × w_max``
     table built at construction from :func:`core_time_table` (itself
-    cached per process); the Python rows and both C entry points read
-    it, and a width outside ``1..w_max`` is an error, never a lookup in
-    another core's row.
+    cached per process); the Python rows and the native optimizer run
+    (:meth:`native_inputs`) read it, and a width outside ``1..w_max`` is
+    an error, never a lookup in another core's row.
 
     Scoring is exact — the same integers the reference evaluator would
     produce — which is what makes the incremental optimizer backend
@@ -422,16 +405,16 @@ class IncrementalTamEvaluator(TamEvaluator):
             self._payload_of[core.core_id] = word * core.total_patterns
         # (cores, width) -> (time_in, depths, time_used)
         self._rows: dict[tuple, tuple] = {}
-        # dense core position -> row of w_max InTest times, flattened
-        core_ids = soc.core_ids
+        # dense core position (ascending core id, the order of a rail's
+        # cores) -> row of w_max InTest times, flattened
+        self._ranked = tuple(sorted(soc.core_ids))
         self._dense = {
-            core_id: position for position, core_id in enumerate(core_ids)
+            core_id: position for position, core_id in enumerate(self._ranked)
         }
         self._table = array("q", chain.from_iterable(
             core_time_table(self._core_of[core_id], w_max)
-            for core_id in core_ids
+            for core_id in self._ranked
         ))
-        self._static = self._build_static(core_ids)
 
     # ------------------------------------------------------------------
     # packed rows and states
@@ -808,19 +791,7 @@ class IncrementalTamEvaluator(TamEvaluator):
 
     def score_moves(self, state: PackedState, moves) -> list[int]:
         """Exact ``T_soc`` of every candidate in ``moves``, scored against
-        ``state`` without applying them.  Uses the C engine when available
-        (``core/_movescan.py``), the pure-Python patch path otherwise."""
-        if not moves:
-            return []
-        # Tiny batches are overhead-bound on the C side (state flatten +
-        # ctypes marshalling); the O(groups) top-3 patch scorer wins there.
-        if len(moves) >= 8 and len(state.cores) <= 64:
-            from repro.core import _movescan
-
-            if _movescan.available():
-                totals = self._score_moves_c(state, moves)
-                if totals is not None:
-                    return totals
+        ``state`` without applying them."""
         return [self._score_move(state, move) for move in moves]
 
     def _score_move(self, state: PackedState, move: tuple) -> int:
@@ -884,111 +855,44 @@ class IncrementalTamEvaluator(TamEvaluator):
                 entries.append((best_time, mask, gids[group_index]))
         return t_in + self._makespan(entries)
 
-    # ------------------------------------------------------------------
-    # C engine interface
 
-    def _build_static(self, core_ids):
-        woc = array("q", (self._woc_of[core_id] for core_id in core_ids))
+    # ------------------------------------------------------------------
+    # the native run's interface (``core/_movescan.py``)
+
+    def native_inputs(self) -> tuple:
+        """The leading arguments of :func:`repro.core._movescan.optimize`:
+        group count, capture cycles, ``w_max``, the InTest table and the
+        per-core and per-group arrays over dense core positions, and the
+        dense core of each one-wire start rail (SOC core order)."""
+        ranked = self._ranked
+        dense = self._dense
         cg_off = array("q", [0])
         cg_ids = array("i")
-        for core_id in core_ids:
-            for group_index in self._core_groups.get(core_id, ()):
-                cg_ids.append(group_index)
+        for core_id in ranked:
+            cg_ids.extend(self._core_groups.get(core_id, ()))
             cg_off.append(len(cg_ids))
-        patterns = array("q", self._group_patterns)
-        gids = array("q", self._gids)
-        return (woc, cg_off, cg_ids, patterns, gids)
-
-    def _flatten_state(self, state: PackedState):
-        dense = self._dense
-        widths = array("q", state.widths)
-        time_in = array("q", state.time_in)
-        depths = array(
-            "q", (depth for row in state.depths for depth in row)
+        return (
+            len(self.groups), self.capture_cycles, self.w_max, self._table,
+            array("q", (self._woc_of[core_id] for core_id in ranked)),
+            cg_off, cg_ids,
+            array("q", self._group_patterns), array("q", self._gids),
+            array("q", (self._payload_of[core_id] for core_id in ranked)),
+            array("q", (dense[core_id] for core_id in self.soc.core_ids)),
         )
-        rail_off = array("q", [0])
-        rail_cores = array("i")
-        for cores in state.cores:
-            for core_id in cores:
-                rail_cores.append(dense[core_id])
-            rail_off.append(len(rail_cores))
-        return (widths, time_in, depths, rail_off, rail_cores)
 
-    def _score_moves_c(self, state: PackedState, moves):
-        from repro.core import _movescan
-
-        dense = self._dense
-        woc, cg_off, cg_ids, patterns, gids = self._static
-        if state.flat is None:
-            state.flat = self._flatten_state(state)
-        widths, time_in, depths, rail_off, rail_cores = state.flat
-        kinds = array("q", bytes(8 * len(moves)))
-        move_a = array("q", bytes(8 * len(moves)))
-        move_b = array("q", bytes(8 * len(moves)))
-        move_c = array("q", bytes(8 * len(moves)))
-        for position, (kind, a, b, c) in enumerate(moves):
-            kinds[position] = kind
-            move_a[position] = dense[a] if kind == MOVE_CORE else a
-            move_b[position] = b
-            move_c[position] = c
-        totals = _movescan.score_moves(
-            len(state.cores), len(self.groups), self.capture_cycles,
-            widths, time_in, depths, rail_off, rail_cores,
-            woc, cg_off, cg_ids, patterns, gids,
-            self._table, self.w_max,
-            kinds, move_a, move_b, move_c,
+    def masks_architecture(self, masks, widths) -> TestRailArchitecture:
+        """The architecture of rails given as dense-core bitmasks."""
+        ranked = self._ranked
+        return TestRailArchitecture(
+            rails=tuple(
+                TestRail(
+                    cores=tuple(
+                        core_id
+                        for position, core_id in enumerate(ranked)
+                        if mask >> position & 1
+                    ),
+                    width=width,
+                )
+                for mask, width in zip(masks, widths)
+            )
         )
-        if totals is not None:
-            incr("movescan.batches")
-            incr("movescan.moves_scored", len(moves))
-        return totals
-
-    def score_merge_sweep(
-        self, state: PackedState, rail: int, sweep, incumbent: int,
-        floor: int,
-    ) -> MergeSweep:
-        """Walk a whole mergeTAMs sweep of ``rail`` in one C call.
-
-        ``sweep`` lists ``(partner, width, leftover, total)`` candidates
-        in the optimizer's enumeration order; ``total`` is the
-        batch-scored ``T_soc`` of an exact merge (``leftover == 0``), or
-        :data:`SWEEP_PRUNED` when its bound pruned it.  The C walk
-        replays every merge-with-leftover candidate — the merge plus the
-        greedy wire-by-wire redistribution — with the optimizer's
-        strict-``<`` selection against ``incumbent`` and its
-        ``floor`` pruning, so only the winner is ever materialized.  It
-        reads InTest times from the evaluator's fixed table.
-
-        The returned :class:`MergeSweep` stops at ``position`` 0 when the
-        engine is unavailable (or the state has more than 64 rails) and
-        mid-sweep on a hard engine error, such as a width past ``w_max``;
-        the caller walks the rest.
-        """
-        outcome = MergeSweep(0, -1, incumbent, (), 0, 0)
-        if not sweep or len(state.cores) > 64:
-            return outcome
-        from repro.core import _movescan
-
-        if not _movescan.available():
-            return outcome
-        woc, cg_off, cg_ids, patterns, gids = self._static
-        if state.flat is None:
-            state.flat = self._flatten_state(state)
-        widths, time_in, depths, rail_off, rail_cores = state.flat
-        cursor = array("q", bytes(8 * 6))
-        most = max(leftover for _, _, leftover, _ in sweep)
-        choices = array("q", bytes(8 * max(most, 1)))
-        _movescan.merge_sweep(
-            len(state.cores), len(self.groups), self.capture_cycles,
-            widths, time_in, depths, rail_off, rail_cores,
-            woc, cg_off, cg_ids, patterns, gids, self._table, self.w_max,
-            rail, incumbent, floor, array("q", chain.from_iterable(sweep)),
-            cursor, choices,
-        )
-        incr("movescan.sweeps")
-        position, best_index, best_total, pruned, wires, replays = cursor
-        if replays:
-            incr("movescan.distributes", replays)
-        leftover = sweep[best_index][2] if best_index >= 0 else 0
-        return MergeSweep(position, best_index, best_total,
-                          tuple(choices[:leftover]), pruned, wires)

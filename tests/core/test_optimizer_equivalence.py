@@ -7,9 +7,9 @@ tie-breaks — so for every SOC and every pin budget the two backends must
 produce the *same object*: identical ``OptimizationResult`` (architecture,
 evaluation, schedule) down to the last cycle.  This suite pins that
 contract on all four shipped ITC'02 SOCs across the ``W_max`` sweep,
-twice: once with the C move-scan kernel (when it compiles) and once with
-the kernel force-disabled, so the pure-Python patch path is held to the
-same bit-identity bar.
+twice: once with the C engine (when it compiles), which runs the whole
+optimization in one call, and once with the engine force-disabled, so the
+pure-Python loop is held to the same bit-identity bar.
 
 The reference results are computed once per module and shared between
 the two engine legs; ``REPRO_OPTIMIZER_CSCAN=0`` is additionally covered
@@ -18,8 +18,7 @@ as an environment toggle (mirroring the compaction kernel's tests).
 
 from __future__ import annotations
 
-import inspect
-from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -126,19 +125,16 @@ class TestBitIdentity:
         _assert_identical(reference[("d695", 16)], result)
 
 
-class TestMergeSweep:
-    """The C mergeTAMs sweep: one call over the evaluator's fixed InTest
-    table, and a hand-over to the Python loop on a hard engine error."""
+class TestNativeRun:
+    """The C engine runs the whole optimization in one call; on a hard
+    engine error the Python loop reruns it from the start solution."""
 
     @pytest.fixture(autouse=True)
     def _engine(self):
         if not _movescan.available():
-            pytest.skip("C move scanner unavailable")
+            pytest.skip("C optimizer engine unavailable")
 
-    def test_hand_worked_sweep(self):
-        assert _movescan._smoke_sweep(_movescan.ENGINE.get())
-
-    def test_sweeps_replay_redistribution_in_c(self, suite):
+    def test_one_call_per_run(self, suite):
         socs, groups, reference = suite
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
@@ -147,43 +143,39 @@ class TestMergeSweep:
             )
         _assert_identical(reference[("p93791", 32)], result)
         counters = instrumentation.counters
-        assert counters["movescan.sweeps"] > 0
-        assert counters["movescan.distributes"] > 0
+        assert counters["movescan.runs"] == 1
+        assert counters["movescan.moves_scored"] > 0
+        assert "recovery.movescan_run_fallback" not in counters
 
-    def test_hard_error_hands_the_rest_to_python(self, suite, monkeypatch):
+    def test_hard_error_reruns_in_python(self, suite, monkeypatch):
         socs, groups, reference = suite
         soc, soc_groups = socs["p93791"], groups["p93791"]
         clean = Instrumentation()
         with use_instrumentation(clean):
             optimize_tam(soc, 32, soc_groups, backend="incremental")
 
-        real = _movescan.merge_sweep
-        signature = inspect.signature(real)
-        handed_over = []
+        real = _movescan.ENGINE.get().run
+        failed = []
 
-        def failing_midway(*args):
-            # Walk the first half of the sweep only, and report a hard
-            # error where the second half would start.
-            bound = signature.bind(*args)
-            candidates = bound.arguments["candidates"]
-            count = len(candidates) // 4
-            half = count // 2
-            bound.arguments["candidates"] = array("q", candidates[:4 * half])
-            status = real(*bound.args)
-            if status == 0 and half < count:
-                handed_over.append(count - half)
-                return -2
-            return status
+        def run_then_fail(*args):
+            # The whole run happens (its counts land in the output
+            # buffer), then reports a hard error.
+            failed.append(real(*args))
+            return -2
 
-        monkeypatch.setattr(_movescan, "merge_sweep", failing_midway)
+        monkeypatch.setattr(
+            _movescan.ENGINE, "handle", SimpleNamespace(run=run_then_fail)
+        )
         faulted = Instrumentation()
         with use_instrumentation(faulted):
             result = optimize_tam(soc, 32, soc_groups, backend="incremental")
         _assert_identical(reference[("p93791", 32)], result)
-        assert handed_over
-        for name in ("optimizer.merges_tried", "optimizer.moves_pruned",
-                     "optimizer.wires_distributed"):
-            assert faulted.counters.get(name) == clean.counters.get(name)
+        assert len(failed) == 1 and failed[0] > 0
+        assert faulted.counters["recovery.movescan_run_fallback"] == 1
+        assert "movescan.runs" not in faulted.counters
+        for name, value in clean.counters.items():
+            if name.startswith("optimizer."):
+                assert faulted.counters.get(name) == value, name
 
 
 class TestFixedTable:
@@ -203,10 +195,11 @@ class TestFixedTable:
 
     @pytest.mark.parametrize("toggle", ["1", "0"], ids=["c", "python"])
     def test_widen_past_w_max_raises(self, suite, monkeypatch, toggle):
+        # Move scoring is the Python loop's alone, with or without the
+        # engine: a width past the table raises instead of reading
+        # another core's row.
         monkeypatch.setenv("REPRO_OPTIMIZER_CSCAN", toggle)
         monkeypatch.setattr(_movescan.ENGINE, "handle", None)  # fresh probe
-        if toggle == "1" and not _movescan.available():
-            pytest.skip("C move scanner unavailable")
         socs, groups, _ = suite
         soc, w_max = socs["d695"], 4
         evaluator = IncrementalTamEvaluator(soc, groups["d695"], w_max=w_max)
@@ -214,39 +207,9 @@ class TestFixedTable:
         state = evaluator.pack(
             [(core_id,) for core_id in core_ids], [w_max] * len(core_ids)
         )
-        # one widen per rail: a batch large enough for the C scorer
         moves = [(MOVE_WIDEN, index, 0, 0) for index in range(len(core_ids))]
-        c_totals = []
-        real = _movescan.score_moves
-
-        def spy(*args):
-            c_totals.append(real(*args))
-            return c_totals[-1]
-
-        monkeypatch.setattr(_movescan, "score_moves", spy)
         with pytest.raises(ValueError, match=f"width {w_max + 1} is outside"):
             evaluator.score_moves(state, moves)
-        # the C leg refuses the batch (hard error) before Python raises
-        assert c_totals == ([None] if toggle == "1" else [])
-
-    def test_sweep_stops_at_a_merge_past_w_max(self, suite):
-        if not _movescan.available():
-            pytest.skip("C move scanner unavailable")
-        socs, groups, _ = suite
-        soc, w_max = socs["d695"], 4
-        evaluator = IncrementalTamEvaluator(soc, groups["d695"], w_max=w_max)
-        core_ids = soc.core_ids
-        state = evaluator.pack(
-            [(core_id,) for core_id in core_ids],
-            [3, 3] + [1] * (len(core_ids) - 2),
-        )
-        # merge rails 0 + 1 onto w_max + 1 wires, one wire left over
-        outcome = evaluator.score_merge_sweep(
-            state, 0, [(1, w_max + 1, 1, 0)], state.t_total, 0
-        )
-        assert outcome.position == 0
-        assert outcome.best_index == -1
-        assert outcome.best_total == state.t_total
 
 
 class TestVerifiedAndComposed:

@@ -12,7 +12,7 @@ cache-truncate      corrupt entry quarantined -> recomputed
 cache-bitflip       checksum mismatch quarantined -> recomputed
 codec-mismatch      unsupported version quarantined -> recomputed
 cscan-compile-fail  engine unavailable -> pure-Python scan fallback
-movescan-compile-   engine unavailable -> pure-Python move scoring
+movescan-compile-   engine unavailable -> pure-Python optimizer loop
 fail
 sweep-abort         checkpoint survives -> --resume (test_checkpoint)
 ==================  ====================================================
