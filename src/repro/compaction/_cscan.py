@@ -19,8 +19,9 @@ so the partition is identical on either path.
 
 The engine is optional and loaded by :mod:`repro.runtime.native`
 (toggle ``REPRO_COMPACTION_CSCAN``): when it is unavailable, the scan and
-the partitioner fall back to pure Python.  The bisection's attachment
-sums round as Python's do because the loader builds without fast-math.
+the partitioner fall back to pure Python, and pattern sets are generated
+as lists and encoded.  The bisection's attachment sums round as Python's
+do because the loader builds without fast-math.
 
 The scan works on the flat integer arrays of a
 :class:`~repro.compaction.kernel.PatternIndex` only — pattern cares as
@@ -29,18 +30,25 @@ the rows of the bucket to scan, which it gathers itself.  It
 returns the merge cycles as a flat member array plus cycle offsets.  All
 symbol/terminal semantics stay in Python; the C code never sees a pattern
 object.
+
+The library also draws random SI pattern sets straight into those arrays
+(:func:`draw_index`): Python seeds the generator's ``random.Random`` and
+hands over blocks of its raw 32-bit outputs, and C replays
+:func:`repro.sitest.generator.generate_random_patterns` on them.
 """
 
 from __future__ import annotations
 
 import ctypes
+import random
+import sys
 from array import array
 from types import SimpleNamespace
 
 from repro.runtime.native import Engine, _addr
 
-__all__ = ["ENGINE", "available", "cut", "greedy_scan", "grow", "refine",
-           "restrict"]
+__all__ = ["ENGINE", "available", "cut", "draw_index", "greedy_scan", "grow",
+           "refine", "restrict"]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -477,6 +485,272 @@ void repro_hg_refine(
         part[v] = (int32_t)(side >> v & 1ULL);
 }
 
+/* Random SI pattern draw straight into the PatternIndex encoding.
+ *
+ * Replays repro.sitest.generator._random_pattern on a block of CPython
+ * Mersenne Twister outputs (the caller's random.Random(seed)), one
+ * uint32 per genrand call, through CPython's own formulas:
+ * getrandbits(k <= 32) is word >> (32 - k), randbelow(n) rejects
+ * getrandbits(n.bit_length()) draws >= n, choice/randrange/randint are
+ * randbelow offsets, sample takes its pool path when n <= setsize and its
+ * set path otherwise, and random() is two words, 27 and 26 bits.
+ *
+ * A drawn stream that runs dry marks the stream; the pattern in flight
+ * is then dropped before any of it is encoded, and the caller resumes at
+ * the returned word position with more words.  Encoding assigns care,
+ * terminal, claim, line and care-core-set ids in first-seen order, as
+ * PatternIndex.__init__ does.
+ */
+typedef struct {
+    const uint32_t *words;
+    int64_t n, pos;
+    int dry;
+} stream_t;
+
+static inline int64_t draw_bits(stream_t *s, int k)
+{
+    if (s->pos >= s->n) {
+        s->dry = 1;
+        return 0;
+    }
+    return (int64_t)(s->words[s->pos++] >> (32 - k));
+}
+
+static inline int64_t draw_below(stream_t *s, int64_t n)
+{
+    const int k = 64 - __builtin_clzll((uint64_t)n);  /* n.bit_length() */
+    int64_t r = draw_bits(s, k);
+    while (r >= n && !s->dry)
+        r = draw_bits(s, k);
+    return r;
+}
+
+static inline double draw_unit(stream_t *s)
+{
+    const int64_t a = draw_bits(s, 27), b = draw_bits(s, 26);
+    return ((double)a * 67108864.0 + (double)b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.sample(range(n), k) into out[0..k); pool holds n ints when the
+ * pool path runs. */
+static void draw_sample(stream_t *s, int64_t n, int64_t k, int64_t *out,
+                        int64_t *pool)
+{
+    int64_t setsize = 21;
+    if (k > 5) {
+        int64_t power = 1;  /* 4 ** ceil(log(3k, 4)): 3k is never a power */
+        while (power < 3 * k)
+            power *= 4;
+        setsize += power;
+    }
+    if (n <= setsize) {
+        for (int64_t i = 0; i < n; i++)
+            pool[i] = i;
+        for (int64_t i = 0; i < k; i++) {
+            const int64_t j = draw_below(s, n - i);
+            out[i] = pool[j];
+            pool[j] = pool[n - i - 1];
+        }
+        return;
+    }
+    for (int64_t i = 0; i < k; i++) {
+        int64_t j;
+        for (;;) {
+            j = draw_below(s, n);
+            int64_t seen = 0;
+            for (int64_t q = 0; q < i && !seen; q++)
+                seen = out[q] == j;
+            if (!seen || s->dry)
+                break;
+        }
+        out[i] = j;
+    }
+}
+
+enum {  /* buffers of repro_draw_patterns, in `bufs` order */
+    B_HOST_CORE, B_HOST_WOC, B_HOST_BASE,
+    B_TID_MAP, B_CID_MAP, B_BID_MAP, B_LID_MAP, B_SET_TABLE,
+    B_CARE_FLAT, B_CARE_OFF, B_TID_OF, B_CID_SYM, B_TID_CORE, B_TID_OUT,
+    B_BUS_FLAT, B_BUS_OFF, B_LINE_OF, B_BID_LINE, B_BID_CORE,
+    B_SET_OF, B_SET_FIRST, B_SET_COUNT, B_SET_MEM, B_SET_MEM_OFF,
+};
+enum {  /* cfg entries */
+    C_HOSTS, C_MIN_AGGR, C_MAX_AGGR, C_MAX_EXT, C_BUS_WIDTH, C_COUNT,
+    C_SET_MASK, C_POOL, C_SLOTS,
+};
+enum {  /* state entries, carried between calls */
+    S_ROW, S_CARES, S_CLAIMS, S_TIDS, S_CIDS, S_BIDS, S_LINES, S_SETS,
+    S_SET_MEM,
+};
+
+/* Draw patterns state[S_ROW] .. cfg[C_COUNT] - 1 from `words` into the
+ * buffers; returns the word position after the last whole pattern drawn,
+ * or -1 when scratch memory runs out. */
+int64_t repro_draw_patterns(
+    const int64_t *cfg, double bus_probability,
+    const uint32_t *words, int64_t n_words,
+    void *const *bufs, int64_t *state)
+{
+    const int64_t n_hosts = cfg[C_HOSTS], min_aggr = cfg[C_MIN_AGGR];
+    const int64_t max_aggr = cfg[C_MAX_AGGR], max_ext = cfg[C_MAX_EXT];
+    const int64_t bus_width = cfg[C_BUS_WIDTH], count = cfg[C_COUNT];
+    const int64_t set_mask = cfg[C_SET_MASK];
+    const int32_t *host_core = bufs[B_HOST_CORE];
+    const int32_t *host_woc = bufs[B_HOST_WOC];
+    const int64_t *host_base = bufs[B_HOST_BASE];
+    int32_t *tid_map = bufs[B_TID_MAP], *cid_map = bufs[B_CID_MAP];
+    int32_t *bid_map = bufs[B_BID_MAP], *lid_map = bufs[B_LID_MAP];
+    int32_t *set_table = bufs[B_SET_TABLE];
+    int32_t *care_flat = bufs[B_CARE_FLAT];
+    int64_t *care_off = bufs[B_CARE_OFF];
+    int32_t *tid_of = bufs[B_TID_OF], *cid_sym = bufs[B_CID_SYM];
+    int32_t *tid_core = bufs[B_TID_CORE], *tid_out = bufs[B_TID_OUT];
+    int32_t *bus_flat = bufs[B_BUS_FLAT];
+    int64_t *bus_off = bufs[B_BUS_OFF];
+    int32_t *line_of = bufs[B_LINE_OF], *bid_line = bufs[B_BID_LINE];
+    int32_t *bid_core = bufs[B_BID_CORE];
+    int32_t *set_of = bufs[B_SET_OF], *set_first = bufs[B_SET_FIRST];
+    int64_t *set_count = bufs[B_SET_COUNT];
+    int32_t *set_mem = bufs[B_SET_MEM];
+    int64_t *set_mem_off = bufs[B_SET_MEM_OFF];
+
+    const int64_t slots = cfg[C_SLOTS];  /* cares, picks or lines */
+    int64_t *scratch = malloc((size_t)(6 * slots + cfg[C_POOL] + 1) * 8);
+    if (!scratch)
+        return -1;
+    int64_t *c_host = scratch, *c_out = c_host + slots;
+    int64_t *c_sym = c_out + slots, *picks = c_sym + slots;
+    int64_t *lines = picks + slots, *members = lines + slots;
+    int64_t *pool = members + slots;
+
+    stream_t s = {words, n_words, 0, 0};
+    int64_t consumed = 0;
+    int64_t row = state[S_ROW];
+    while (row < count) {
+        /* -- draw one pattern (nothing encoded yet) -- */
+        const int64_t victim = draw_below(&s, n_hosts);
+        const int64_t victim_woc = host_woc[victim];
+        const int64_t victim_out = draw_below(&s, victim_woc);
+        int64_t nc = 1;
+        c_host[0] = victim;
+        c_out[0] = victim_out;
+        c_sym[0] = draw_below(&s, 4);
+        const int64_t total = min_aggr + draw_below(&s, max_aggr - min_aggr + 1);
+        const int64_t ext_limit = max_ext < total ? max_ext : total;
+        const int64_t ext = n_hosts > 1 ? draw_below(&s, ext_limit + 1) : 0;
+        const int64_t internal = total - ext;
+        const int64_t candidates = victim_woc - 1;
+        const int64_t k = internal < candidates ? internal : candidates;
+        draw_sample(&s, candidates, k, picks, pool);
+        for (int64_t i = 0; i < k; i++) {
+            c_host[nc] = victim;
+            c_out[nc] = picks[i] >= victim_out ? picks[i] + 1 : picks[i];
+            c_sym[nc++] = 2 + draw_below(&s, 2);
+        }
+        for (int64_t e = 0; e < ext; e++) {
+            int64_t host = draw_below(&s, n_hosts - 1);
+            if (host >= victim)
+                host++;
+            const int64_t out = draw_below(&s, host_woc[host]);
+            int seen = 0;
+            for (int64_t q = 0; q < nc && !seen; q++)
+                seen = c_host[q] == host && c_out[q] == out;
+            if (!seen) {
+                c_host[nc] = host;
+                c_out[nc] = out;
+                c_sym[nc++] = 2 + draw_below(&s, 2);
+            }
+        }
+        int64_t nl = 0;
+        if (bus_width && draw_unit(&s) < bus_probability) {
+            nl = 1 + draw_below(&s, total < bus_width ? total : bus_width);
+            draw_sample(&s, bus_width, nl, lines, pool);
+        }
+        if (s.dry)
+            break;
+
+        /* -- encode it -- */
+        int64_t nm = 0;  /* care-core set: distinct hosts, ascending */
+        for (int64_t i = 0; i < nc; i++) {
+            int64_t at = nm;
+            while (at > 0 && members[at - 1] > c_host[i])
+                at--;
+            if (at > 0 && members[at - 1] == c_host[i])
+                continue;
+            memmove(members + at + 1, members + at, (size_t)(nm - at) * 8);
+            members[at] = c_host[i];
+            nm++;
+        }
+        uint64_t hash = 1469598103934665603ULL;
+        for (int64_t i = 0; i < nm; i++)
+            hash = (hash ^ (uint64_t)members[i]) * 1099511628211ULL;
+        int64_t slot = (int64_t)(hash & (uint64_t)set_mask);
+        int32_t sid;
+        for (;;) {
+            sid = set_table[slot];
+            if (sid < 0)
+                break;
+            const int64_t lo = set_mem_off[sid];
+            if (set_mem_off[sid + 1] - lo == nm) {
+                int64_t i = 0;
+                while (i < nm && set_mem[lo + i] == members[i])
+                    i++;
+                if (i == nm)
+                    break;
+            }
+            slot = (slot + 1) & set_mask;
+        }
+        if (sid < 0) {
+            sid = (int32_t)state[S_SETS]++;
+            set_table[slot] = sid;
+            set_first[sid] = (int32_t)row;
+            set_count[sid] = 0;
+            for (int64_t i = 0; i < nm; i++)
+                set_mem[state[S_SET_MEM]++] = (int32_t)members[i];
+            set_mem_off[sid + 1] = state[S_SET_MEM];
+        }
+        set_count[sid]++;
+        set_of[row] = sid;
+        for (int64_t i = 0; i < nc; i++) {
+            const int64_t term = host_base[c_host[i]] + c_out[i];
+            int32_t tid = tid_map[term];
+            if (tid < 0) {
+                tid = tid_map[term] = (int32_t)state[S_TIDS]++;
+                tid_core[tid] = host_core[c_host[i]];
+                tid_out[tid] = (int32_t)c_out[i];
+            }
+            const int64_t key = (int64_t)tid * 4 + c_sym[i];
+            int32_t cid = cid_map[key];
+            if (cid < 0) {
+                cid = cid_map[key] = (int32_t)state[S_CIDS]++;
+                tid_of[cid] = tid;
+                cid_sym[cid] = (int32_t)c_sym[i];
+            }
+            care_flat[state[S_CARES]++] = cid;
+        }
+        care_off[row + 1] = state[S_CARES];
+        for (int64_t i = 0; i < nl; i++) {
+            const int64_t key = lines[i] * n_hosts + victim;
+            int32_t bid = bid_map[key];
+            if (bid < 0) {
+                bid = bid_map[key] = (int32_t)state[S_BIDS]++;
+                int32_t lid = lid_map[lines[i]];
+                if (lid < 0)
+                    lid = lid_map[lines[i]] = (int32_t)state[S_LINES]++;
+                line_of[bid] = lid;
+                bid_line[bid] = (int32_t)lines[i];
+                bid_core[bid] = host_core[victim];
+            }
+            bus_flat[state[S_CLAIMS]++] = bid;
+        }
+        bus_off[row + 1] = state[S_CLAIMS];
+        consumed = s.pos;
+        state[S_ROW] = ++row;
+    }
+    free(scratch);
+    return consumed;
+}
+
 /* Total weight of edges spanning more than one part; parts are 0..63. */
 int64_t repro_hg_cut(
     int64_t n, const int32_t *part,
@@ -524,8 +798,12 @@ def _bind(so_path: str) -> SimpleNamespace:
     cut = lib.repro_hg_cut
     cut.restype = i64
     cut.argtypes = [i64, ptr, i64, ptr, ptr]  # n, part, m, masks, edge_w
+    draw = lib.repro_draw_patterns
+    draw.restype = i64
+    # cfg, bus_probability, words, n_words, bufs, state
+    draw.argtypes = [ptr, ctypes.c_double, ptr, i64, ptr, ptr]
     return SimpleNamespace(scan=scan, restrict=restrict, grow=grow,
-                           refine=refine, cut=cut)
+                           refine=refine, cut=cut, draw=draw)
 
 
 def greedy_scan(patterns, lib=None):
@@ -565,6 +843,126 @@ def greedy_scan(patterns, lib=None):
         list(members[cycle_off[c]:cycle_off[c + 1]]) for c in range(cycles)
     ]
     return member_lists, stats[0], stats[1]
+
+
+#: Mersenne Twister words handed to the C draw per call.  A block that
+#: runs out mid-pattern is topped up (the draw's rejection loops have no
+#: upper bound, so no block size is provably enough).
+BLOCK_WORDS = 1 << 16
+
+#: Most entries the draw's dense terminal/care/claim id maps may take
+#: (64 MB), and the largest aggressor bound it takes; larger SOCs, buses
+#: or bounds use the list path.  It also keeps every range the draw
+#: samples below 2**32, one word per ``getrandbits`` call.
+MAX_MAP_ENTRIES = 1 << 24
+
+
+def draw_index(soc, count: int, seed: int, config, block: int = BLOCK_WORDS,
+               lib=None):
+    """The :class:`~repro.compaction.kernel.PatternIndex` of
+    ``generate_random_patterns(soc, count, seed, config)``, drawn in C.
+
+    Python seeds ``random.Random(seed)`` as the list generator does and
+    hands the C draw blocks of its 32-bit outputs; the C code replays the
+    generator's ``random`` calls on them (see the C source).  Returns
+    ``None`` when the engine is unavailable or runs out of memory, when
+    the id maps would exceed :data:`MAX_MAP_ENTRIES`, and for inputs the
+    list generator rejects (it raises the error).
+    """
+    lib = lib or ENGINE.get()
+    hosts = [core for core in soc if core.woc_count > 0]
+    n_hosts, bus_width = len(hosts), config.bus_width
+    terminals = sum(host.woc_count for host in hosts)
+    max_aggr = config.max_aggressors
+    if (lib is None or count < 0 or not hosts
+            or max(4 * terminals + bus_width * n_hosts,
+                   max_aggr) > MAX_MAP_ENTRIES):
+        return None
+    from repro.compaction.kernel import DecodedPatterns, PatternIndex
+
+    def zeros(code, size):
+        return array(code, bytes(array(code).itemsize * size))
+
+    def unset(size):
+        return array("i", (-1,)) * size
+
+    woc = array("i", (host.woc_count for host in hosts))
+    base = array("q", (0,))
+    for width in woc:
+        base.append(base[-1] + width)
+    # A pattern holds the victim plus at most min(N_a, spare outputs of
+    # its core + external draws) aggressors, and min(N_a, bus) claims.
+    spare = max(woc) - 1 + config.max_external_aggressors
+    care_cap = count * (1 + min(max_aggr, spare))
+    claim_cap = count * min(max_aggr, bus_width)
+    care_ids = min(care_cap, 4 * terminals)
+    claim_ids = min(claim_cap, bus_width * n_hosts)
+    set_size = min(1 + min(config.max_external_aggressors, max_aggr),
+                   n_hosts)
+    set_table = 1 << (2 * count + 1).bit_length()
+    # In the order of the C source's buffer enum.
+    out = SimpleNamespace(
+        host_core=array("i", (host.core_id for host in hosts)),
+        host_woc=woc, host_base=base,
+        tid_map=unset(terminals), cid_map=unset(4 * terminals),
+        bid_map=unset(bus_width * n_hosts), lid_map=unset(bus_width),
+        set_table=unset(set_table),
+        care_flat=zeros("i", care_cap), care_off=zeros("q", count + 1),
+        tid_of=zeros("i", care_ids), cid_sym=zeros("i", care_ids),
+        tid_core=zeros("i", min(care_ids, terminals)),
+        tid_out=zeros("i", min(care_ids, terminals)),
+        bus_flat=zeros("i", claim_cap), bus_off=zeros("q", count + 1),
+        line_of=zeros("i", claim_ids), bid_line=zeros("i", claim_ids),
+        bid_core=zeros("i", claim_ids),
+        set_of=zeros("i", count), set_first=zeros("i", count),
+        set_count=zeros("q", count), set_mem=zeros("i", count * set_size),
+        set_mem_off=zeros("q", count + 1),
+    )
+    pointers = (ctypes.c_void_p * len(vars(out)))(
+        *map(_addr, vars(out).values())
+    )
+    cfg = array("q", (n_hosts, config.min_aggressors, max_aggr,
+                      config.max_external_aggressors, bus_width, count,
+                      set_table - 1, max(max(woc), bus_width),
+                      1 + min(max_aggr, max(spare, bus_width))))
+    state = zeros("q", 9)
+    rng = random.Random(seed)
+    words = array("I")
+    while state[0] < count:
+        fresh = array("I", rng.getrandbits(32 * block).to_bytes(
+            4 * block, "little"))
+        if sys.byteorder == "big":
+            fresh.byteswap()
+        words += fresh
+        consumed = lib.draw(_addr(cfg), config.bus_probability,
+                            _addr(words), len(words), pointers,
+                            _addr(state))
+        if consumed < 0:
+            return None
+        del words[:consumed]
+    _, cares, claims, tids, cids, bids, lines, sets, _ = state
+    for name, size in (("care_flat", cares), ("tid_of", cids),
+                       ("cid_sym", cids), ("tid_core", tids),
+                       ("tid_out", tids), ("bus_flat", claims),
+                       ("line_of", bids), ("bid_line", bids),
+                       ("bid_core", bids)):
+        del getattr(out, name)[size:]
+    # Each distinct care-core set as the frozenset its first pattern's
+    # ``care_cores`` builds, so its member order is the list path's.
+    care_flat, care_off = out.care_flat, out.care_off
+    care_sets = tuple(
+        tuple(frozenset(out.tid_core[out.tid_of[cid]]
+                        for cid in care_flat[care_off[row]:care_off[row + 1]]))
+        for row in out.set_first[:sets]
+    )
+    index = PatternIndex.packed(
+        (), care_flat, care_off, out.tid_of, tids, out.bus_flat, out.bus_off,
+        out.line_of, lines, out.set_of, care_sets,
+        tuple(out.set_count[:sets]),
+    )
+    index.patterns = DecodedPatterns(index, out.tid_core, out.tid_out,
+                                     out.cid_sym, out.bid_line, out.bid_core)
+    return index
 
 
 def restrict(graph, vertices, lib=None) -> tuple[array, array]:
@@ -638,8 +1036,23 @@ def _smoke(lib) -> bool:
     The k-way cut of the four singletons is 11.  Restricting the path to
     vertices (2, 3, 1) keeps edges {1, 2} and {2, 3} as local pins
     {0, 2} and {0, 1}.
+
+    Draw: 20 patterns at seed 169, up to 7 aggressors, a 90-line bus, on
+    hosts of 2, 22, 23 and 60 outputs, in 16-word blocks, must equal the
+    list generator's set, encoded.  ``sample``'s path switch is pinned
+    on both sides: up to 5 picks take the pool path from the 21 spare
+    outputs of the 22-output core and the set path from the 22 of the
+    23-output core; 6 or 7 picks (set size 21 + 64) take the pool path
+    from 22 and 59 spare outputs and the set path from the 90 lines.  A
+    CPython whose formulas differ from the replayed ones fails here, and
+    the callers then encode the generated list instead.
     """
-    from repro.compaction.kernel import IndexView
+    from repro.compaction.kernel import IndexView, PatternIndex
+    from repro.runtime.instrumentation import (
+        Instrumentation,
+        use_instrumentation,
+    )
+    from repro.sitest.generator import GeneratorConfig, generate_random_patterns
 
     encoded = SimpleNamespace(
         care_flat=array("i", (0, 1, 2)),
@@ -658,6 +1071,18 @@ def _smoke(lib) -> bool:
     refined = [0, 1, 1, 1]
     refine(path, refined, 1, 3, 10, lib)
     restricted = restrict(path, (2, 3, 1), lib)
+    hosts = [SimpleNamespace(core_id=core_id, woc_count=outputs)
+             for core_id, outputs in ((4, 2), (5, 22), (7, 23), (9, 60))]
+    config = GeneratorConfig(max_aggressors=7, bus_width=90)
+    with use_instrumentation(Instrumentation()):  # not the run's builds
+        drawn = draw_index(hosts, 20, 169, config, block=16, lib=lib)
+        listed = PatternIndex(generate_random_patterns(hosts, 20, seed=169,
+                                                       config=config))
+    if drawn is None or any(
+        getattr(drawn, name) != getattr(listed, name)
+        for name in PatternIndex.__slots__ if name != "patterns"
+    ):
+        return False
     return (grown == [0, 0, 1, 1] and refined == grown
             and cut(path, refined, lib) == 1
             and cut(path, (0, 1, 2, 3), lib) == 11

@@ -64,7 +64,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 
 from repro.runtime.instrumentation import incr
-from repro.sitest.patterns import SIPattern, Terminal
+from repro.sitest.patterns import SYMBOLS, SIPattern, Terminal
 
 #: Symbol id per care symbol; bit 0 / bit 1 land in plane0 / plane1.
 SYMBOL_IDS = {"0": 0, "1": 1, "R": 2, "F": 3}
@@ -253,8 +253,13 @@ class PatternIndex:
     the pattern objects are walked once per pattern set, not once per
     group count and bucket.
 
+    An index is built by encoding a pattern list, or by
+    :func:`random_pattern_index`, which draws a random set straight into
+    the arrays when the C engine is available.
+
     Attributes:
-        patterns: The encoded pattern list (held, not copied).
+        patterns: The encoded patterns: the list it was built from (held,
+            not copied), or a :class:`DecodedPatterns` over a drawn set.
         care_flat / care_off: Per pattern, its cares as dense
             ``(terminal, symbol)`` ids, rows ``care_off[i]:care_off[i+1]``.
         tid_of: Terminal id per care id.
@@ -340,6 +345,17 @@ class PatternIndex:
         self.care_sets = tuple(care_sets)
         self.care_set_counts = tuple(counts)
 
+    @classmethod
+    def packed(cls, patterns: Sequence[SIPattern], *arrays) -> "PatternIndex":
+        """An index over arrays already encoded, given in ``__slots__``
+        order after ``patterns``."""
+        incr("compaction.index_builds")
+        index = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, (patterns, *arrays),
+                               strict=True):
+            setattr(index, name, value)
+        return index
+
     def __len__(self) -> int:
         return len(self.care_set_of)
 
@@ -384,6 +400,84 @@ class IndexView(Sequence):
 
     def __reduce__(self):
         return as_view, (list(self),)
+
+
+class DecodedPatterns(Sequence):
+    """The patterns of a drawn :class:`PatternIndex`, decoded per read.
+
+    Row ``i`` is the :class:`SIPattern` the list generator would have
+    built: victim first, ``cares`` and ``bus_claims`` in draw order.  The
+    care and claim tables are built on the first read, so a run that
+    never reads a pattern never builds one.
+
+    Args:
+        index: The index whose rows are decoded (its arrays are held,
+            not the index).
+        tid_core / tid_out: Per terminal id, its ``(core, output)``.
+        cid_sym: Per care id, its symbol id (:data:`SYMBOL_IDS`).
+        bid_line / bid_core: Per claim id, its ``(line, driver)``.
+    """
+
+    __slots__ = ("_rows", "_tables", "_raw")
+
+    def __init__(self, index: PatternIndex, tid_core: array, tid_out: array,
+                 cid_sym: array, bid_line: array, bid_core: array) -> None:
+        self._rows = (index.care_flat, index.care_off,
+                      index.bus_flat, index.bus_off)
+        self._raw = (index.tid_of, tid_core, tid_out, cid_sym,
+                     bid_line, bid_core)
+        self._tables = None
+
+    def __len__(self) -> int:
+        return len(self._rows[1]) - 1
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return [self[i] for i in range(*row.indices(len(self)))]
+        count = len(self)
+        if row < 0:
+            row += count
+        if not 0 <= row < count:
+            raise IndexError("pattern index out of range")
+        if self._tables is None:
+            tid_of, tid_core, tid_out, cid_sym, bid_line, bid_core = self._raw
+            terminals = list(zip(tid_core, tid_out))
+            self._tables = (
+                [(terminals[tid], SYMBOLS[sid])
+                 for tid, sid in zip(tid_of, cid_sym)],
+                list(zip(bid_line, bid_core)),
+            )
+        cares_of, claims_of = self._tables
+        care_flat, care_off, bus_flat, bus_off = self._rows
+        cids = care_flat[care_off[row]:care_off[row + 1]]
+        bids = bus_flat[bus_off[row]:bus_off[row + 1]]
+        return SIPattern(cares=dict(map(cares_of.__getitem__, cids)),
+                         bus_claims=dict(map(claims_of.__getitem__, bids)),
+                         victim=cares_of[cids[0]][0])
+
+
+def random_pattern_index(soc, count: int, seed: int = 0,
+                         config=None) -> PatternIndex:
+    """The :class:`PatternIndex` of
+    ``generate_random_patterns(soc, count, seed, config)``.
+
+    The C engine draws the set straight into the arrays (same stream,
+    same ids, patterns decoded only when read); without it, the list is
+    generated and encoded.
+
+    Raises:
+        ValueError: As :func:`~repro.sitest.generator.generate_random_patterns`.
+    """
+    from repro.compaction import _cscan
+    from repro.sitest.generator import GeneratorConfig, generate_random_patterns
+
+    config = config or GeneratorConfig()
+    index = _cscan.draw_index(soc, count, seed, config)
+    if index is None:
+        index = PatternIndex(
+            generate_random_patterns(soc, count, seed=seed, config=config)
+        )
+    return index
 
 
 def as_view(patterns: Sequence[SIPattern]) -> IndexView:

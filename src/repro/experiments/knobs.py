@@ -212,9 +212,9 @@ def _si_groups(soc: Soc, patterns: int, parts: int, seed: int) -> tuple:
     if not patterns:
         return ()
     from repro.compaction.horizontal import build_si_test_groups
-    from repro.sitest.generator import generate_random_patterns
+    from repro.compaction.kernel import random_pattern_index
 
-    pattern_set = generate_random_patterns(soc, patterns, seed=seed)
+    pattern_set = random_pattern_index(soc, patterns, seed=seed)
     return build_si_test_groups(
         soc, pattern_set, parts=parts, seed=seed
     ).groups

@@ -44,15 +44,15 @@ class ScalingPoint:
 def _scaling_cell_fn(core_count, w_max, pattern_count, parts, seed) -> dict:
     """Plan cell: the full pipeline at one synthesized SOC size."""
     from repro.compaction.horizontal import build_si_test_groups
+    from repro.compaction.kernel import random_pattern_index
     from repro.core.bounds import bound_report
     from repro.core.optimizer import optimize_tam
-    from repro.sitest.generator import generate_random_patterns
     from repro.soc.synth import DEFAULT_MIX, synthesize_soc
 
     soc = synthesize_soc(
         f"scale{core_count}", core_count, mix=DEFAULT_MIX, seed=seed
     )
-    patterns = generate_random_patterns(soc, pattern_count, seed=seed)
+    patterns = random_pattern_index(soc, pattern_count, seed=seed)
 
     started = time.perf_counter()
     grouping = build_si_test_groups(

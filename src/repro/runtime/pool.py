@@ -232,15 +232,23 @@ def resolve_patterns(soc, ref: PatternsRef):
 
 def resolve_pattern_index(soc, ref: PatternsRef):
     """The :class:`~repro.compaction.kernel.PatternIndex` of ``ref``'s
-    pattern set, encoded once per process and shared by every grouping
-    cell over the set.  Kept in the memo only: it is cheaper to re-encode
-    than to store next to the patterns."""
+    pattern set, built once per process and shared by every grouping cell
+    over the set (timer ``patterns.generate``).  The C engine draws it
+    straight into the index; without the engine the generated list goes
+    through :func:`resolve_patterns` and is encoded.  Kept in the memo
+    only: it is cheaper to redraw than to store."""
+    from repro.compaction import _cscan
     from repro.compaction.kernel import PatternIndex
 
-    return cell_state(
-        f"index-{ref.fingerprint}",
-        lambda: PatternIndex(resolve_patterns(soc, ref)),
-    )
+    def build():
+        with get_instrumentation().timeit("patterns.generate"):
+            index = _cscan.draw_index(soc, ref.count, ref.seed, ref.config)
+            if index is None:
+                return PatternIndex(resolve_patterns(soc, ref))
+        incr("statecache.patterns_generated")
+        return index
+
+    return cell_state(f"index-{ref.fingerprint}", build)
 
 
 def warm_engines() -> dict:

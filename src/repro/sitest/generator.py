@@ -81,69 +81,6 @@ def generate_random_patterns(
     return [_random_pattern(rng, hosts, others, config) for _ in range(count)]
 
 
-def generate_topology_patterns(
-    topology,
-    soc: Soc,
-    count: int,
-    seed: int = 0,
-    config: GeneratorConfig = GeneratorConfig(),
-) -> list[SIPattern]:
-    """Sample SI patterns from an actual interconnect topology.
-
-    A middle ground between the exhaustive deterministic fault-model sets
-    and the paper's fully random protocol: victims are real nets and
-    aggressors are drawn from the victim's *coupled neighborhood*, so the
-    sampled set reflects the layout.  The bus postfix follows the same
-    probability model as the random generator.
-
-    Args:
-        topology: An :class:`~repro.sitest.topology.InterconnectTopology`.
-        soc: The SOC (for bus driver attribution sanity only).
-        count: Number of patterns to sample.
-        seed: RNG seed.
-        config: Bus and aggressor-count knobs (``max_external_aggressors``
-            is ignored — locality comes from the topology itself).
-
-    Raises:
-        ValueError: If the topology has no nets or ``count`` is negative.
-    """
-    if count < 0:
-        raise ValueError("pattern count must be non-negative")
-    if not topology.nets:
-        raise ValueError("topology has no nets to sample victims from")
-    del soc  # reserved for future validation hooks
-    rng = random.Random(seed)
-
-    patterns = []
-    for _ in range(count):
-        victim_net = rng.choice(topology.nets)
-        cares = {victim_net.driver: rng.choice(SYMBOLS)}
-        neighbors = list(topology.neighborhoods.get(victim_net.net_id, ()))
-        if neighbors:
-            wanted = rng.randint(config.min_aggressors,
-                                 config.max_aggressors)
-            chosen = rng.sample(neighbors, min(wanted, len(neighbors)))
-            for aggressor_id in chosen:
-                driver = topology.nets[aggressor_id].driver
-                if driver not in cares:
-                    cares[driver] = rng.choice(TRANSITIONS)
-        bus_claims = {}
-        if (
-            topology.bus is not None
-            and config.bus_width
-            and rng.random() < config.bus_probability
-        ):
-            width = min(config.bus_width, topology.bus.width)
-            occupied = rng.randint(1, min(config.max_aggressors, width))
-            for line in rng.sample(range(width), occupied):
-                bus_claims[line] = victim_net.driver[0]
-        patterns.append(
-            SIPattern(cares=cares, bus_claims=bus_claims,
-                      victim=victim_net.driver)
-        )
-    return patterns
-
-
 def _random_pattern(
     rng: random.Random,
     hosts: list,

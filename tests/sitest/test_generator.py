@@ -147,17 +147,13 @@ class TestPinnedStream:
         ),
     }
 
-    @pytest.mark.parametrize("soc_name", sorted(PINNED))
-    def test_seed_one_stream(self, soc_name):
+    @staticmethod
+    def _digests(patterns):
         import hashlib
         import json
 
         from repro.sitest.io import patterns_to_dict
-        from repro.soc.benchmarks import load_benchmark
 
-        patterns = generate_random_patterns(
-            load_benchmark(soc_name), 2_000, seed=1
-        )
         content = hashlib.sha256(
             json.dumps(patterns_to_dict(patterns)).encode()
         ).hexdigest()
@@ -165,4 +161,23 @@ class TestPinnedStream:
             (list(p.cares.items()), list(p.bus_claims.items()), p.victim)
             for p in patterns
         ]).encode()).hexdigest()
-        assert (content, order) == self.PINNED[soc_name]
+        return content, order
+
+    @pytest.mark.parametrize("soc_name", sorted(PINNED))
+    def test_seed_one_stream(self, soc_name):
+        from repro.soc.benchmarks import load_benchmark
+
+        patterns = generate_random_patterns(
+            load_benchmark(soc_name), 2_000, seed=1
+        )
+        assert self._digests(patterns) == self.PINNED[soc_name]
+
+    @pytest.mark.parametrize("soc_name", sorted(PINNED))
+    def test_seed_one_index_stream(self, soc_name):
+        """The same stream decoded from the set's ``PatternIndex`` (drawn
+        by the C engine when it is available)."""
+        from repro.compaction.kernel import random_pattern_index
+        from repro.soc.benchmarks import load_benchmark
+
+        index = random_pattern_index(load_benchmark(soc_name), 2_000, seed=1)
+        assert self._digests(list(index.patterns)) == self.PINNED[soc_name]

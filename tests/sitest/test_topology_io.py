@@ -1,15 +1,10 @@
-"""Tests for topology persistence and the topology-sampling generator."""
+"""Tests for topology persistence."""
 
 import json
 
 import pytest
 
 from repro.resilience.validation import ValidationError
-from repro.sitest.generator import (
-    GeneratorConfig,
-    generate_topology_patterns,
-)
-from repro.sitest.patterns import SYMBOLS, TRANSITIONS
 from repro.sitest.topology import random_topology
 from repro.sitest.topology_io import (
     load_topology,
@@ -93,69 +88,3 @@ class TestMalformedPayloads:
     def test_raises_validation_error(self, payload, message):
         with pytest.raises(ValidationError, match=message):
             topology_from_dict(payload)
-
-
-class TestTopologyPatternGenerator:
-    def test_count_and_determinism(self, soc, topology):
-        first = generate_topology_patterns(topology, soc, 100, seed=5)
-        second = generate_topology_patterns(topology, soc, 100, seed=5)
-        assert len(first) == 100
-        assert first == second
-
-    def test_victims_are_real_nets(self, soc, topology):
-        drivers = {net.driver for net in topology.nets}
-        for pattern in generate_topology_patterns(topology, soc, 150,
-                                                  seed=5):
-            assert pattern.victim in drivers
-            assert pattern.cares[pattern.victim] in SYMBOLS
-
-    def test_aggressors_come_from_neighborhood(self, soc, topology):
-        driver_of = {net.net_id: net.driver for net in topology.nets}
-        net_of_driver = {net.driver: net.net_id for net in topology.nets}
-        for pattern in generate_topology_patterns(topology, soc, 150,
-                                                  seed=5):
-            victim_net = net_of_driver[pattern.victim]
-            allowed = {
-                driver_of[n]
-                for n in topology.neighborhoods.get(victim_net, ())
-            }
-            for terminal, symbol in pattern.cares.items():
-                if terminal == pattern.victim:
-                    continue
-                assert terminal in allowed
-                assert symbol in TRANSITIONS
-
-    def test_bus_claims_respect_bus(self, soc, topology):
-        patterns = generate_topology_patterns(
-            topology, soc, 300, seed=5,
-            config=GeneratorConfig(bus_probability=1.0),
-        )
-        assert any(pattern.bus_claims for pattern in patterns)
-        for pattern in patterns:
-            for line in pattern.bus_claims:
-                assert 0 <= line < topology.bus.width
-
-    def test_busless_topology_never_claims(self, soc):
-        topology = random_topology(soc, bus_width=0, seed=2)
-        patterns = generate_topology_patterns(
-            topology, soc, 100, seed=5,
-            config=GeneratorConfig(bus_probability=1.0),
-        )
-        assert all(not pattern.bus_claims for pattern in patterns)
-
-    def test_validation(self, soc, topology):
-        from repro.sitest.topology import InterconnectTopology
-
-        with pytest.raises(ValueError):
-            generate_topology_patterns(topology, soc, -1)
-        with pytest.raises(ValueError, match="no nets"):
-            generate_topology_patterns(
-                InterconnectTopology(), soc, 10
-            )
-
-    def test_feeds_compaction_pipeline(self, soc, topology):
-        from repro.compaction.horizontal import build_si_test_groups
-
-        patterns = generate_topology_patterns(topology, soc, 400, seed=9)
-        grouping = build_si_test_groups(soc, patterns, parts=2, seed=9)
-        assert grouping.total_compacted_patterns > 0
