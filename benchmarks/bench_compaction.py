@@ -5,8 +5,8 @@ compaction ratios as approximation algorithms for the clique covering
 problem with significantly less computation time".  The pytest benches time
 :func:`greedy_compact` (the paper's heuristic) and :func:`color_compact`
 (Welsh–Powell coloring, the classical approximation) on the same pattern
-set — on both the reference and the packed-bitset backend, asserting the
-two stay bit-identical.
+set — on both the reference implementation and the packed-bitset kernel,
+called directly, asserting the two stay bit-identical.
 
 Run as a script to measure the kernel speedup at a chosen scale and write
 a results JSON (the committed ``results/compaction_speedup_p93791.json``
@@ -24,7 +24,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.compaction.vertical import color_compact, greedy_compact
+from repro.compaction.kernel import color_compact_bitset, greedy_compact_bitset
+from repro.compaction.vertical import (
+    _color_reference,
+    _greedy_reference,
+    color_compact,
+    greedy_compact,
+)
 from repro.sitest.generator import generate_random_patterns
 
 PATTERN_COUNT = 2_000
@@ -39,7 +45,7 @@ def patterns(d695):
 
 
 def bench_greedy_reference(benchmark, patterns):
-    result = benchmark(greedy_compact, patterns, backend="reference")
+    result = benchmark(_greedy_reference, patterns)
     print(
         f"\ngreedy/reference: {result.original_count} -> "
         f"{result.compacted_count} (ratio {result.ratio:.1f}x)"
@@ -48,16 +54,16 @@ def bench_greedy_reference(benchmark, patterns):
 
 
 def bench_greedy_bitset(benchmark, patterns):
-    result = benchmark(greedy_compact, patterns, backend="bitset")
+    result = benchmark(greedy_compact_bitset, patterns)
     print(
         f"\ngreedy/bitset: {result.original_count} -> "
         f"{result.compacted_count} (ratio {result.ratio:.1f}x)"
     )
-    assert result == greedy_compact(patterns, backend="reference")
+    assert result == _greedy_reference(patterns)
 
 
 def bench_coloring_reference(benchmark, patterns):
-    result = benchmark(color_compact, patterns, backend="reference")
+    result = benchmark(_color_reference, patterns)
     print(
         f"\ncoloring/reference: {result.original_count} -> "
         f"{result.compacted_count} (ratio {result.ratio:.1f}x)"
@@ -66,12 +72,12 @@ def bench_coloring_reference(benchmark, patterns):
 
 
 def bench_coloring_bitset(benchmark, patterns):
-    result = benchmark(color_compact, patterns, backend="bitset")
+    result = benchmark(color_compact_bitset, patterns)
     print(
         f"\ncoloring/bitset: {result.original_count} -> "
         f"{result.compacted_count} (ratio {result.ratio:.1f}x)"
     )
-    assert result == color_compact(patterns, backend="reference")
+    assert result == _color_reference(patterns)
 
 
 def bench_compaction_quality_parity(benchmark, patterns):
@@ -90,12 +96,12 @@ def bench_compaction_quality_parity(benchmark, patterns):
     assert greedy_count <= colored_count * 1.5
 
 
-def _time_backend(patterns, backend: str, repeats: int):
+def _time_compactor(patterns, compact, repeats: int):
     best = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = greedy_compact(patterns, backend=backend)
+        result = compact(patterns)
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -123,12 +129,14 @@ def main(argv=None) -> int:
     # Warm up allocator/caches on a small run so neither backend pays
     # first-touch costs inside its timed window.
     warmup = patterns[: min(500, len(patterns))]
-    greedy_compact(warmup, backend="reference")
-    greedy_compact(warmup, backend="bitset")
+    _greedy_reference(warmup)
+    greedy_compact_bitset(warmup)
 
-    bitset_seconds, bitset = _time_backend(patterns, "bitset", args.repeats)
-    reference_seconds, reference = _time_backend(
-        patterns, "reference", args.repeats
+    bitset_seconds, bitset = _time_compactor(
+        patterns, greedy_compact_bitset, args.repeats
+    )
+    reference_seconds, reference = _time_compactor(
+        patterns, _greedy_reference, args.repeats
     )
     identical = reference == bitset
     speedup = reference_seconds / bitset_seconds if bitset_seconds else 0.0

@@ -4,7 +4,7 @@ Starting with PR 6 every kernel-grade change appends one point to the
 repository's performance trajectory (``benchmarks/results/BENCH_pr<n>.json``).
 A point captures, in one run:
 
-* **optimizer cell time** — the reference vs incremental backend over the
+* **optimizer cell time** — the reference vs incremental optimizer over the
   ``W_max`` sweep on one SOC (warm-cache best-of-``repeats``, both engines
   in the same process so the shared ``core_test_time`` memo cannot skew
   the comparison), with a bit-identity check;
@@ -56,8 +56,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.compaction.horizontal import build_si_test_groups
-from repro.compaction.vertical import greedy_compact
+from repro.compaction.kernel import greedy_compact_bitset
+from repro.compaction.vertical import _greedy_reference
 from repro.core.optimizer import optimize_tam
+from repro.core.scheduling import TamEvaluator
 from repro.experiments.knobs import build_plan
 from repro.experiments.runner import PlanRunner
 from repro.experiments.table_runner import run_table_experiment
@@ -92,6 +94,13 @@ def _best_of(repeats, fn):
     return best
 
 
+def _reference_optimize(soc, w_max, groups):
+    """The reference Algorithm 2: ``optimize_tam`` runs it for a custom
+    evaluator, here the default TestRail one it would build itself."""
+    return optimize_tam(soc, w_max, groups,
+                        evaluator=TamEvaluator(soc, groups))
+
+
 def bench_optimizer(soc_name, widths, repeats, pattern_count, seed, parts):
     """Reference vs incremental ``optimize_tam`` over the width sweep."""
     soc = load_benchmark(soc_name)
@@ -104,12 +113,10 @@ def bench_optimizer(soc_name, widths, repeats, pattern_count, seed, parts):
     for w_max in widths:
         # Warm both engines (and the process-wide core-time memo) so the
         # timed passes compare algorithms, not cache states.
-        reference = optimize_tam(soc, w_max, groups, backend="reference")
+        reference = _reference_optimize(soc, w_max, groups)
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
-            incremental = optimize_tam(
-                soc, w_max, groups, backend="incremental"
-            )
+            incremental = optimize_tam(soc, w_max, groups)
         counters[w_max] = {
             name: value
             for name, value in sorted(instrumentation.counters.items())
@@ -120,12 +127,10 @@ def bench_optimizer(soc_name, widths, repeats, pattern_count, seed, parts):
             and reference.evaluation == incremental.evaluation
         )
         ref_seconds = _best_of(
-            repeats,
-            lambda: optimize_tam(soc, w_max, groups, backend="reference"),
+            repeats, lambda: _reference_optimize(soc, w_max, groups)
         )
         inc_seconds = _best_of(
-            repeats,
-            lambda: optimize_tam(soc, w_max, groups, backend="incremental"),
+            repeats, lambda: optimize_tam(soc, w_max, groups)
         )
         per_width[w_max] = {
             "reference_seconds": round(ref_seconds, 4),
@@ -155,15 +160,11 @@ def bench_compaction(soc_name, pattern_count, seed, repeats):
     """Reference vs packed-bitset vertical compaction throughput."""
     soc = load_benchmark(soc_name)
     patterns = generate_random_patterns(soc, pattern_count, seed=seed)
-    reference = greedy_compact(patterns, backend="reference")
-    bitset = greedy_compact(patterns, backend="bitset")
+    reference = _greedy_reference(patterns)
+    bitset = greedy_compact_bitset(patterns)
     identical = reference.compacted_count == bitset.compacted_count
-    ref_seconds = _best_of(
-        repeats, lambda: greedy_compact(patterns, backend="reference")
-    )
-    bit_seconds = _best_of(
-        repeats, lambda: greedy_compact(patterns, backend="bitset")
-    )
+    ref_seconds = _best_of(repeats, lambda: _greedy_reference(patterns))
+    bit_seconds = _best_of(repeats, lambda: greedy_compact_bitset(patterns))
     return {
         "soc": soc_name,
         "patterns": pattern_count,

@@ -51,7 +51,7 @@ import argparse
 import sys
 import time
 
-from repro.experiments.knobs import SCHEMA, KindSchema, Knob, build_plan
+from repro.experiments.knobs import SCHEMA, KindSchema, build_plan
 from repro.soc.benchmarks import available_benchmarks, load_benchmark
 from repro.soc.itc02 import parse_file
 from repro.soc.model import Soc
@@ -323,27 +323,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _add_soc_and_knobs(
-    parser: argparse.ArgumentParser, schema: KindSchema, skip=()
+    parser: argparse.ArgumentParser, schema: KindSchema
 ) -> None:
-    """The schema's SOC argument and knob flags (all but ``skip``)."""
+    """The schema's SOC argument and knob flags."""
     if schema.soc:
         parser.add_argument("soc", help="benchmark name or .soc file path")
     for knob in schema.knobs:
-        if knob.name not in skip:
-            _add_knob(parser, knob)
-
-
-def _add_knob(parser: argparse.ArgumentParser, knob: Knob) -> None:
-    parser.add_argument(
-        knob.flag,
-        type=knob.type,
-        nargs="+" if knob.many else None,
-        default=list(knob.default) if knob.many else knob.default,
-        required=knob.required,
-        choices=knob.choices,
-        help=knob.help if knob.required
-        else f"{knob.help} (default: %(default)s)",
-    )
+        parser.add_argument(
+            knob.flag,
+            type=knob.type,
+            nargs="+" if knob.many else None,
+            default=list(knob.default) if knob.many else knob.default,
+            required=knob.required,
+            help=knob.help if knob.required
+            else f"{knob.help} (default: %(default)s)",
+        )
 
 
 def _add_verify_flag(parser: argparse.ArgumentParser) -> None:
@@ -424,8 +418,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     soc = _load_soc(args.soc)
     patterns = generate_random_patterns(soc, args.patterns, seed=args.seed)
     grouping = build_si_test_groups(soc, patterns, parts=args.parts,
-                                    seed=args.seed,
-                                    backend=args.compaction_backend)
+                                    seed=args.seed)
     print(
         f"{len(patterns)} patterns -> "
         f"{grouping.total_compacted_patterns} compacted in "
@@ -733,7 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     compact.add_argument("--parts", type=int, default=4,
                          help="number of core groups")
     compact.add_argument("--seed", type=int, default=1)
-    _add_knob(compact, SCHEMA["volume"].knob("compaction_backend"))
     compact.set_defaults(func=_cmd_compact)
 
     # The ten plan kinds, generated from the knob schema.  The eight
@@ -764,8 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.set_defaults(func=_cmd_optimize)
     sub.choices["evaluate"].set_defaults(func=_cmd_evaluate)
 
-    # bounds, svg and whatif run optimize's plan: its knobs, less the
-    # optimizer backend they do not offer.
+    # bounds, svg and whatif run optimize's plan with its knobs.
     for name, func, help_text in (
         ("bounds", _cmd_bounds, "lower bounds and the optimality gap"),
         ("svg", _cmd_svg, "export the schedule as an SVG figure"),
@@ -773,9 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
          "marginal pin/move analysis of the optimized design"),
     ):
         command = sub.add_parser(name, help=help_text)
-        _add_soc_and_knobs(
-            command, SCHEMA["optimize"], skip=("optimizer_backend",)
-        )
+        _add_soc_and_knobs(command, SCHEMA["optimize"])
         if name == "svg":
             command.add_argument("--out", default="schedule.svg")
         command.set_defaults(func=func)

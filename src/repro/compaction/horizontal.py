@@ -55,7 +55,6 @@ def build_si_test_groups(
     parts: int,
     epsilon: float = 0.10,
     seed: int = 0,
-    backend: str = "auto",
 ) -> GroupingResult:
     """Run two-dimensional compaction: partition cores, split the pattern
     set, and vertically compact each group.
@@ -70,8 +69,6 @@ def build_si_test_groups(
             compaction over all cores.
         epsilon: Partitioner balance tolerance.
         seed: Partitioner seed.
-        backend: Vertical compaction backend, forwarded to
-            :func:`repro.compaction.vertical.greedy_compact`.
 
     Raises:
         ValueError: If ``parts`` is not positive or exceeds the number of
@@ -83,8 +80,7 @@ def build_si_test_groups(
     with get_instrumentation().timeit("compaction.build_si_test_groups"):
         index = (patterns if isinstance(patterns, PatternIndex)
                  else PatternIndex(patterns))
-        return _build_si_test_groups(soc, index, parts, epsilon, seed,
-                                     backend)
+        return _build_si_test_groups(soc, index, parts, epsilon, seed)
 
 
 def _build_si_test_groups(
@@ -93,7 +89,6 @@ def _build_si_test_groups(
     parts: int,
     epsilon: float,
     seed: int,
-    backend: str,
 ) -> GroupingResult:
     host_ids = [core.core_id for core in soc if core.woc_count > 0]
     if parts > len(host_ids):
@@ -137,7 +132,7 @@ def _build_si_test_groups(
     groups: list[SITestGroup] = []
     compactions: list[CompactionResult] = []
     for bucket, cores, is_residual in buckets:
-        compaction = greedy_compact(bucket, backend=backend)
+        compaction = greedy_compact(bucket)
         groups.append(
             SITestGroup(
                 group_id=len(groups),

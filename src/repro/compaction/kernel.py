@@ -43,18 +43,17 @@ rows of the shared index, readable as a ``Sequence[SIPattern]``:
   :attr:`~repro.compaction.vertical.CompactionResult.compacted` (a
   grouping that keeps only group metadata never builds them).
 * **Auto rule.**  Below :data:`GREEDY_AUTO_THRESHOLD` patterns, encoding
-  a plain list costs more than the scan saves, so ``backend="auto"``
-  keeps such lists on the reference; an index view is already encoded
-  and goes to the scan at any size when the C engine is available.
+  a plain list costs more than the scan saves, so
+  :func:`~repro.compaction.vertical.greedy_compact` keeps such lists on
+  the reference; an index view is already encoded and goes to the scan
+  at any size when the C engine is available.
 
 :func:`greedy_compact_bitset` and :func:`color_compact_bitset` reproduce
 the reference implementations **bit-identically** (same
 :class:`~repro.compaction.vertical.CompactionResult`, including member
-partition and ordering); ``verify=True`` cross-checks against the reference
-at full cost.  Dispatch between backends lives in
+partition and ordering).  The choice between them is made by
 :func:`repro.compaction.vertical.greedy_compact` /
-:func:`~repro.compaction.vertical.color_compact` via their ``backend``
-argument.
+:func:`~repro.compaction.vertical.color_compact` from the input alone.
 """
 
 from __future__ import annotations
@@ -69,17 +68,14 @@ from repro.sitest.patterns import SYMBOLS, SIPattern, Terminal
 #: Symbol id per care symbol; bit 0 / bit 1 land in plane0 / plane1.
 SYMBOL_IDS = {"0": 0, "1": 1, "R": 2, "F": 3}
 
-#: ``backend="auto"`` picks the bitset kernel for plain pattern lists at or
-#: above these pattern counts.  Below them the packed index costs more than
-#: it saves; the crossovers were measured on the bundled ITC'02 SOCs (see
-#: ``benchmarks/bench_compaction.py``).  Index views skip the greedy
-#: threshold when the C engine is available (module docstring).
+#: ``greedy_compact``/``color_compact`` pick the bitset kernel for plain
+#: pattern lists at or above these pattern counts.  Below them the packed
+#: index costs more than it saves; the crossovers were measured on the
+#: bundled ITC'02 SOCs (see ``benchmarks/bench_compaction.py``).  Index
+#: views skip the greedy threshold when the C engine is available (module
+#: docstring).
 GREEDY_AUTO_THRESHOLD = 2048
 COLOR_AUTO_THRESHOLD = 64
-
-
-class KernelMismatchError(AssertionError):
-    """The bitset kernel disagreed with the reference implementation."""
 
 
 class PackedPatternSet:
@@ -487,17 +483,17 @@ def as_view(patterns: Sequence[SIPattern]) -> IndexView:
     return PatternIndex(patterns).view()
 
 
-def greedy_compact_bitset(patterns: Sequence[SIPattern], *,
-                          verify: bool = False):
+def greedy_compact_bitset(patterns: Sequence[SIPattern]):
     """Greedy clique-cover compaction on the packed encoding.
 
-    Bit-identical to :func:`repro.compaction.vertical.greedy_compact` with
-    ``backend="reference"``: in each cycle the lowest remaining pattern
-    seeds a merge, then absorbs every later pattern compatible with the
-    merge so far, in index order.  The kernel keeps an ``eligible`` mask of
-    candidates compatible with the running merge — seeded from ``avail``
-    and pruned by the conflict masks of every symbol/claim the merge
-    acquires — so conflicting candidates are never visited at all.
+    Bit-identical to the reference
+    :func:`repro.compaction.vertical._greedy_reference`: in each cycle the
+    lowest remaining pattern seeds a merge, then absorbs every later
+    pattern compatible with the merge so far, in index order.  The kernel
+    keeps an ``eligible`` mask of candidates compatible with the running
+    merge — seeded from ``avail`` and pruned by the conflict masks of every
+    symbol/claim the merge acquires — so conflicting candidates are never
+    visited at all.
     Equivalence holds because a pattern incompatible with the merge stays
     incompatible for the rest of the cycle (merges only gain cares) and
     the top-bit extraction yields exactly the reference's visit order.
@@ -508,9 +504,6 @@ def greedy_compact_bitset(patterns: Sequence[SIPattern], *,
     Args:
         patterns: The patterns to compact: an :class:`IndexView`, or a
             plain sequence (indexed here).
-        verify: Re-run the reference implementation and raise
-            :class:`KernelMismatchError` on any difference (debugging aid;
-            costs the full reference runtime).
 
     Emits ``compaction.bitset.candidates_pruned`` (candidate visits the
     reference would have made that the kernel skipped) and
@@ -529,14 +522,11 @@ def greedy_compact_bitset(patterns: Sequence[SIPattern], *,
         member_lists, pruned, words = _greedy_scan_python(view)
     incr("compaction.bitset.candidates_pruned", pruned)
     incr("compaction.bitset.words_compared", words)
-    result = CompactionResult(
+    return CompactionResult(
         members=tuple(map(tuple, member_lists)),
         original_count=len(view),
         source=view,
     )
-    if verify:
-        _check_against_reference("greedy", list(view), result)
-    return result
 
 
 def _greedy_scan_python(patterns: Sequence[SIPattern]):
@@ -678,13 +668,14 @@ def _greedy_scan_python(patterns: Sequence[SIPattern]):
     return member_lists, pruned, words
 
 
-def color_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
+def color_compact_bitset(patterns: list[SIPattern]):
     """Welsh–Powell conflict-graph coloring on the packed encoding.
 
-    Bit-identical to :func:`repro.compaction.vertical.color_compact` with
-    ``backend="reference"``.  Instead of the reference's O(n²) pairwise
-    compatibility matrix, each vertex gets a conflict mask (OR of the
-    conflict masks of its cares and claims — never including itself), its
+    Bit-identical to the reference
+    :func:`repro.compaction.vertical._color_reference`.  Instead of the
+    reference's O(n²) pairwise compatibility matrix, each vertex gets a
+    conflict mask (OR of the conflict masks of its cares and claims —
+    never including itself), its
     degree is the mask's popcount, and a color is forbidden exactly when
     the vertex mask intersects the color class's member mask.  The
     degree sort is stable, so tie order matches the reference.
@@ -743,7 +734,7 @@ def color_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
         merged_bus[chosen].update(patterns[vertex].bus_claims)
 
     incr("compaction.bitset.words_compared", words)
-    result = CompactionResult(
+    return CompactionResult(
         compacted=tuple(
             SIPattern(cares=merged_cares[c], bus_claims=merged_bus[c])
             for c in range(len(classes))
@@ -751,22 +742,3 @@ def color_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
         members=tuple(tuple(sorted(members)) for members in classes),
         original_count=n,
     )
-    if verify:
-        _check_against_reference("color", patterns, result)
-    return result
-
-
-def _check_against_reference(algorithm: str, patterns, result) -> None:
-    from repro.compaction import vertical
-
-    reference_impl = {
-        "greedy": vertical._greedy_reference,
-        "color": vertical._color_reference,
-    }[algorithm]
-    expected = reference_impl(patterns)
-    if result != expected:
-        raise KernelMismatchError(
-            f"bitset {algorithm} kernel diverged from the reference on "
-            f"{len(patterns)} patterns: {result.compacted_count} vs "
-            f"{expected.compacted_count} compacted"
-        )

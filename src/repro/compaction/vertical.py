@@ -12,12 +12,12 @@ vectors.  Two algorithms are provided:
   conflict graph, the classical approximation the paper compares against.
   Builds the O(n²) conflict graph, so intended for moderate pattern counts.
 
-Both take a ``backend`` argument: ``"reference"`` runs the plain dict-walk
-implementation in this module, ``"bitset"`` the packed big-int kernel from
-:mod:`repro.compaction.kernel`, and ``"auto"`` (the default) picks the
-kernel at or above its measured break-even pattern count.  The two backends
-return bit-identical :class:`CompactionResult` objects; the choice only
-affects speed, and is recorded in the ``compaction.backend.*`` counters.
+Each runs on one of two engines, chosen from the input: the plain
+dict-walk reference in this module, or the packed big-int kernel from
+:mod:`repro.compaction.kernel` at or above its measured break-even pattern
+count.  The two return bit-identical :class:`CompactionResult` objects;
+the choice only affects speed, and is recorded in the
+``compaction.backend.*`` counters.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from collections.abc import Sequence
 
 from repro.runtime.instrumentation import incr
 from repro.sitest.patterns import SIPattern
-
-BACKENDS = ("auto", "reference", "bitset")
 
 
 class CompactionResult:
@@ -119,25 +117,7 @@ def _merge_members(patterns: Sequence[SIPattern],
     return tuple(compacted)
 
 
-def _resolve_backend(backend: str, count: int, threshold: int,
-                     indexed: bool = False) -> str:
-    """Map a ``backend`` argument to ``"reference"`` or ``"bitset"``.
-
-    ``indexed`` inputs are already encoded, so ``"auto"`` skips the
-    threshold for them.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown compaction backend {backend!r}; choose from {BACKENDS}"
-        )
-    if backend == "auto":
-        return "bitset" if indexed or count >= threshold else "reference"
-    return backend
-
-
-def greedy_compact(
-    patterns: Sequence[SIPattern], backend: str = "auto"
-) -> CompactionResult:
+def greedy_compact(patterns: Sequence[SIPattern]) -> CompactionResult:
     """Compact ``patterns`` with the paper's greedy clique-cover heuristic.
 
     In each cycle the first uncompacted pattern seeds a merged pattern,
@@ -145,24 +125,24 @@ def greedy_compact(
     accumulated so far.  Compatibility respects both symbol intersection
     and the shared-bus-line driver rule.
 
+    The bitset kernel runs for an index view when the C scan engine is
+    available, otherwise at or above
+    :data:`repro.compaction.kernel.GREEDY_AUTO_THRESHOLD` patterns; the
+    reference runs below it.  Both produce identical results.
+
     Args:
         patterns: The patterns to compact: a list, or a
             :class:`~repro.compaction.kernel.IndexView` bucket of an
             indexed pattern set.
-        backend: ``"reference"``, ``"bitset"``, or ``"auto"``: bitset for
-            an index view when the C scan engine is available, otherwise
-            at or above :data:`repro.compaction.kernel.GREEDY_AUTO_THRESHOLD`
-            patterns.  Both backends produce identical results.
     """
     from repro.compaction import _cscan, kernel
 
-    indexed = (
-        backend == "auto"
-        and isinstance(patterns, kernel.IndexView)
-        and _cscan.available()
-    )
-    chosen = _resolve_backend(backend, len(patterns),
-                              kernel.GREEDY_AUTO_THRESHOLD, indexed)
+    if isinstance(patterns, kernel.IndexView) and _cscan.available():
+        chosen = "bitset"
+    elif len(patterns) >= kernel.GREEDY_AUTO_THRESHOLD:
+        chosen = "bitset"
+    else:
+        chosen = "reference"
     incr(f"compaction.backend.{chosen}")
     if chosen == "bitset":
         result = kernel.greedy_compact_bitset(patterns)
@@ -224,22 +204,20 @@ def _greedy_reference(patterns: list[SIPattern]) -> CompactionResult:
     )
 
 
-def color_compact(
-    patterns: list[SIPattern], backend: str = "auto"
-) -> CompactionResult:
+def color_compact(patterns: list[SIPattern]) -> CompactionResult:
     """Compact via greedy coloring of the conflict graph (Welsh–Powell).
 
     Vertices in non-increasing conflict-degree order each take the smallest
     color whose class they are compatible with; every color class becomes
-    one merged pattern.  The reference backend builds the O(n²) pairwise
-    conflict graph; the bitset backend derives per-vertex conflict masks
-    from the packed conflict index and is the ``"auto"`` choice from
+    one merged pattern.  The reference builds the O(n²) pairwise
+    conflict graph; the bitset kernel derives per-vertex conflict masks
+    from the packed conflict index and runs from
     :data:`repro.compaction.kernel.COLOR_AUTO_THRESHOLD` patterns up.
     """
     from repro.compaction import kernel
 
-    chosen = _resolve_backend(backend, len(patterns),
-                              kernel.COLOR_AUTO_THRESHOLD)
+    chosen = ("bitset" if len(patterns) >= kernel.COLOR_AUTO_THRESHOLD
+              else "reference")
     incr(f"compaction.backend.{chosen}")
     if chosen == "bitset":
         result = kernel.color_compact_bitset(patterns)

@@ -36,14 +36,6 @@ from repro.runtime.instrumentation import get_instrumentation, incr
 from repro.soc.model import Soc
 from repro.tam.testrail import TestRailArchitecture, initial_architecture
 
-#: Selectable optimizer backends: ``reference`` is the original
-#: object-based Algorithm 2; ``incremental`` mirrors its decision
-#: sequence over packed states with bounds pruning, in one call to the
-#: optional C engine or in its pure-Python loop; ``auto`` picks
-#: ``incremental`` whenever the default cost model applies.  All
-#: backends produce bit-identical results.
-OPTIMIZER_BACKENDS = ("auto", "reference", "incremental")
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -232,44 +224,12 @@ def _start_solution(
     return architecture
 
 
-def resolve_optimizer_backend(
-    backend: str, evaluator: TamEvaluator | None = None
-) -> str:
-    """The concrete backend (``reference`` or ``incremental``) a request
-    resolves to.
-
-    A custom evaluator forces the reference path — the incremental
-    scorer replicates the default TestRail cost model only — so ``auto``
-    falls back silently while an explicit ``incremental`` request errors
-    out rather than optimize against the wrong model.
-
-    Raises:
-        ValueError: On an unknown backend name or on
-            ``backend="incremental"`` with a custom evaluator.
-    """
-    if backend not in OPTIMIZER_BACKENDS:
-        raise ValueError(
-            f"unknown optimizer backend {backend!r}; "
-            f"choose from {', '.join(OPTIMIZER_BACKENDS)}"
-        )
-    if evaluator is not None:
-        if backend == "incremental":
-            raise ValueError(
-                "the incremental backend replicates the default TestRail "
-                "cost model only; drop the custom evaluator or use "
-                "backend='reference'"
-            )
-        return "reference"
-    return "reference" if backend == "reference" else "incremental"
-
-
 def optimize_tam(
     soc: Soc,
     w_max: int,
     groups: tuple[SITestGroup, ...] = (),
     capture_cycles: int = 1,
     evaluator: TamEvaluator | None = None,
-    backend: str = "auto",
 ) -> OptimizationResult:
     """Solve Problem ``P_SI_opt`` with Algorithm 2 (``TAM_Optimization``).
 
@@ -281,26 +241,25 @@ def optimize_tam(
         capture_cycles: Launch/capture cycles charged per SI pattern.
         evaluator: Custom cost model (e.g. a Test Bus or power-aware
             evaluator); defaults to the paper's TestRail model over
-            ``groups``.
-        backend: One of :data:`OPTIMIZER_BACKENDS`.  The ``incremental``
-            backend mirrors the reference decision sequence over a packed
-            state representation (with bounds pruning, natively when the
-            C engine is available) and returns bit-identical results;
-            ``auto`` uses it whenever the default cost model applies.
+            ``groups``.  Without one the incremental engine runs: it
+            mirrors the reference decision sequence over a packed state
+            representation (with bounds pruning, natively when the C
+            engine is available) and returns bit-identical results.  A
+            custom evaluator runs the reference Algorithm 2 over it.
 
     Returns:
         The optimized architecture and its evaluation.
 
     Raises:
-        ValueError: If ``w_max`` is not positive, the SOC has no cores,
-            or the backend selection is invalid.
+        ValueError: If ``w_max`` is not positive or the SOC has no
+            cores.
     """
     if w_max <= 0:
         raise ValueError(f"W_max must be positive, got {w_max}")
     if not len(soc):
         raise ValueError(f"SOC {soc.name} has no cores")
 
-    chosen = resolve_optimizer_backend(backend, evaluator)
+    chosen = "reference" if evaluator is not None else "incremental"
     incr("optimizer.runs")
     incr(f"optimizer.backend.{chosen}")
     with get_instrumentation().timeit("optimizer.optimize_tam"):
@@ -727,16 +686,9 @@ def evaluate_architecture(
     architecture: TestRailArchitecture,
     groups: tuple[SITestGroup, ...] = (),
     capture_cycles: int = 1,
-    backend: str = "auto",
 ) -> Evaluation:
     """Evaluate a fixed architecture under a (possibly different) SI
     grouping — used e.g. to price the SI-oblivious baseline ``T_[8]``.
-
-    ``backend`` is validated as for :func:`optimize_tam`; full evaluations
-    are identical on every backend (the incremental evaluator only adds
-    move-scoring machinery over the same ``evaluate``), so the plain
-    evaluator always prices the architecture.
     """
-    resolve_optimizer_backend(backend)
     evaluator = TamEvaluator(soc, groups, capture_cycles=capture_cycles)
     return evaluator.evaluate(architecture)

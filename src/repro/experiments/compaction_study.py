@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compaction.horizontal import build_si_test_groups
 from repro.experiments.plan import (
     UNCACHED,
     CellSpec,
@@ -35,8 +34,9 @@ from repro.experiments.plan import (
     register_plan_kind,
 )
 from repro.experiments.runner import PlanRunner
+from repro.experiments.table_runner import _grouping_cell_fn
 from repro.runtime.cache import grouping_cache_key, patterns_cache_key
-from repro.runtime.pool import PatternsRef, resolve_pattern_index
+from repro.runtime.pool import PatternsRef
 from repro.sitest.generator import GeneratorConfig
 from repro.sitest.patterns import SIPattern
 from repro.soc.model import Soc
@@ -76,31 +76,11 @@ class CompactionVolume:
         return self.volume_after / self.volume_before
 
 
-def _volume_cell_fn(soc, patterns, parts, seed, backend):
-    """Plan cell: one grouping (two-dimensional compaction) run.
-
-    ``patterns`` is either the raw list (library path) or a
-    :class:`PatternsRef` resolved through the warm per-process state
-    cache to the set's shared index.  The returned grouping is
-    codec-reduced — group metadata only, exactly what a cache hit would
-    return.
-    """
-    from repro.runtime.codec import grouping_from_dict, grouping_to_dict
-
-    if isinstance(patterns, PatternsRef):
-        patterns = resolve_pattern_index(soc, patterns)
-    grouping = build_si_test_groups(
-        soc, patterns, parts=parts, seed=seed, backend=backend
-    )
-    return grouping_from_dict(grouping_to_dict(grouping))
-
-
 def _volume_params(params: dict) -> tuple:
     soc = params["soc"]
     group_counts = tuple(params["group_counts"])
     seed = params.get("seed", 0)
-    backend = params.get("backend", "auto")
-    return soc, group_counts, seed, backend
+    return soc, group_counts, seed
 
 
 class VolumePlan(PlanKind):
@@ -109,7 +89,7 @@ class VolumePlan(PlanKind):
     name = "volume"
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
-        soc, group_counts, seed, backend = _volume_params(params)
+        soc, group_counts, seed = _volume_params(params)
         if not group_counts:
             raise ValueError("need at least one group count")
         if "patterns" in params:
@@ -127,7 +107,6 @@ class VolumePlan(PlanKind):
                 seed=pattern_seed,
                 config=config,
                 fingerprint=shard,
-                store_dir=None,
             )
 
             def key_of(parts, _soc=soc):
@@ -139,8 +118,8 @@ class VolumePlan(PlanKind):
             CellSpec(
                 cell_id=f"grouping/{parts}",
                 kind="grouping",
-                fn=_volume_cell_fn,
-                args=(soc, source, parts, seed, backend),
+                fn=_grouping_cell_fn,
+                args=(soc, source, parts, seed),
                 cache_key=key_of(parts),
                 shard_key=shard,
             )
@@ -150,7 +129,7 @@ class VolumePlan(PlanKind):
     def assemble(
         self, params: dict, results: dict
     ) -> tuple[CompactionVolume, ...]:
-        soc, group_counts, _seed, _backend = _volume_params(params)
+        soc, group_counts, _seed = _volume_params(params)
         if "patterns" in params:
             patterns_before = len(params["patterns"])
         else:
@@ -186,7 +165,7 @@ class VolumePlan(PlanKind):
         """Accounting invariants every grouping must satisfy: group
         pattern counts sum to the compacted total and never exceed the
         uncompacted count."""
-        soc, group_counts, _seed, _backend = _volume_params(params)
+        soc, group_counts, _seed = _volume_params(params)
         if "patterns" in params:
             patterns_before = len(params["patterns"])
         else:
@@ -218,7 +197,6 @@ def volume_plan(
     group_counts: tuple[int, ...] = (1, 2, 4, 8),
     seed: int = 0,
     generator_config: GeneratorConfig = GeneratorConfig(),
-    backend: str = "auto",
     pattern_seed: int | None = None,
 ) -> ExperimentPlan:
     """The recipe-shaped (cacheable, serializable) volume plan."""
@@ -230,7 +208,6 @@ def volume_plan(
             "group_counts": tuple(group_counts),
             "seed": seed,
             "generator_config": generator_config,
-            "backend": backend,
             "pattern_seed": seed if pattern_seed is None else pattern_seed,
         },
     )
@@ -242,16 +219,12 @@ def measure_compaction(
     group_counts: tuple[int, ...] = (1, 2, 4, 8),
     seed: int = 0,
     jobs: int = 1,
-    backend: str = "auto",
     verify: bool = False,
 ) -> tuple[CompactionVolume, ...]:
     """Measure data volume across grouping choices.
 
     Group counts are independent, so ``jobs > 1`` fans them out over
-    worker processes without changing the reported volumes.  ``backend``
-    selects the vertical compaction implementation (see
-    :func:`repro.compaction.vertical.greedy_compact`).  The volumes are
-    independent of both.
+    worker processes without changing the reported volumes.
 
     Raises:
         ValueError: If ``group_counts`` is empty.
@@ -267,7 +240,6 @@ def measure_compaction(
                 "patterns": list(patterns),
                 "group_counts": tuple(group_counts),
                 "seed": seed,
-                "backend": backend,
             },
         )
     )

@@ -2,8 +2,8 @@
 
 Each plan kind's experiment knobs (``--patterns``, ``--wmax``,
 ``--widths``, ...) are declared once here, as :class:`Knob` entries with
-their type, list-or-scalar shape, default, required flag, choices and
-help text.  The CLI generates both the local experiment commands and
+their type, list-or-scalar shape, default, required flag and help
+text.  The CLI generates both the local experiment commands and
 the ``repro submit KIND`` subcommands from :data:`SCHEMA`, and
 :func:`build_plan` is the only code that maps knob values onto the ten
 plan builders — so a local ``repro table t5`` and a submitted one build
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.compaction.vertical import BACKENDS
-from repro.core.optimizer import OPTIMIZER_BACKENDS
 from repro.experiments.plan import ExperimentPlan, plan_builder
 from repro.resilience.validation import ValidationError
 from repro.soc.model import Soc
@@ -45,7 +43,6 @@ class Knob:
         many: ``True`` for a list knob (``--widths 8 16``).
         default: Value when unset; ``None`` only for a required knob.
         required: Whether the kind needs the knob set explicitly.
-        choices: The allowed values, or ``None`` for any.
         help: One-line description for ``--help``.
         param: The plan builder's keyword for the knob (default: name).
     """
@@ -55,7 +52,6 @@ class Knob:
     many: bool = False
     default: object = None
     required: bool = False
-    choices: tuple | None = None
     help: str = ""
     param: str | None = None
 
@@ -80,13 +76,6 @@ _GROUP_COUNTS = Knob(
 _SEED = Knob("seed", help="random seed")
 _WMAX = Knob("wmax", param="w_max", help="SOC TAM width budget W_max")
 _WIDTHS = Knob("widths", many=True, help="the W_max values to sweep")
-_OPTIMIZER_BACKEND = Knob(
-    "optimizer_backend", type=str, default="auto",
-    choices=OPTIMIZER_BACKENDS,
-    help="TAM optimizer engine: the reference Algorithm 2, the "
-    "incremental kernel, or auto-select (results are bit-identical "
-    "either way)",
-)
 
 
 @dataclass(frozen=True)
@@ -117,7 +106,6 @@ SCHEMA: dict[str, KindSchema] = {
         (
             _PATTERNS.at(10_000), _WIDTHS.at(DEFAULT_WIDTHS),
             _GROUP_COUNTS.at(DEFAULT_GROUP_COUNTS), _SEED.at(1),
-            _OPTIMIZER_BACKEND,
         ),
     ),
     "pareto": KindSchema(
@@ -133,13 +121,6 @@ SCHEMA: dict[str, KindSchema] = {
         (
             _PATTERNS.at(5_000), _GROUP_COUNTS.at(DEFAULT_GROUP_COUNTS),
             _SEED.at(1),
-            Knob(
-                "compaction_backend", type=str, default="auto",
-                choices=BACKENDS, param="backend",
-                help="vertical compaction implementation: the plain "
-                "reference, the packed-bitset kernel, or auto-select by "
-                "pattern count (results are identical either way)",
-            ),
         ),
     ),
     "compare": KindSchema(
@@ -188,7 +169,6 @@ SCHEMA: dict[str, KindSchema] = {
         "optimize a test architecture",
         (
             _WMAX.at(None), _PATTERNS.at(0), _PARTS.at(4), _SEED.at(1),
-            _OPTIMIZER_BACKEND,
         ),
     ),
     "evaluate": KindSchema(
@@ -197,7 +177,6 @@ SCHEMA: dict[str, KindSchema] = {
             Knob("arch", type=str, required=True, param="architecture",
                  help="architecture JSON from 'optimize --save-arch'"),
             _PATTERNS.at(0), _PARTS.at(4), _SEED.at(1),
-            _OPTIMIZER_BACKEND,
         ),
     ),
 }

@@ -34,14 +34,12 @@ needed), the kind's ``verify`` hook re-checks results independently when
 requested, and the kind's pure ``assemble`` builds the report object.
 
 Heavy inputs travel as :class:`~repro.runtime.pool.PatternsRef`
-references: the runner points them at the cache's shared state store
-when one is configured and lets the cell resolve them through the warm
-per-process state cache, in a worker or in the parent alike.
+references; the cell resolves them through the warm per-process state
+cache, in a worker or in the parent alike.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -68,7 +66,7 @@ from repro.runtime.supervision import (
     degraded_backend,
     use_policy,
 )
-from repro.runtime.pool import PatternsRef, WorkerPool, warm_engines
+from repro.runtime.pool import WorkerPool, warm_engines
 
 
 def _execute_plan_cell(spec):
@@ -202,11 +200,6 @@ class PlanRunner:
     def _record(self, key: str, value) -> None:
         if self.checkpoint is not None:
             self.checkpoint.record(key, value)
-
-    def _state_store_dir(self) -> str | None:
-        if self.cache is not None and self.cache.store_dir is not None:
-            return str(self.cache.store_dir / "state")
-        return None
 
     # -- the run ----------------------------------------------------------
 
@@ -503,12 +496,11 @@ class PlanRunner:
 
     def _run_batch(self, batch, results, keys, run, sweep_pool) -> None:
         """Fan one wave of cells out through :func:`run_cells`."""
-        store_dir = self._state_store_dir()
         spool = sweep_pool()
         if spool is not None:
             run.backend = "workers"
         specs = [
-            (cell.fn, _resolve_args(cell.args, results, store_dir))
+            (cell.fn, _resolve_args(cell.args, results))
             for cell in batch
         ]
         policy = self.policy
@@ -546,22 +538,16 @@ class PlanRunner:
                 self._record(key, value)
 
 
-def _resolve_args(value, results, store_dir):
+def _resolve_args(value, results):
     """Substitute cell results for :class:`CellRef` args (through their
-    projections) and point state references at the shared store."""
+    projections)."""
     if isinstance(value, CellRef):
         return project(value, results[value.cell_id])
-    if isinstance(value, PatternsRef):
-        if value.store_dir is None and store_dir is not None:
-            return dataclasses.replace(value, store_dir=store_dir)
-        return value
     if isinstance(value, tuple):
-        return tuple(_resolve_args(item, results, store_dir) for item in value)
+        return tuple(_resolve_args(item, results) for item in value)
     if isinstance(value, list):
-        return [_resolve_args(item, results, store_dir) for item in value]
+        return [_resolve_args(item, results) for item in value]
     if isinstance(value, dict):
-        return {
-            key: _resolve_args(item, results, store_dir)
-            for key, item in value.items()
-        }
+        return {key: _resolve_args(item, results)
+                for key, item in value.items()}
     return value

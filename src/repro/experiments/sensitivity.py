@@ -114,7 +114,6 @@ class SensitivityPlan(PlanKind):
                             seed=seed,
                             config=config,
                             fingerprint=patterns_fp,
-                            store_dir=None,
                         ),
                         parts,
                         seed,
@@ -136,7 +135,6 @@ class SensitivityPlan(PlanKind):
                         CellRef(
                             f"grouping/{index}", project="grouping.groups"
                         ),
-                        "auto",
                     ),
                     key_fn=_optimize_key(soc, w_max),
                     key_deps=(f"grouping/{index}",),

@@ -49,7 +49,7 @@ from repro.runtime.codec import (
     evaluation_from_dict,
     evaluation_to_dict,
 )
-from repro.runtime.pool import PatternsRef, resolve_patterns
+from repro.runtime.pool import PatternsRef
 from repro.sitest.generator import GeneratorConfig
 from repro.soc.model import Soc
 from repro.tam.gantt import render_schedule
@@ -75,14 +75,11 @@ class EvaluateReport:
     groups: tuple
 
 
-def _evaluate_cell_fn(soc, architecture, groups, backend) -> dict:
+def _evaluate_cell_fn(soc, architecture, groups) -> dict:
     """Plan cell: price a fixed architecture (codec-dict in, codec-dict
     out — the value must be plain JSON for the default cell key)."""
-    if isinstance(groups, PatternsRef):  # pragma: no cover - defensive
-        groups = resolve_patterns(soc, groups)
     evaluation = evaluate_architecture(
-        soc, architecture_from_dict(architecture), tuple(groups),
-        backend=backend,
+        soc, architecture_from_dict(architecture), tuple(groups)
     )
     return evaluation_to_dict(evaluation)
 
@@ -93,8 +90,7 @@ def _single_params(params: dict) -> tuple:
     parts = params.get("parts", 4)
     seed = params.get("seed", 1)
     config = params.get("generator_config") or GeneratorConfig()
-    backend = params.get("optimizer_backend", "auto")
-    return soc, pattern_count, parts, seed, config, backend
+    return soc, pattern_count, parts, seed, config
 
 
 def _grouping_cells(soc, pattern_count, parts, seed, config):
@@ -106,7 +102,6 @@ def _grouping_cells(soc, pattern_count, parts, seed, config):
         seed=seed,
         config=config,
         fingerprint=patterns_fp,
-        store_dir=None,
     )
     return (
         CellSpec(
@@ -136,9 +131,7 @@ class OptimizePlan(PlanKind):
     name = "optimize"
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
-        soc, pattern_count, parts, seed, config, backend = _single_params(
-            params
-        )
+        soc, pattern_count, parts, seed, config = _single_params(params)
         w_max = params["w_max"]
         if pattern_count <= 0:
             return (
@@ -146,7 +139,7 @@ class OptimizePlan(PlanKind):
                     cell_id="optimize",
                     kind="optimize",
                     fn=_optimize_cell_fn,
-                    args=(soc, w_max, (), backend),
+                    args=(soc, w_max, ()),
                     cache_key=optimize_cache_key(soc, w_max, ()),
                 ),
             )
@@ -159,7 +152,6 @@ class OptimizePlan(PlanKind):
                     soc,
                     w_max,
                     CellRef("grouping", project="grouping.groups"),
-                    backend,
                 ),
                 key_fn=_optimize_key(soc, w_max),
                 key_deps=("grouping",),
@@ -198,9 +190,7 @@ class EvaluatePlan(PlanKind):
     name = "evaluate"
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
-        soc, pattern_count, parts, seed, config, backend = _single_params(
-            params
-        )
+        soc, pattern_count, parts, seed, config = _single_params(params)
         architecture = dict(params["architecture"])
         if pattern_count <= 0:
             return (
@@ -208,7 +198,7 @@ class EvaluatePlan(PlanKind):
                     cell_id="evaluate",
                     kind="evaluate",
                     fn=_evaluate_cell_fn,
-                    args=(soc, architecture, (), backend),
+                    args=(soc, architecture, ()),
                 ),
             )
         return _grouping_cells(soc, pattern_count, parts, seed, config) + (
@@ -220,7 +210,6 @@ class EvaluatePlan(PlanKind):
                     soc,
                     architecture,
                     CellRef("grouping", project="grouping.groups"),
-                    backend,
                 ),
             ),
         )
@@ -262,7 +251,6 @@ def optimize_plan(
     parts: int = 4,
     seed: int = 1,
     generator_config: GeneratorConfig = GeneratorConfig(),
-    optimizer_backend: str = "auto",
 ) -> ExperimentPlan:
     """The declarative plan for one architecture optimization."""
     return ExperimentPlan(
@@ -274,7 +262,6 @@ def optimize_plan(
             "parts": parts,
             "seed": seed,
             "generator_config": generator_config,
-            "optimizer_backend": optimizer_backend,
         },
     )
 
@@ -286,7 +273,6 @@ def evaluate_plan(
     parts: int = 4,
     seed: int = 1,
     generator_config: GeneratorConfig = GeneratorConfig(),
-    optimizer_backend: str = "auto",
 ) -> ExperimentPlan:
     """The declarative plan for pricing one saved architecture."""
     if isinstance(architecture, TestRailArchitecture):
@@ -300,7 +286,6 @@ def evaluate_plan(
             "parts": parts,
             "seed": seed,
             "generator_config": generator_config,
-            "optimizer_backend": optimizer_backend,
         },
     )
 

@@ -39,8 +39,8 @@ orchestration this module used to hand-roll:
 Groupings produced by a sweep cell (or restored from the cache) carry an
 empty ``compactions`` tuple (see :mod:`repro.runtime.codec`) — the
 harness reads only group metadata, and per-group merged pattern lists
-would dominate worker→parent traffic.  All sweep backends, job counts,
-and warm/cold cache states produce byte-identical tables.
+would dominate worker→parent traffic.  All job counts, engines and
+warm/cold cache states produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -126,9 +126,8 @@ class TableResult:
 def _grouping_cell_fn(soc, patterns, parts, seed) -> GroupingResult:
     """Plan cell: one two-dimensional compaction run (one group count).
 
-    ``patterns`` may be the materialized list (classic pool protocol) or a
-    :class:`PatternsRef` resolved through the warm per-process state cache
-    (serial and ``workers`` backends) to the set's shared
+    ``patterns`` may be the materialized list or a :class:`PatternsRef`
+    resolved through the warm per-process state cache to the set's shared
     :class:`~repro.compaction.kernel.PatternIndex`, so the cells of one
     set encode it once.  The returned grouping is the codec-reduced form —
     ``compactions == ()``, exactly what a cache hit would return — so the
@@ -142,12 +141,10 @@ def _grouping_cell_fn(soc, patterns, parts, seed) -> GroupingResult:
     return grouping_from_dict(grouping_to_dict(grouping))
 
 
-def _optimize_cell_fn(soc, w_max, groups, backend):
+def _optimize_cell_fn(soc, w_max, groups):
     """Plan cell: one ``TAM_Optimization`` run (one width, one grouping;
-    an empty group tuple is the TR-Architect baseline).  The args carry
-    the optimizer backend so a :class:`~repro.runtime.executor.CellError`
-    report names the engine that was active when the cell failed."""
-    return optimize_tam(soc, w_max, groups=groups, backend=backend)
+    an empty group tuple is the TR-Architect baseline)."""
+    return optimize_tam(soc, w_max, groups=groups)
 
 
 def _baseline_cell_fn(soc, baseline, groups_of_counts) -> dict:
@@ -183,9 +180,7 @@ def _table_params(params: dict) -> tuple:
     group_counts = tuple(params.get("group_counts", DEFAULT_GROUP_COUNTS))
     seed = params.get("seed", 1)
     config = params.get("generator_config") or GeneratorConfig()
-    optimizer_backend = params.get("optimizer_backend", "auto")
-    return soc, pattern_count, widths, group_counts, seed, config, \
-        optimizer_backend
+    return soc, pattern_count, widths, group_counts, seed, config
 
 
 def _optimize_key(soc, w_max):
@@ -212,8 +207,8 @@ class TablePlan(PlanKind):
     name = "table"
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
-        (soc, pattern_count, widths, group_counts, seed, config,
-         optimizer_backend) = _table_params(params)
+        (soc, pattern_count, widths, group_counts, seed,
+         config) = _table_params(params)
         patterns_fp = patterns_cache_key(
             soc, seed, pattern_count, config=config
         )
@@ -222,7 +217,6 @@ class TablePlan(PlanKind):
             seed=seed,
             config=config,
             fingerprint=patterns_fp,
-            store_dir=None,  # the runner points this at the cache's store
         )
         cells: list[CellSpec] = []
         for parts in group_counts:
@@ -245,7 +239,7 @@ class TablePlan(PlanKind):
                     cell_id=f"optimize/{w_max}/base",
                     kind="optimize",
                     fn=_optimize_cell_fn,
-                    args=(soc, w_max, (), optimizer_backend),
+                    args=(soc, w_max, ()),
                     cache_key=optimize_cache_key(soc, w_max, ()),
                     output=False,  # pruned when the baseline price is warm
                 )
@@ -263,7 +257,6 @@ class TablePlan(PlanKind):
                                 f"grouping/{parts}",
                                 project="grouping.groups",
                             ),
-                            optimizer_backend,
                         ),
                         key_fn=_optimize_key(soc, w_max),
                         key_deps=(f"grouping/{parts}",),
@@ -289,8 +282,8 @@ class TablePlan(PlanKind):
         return tuple(cells)
 
     def assemble(self, params: dict, results: dict) -> TableResult:
-        (soc, pattern_count, widths, group_counts, seed, _config,
-         _backend) = _table_params(params)
+        (soc, pattern_count, widths, group_counts, seed,
+         _config) = _table_params(params)
         result = TableResult(
             soc_name=soc.name,
             pattern_count=pattern_count,
@@ -321,8 +314,8 @@ class TablePlan(PlanKind):
             verify_optimization,
         )
 
-        (soc, _count, widths, group_counts, _seed, _config,
-         _backend) = _table_params(params)
+        (soc, _count, widths, group_counts, _seed,
+         _config) = _table_params(params)
         optimized_of: dict[tuple[int, int | None], object] = {}
         for w_max in widths:
             for parts in (None, *group_counts):
@@ -361,7 +354,6 @@ def table_plan(
     group_counts: tuple[int, ...] = DEFAULT_GROUP_COUNTS,
     seed: int = 1,
     generator_config: GeneratorConfig = GeneratorConfig(),
-    optimizer_backend: str = "auto",
 ) -> ExperimentPlan:
     """The declarative plan for one Table 2/3 experiment."""
     return ExperimentPlan(
@@ -373,7 +365,6 @@ def table_plan(
             "group_counts": tuple(group_counts),
             "seed": seed,
             "generator_config": generator_config,
-            "optimizer_backend": optimizer_backend,
         },
     )
 
@@ -390,7 +381,6 @@ def run_table_experiment(
     cache: EvaluationCache | None = None,
     checkpoint=None,
     verify: bool = False,
-    optimizer_backend: str = "auto",
 ) -> TableResult:
     """Run the full Table 2/3 experiment for one SOC and one ``N_r``.
 
@@ -415,14 +405,7 @@ def run_table_experiment(
         verify: Independently re-verify every optimized schedule
             (:func:`repro.resilience.verify.verify_schedule`) — cache and
             checkpoint hits included — and raise on any violation.
-        optimizer_backend: Optimizer engine for every cell, one of
-            :data:`repro.core.optimizer.OPTIMIZER_BACKENDS`.  All
-            backends are bit-identical, so cache keys (and therefore
-            hits) are shared across backends by design.
     """
-    from repro.core.optimizer import resolve_optimizer_backend
-
-    resolve_optimizer_backend(optimizer_backend)  # fail fast on a typo
     runner = PlanRunner(
         jobs=jobs,
         cache=cache,
@@ -437,7 +420,6 @@ def run_table_experiment(
             group_counts=group_counts,
             seed=seed,
             generator_config=generator_config,
-            optimizer_backend=optimizer_backend,
         )
     )
     result: TableResult = run.report

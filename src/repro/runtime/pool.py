@@ -9,7 +9,7 @@ set) into every single cell.
 This module keeps ``jobs`` worker processes alive for the whole sweep:
 
 * each worker initializes **once** (``warmup`` hook: pre-load the C scan
-  and move-scan engines, open the shared state store) and then pulls cells
+  and move-scan engines) and then pulls cells
   from per-worker *shard queues*;
 * cells are sharded by a deterministic cell hash — or by an explicit
   *state key*, so cells that need the same warm state (e.g. the same
@@ -26,9 +26,8 @@ This module keeps ``jobs`` worker processes alive for the whole sweep:
   and if the whole pool is lost the parent finishes the remaining cells
   itself;
 * heavy shared inputs travel as *references* (:class:`PatternsRef`)
-  resolved worker-side through :func:`cell_state` — a read-through cache:
-  per-process memo first, then the shared on-disk
-  :class:`SharedStateStore`, then the deterministic factory.
+  resolved worker-side through :func:`cell_state` — a per-process memo
+  in front of the deterministic factory.
 
 Results are returned in input order and are bit-identical to a serial
 run: cells are pure functions of their specs, references resolve to
@@ -41,7 +40,6 @@ Observability counters: ``steal.*``, ``queue.*``, ``pool.*``,
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import time
@@ -58,7 +56,6 @@ from repro.runtime.instrumentation import (
 from repro.runtime.supervision import (
     current_breaker,
     current_policy,
-    disk_preflight,
     note_backend_failure,
     process_rss_bytes,
 )
@@ -66,12 +63,10 @@ from repro.runtime.supervision import (
 __all__ = [
     "PatternsRef",
     "PoolUnavailable",
-    "SharedStateStore",
     "WorkerPool",
     "cell_state",
     "clear_cell_state",
     "resolve_pattern_index",
-    "resolve_patterns",
     "warm_engines",
 ]
 
@@ -81,7 +76,7 @@ class PoolUnavailable(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Warm per-process cell state: memo + shared on-disk store.
+# Warm per-process cell state.
 # ---------------------------------------------------------------------------
 
 #: Per-process memo of resolved cell state (pattern sets, warm handles).
@@ -98,93 +93,18 @@ def clear_cell_state() -> None:
     _MEMO.clear()
 
 
-class SharedStateStore:
-    """Read-through on-disk store for shareable warm state.
+def cell_state(key: str, factory):
+    """Resolve warm cell state: the per-process memo, else ``factory``.
 
-    One pickle file per key under ``directory``, payload prefixed with its
-    sha256 so a torn write is detected, quarantined to ``*.corrupt`` and
-    recomputed instead of trusted.  Writes are atomic (tmp + fsync +
-    rename), so concurrent workers racing on the same key at worst both
-    compute it and the last identical write wins.
-
-    The store holds *derivable* state only (anything a worker can
-    recompute from its spec); corruption therefore costs time, never
-    correctness.
-    """
-
-    def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = os.fspath(directory)
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.state")
-
-    def get(self, key: str):
-        path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            return None
-        digest, payload = blob[:32], blob[32:]
-        if hashlib.sha256(payload).digest() != digest:
-            incr("statecache.corrupt")
-            try:
-                os.replace(path, path + ".corrupt")
-            except OSError:
-                pass
-            return None
-        try:
-            value = pickle.loads(payload)
-        except Exception:
-            incr("statecache.corrupt")
-            return None
-        incr("statecache.disk_hits")
-        return value
-
-    def put(self, key: str, value) -> None:
-        if not disk_preflight(self.directory, "statecache"):
-            return
-        try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        path = self._path(key)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(hashlib.sha256(payload).digest())
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
-        incr("statecache.stores")
-
-
-def cell_state(key: str, factory, store_dir: str | None = None):
-    """Resolve warm cell state: memo, then shared store, then ``factory``.
-
-    ``factory`` must be deterministic — the cache is an accelerator, never
+    ``factory`` must be deterministic — the memo is an accelerator, never
     a source of truth, so a hit and a recompute are interchangeable.
     """
     value = _MEMO.get(key)
     if value is not None:
         incr("statecache.memo_hits")
         return value
-    store = SharedStateStore(store_dir) if store_dir else None
-    if store is not None:
-        value = store.get(key)
-    if value is None:
-        incr("statecache.misses")
-        value = factory()
-        if store is not None:
-            store.put(key, value)
+    incr("statecache.misses")
+    value = factory()
     _MEMO[key] = value
     while len(_MEMO) > _MEMO_LIMIT:
         _MEMO.pop(next(iter(_MEMO)))
@@ -197,8 +117,8 @@ class PatternsRef:
     """Reference to a deterministic SI pattern set.
 
     Travels in cell specs instead of the materialized pattern list, so a
-    warm worker generates (or store-loads) the set once per process and
-    every later cell naming the same fingerprint gets it for free.
+    warm worker draws the set once per process and every later cell
+    naming the same fingerprint gets it for free.
 
     Attributes:
         count: ``N_r`` — how many patterns to generate.
@@ -206,45 +126,27 @@ class PatternsRef:
         config: The :class:`~repro.sitest.generator.GeneratorConfig`.
         fingerprint: Content-hash key (SOC structure + generator inputs),
             by convention :func:`repro.runtime.cache.patterns_cache_key`.
-        store_dir: Optional :class:`SharedStateStore` directory for
-            cross-process sharing of the generated set.
     """
 
     count: int
     seed: int
     config: object
     fingerprint: str
-    store_dir: str | None = None
-
-
-def resolve_patterns(soc, ref: PatternsRef):
-    """Materialize ``ref`` through the warm state cache."""
-    from repro.sitest.generator import generate_random_patterns
-
-    def generate():
-        incr("statecache.patterns_generated")
-        return generate_random_patterns(
-            soc, ref.count, seed=ref.seed, config=ref.config
-        )
-
-    return cell_state(ref.fingerprint, generate, store_dir=ref.store_dir)
 
 
 def resolve_pattern_index(soc, ref: PatternsRef):
     """The :class:`~repro.compaction.kernel.PatternIndex` of ``ref``'s
     pattern set, built once per process and shared by every grouping cell
-    over the set (timer ``patterns.generate``).  The C engine draws it
-    straight into the index; without the engine the generated list goes
-    through :func:`resolve_patterns` and is encoded.  Kept in the memo
-    only: it is cheaper to redraw than to store."""
-    from repro.compaction import _cscan
-    from repro.compaction.kernel import PatternIndex
+    over the set (timer ``patterns.generate``, counter
+    ``statecache.patterns_generated``); see
+    :func:`~repro.compaction.kernel.random_pattern_index`."""
+    from repro.compaction.kernel import random_pattern_index
 
     def build():
         with get_instrumentation().timeit("patterns.generate"):
-            index = _cscan.draw_index(soc, ref.count, ref.seed, ref.config)
-            if index is None:
-                return PatternIndex(resolve_patterns(soc, ref))
+            index = random_pattern_index(
+                soc, ref.count, seed=ref.seed, config=ref.config
+            )
         incr("statecache.patterns_generated")
         return index
 

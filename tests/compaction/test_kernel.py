@@ -1,7 +1,7 @@
-"""Packed-bitset kernel tests: backend equivalence and the encoding itself.
+"""Packed-bitset kernel tests: engine equivalence and the encoding itself.
 
 The kernel's contract is *bit-identical* results: for any input, both
-algorithms must return exactly the reference backend's
+algorithms must return exactly the reference implementation's
 :class:`CompactionResult` — same merged patterns, same member partition,
 same ordering.  Hypothesis drives the equivalence over adversarial pattern
 sets (symbol clashes and shared-bus-line driver clashes), an edge battery
@@ -19,10 +19,16 @@ from repro.compaction.kernel import (
     COLOR_AUTO_THRESHOLD,
     GREEDY_AUTO_THRESHOLD,
     PackedPatternSet,
+    PatternIndex,
     color_compact_bitset,
     greedy_compact_bitset,
 )
-from repro.compaction.vertical import color_compact, greedy_compact
+from repro.compaction.vertical import (
+    _color_reference,
+    _greedy_reference,
+    color_compact,
+    greedy_compact,
+)
 from repro.runtime.instrumentation import (
     Instrumentation,
     use_instrumentation,
@@ -58,24 +64,13 @@ _patterns = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(_patterns)
 def test_greedy_bitset_matches_reference(patterns):
-    assert greedy_compact_bitset(patterns) == greedy_compact(
-        patterns, backend="reference"
-    )
+    assert greedy_compact_bitset(patterns) == _greedy_reference(patterns)
 
 
 @settings(max_examples=120, deadline=None)
 @given(_patterns)
 def test_color_bitset_matches_reference(patterns):
-    assert color_compact_bitset(patterns) == color_compact(
-        patterns, backend="reference"
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(_patterns)
-def test_kernel_verify_mode_passes(patterns):
-    greedy_compact_bitset(patterns, verify=True)
-    color_compact_bitset(patterns, verify=True)
+    assert color_compact_bitset(patterns) == _color_reference(patterns)
 
 
 @pytest.mark.parametrize("soc_name", ["d695", "p93791"])
@@ -83,12 +78,8 @@ def test_kernel_verify_mode_passes(patterns):
 def test_backends_agree_on_benchmark_socs(soc_name, seed):
     soc = load_benchmark(soc_name)
     patterns = generate_random_patterns(soc, 1_500, seed=seed)
-    assert greedy_compact(patterns, backend="bitset") == greedy_compact(
-        patterns, backend="reference"
-    )
-    assert color_compact(patterns, backend="bitset") == color_compact(
-        patterns, backend="reference"
-    )
+    assert greedy_compact_bitset(patterns) == _greedy_reference(patterns)
+    assert color_compact_bitset(patterns) == _color_reference(patterns)
 
 
 # --- edge battery -----------------------------------------------------------
@@ -124,8 +115,10 @@ _EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(_EDGE_CASES))
 def test_edge_cases_match_reference(name):
     patterns = _EDGE_CASES[name]
-    greedy = greedy_compact_bitset(patterns, verify=True)
-    color = color_compact_bitset(patterns, verify=True)
+    greedy = greedy_compact_bitset(patterns)
+    color = color_compact_bitset(patterns)
+    assert greedy == _greedy_reference(patterns)
+    assert color == _color_reference(patterns)
     assert greedy.original_count == len(patterns)
     assert color.original_count == len(patterns)
 
@@ -209,26 +202,39 @@ def test_conflict_masks_match_brute_force():
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown compaction backend"):
+    # The engine follows the input; there is no selector to pass.
+    with pytest.raises(TypeError, match="backend"):
         greedy_compact([], backend="numpy")
-    with pytest.raises(ValueError, match="unknown compaction backend"):
+    with pytest.raises(TypeError, match="backend"):
         color_compact([], backend="numpy")
 
 
-def test_auto_backend_selection_counters():
+def test_auto_backend_selection_counters(monkeypatch):
+    from repro.compaction import _cscan
+
     small = [SIPattern(cares={(1, 0): "R"})] * 4
+    large = [SIPattern(cares={(1, 0): "R"})] * GREEDY_AUTO_THRESHOLD
     assert len(small) < COLOR_AUTO_THRESHOLD < GREEDY_AUTO_THRESHOLD
     instrumentation = Instrumentation()
     with use_instrumentation(instrumentation):
-        greedy_compact(small)  # auto → reference below the threshold
-        greedy_compact(small, backend="bitset")
+        greedy_compact(small)  # reference below the threshold
+        greedy_compact(large)  # bitset at it
         color_compact(small)
-        color_compact(small, backend="bitset")
+        color_compact(large[:COLOR_AUTO_THRESHOLD])
     counters = instrumentation.counters
     assert counters["compaction.backend.reference"] == 2
     assert counters["compaction.backend.bitset"] == 2
     assert counters["compaction.greedy_runs"] == 2
     assert counters["compaction.color_runs"] == 2
+
+    # An index view is already encoded: bitset at any size with the C
+    # engine, the size rule without it.
+    view = PatternIndex(small).view()
+    for engine, chosen in ((True, "bitset"), (False, "reference")):
+        monkeypatch.setattr(_cscan, "available", lambda: engine)
+        with use_instrumentation(Instrumentation()) as instrumentation:
+            greedy_compact(view)
+        assert instrumentation.counters[f"compaction.backend.{chosen}"] == 1
 
 
 def test_bitset_kernel_counters():
@@ -253,13 +259,15 @@ def test_bitset_kernel_counters():
 
 
 def test_color_counters_on_both_backends():
-    patterns = [
-        SIPattern(cares={(1, 0): SYMBOLS[i % 2]}) for i in range(6)
-    ]
-    for backend in ("reference", "bitset"):
+    for size, backend in ((6, "reference"),
+                          (COLOR_AUTO_THRESHOLD, "bitset")):
+        patterns = [
+            SIPattern(cares={(1, 0): SYMBOLS[i % 2]}) for i in range(size)
+        ]
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
-            result = color_compact(patterns, backend=backend)
+            result = color_compact(patterns)
+        assert instrumentation.counters[f"compaction.backend.{backend}"] == 1
         assert instrumentation.counters["compaction.color_runs"] == 1
         assert instrumentation.counters[
             "compaction.patterns_merged_away"
@@ -276,7 +284,7 @@ def test_greedy_python_engine_matches_reference(patterns):
     from repro.compaction.kernel import _greedy_scan_python
 
     member_lists, _pruned, _words = _greedy_scan_python(patterns)
-    reference = greedy_compact(patterns, backend="reference")
+    reference = _greedy_reference(patterns)
     assert tuple(tuple(m) for m in member_lists) == reference.members
 
 
@@ -287,9 +295,7 @@ def test_greedy_bitset_without_cscan_matches_reference(monkeypatch):
     monkeypatch.setattr(_cscan, "greedy_scan", lambda patterns: None)
     soc = load_benchmark("d695")
     patterns = generate_random_patterns(soc, 600, seed=11)
-    assert greedy_compact_bitset(patterns) == greedy_compact(
-        patterns, backend="reference"
-    )
+    assert greedy_compact_bitset(patterns) == _greedy_reference(patterns)
 
 
 def test_scan_engines_agree():

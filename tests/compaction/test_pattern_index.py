@@ -22,8 +22,9 @@ from repro.compaction.kernel import (
     IndexView,
     PatternIndex,
     _greedy_scan_python,
+    greedy_compact_bitset,
 )
-from repro.compaction.vertical import greedy_compact
+from repro.compaction.vertical import _greedy_reference, greedy_compact
 from repro.hypergraph.hypergraph import build_hypergraph
 from repro.hypergraph.multilevel import partition
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
@@ -59,7 +60,7 @@ def _grouping_oracle(soc, patterns, parts, seed, epsilon=0.10):
         buckets[owners.pop() if len(owners) == 1 else parts].append(pattern)
     buckets = [bucket for bucket in buckets if bucket]
     return part_of_core, buckets, [
-        greedy_compact(bucket, backend="reference") for bucket in buckets
+        _greedy_reference(bucket) for bucket in buckets
     ]
 
 
@@ -80,10 +81,9 @@ _configs = st.builds(
     pattern_seed=st.integers(0, 1_000),
     config=_configs,
     parts=st.integers(1, 4),
-    backend=st.sampled_from(("auto", "bitset")),
 )
 def test_index_grouping_matches_per_pattern_oracle(
-    soc_seed, core_count, count, pattern_seed, config, parts, backend
+    soc_seed, core_count, count, pattern_seed, config, parts
 ):
     soc = synthesize_soc("idx", core_count, seed=soc_seed)
     hosts = sum(1 for core in soc if core.woc_count > 0)
@@ -91,12 +91,9 @@ def test_index_grouping_matches_per_pattern_oracle(
     patterns = generate_random_patterns(soc, count, seed=pattern_seed,
                                         config=config)
     grouping = build_si_test_groups(
-        soc, PatternIndex(patterns), parts, seed=pattern_seed,
-        backend=backend,
+        soc, PatternIndex(patterns), parts, seed=pattern_seed
     )
-    reference = build_si_test_groups(
-        soc, patterns, parts, seed=pattern_seed, backend="reference"
-    )
+    reference = build_si_test_groups(soc, patterns, parts, seed=pattern_seed)
     part_of_core, buckets, compactions = _grouping_oracle(
         soc, patterns, parts, pattern_seed
     )
@@ -106,11 +103,13 @@ def test_index_grouping_matches_per_pattern_oracle(
     assert [g.original_patterns for g in grouping.groups] == [
         len(bucket) for bucket in buckets
     ]
-    for got, ref, oracle in zip(grouping.compactions,
-                                reference.compactions, compactions):
+    for got, ref, oracle, bucket in zip(grouping.compactions,
+                                        reference.compactions, compactions,
+                                        buckets):
         assert got.members == ref.members == oracle.members
         assert got.compacted == ref.compacted == oracle.compacted
         assert got == oracle
+        assert greedy_compact_bitset(bucket) == oracle
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +120,7 @@ def d695_patterns(d695):
 def test_scans_of_noncontiguous_rows(d695_patterns):
     rows = [i for i in range(len(d695_patterns)) if i % 3 != 1 and i != 5]
     view = PatternIndex(d695_patterns).view(rows)
-    expected = greedy_compact(
-        [d695_patterns[row] for row in rows], backend="reference"
-    )
+    expected = _greedy_reference([d695_patterns[row] for row in rows])
     members, pruned, _words = _greedy_scan_python(view)
     assert tuple(map(tuple, members)) == expected.members
     if _cscan.available():
@@ -131,7 +128,7 @@ def test_scans_of_noncontiguous_rows(d695_patterns):
         assert c_members == members
         assert c_pruned == pruned
         assert c_words > 0
-    assert greedy_compact(view, backend="bitset") == expected
+    assert greedy_compact_bitset(view) == expected
 
 
 def test_view_rows_must_lie_inside_the_index(d695_patterns):
@@ -154,9 +151,8 @@ def test_view_pickle_ships_only_its_rows(d695_patterns):
 
 
 def test_lazy_merges_equal_eager_ones(d695_patterns):
-    lazy = greedy_compact(PatternIndex(d695_patterns).view(),
-                          backend="bitset")
-    eager = greedy_compact(d695_patterns, backend="reference")
+    lazy = greedy_compact_bitset(PatternIndex(d695_patterns).view())
+    eager = _greedy_reference(d695_patterns)
     assert lazy.compacted_count == eager.compacted_count
     assert lazy == eager
     assert pickle.loads(pickle.dumps(lazy)) == eager

@@ -3,7 +3,8 @@
 The C engine (``core/_movescan.py``) runs the whole incremental
 Algorithm 2 in one call; the pure-Python loop of
 ``_IncrementalOptimizer`` is its fallback and oracle, and the reference
-backend is the oracle of both.  On random synthetic SOCs
+Algorithm 2 (``optimize_tam`` handed the default TestRail evaluator) is
+the oracle of both.  On random synthetic SOCs
 (:mod:`repro.soc.synth`) of 2–64 cores, with and without SI groups, with
 one or two capture cycles and with ``W_max`` below, equal to and above
 the core count, all three must return the same
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro.compaction.horizontal import build_si_test_groups
 from repro.core import _movescan
 from repro.core.optimizer import optimize_tam
+from repro.core.scheduling import TamEvaluator
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.sitest.generator import generate_random_patterns
 from repro.soc.synth import synthesize_soc
@@ -56,9 +58,12 @@ def _run(soc, w_max, groups, capture, leg):
     instrumentation = Instrumentation()
     try:
         with use_instrumentation(instrumentation):
+            evaluator = None
+            if leg == "reference":
+                evaluator = TamEvaluator(soc, groups, capture_cycles=capture)
             result = optimize_tam(
                 soc, w_max, groups, capture_cycles=capture,
-                backend="reference" if leg == "reference" else "incremental",
+                evaluator=evaluator,
             )
     finally:
         _movescan.ENGINE.handle = handle
@@ -119,8 +124,10 @@ def test_more_than_64_cores_take_the_python_loop(monkeypatch):
     monkeypatch.setattr(_movescan, "optimize", no_engine)
     instrumentation = Instrumentation()
     with use_instrumentation(instrumentation):
-        result = optimize_tam(soc, 8, groups, backend="incremental")
-    assert result == optimize_tam(soc, 8, groups, backend="reference")
+        result = optimize_tam(soc, 8, groups)
+    assert result == optimize_tam(
+        soc, 8, groups, evaluator=TamEvaluator(soc, groups)
+    )
     assert "movescan.runs" not in instrumentation.counters
 
 

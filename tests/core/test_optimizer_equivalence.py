@@ -1,9 +1,9 @@
-"""Golden equivalence: the incremental optimizer backend is bit-identical
-to the reference Algorithm 2.
+"""Golden equivalence: the incremental optimizer is bit-identical to the
+reference Algorithm 2.
 
-The incremental backend mirrors the reference decision sequence — same
+The incremental optimizer mirrors the reference decision sequence — same
 candidate enumeration order, same strict-``<`` selections, same
-tie-breaks — so for every SOC and every pin budget the two backends must
+tie-breaks — so for every SOC and every pin budget the two must
 produce the *same object*: identical ``OptimizationResult`` (architecture,
 evaluation, schedule) down to the last cycle.  This suite pins that
 contract on all four shipped ITC'02 SOCs across the ``W_max`` sweep,
@@ -13,7 +13,9 @@ pure-Python loop is held to the same bit-identity bar.
 
 The reference results are computed once per module and shared between
 the two engine legs; ``REPRO_OPTIMIZER_CSCAN=0`` is additionally covered
-as an environment toggle (mirroring the compaction kernel's tests).
+as an environment toggle (mirroring the compaction kernel's tests).  The
+reference runs through ``optimize_tam``'s custom-evaluator path, handed
+the default TestRail evaluator it would build itself.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ import pytest
 
 from repro.compaction.horizontal import build_si_test_groups
 from repro.core import _movescan
-from repro.core.optimizer import (
-    OPTIMIZER_BACKENDS,
-    evaluate_architecture,
-    optimize_tam,
-    resolve_optimizer_backend,
-)
+from repro.core.optimizer import evaluate_architecture, optimize_tam
 from repro.core.scheduling import (
     MOVE_WIDEN,
     IncrementalTamEvaluator,
@@ -58,6 +55,12 @@ PARTS = 4
 SEED = 7
 
 
+def _reference(soc, w_max, groups=()):
+    """The reference Algorithm 2 over the default TestRail cost model."""
+    return optimize_tam(soc, w_max, groups,
+                        evaluator=TamEvaluator(soc, groups))
+
+
 @pytest.fixture(scope="module")
 def suite():
     """Per-SOC groups plus the reference results, computed once."""
@@ -70,9 +73,7 @@ def suite():
             soc, patterns, parts=PARTS, seed=SEED
         ).groups
         for w_max in widths:
-            reference[(name, w_max)] = optimize_tam(
-                soc, w_max, groups[name], backend="reference"
-            )
+            reference[(name, w_max)] = _reference(soc, w_max, groups[name])
     return socs, groups, reference
 
 
@@ -88,30 +89,22 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name,w_max", CASES, ids=IDS)
     def test_with_c_kernel(self, suite, name, w_max):
         socs, groups, reference = suite
-        result = optimize_tam(
-            socs[name], w_max, groups[name], backend="incremental"
-        )
+        result = optimize_tam(socs[name], w_max, groups[name])
         _assert_identical(reference[(name, w_max)], result)
 
     @pytest.mark.parametrize("name,w_max", CASES, ids=IDS)
     def test_without_c_kernel(self, suite, monkeypatch, name, w_max):
         monkeypatch.setattr(_movescan.ENGINE, "handle", False)
         socs, groups, reference = suite
-        result = optimize_tam(
-            socs[name], w_max, groups[name], backend="incremental"
-        )
+        result = optimize_tam(socs[name], w_max, groups[name])
         _assert_identical(reference[(name, w_max)], result)
 
     def test_intest_only_matches_reference(self, suite):
         socs, _, _ = suite
         for name in ("d695", "p93791"):
             for w_max in (16, 64):
-                reference = optimize_tam(
-                    socs[name], w_max, (), backend="reference"
-                )
-                incremental = optimize_tam(
-                    socs[name], w_max, (), backend="incremental"
-                )
+                reference = _reference(socs[name], w_max)
+                incremental = optimize_tam(socs[name], w_max, ())
                 _assert_identical(reference, incremental)
 
     def test_environment_toggle_disables_engine(self, suite, monkeypatch):
@@ -119,9 +112,7 @@ class TestBitIdentity:
         monkeypatch.setattr(_movescan.ENGINE, "handle", None)  # fresh probe
         assert _movescan.available() is False
         socs, groups, reference = suite
-        result = optimize_tam(
-            socs["d695"], 16, groups["d695"], backend="incremental"
-        )
+        result = optimize_tam(socs["d695"], 16, groups["d695"])
         _assert_identical(reference[("d695", 16)], result)
 
 
@@ -138,9 +129,7 @@ class TestNativeRun:
         socs, groups, reference = suite
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
-            result = optimize_tam(
-                socs["p93791"], 32, groups["p93791"], backend="incremental"
-            )
+            result = optimize_tam(socs["p93791"], 32, groups["p93791"])
         _assert_identical(reference[("p93791", 32)], result)
         counters = instrumentation.counters
         assert counters["movescan.runs"] == 1
@@ -152,7 +141,7 @@ class TestNativeRun:
         soc, soc_groups = socs["p93791"], groups["p93791"]
         clean = Instrumentation()
         with use_instrumentation(clean):
-            optimize_tam(soc, 32, soc_groups, backend="incremental")
+            optimize_tam(soc, 32, soc_groups)
 
         real = _movescan.ENGINE.get().run
         failed = []
@@ -168,7 +157,7 @@ class TestNativeRun:
         )
         faulted = Instrumentation()
         with use_instrumentation(faulted):
-            result = optimize_tam(soc, 32, soc_groups, backend="incremental")
+            result = optimize_tam(soc, 32, soc_groups)
         _assert_identical(reference[("p93791", 32)], result)
         assert len(failed) == 1 and failed[0] > 0
         assert faulted.counters["recovery.movescan_run_fallback"] == 1
@@ -213,53 +202,58 @@ class TestFixedTable:
 
 
 class TestVerifiedAndComposed:
-    """The new backend composes with the surrounding machinery."""
+    """The incremental optimizer composes with the surrounding
+    machinery."""
 
     @pytest.mark.parametrize("name", [name for name, _ in SWEEP])
     def test_verify_optimization_passes_on_incremental(self, suite, name):
         socs, groups, _ = suite
         w_max = 24 if name == "d695" else 32
-        result = optimize_tam(
-            socs[name], w_max, groups[name], backend="incremental"
-        )
+        result = optimize_tam(socs[name], w_max, groups[name])
         assert verify_optimization(socs[name], result, groups[name]) == []
 
     def test_evaluate_architecture_backends_agree(self, suite):
         socs, groups, reference = suite
         result = reference[("d695", 16)]
-        evaluations = {
-            backend: evaluate_architecture(
-                socs["d695"], result.architecture, groups["d695"],
-                backend=backend,
-            )
-            for backend in OPTIMIZER_BACKENDS
-        }
-        assert evaluations["reference"] == evaluations["incremental"]
-        assert evaluations["auto"] == result.evaluation
+        evaluation = evaluate_architecture(
+            socs["d695"], result.architecture, groups["d695"]
+        )
+        incremental = IncrementalTamEvaluator(
+            socs["d695"], groups["d695"], w_max=16
+        ).evaluate(result.architecture)
+        assert evaluation == incremental == result.evaluation
 
 
 class TestBackendSelection:
-    def test_auto_resolves_incremental_for_default_model(self):
-        assert resolve_optimizer_backend("auto") == "incremental"
-        assert resolve_optimizer_backend("reference") == "reference"
+    """``optimize_tam`` picks its engine from the call: the incremental
+    one for the default cost model, the reference for a custom
+    evaluator."""
+
+    def test_auto_resolves_incremental_for_default_model(self, d695):
+        with use_instrumentation(Instrumentation()) as instrumentation:
+            optimize_tam(d695, 16)
+        counters = instrumentation.counters
+        assert counters["optimizer.backend.incremental"] == 1
+        assert "optimizer.backend.reference" not in counters
 
     def test_custom_evaluator_forces_reference(self, d695):
         evaluator = TamEvaluator(d695, ())
-        assert resolve_optimizer_backend("auto", evaluator) == "reference"
-        with pytest.raises(ValueError, match="custom evaluator"):
-            resolve_optimizer_backend("incremental", evaluator)
+        with use_instrumentation(Instrumentation()) as instrumentation:
+            optimize_tam(d695, 16, evaluator=evaluator)
+        counters = instrumentation.counters
+        assert counters["optimizer.backend.reference"] == 1
+        assert "optimizer.backend.incremental" not in counters
 
     def test_unknown_backend_rejected(self, d695):
-        with pytest.raises(ValueError, match="unknown optimizer backend"):
+        # There is no selector to pass, known or not.
+        with pytest.raises(TypeError, match="backend"):
             optimize_tam(d695, 16, backend="vectorized")
 
     def test_backend_counters(self, suite):
         socs, groups, _ = suite
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
-            optimize_tam(
-                socs["d695"], 16, groups["d695"], backend="incremental"
-            )
+            optimize_tam(socs["d695"], 16, groups["d695"])
         counters = instrumentation.counters
         assert counters["optimizer.backend.incremental"] == 1
         assert counters["optimizer.merges_tried"] > 0
@@ -274,17 +268,13 @@ class TestBackendSelection:
         soc = synthesize_soc("prune-probe", 6, seed=0)
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
-            incremental = optimize_tam(soc, 6, backend="incremental")
+            incremental = optimize_tam(soc, 6)
         assert instrumentation.counters["optimizer.moves_pruned"] > 0
-        _assert_identical(
-            optimize_tam(soc, 6, backend="reference"), incremental
-        )
+        _assert_identical(_reference(soc, 6), incremental)
 
     def test_reference_counter(self, suite):
         socs, groups, _ = suite
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
-            optimize_tam(
-                socs["d695"], 16, groups["d695"], backend="reference"
-            )
+            _reference(socs["d695"], 16, groups["d695"])
         assert instrumentation.counters["optimizer.backend.reference"] == 1

@@ -40,7 +40,6 @@ def test_evaluate_takes_a_path_like_arch(t5, tmp_path):
     save_architecture(architecture, path)
     expected = evaluate_plan(
         t5, architecture, pattern_count=0, parts=4, seed=1,
-        optimizer_backend="auto",
     ).fingerprint()
     assert build_plan("evaluate", t5, arch=path).fingerprint() == expected
     assert build_plan("evaluate", t5, arch=str(path)).fingerprint() == (
@@ -62,6 +61,19 @@ def test_bad_knobs_are_validation_errors(t5, kind, options, field):
     with pytest.raises(ValidationError) as error:
         build_plan(kind, t5, **options)
     assert error.value.field == field
+
+
+@pytest.mark.parametrize("kind", ["table", "optimize", "evaluate"])
+def test_optimizer_backend_is_not_a_knob(t5, kind):
+    with pytest.raises(ValidationError) as error:
+        build_plan(kind, t5, optimizer_backend="auto")
+    assert error.value.field == "optimizer_backend"
+
+
+def test_compaction_backend_is_not_a_knob(t5):
+    with pytest.raises(ValidationError) as error:
+        build_plan("volume", t5, compaction_backend="auto")
+    assert error.value.field == "compaction_backend"
 
 
 def test_a_soc_kind_without_a_soc_is_rejected():

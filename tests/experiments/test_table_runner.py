@@ -87,54 +87,55 @@ class TestReporting:
 
 
 class TestOptimizerBackend:
-    def test_backends_produce_identical_tables(self, d695, small_result):
-        incremental = run_table_experiment(
-            d695,
-            pattern_count=600,
-            widths=(8, 16),
-            group_counts=(1, 2),
-            seed=5,
-            optimizer_backend="incremental",
-        )
-        reference = run_table_experiment(
-            d695,
-            pattern_count=600,
-            widths=(8, 16),
-            group_counts=(1, 2),
-            seed=5,
-            optimizer_backend="reference",
-        )
-        for table in (incremental, reference):
+    def test_backends_produce_identical_tables(
+        self, d695, small_result, monkeypatch
+    ):
+        # The C engine, its pure-Python loop and the reference
+        # Algorithm 2 (a custom evaluator runs the reference) all print
+        # the same table.
+        from repro.core import _movescan
+        from repro.core.optimizer import optimize_tam
+        from repro.core.scheduling import TamEvaluator
+        from repro.experiments import table_runner
+
+        def run():
+            return run_table_experiment(
+                d695,
+                pattern_count=600,
+                widths=(8, 16),
+                group_counts=(1, 2),
+                seed=5,
+            )
+
+        def reference(soc, w_max, groups=()):
+            return optimize_tam(
+                soc, w_max, groups, evaluator=TamEvaluator(soc, groups)
+            )
+
+        tables = [run()]
+        with monkeypatch.context() as patch:
+            patch.setattr(_movescan.ENGINE, "handle", False)
+            tables.append(run())
+        with monkeypatch.context() as patch:
+            patch.setattr(table_runner, "optimize_tam", reference)
+            tables.append(run())
+        for table in tables:
             for row, expected in zip(table.rows, small_result.rows):
                 assert row == expected
 
     def test_unknown_backend_fails_fast(self, d695):
-        with pytest.raises(ValueError, match="unknown optimizer backend"):
+        # The engine is chosen by the program: there is no selector to
+        # pass, known or not.
+        with pytest.raises(TypeError, match="optimizer_backend"):
             run_table_experiment(
                 d695, pattern_count=100, widths=(8,), group_counts=(1,),
                 optimizer_backend="vectorised",
             )
 
-    def test_cell_error_names_backend(self, d695, monkeypatch):
-        # A failing optimizer cell must report which engine was active:
-        # the backend rides in the cell spec, and CellError reprs the spec.
-        from repro.experiments import table_runner
-        from repro.runtime.executor import CellError
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("synthetic optimizer failure")
-
-        monkeypatch.setattr(table_runner, "optimize_tam", boom)
-        with pytest.raises(CellError, match="incremental"):
-            run_table_experiment(
-                d695, pattern_count=100, widths=(8,), group_counts=(1,),
-                optimizer_backend="incremental",
-            )
-
     def test_cell_error_message_is_short(self, p93791, monkeypatch):
         # The spec holds the whole SOC; the message abbreviates it rather
         # than printing kilobytes of core table, and still names the
-        # backend.
+        # cause.
         from repro.experiments import table_runner
         from repro.runtime.executor import CellError
 
@@ -145,8 +146,7 @@ class TestOptimizerBackend:
         with pytest.raises(CellError) as excinfo:
             run_table_experiment(
                 p93791, pattern_count=100, widths=(16,), group_counts=(1,),
-                optimizer_backend="incremental",
             )
         message = str(excinfo.value)
         assert len(message) < 500
-        assert "incremental" in message
+        assert "synthetic optimizer failure" in message

@@ -244,11 +244,11 @@ class TestMovescanFault:
         from repro.core import _movescan
         from repro.core.optimizer import optimize_tam
 
-        baseline = optimize_tam(d695, 16, backend="incremental")
+        baseline = optimize_tam(d695, 16)
         monkeypatch.delenv("REPRO_OPTIMIZER_CSCAN", raising=False)
         monkeypatch.setattr(_movescan.ENGINE, "handle", None)
         with faults.inject("movescan-compile-fail@0"):
-            faulted = optimize_tam(d695, 16, backend="incremental")
+            faulted = optimize_tam(d695, 16)
         assert faulted.architecture == baseline.architecture
         assert faulted.evaluation == baseline.evaluation
 

@@ -11,11 +11,10 @@ from repro.runtime.executor import CellError, run_cells
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.runtime.pool import (
     PatternsRef,
-    SharedStateStore,
     WorkerPool,
     cell_state,
     clear_cell_state,
-    resolve_patterns,
+    resolve_pattern_index,
 )
 
 
@@ -42,36 +41,6 @@ def _bad_warmup():
     raise RuntimeError("no engines here")
 
 
-class TestSharedStateStore:
-    def test_round_trip(self, tmp_path):
-        store = SharedStateStore(tmp_path)
-        store.put("alpha", {"value": list(range(10))})
-        assert store.get("alpha") == {"value": list(range(10))}
-
-    def test_missing_key_is_none(self, tmp_path):
-        assert SharedStateStore(tmp_path).get("nothing") is None
-
-    def test_bitflip_quarantined_not_trusted(self, tmp_path):
-        store = SharedStateStore(tmp_path)
-        store.put("alpha", [1, 2, 3])
-        path = tmp_path / "alpha.state"
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with use_instrumentation(Instrumentation()) as instrumentation:
-            assert store.get("alpha") is None
-        assert instrumentation.counters["statecache.corrupt"] == 1
-        assert (tmp_path / "alpha.state.corrupt").exists()
-        assert not path.exists()
-
-    def test_truncation_detected(self, tmp_path):
-        store = SharedStateStore(tmp_path)
-        store.put("alpha", list(range(100)))
-        path = tmp_path / "alpha.state"
-        path.write_bytes(path.read_bytes()[:40])
-        assert store.get("alpha") is None
-
-
 class TestCellState:
     def setup_method(self):
         clear_cell_state()
@@ -93,22 +62,6 @@ class TestCellState:
         assert instrumentation.counters["statecache.misses"] == 1
         assert instrumentation.counters["statecache.memo_hits"] == 1
 
-    def test_store_shared_across_memo_clears(self, tmp_path):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return [1, 2, 3]
-
-        cell_state("key", factory, store_dir=str(tmp_path))
-        clear_cell_state()  # model a fresh worker process
-        with use_instrumentation(Instrumentation()) as instrumentation:
-            assert cell_state("key", factory, store_dir=str(tmp_path)) == [
-                1, 2, 3,
-            ]
-        assert len(calls) == 1
-        assert instrumentation.counters["statecache.disk_hits"] == 1
-
     def test_memo_bounded_by_eviction(self):
         with use_instrumentation(Instrumentation()) as instrumentation:
             for n in range(40):
@@ -116,6 +69,16 @@ class TestCellState:
         assert instrumentation.counters["statecache.evictions"] > 0
 
     def test_patterns_ref_resolves_deterministically(self, t5):
+        self._check_resolution(t5)
+
+    def test_patterns_ref_without_engine_draws_once(self, t5, monkeypatch):
+        from repro.compaction import _cscan
+
+        monkeypatch.setattr(_cscan, "draw_index", lambda *args: None)
+        self._check_resolution(t5)
+
+    @staticmethod
+    def _check_resolution(t5):
         from repro.runtime.cache import patterns_cache_key
         from repro.sitest.generator import (
             GeneratorConfig,
@@ -127,12 +90,17 @@ class TestCellState:
             count=50, seed=3, config=config,
             fingerprint=patterns_cache_key(t5, 3, 50, config=config),
         )
-        resolved = resolve_patterns(t5, ref)
-        assert resolved == generate_random_patterns(
+        with use_instrumentation(Instrumentation()) as instrumentation:
+            resolved = resolve_pattern_index(t5, ref)
+            # Second resolution is the memoized object, not a redraw.
+            assert resolve_pattern_index(t5, ref) is resolved
+        assert list(resolved.view()) == generate_random_patterns(
             t5, 50, seed=3, config=config
         )
-        # Second resolution is the memoized object, not a regeneration.
-        assert resolve_patterns(t5, ref) is resolved
+        counters = instrumentation.counters
+        assert counters["statecache.patterns_generated"] == 1
+        assert counters["statecache.misses"] == 1
+        assert counters["statecache.memo_hits"] == 1
 
 
 class TestBatchPlanning:

@@ -46,7 +46,6 @@ CASES = {
         {"patterns": 800, "widths": [16, 24], "parts": [1, 2]},
         lambda soc: table_plan(
             soc, 800, widths=(16, 24), group_counts=(1, 2), seed=1,
-            optimizer_backend="auto",
         ),
     ),
     "pareto": (
@@ -66,7 +65,7 @@ CASES = {
         ["volume", "t5", "--patterns", "600", "--parts", "1", "2"],
         {"patterns": 600, "parts": [1, 2]},
         lambda soc: volume_plan(
-            soc, 600, group_counts=(1, 2), seed=1, backend="auto"
+            soc, 600, group_counts=(1, 2), seed=1
         ),
     ),
     "compare": (
@@ -104,7 +103,6 @@ CASES = {
         {"wmax": 16},
         lambda soc: optimize_plan(
             soc, 16, pattern_count=0, parts=4, seed=1,
-            optimizer_backend="auto",
         ),
     ),
     "optimize-grouped": (
@@ -113,7 +111,6 @@ CASES = {
         {"wmax": 16, "patterns": 300, "parts": 2},
         lambda soc: optimize_plan(
             soc, 16, pattern_count=300, parts=2, seed=1,
-            optimizer_backend="auto",
         ),
     ),
 }

@@ -263,6 +263,24 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["optimize", "t5"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "t5", "--optimizer-backend", "auto"],
+            ["optimize", "t5", "--wmax", "16", "--optimizer-backend", "auto"],
+            ["evaluate", "t5", "--arch", "a.json",
+             "--optimizer-backend", "auto"],
+            ["volume", "t5", "--compaction-backend", "auto"],
+            ["compact", "t5", "--compaction-backend", "auto"],
+        ],
+        ids=["table", "optimize", "evaluate", "volume", "compact"],
+    )
+    def test_engine_selectors_are_usage_errors(self, argv):
+        # The program picks every engine; no command takes a selector.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
 
 class TestSubmitFlags:
     """``submit KIND`` takes exactly the kind's knobs: anything else is
@@ -287,9 +305,16 @@ class TestSubmitFlags:
             ["volume", "t5", "--compaction-backend", "bogus"],
             ["scaling", "t5"],
             ["compare", "t5"],
+            ["table", "t5", "--optimizer-backend", "auto"],
+            ["optimize", "t5", "--wmax", "16", "--optimizer-backend", "auto"],
+            ["evaluate", "t5", "--arch", "a.json",
+             "--optimizer-backend", "auto"],
+            ["volume", "t5", "--compaction-backend", "auto"],
         ],
         ids=["sa-steps", "channels", "bogus-backend", "pareto-backend",
-             "bogus-compaction", "scaling-soc", "compare-wmax"],
+             "bogus-compaction", "scaling-soc", "compare-wmax",
+             "table-optimizer-backend", "optimize-optimizer-backend",
+             "evaluate-optimizer-backend", "volume-compaction-backend"],
     )
     def test_foreign_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exit_info:
