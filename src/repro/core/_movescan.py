@@ -1,26 +1,29 @@
-"""Optional C engine that runs the whole incremental Algorithm 2.
+"""Optional C engine that runs the whole of Algorithm 2.
 
-:class:`repro.core.optimizer._IncrementalOptimizer` mirrors the
-reference ``TAM_Optimization`` decision for decision over packed states:
-the one-wire start solution (merge-down or free-wire padding), the
-bottom-up, top-down and remaining-rail ``mergeTAMs`` loops with their
-skip set, partner, exclusion and floor pruning and leftover
-redistribution, then ``coreReshuffle``.  Every step is pure integer work
-over flat arrays — per-rail InTest times and per-group shift depths, the
-evaluator's fixed ``cores × W_max`` InTest time table, involved-rail
-bitmasks — so this module carries a small, dependency-free C translation
-of the whole run (:func:`optimize`): one call per optimizer run, with the
-same candidate order, the same strict-``<`` selections and the same
-tie-breaks as the Python loop, so the final architecture and every
-``optimizer.*`` count are identical.
+``optimize_tam`` runs ``TAM_Optimization`` here for the default TestRail
+cost model: the one-wire start solution (merge-down or free-wire
+padding), the bottom-up, top-down and remaining-rail ``mergeTAMs`` loops
+with their skip set and leftover redistribution, then ``coreReshuffle``.
+Every step is pure integer work over flat arrays — per-rail InTest times
+and per-group shift depths, the fixed ``cores × W_max`` InTest time
+table, involved-rail bitmasks — so this module carries a small,
+dependency-free C translation of the whole run (:func:`optimize`): one
+call per optimizer run, with the same candidate order, the same
+strict-``<`` selections and the same tie-breaks as the reference
+Algorithm 2 of :mod:`repro.core.optimizer`, so the final architecture
+and the ``optimizer.merges_tried``/``core_moves_tried``/
+``wires_distributed`` counts are identical.  On top, it skips candidates
+that provably cannot beat the incumbent (partner, exclusion and floor
+pruning; ``optimizer.moves_pruned``), which never changes a selection.
 
 The engine is optional and loaded by :mod:`repro.runtime.native`
-(toggle ``REPRO_OPTIMIZER_CSCAN``): when it is unavailable, or the SOC
-has more than 64 cores (a rail's cores are one ``uint64`` mask), the
-optimizer runs its pure-Python loop.
+(toggle ``REPRO_OPTIMIZER_CSCAN``): when it is unavailable, the SOC has
+more than 64 cores (a rail's cores are one ``uint64`` mask) or a run
+reports a hard error, the reference Algorithm 2 runs instead.
 
 The C side sees dense core indices (ascending core id) and integer
-arrays only; Python turns the returned rail masks and widths into the
+arrays only; Python builds them (``optimizer.native_inputs``) and turns
+the returned rail masks and widths into the
 :class:`~repro.tam.testrail.TestRailArchitecture`.
 """
 
@@ -801,7 +804,7 @@ def _bind(so_path: str) -> SimpleNamespace:
 
 def optimize(n_groups, capture, w_max, table, woc, cg_off, cg_ids,
              patterns, gids, payload, start, floor_total, lib=None):
-    """Run the whole incremental Algorithm 2 in one C call; ``None``
+    """Run the whole of Algorithm 2 in one C call; ``None``
     when the engine is unavailable.
 
     All array arguments are :mod:`array` buffers in the layout the C

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compaction.groups import SITestGroup
-from repro.soc.model import Soc
+from repro.soc.model import Core, Soc
 from repro.wrapper.timing import core_test_time
 
 
@@ -62,20 +62,23 @@ def intest_core_floor(soc: Soc, probe_width: int = 256) -> int:
     return max(core_test_time(core, probe_width) for core in soc)
 
 
-def intest_bandwidth_bound(soc: Soc, w_max: int) -> int:
-    """``ceil(payload / W_max)`` — the pins move one bit per wire per cycle.
+def core_payload(core: Core) -> int:
+    """InTest bits the wrapper of ``core`` streams: per pattern, the
+    longer of the scan-in and scan-out words (they overlap via
+    pipelining).  A rail serializes its cores, so on ``w`` wires it takes
+    at least ``sum(ceil(core_payload / w))`` InTest cycles."""
+    scan = core.scan_cell_count
+    return max(core.wic_count + scan, core.woc_count + scan) * (
+        core.total_patterns
+    )
 
-    The per-core payload counts, per pattern, the longer of the scan-in
-    and scan-out words (they overlap via pipelining), which is what the
-    wrapper actually streams.
-    """
+
+def intest_bandwidth_bound(soc: Soc, w_max: int) -> int:
+    """``ceil(payload / W_max)`` — the pins move one bit per wire per cycle,
+    and the payload is the sum of every core's :func:`core_payload`."""
     if w_max <= 0:
         raise ValueError("W_max must be positive")
-    payload = 0
-    for core in soc:
-        scan = core.scan_cell_count
-        word = max(core.wic_count + scan, core.woc_count + scan)
-        payload += word * core.total_patterns
+    payload = sum(core_payload(core) for core in soc)
     return -(-payload // w_max)
 
 

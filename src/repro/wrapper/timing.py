@@ -43,8 +43,8 @@ def core_time_table(core: Core, max_width: int) -> tuple[int, ...]:
     """InTest times of ``core`` for every width ``1..max_width``.
 
     Index ``w - 1`` holds the time at width ``w``.  Cached per process
-    like :func:`core_test_time`: the incremental optimizer builds its
-    per-run InTest table from these rows.
+    like :func:`core_test_time`: the native optimizer run's InTest table
+    is built from these rows.
     """
     if max_width <= 0:
         raise ValueError(f"max_width must be positive, got {max_width}")

@@ -1,8 +1,11 @@
 """Tests for the lower-bound arguments."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compaction.groups import SITestGroup
+from repro.compaction.horizontal import build_si_test_groups
 from repro.core.bounds import (
     bound_report,
     intest_bandwidth_bound,
@@ -10,9 +13,57 @@ from repro.core.bounds import (
     si_floor,
 )
 from repro.core.optimizer import optimize_tam
+from repro.core.scheduling import TamEvaluator
+from repro.sitest.generator import generate_random_patterns
 from repro.soc.model import Soc
+from repro.soc.synth import synthesize_soc
+from repro.tam.testrail import TestRail, TestRailArchitecture
 from repro.tam.tr_architect import tr_architect
 from tests.conftest import make_core
+
+_instances: dict = {}
+
+
+def _instance(soc_seed: int, core_count: int, with_groups: bool):
+    """A synthetic SOC plus (optionally) a small SI grouping, memoized
+    across Hypothesis draws."""
+    key = (soc_seed, core_count, with_groups)
+    if key not in _instances:
+        soc = synthesize_soc(f"prop{soc_seed}", core_count, seed=soc_seed)
+        groups = ()
+        if with_groups:
+            patterns = generate_random_patterns(soc, 24, seed=soc_seed)
+            groups = build_si_test_groups(
+                soc, patterns, parts=2, seed=soc_seed
+            ).groups
+        _instances[key] = (soc, groups)
+    return _instances[key]
+
+
+@st.composite
+def architectures(draw):
+    """A random SOC, its groups and any architecture of its cores."""
+    core_count = draw(st.integers(min_value=2, max_value=6))
+    soc, groups = _instance(
+        draw(st.integers(min_value=0, max_value=7)), core_count,
+        draw(st.booleans()),
+    )
+    labels = draw(st.lists(
+        st.integers(min_value=0, max_value=core_count - 1),
+        min_size=core_count, max_size=core_count,
+    ))
+    rails: dict[int, list[int]] = {}
+    for core_id, label in zip(soc.core_ids, labels):
+        rails.setdefault(label, []).append(core_id)
+    architecture = TestRailArchitecture(rails=tuple(
+        TestRail(
+            cores=tuple(sorted(cores)),
+            width=draw(st.integers(min_value=1, max_value=4)),
+        )
+        for cores in rails.values()
+    ))
+    capture = draw(st.integers(min_value=1, max_value=2))
+    return soc, groups, architecture, capture
 
 
 class TestCoreFloor:
@@ -96,6 +147,19 @@ class TestSoundness:
         report = bound_report(d695, w_max, grouping.groups)
         achieved = optimize_tam(d695, w_max, grouping.groups).t_total
         assert achieved >= report.t_total_bound
+
+    @given(architectures())
+    @settings(max_examples=25, deadline=None)
+    def test_floor_bounds_every_architecture(self, case):
+        # The floor the native optimizer prunes against holds for every
+        # architecture within the pin budget, not only for optimized ones.
+        soc, groups, architecture, capture = case
+        evaluator = TamEvaluator(soc, groups, capture_cycles=capture)
+        w_max = architecture.total_width
+        floor = intest_bandwidth_bound(soc, w_max) + si_floor(
+            soc, evaluator.groups, w_max, capture
+        )
+        assert floor <= evaluator.t_total(architecture)
 
     def test_bound_tight_at_saturation(self, p34392):
         # p34392's dominant core makes the core floor tight at wide TAMs.

@@ -2,16 +2,23 @@
 oracle for the heuristics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compaction.groups import SITestGroup
+from repro.compaction.horizontal import build_si_test_groups
+from repro.core import _movescan
 from repro.core.annealing import AnnealingConfig, anneal_tam
+from repro.core.bounds import bound_report
 from repro.core.exact import (
     _compositions,
     _set_partitions,
     exact_optimize,
 )
 from repro.core.optimizer import optimize_tam
+from repro.sitest.generator import generate_random_patterns
 from repro.soc.model import Soc
+from repro.soc.synth import synthesize_soc
 from tests.conftest import make_core
 
 
@@ -114,3 +121,49 @@ class TestExactOptimize:
         exact = exact_optimize(small_soc, 6, small_groups)
         report = bound_report(small_soc, 6, small_groups)
         assert exact.result.t_total >= report.t_total_bound
+
+
+_instances: dict = {}
+
+
+def _instance(core_count: int, seed: int, with_groups: bool):
+    """A synthetic SOC plus (optionally) its SI grouping, memoized across
+    Hypothesis draws."""
+    key = (core_count, seed, with_groups)
+    if key not in _instances:
+        soc = synthesize_soc(f"exact{seed}", core_count, seed=seed)
+        groups = ()
+        if with_groups:
+            patterns = generate_random_patterns(soc, 40, seed=seed)
+            groups = build_si_test_groups(
+                soc, patterns, parts=2, seed=seed
+            ).groups
+        _instances[key] = (soc, groups)
+    return _instances[key]
+
+
+class TestExactOracle:
+    """Algorithm 2 and the lower bounds against the enumerated optimum on
+    random tiny SOCs, on both optimizer paths (C engine and reference)."""
+
+    @given(
+        core_count=st.integers(min_value=3, max_value=6),
+        seed=st.integers(min_value=0, max_value=11),
+        with_groups=st.booleans(),
+        w_max=st.integers(min_value=4, max_value=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_optimize_and_bound_bracket_the_optimum(
+        self, core_count, seed, with_groups, w_max
+    ):
+        soc, groups = _instance(core_count, seed, with_groups)
+        optimum = exact_optimize(soc, w_max, groups).result.t_total
+        assert bound_report(soc, w_max, groups).t_total_bound <= optimum
+        assert optimize_tam(soc, w_max, groups).t_total >= optimum
+        handle = _movescan.ENGINE.handle
+        _movescan.ENGINE.handle = False  # the engine-off leg
+        try:
+            reference = optimize_tam(soc, w_max, groups)
+        finally:
+            _movescan.ENGINE.handle = handle
+        assert reference.t_total >= optimum

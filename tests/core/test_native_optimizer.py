@@ -1,17 +1,15 @@
 """Differential tests of the native optimizer run.
 
-The C engine (``core/_movescan.py``) runs the whole incremental
-Algorithm 2 in one call; the pure-Python loop of
-``_IncrementalOptimizer`` is its fallback and oracle, and the reference
-Algorithm 2 (``optimize_tam`` handed the default TestRail evaluator) is
-the oracle of both.  On random synthetic SOCs
-(:mod:`repro.soc.synth`) of 2–64 cores, with and without SI groups, with
-one or two capture cycles and with ``W_max`` below, equal to and above
-the core count, all three must return the same
-:class:`~repro.core.optimizer.OptimizationResult`, and the native and
-Python legs must count every ``optimizer.*`` counter alike.  Without the
-engine the native leg runs the Python loop too, so the suite still holds
-that loop to the reference.
+The C engine (``core/_movescan.py``) runs the whole of Algorithm 2 in
+one call; the reference Algorithm 2 (``optimize_tam`` handed the default
+TestRail evaluator) is its oracle and its fallback.  On random synthetic
+SOCs (:mod:`repro.soc.synth`) of 2–64 cores, with and without SI groups,
+with one or two capture cycles and with ``W_max`` below, equal to and
+above the core count, both must return the same
+:class:`~repro.core.optimizer.OptimizationResult` and count the
+candidates they try alike.  The pruning counts exist only in C; they are
+pinned on a fixed list of instances.  Without the engine the native leg
+runs the reference too, so the battery still holds.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from repro.core.optimizer import optimize_tam
 from repro.core.scheduling import TamEvaluator
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.sitest.generator import generate_random_patterns
+from repro.soc.benchmarks import load_benchmark
 from repro.soc.synth import synthesize_soc
 
 _instances: dict = {}
@@ -49,33 +48,30 @@ def _instance(core_count: int, seed: int, parts: int):
     return _instances[key]
 
 
-def _run(soc, w_max, groups, capture, leg):
-    """One optimizer run on ``leg`` (native, python or reference) with
-    its counters."""
-    handle = _movescan.ENGINE.handle
-    if leg == "python":
-        _movescan.ENGINE.handle = False
+def _run(soc, w_max, groups, capture=1, reference=False):
+    """One optimizer run, on the reference when ``reference`` is set,
+    with its counters."""
+    evaluator = None
+    if reference:
+        evaluator = TamEvaluator(soc, groups, capture_cycles=capture)
     instrumentation = Instrumentation()
-    try:
-        with use_instrumentation(instrumentation):
-            evaluator = None
-            if leg == "reference":
-                evaluator = TamEvaluator(soc, groups, capture_cycles=capture)
-            result = optimize_tam(
-                soc, w_max, groups, capture_cycles=capture,
-                evaluator=evaluator,
-            )
-    finally:
-        _movescan.ENGINE.handle = handle
+    with use_instrumentation(instrumentation):
+        result = optimize_tam(
+            soc, w_max, groups, capture_cycles=capture, evaluator=evaluator
+        )
     return result, instrumentation.counters
 
 
-def _optimizer_counts(counters):
-    return {
-        name: value
-        for name, value in counters.items()
-        if name.startswith("optimizer.") and value
-    }
+#: The candidate counts both legs share; the engine adds pruning counts.
+SHARED = (
+    "optimizer.merges_tried",
+    "optimizer.core_moves_tried",
+    "optimizer.wires_distributed",
+)
+
+
+def _shared_counts(counters):
+    return {name: counters.get(name, 0) for name in SHARED}
 
 
 @st.composite
@@ -99,36 +95,81 @@ def cases(draw):
 
 @given(cases())
 @settings(max_examples=30, deadline=None)
-def test_native_python_and_reference_agree(case):
+def test_native_and_reference_agree(case):
     core_count, seed, parts, capture, w_max = case
     soc, groups = _instance(core_count, seed, parts)
-    native, native_counters = _run(soc, w_max, groups, capture, "native")
-    python, python_counters = _run(soc, w_max, groups, capture, "python")
-    reference, _ = _run(soc, w_max, groups, capture, "reference")
-    assert native == python == reference
-    # without the engine (REPRO_OPTIMIZER_CSCAN=0) both legs run Python
+    native, native_counters = _run(soc, w_max, groups, capture)
+    reference, reference_counters = _run(
+        soc, w_max, groups, capture, reference=True
+    )
+    assert native == reference
+    # without the engine (REPRO_OPTIMIZER_CSCAN=0) both legs run the
+    # reference
     native_runs = 1 if _movescan.available() else None
     assert native_counters.get("movescan.runs") == native_runs
-    assert "movescan.runs" not in python_counters
-    assert _optimizer_counts(native_counters) == _optimizer_counts(
-        python_counters
+    assert "movescan.runs" not in reference_counters
+    assert _shared_counts(native_counters) == _shared_counts(
+        reference_counters
     )
 
 
-def test_more_than_64_cores_take_the_python_loop(monkeypatch):
+def _paper_instance(name):
+    """An ITC'02 SOC with four SI groups from 200 patterns (seed 7)."""
+    soc = load_benchmark(name)
+    patterns = generate_random_patterns(soc, 200, seed=7)
+    return soc, build_si_test_groups(soc, patterns, parts=4, seed=7).groups
+
+
+#: (SOC, W_max, with SI groups) -> (optimizer.moves_pruned,
+#: movescan.moves_scored) of the native run, recorded while a pure-Python
+#: port of the engine still ran beside it and counted the same pruning.
+#: The SI-aware ITC'02 runs prune nothing; the InTest-only ones do.
+PINNED = {
+    ("prune-probe", 6, False): (10, 35),
+    ("p93791", 16, True): (0, 1449),
+    ("p93791", 64, True): (0, 10484),
+    ("p93791", 16, False): (107, 741),
+    ("p93791", 64, False): (349, 6248),
+    ("p34392", 16, True): (0, 1167),
+    ("p34392", 64, True): (0, 6920),
+    ("p34392", 16, False): (114, 511),
+    ("p34392", 64, False): (323, 1178),
+}
+
+
+@pytest.mark.parametrize(
+    "name,w_max,with_groups", list(PINNED),
+    ids=[f"{name}-W{w}-{'si' if si else 'intest'}" for name, w, si in PINNED],
+)
+def test_pruning_counts_pinned(name, w_max, with_groups):
+    if not _movescan.available():
+        pytest.skip("C optimizer engine unavailable")
+    if name == "prune-probe":
+        soc, groups = synthesize_soc(name, 6, seed=0), ()
+    else:
+        soc, groups = _paper_instance(name)
+        groups = groups if with_groups else ()
+    native, counters = _run(soc, w_max, groups)
+    reference, reference_counters = _run(soc, w_max, groups, reference=True)
+    assert native == reference
+    assert _shared_counts(counters) == _shared_counts(reference_counters)
+    assert (
+        counters.get("optimizer.moves_pruned", 0),
+        counters["movescan.moves_scored"],
+    ) == PINNED[(name, w_max, with_groups)]
+
+
+def test_more_than_64_cores_take_the_reference(monkeypatch):
     soc, groups = _instance(65, 0, 2)
 
     def no_engine(*args, **kwargs):
         raise AssertionError("a 65-core SOC must not reach the engine")
 
     monkeypatch.setattr(_movescan, "optimize", no_engine)
-    instrumentation = Instrumentation()
-    with use_instrumentation(instrumentation):
-        result = optimize_tam(soc, 8, groups)
-    assert result == optimize_tam(
-        soc, 8, groups, evaluator=TamEvaluator(soc, groups)
-    )
-    assert "movescan.runs" not in instrumentation.counters
+    result, counters = _run(soc, 8, groups)
+    assert result == _run(soc, 8, groups, reference=True)[0]
+    assert "movescan.runs" not in counters
+    assert counters["optimizer.backend.reference"] == 1
 
 
 def test_hand_worked_run():

@@ -90,13 +90,9 @@ class TestOptimizerBackend:
     def test_backends_produce_identical_tables(
         self, d695, small_result, monkeypatch
     ):
-        # The C engine, its pure-Python loop and the reference
-        # Algorithm 2 (a custom evaluator runs the reference) all print
-        # the same table.
+        # The C engine and the reference Algorithm 2, which runs without
+        # the engine, print the same table.
         from repro.core import _movescan
-        from repro.core.optimizer import optimize_tam
-        from repro.core.scheduling import TamEvaluator
-        from repro.experiments import table_runner
 
         def run():
             return run_table_experiment(
@@ -107,17 +103,9 @@ class TestOptimizerBackend:
                 seed=5,
             )
 
-        def reference(soc, w_max, groups=()):
-            return optimize_tam(
-                soc, w_max, groups, evaluator=TamEvaluator(soc, groups)
-            )
-
         tables = [run()]
         with monkeypatch.context() as patch:
             patch.setattr(_movescan.ENGINE, "handle", False)
-            tables.append(run())
-        with monkeypatch.context() as patch:
-            patch.setattr(table_runner, "optimize_tam", reference)
             tables.append(run())
         for table in tables:
             for row, expected in zip(table.rows, small_result.rows):
