@@ -56,8 +56,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.compaction.horizontal import build_si_test_groups
-from repro.compaction.kernel import greedy_compact_bitset
-from repro.compaction.vertical import _greedy_reference
+from repro.compaction.vertical import _greedy_reference, greedy_compact
 from repro.core.optimizer import optimize_tam
 from repro.core.scheduling import TamEvaluator
 from repro.experiments.knobs import build_plan
@@ -157,14 +156,14 @@ def bench_optimizer(soc_name, widths, repeats, pattern_count, seed, parts):
 
 
 def bench_compaction(soc_name, pattern_count, seed, repeats):
-    """Reference vs packed-bitset vertical compaction throughput."""
+    """Reference vs production (C scan) greedy compaction throughput."""
     soc = load_benchmark(soc_name)
     patterns = generate_random_patterns(soc, pattern_count, seed=seed)
     reference = _greedy_reference(patterns)
-    bitset = greedy_compact_bitset(patterns)
+    bitset = greedy_compact(patterns)
     identical = reference.compacted_count == bitset.compacted_count
     ref_seconds = _best_of(repeats, lambda: _greedy_reference(patterns))
-    bit_seconds = _best_of(repeats, lambda: greedy_compact_bitset(patterns))
+    bit_seconds = _best_of(repeats, lambda: greedy_compact(patterns))
     return {
         "soc": soc_name,
         "patterns": pattern_count,

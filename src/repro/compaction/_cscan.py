@@ -1,11 +1,11 @@
-"""Optional C engine for the greedy bitset scan and hypergraph bisection.
+"""Optional C engine for the greedy compaction scan and hypergraph bisection.
 
-:func:`repro.compaction.kernel.greedy_compact_bitset` spends its time in
-two bit-parallel inner loops: building the conflict index and pruning the
-candidate bitset as the merge acquires cares.  Both are pure word-level
-AND/OR sweeps, so this module carries a small, dependency-free C
-translation of the scan (same algorithm, same visit order, same dedup
-rules — see the kernel docstring for the equivalence argument).
+:func:`repro.compaction.vertical.greedy_compact` runs its scan here
+whenever the engine loads: two bit-parallel inner loops, building the
+conflict index and pruning the candidate bitset as the merge acquires
+cares.  Both are pure word-level AND/OR sweeps over the pattern index,
+with the reference greedy's visit order and dedup rules (see the
+``greedy_compact`` docstring for the equivalence argument).
 
 The same library bisects core hypergraphs of at most 64 vertices for
 :func:`repro.hypergraph.partition`, on one 64-bit pin mask per edge
@@ -18,10 +18,11 @@ k-way assignment.  Each replays its Python counterpart in
 so the partition is identical on either path.
 
 The engine is optional and loaded by :mod:`repro.runtime.native`
-(toggle ``REPRO_COMPACTION_CSCAN``): when it is unavailable, the scan and
-the partitioner fall back to pure Python, and pattern sets are generated
-as lists and encoded.  The bisection's attachment sums round as Python's
-do because the loader builds without fast-math.
+(toggle ``REPRO_COMPACTION_CSCAN``): when it is unavailable, greedy
+compaction runs the reference greedy, the partitioner its Python
+counterpart, and pattern sets are generated as lists and encoded.  The
+bisection's attachment sums round as Python's do because the loader
+builds without fast-math.
 
 The scan works on the flat integer arrays of a
 :class:`~repro.compaction.kernel.PatternIndex` only — pattern cares as

@@ -1,59 +1,36 @@
-"""Packed-bitset vertical compaction kernel.
+"""Pattern-set encoding and the bitset engine for vertical compaction.
 
 The reference compactors in :mod:`repro.compaction.vertical` walk Python
-dicts per candidate pair, which is O(n · cares) *per merge cycle* and
-dominates experiment wall time beyond a few thousand patterns.  This module
-re-encodes a pattern list densely so the same algorithms run on arbitrary-
-width Python ints:
+dicts per candidate pair.  This module encodes a pattern set once, as flat
+integer arrays, and runs the same algorithms on bitsets over it:
 
-* **Bit space.**  Pattern ``i`` of ``n`` owns bit ``n - 1 - i`` ("reversed"
-  order).  The *lowest-index remaining pattern* — what the greedy scan asks
-  for constantly — is then the **top** set bit, found in O(1) with
-  ``int.bit_length()``; masks of later candidates shrink as the scan
-  advances, so big-int ops get cheaper over a run instead of staying
-  full-width.
-* **Terminal planes** (:class:`PackedPatternSet`).  Per terminal, a *care
-  mask* (bit set ⇔ the pattern assigns the terminal) plus two *symbol
-  bit-planes* holding the low/high bit of the symbol id (``0``→0, ``1``→1,
-  ``R``→2, ``F``→3).  A pattern's symbol at a terminal is recoverable from
-  two bit tests; the per-symbol occupancy masks are disjoint slices of the
-  care mask.
-* **Bus claims** are packed per ``(line, driver)`` the same way, with a
-  per-line total mask.
-* **Conflict index.**  From the planes, each ``(terminal, symbol)`` key gets
-  the mask of patterns caring that terminal with a *different* symbol, and
-  each ``(line, driver)`` claim the mask of patterns claiming the line from
-  a different core.  Candidate-versus-merge compatibility then costs a
-  handful of big-int AND/XOR/sub ops instead of a dict walk per candidate —
-  and the greedy pass never visits a conflicting candidate at all.
-
-The greedy kernel starts from a :class:`PatternIndex`: the pattern set
-encoded once as flat CSR arrays of dense ``(terminal, symbol)`` and
-``(line, driver)`` ids, plus one care-core-set id per pattern over a table
-of the distinct sets.  Grouping partitions and routes on that table and
-hands each bucket to the kernel as an :class:`IndexView` — the bucket's
-rows of the shared index, readable as a ``Sequence[SIPattern]``:
-
-* **Subset scan.**  The C engine (:mod:`repro.compaction._cscan`) takes
-  the global arrays plus the row array and gathers the rows itself; the
-  Python scan builds its conflict masks over the rows from the index's
-  ids.  Neither walks a pattern object, so a bucket costs no re-encoding.
-* **Lazy merges.**  The kernel returns member tuples only; the merged
-  patterns are built from them on first read of
+* **Pattern index.**  A :class:`PatternIndex` holds the pattern set as
+  CSR arrays of dense ``(terminal, symbol)`` care ids and ``(line,
+  driver)`` claim ids, plus one care-core-set id per pattern over a table
+  of the distinct sets.  Grouping partitions and routes on that table and
+  hands each bucket to compaction as an :class:`IndexView` — the bucket's
+  rows of the shared index, readable as a ``Sequence[SIPattern]``.
+* **Conflict index.**  Over a view's rows, each care id gets the mask of
+  patterns caring its terminal with a *different* symbol, and each claim
+  id the mask of patterns claiming its line from a different core.
+  Compatibility with a merge then costs a few mask ANDs instead of a dict
+  walk per candidate.  The C scan builds these masks itself, in 64-bit
+  words; :func:`conflict_masks` builds them as Python ints for coloring.
+* **Greedy scan.**  The C engine (:mod:`repro.compaction._cscan`) takes
+  the index's arrays plus the view's row array, gathers the rows itself
+  and returns the merge cycles;
+  :func:`~repro.compaction.vertical.greedy_compact` runs it whenever the
+  engine loads, and the reference greedy otherwise.  The merged patterns
+  are built from the member tuples on first read of
   :attr:`~repro.compaction.vertical.CompactionResult.compacted` (a
   grouping that keeps only group metadata never builds them).
-* **Auto rule.**  Below :data:`GREEDY_AUTO_THRESHOLD` patterns, encoding
-  a plain list costs more than the scan saves, so
-  :func:`~repro.compaction.vertical.greedy_compact` keeps such lists on
-  the reference; an index view is already encoded and goes to the scan
-  at any size when the C engine is available.
+* **Coloring.**  :func:`color_compact_bitset` runs Welsh–Powell on
+  per-pattern conflict masks as Python ints, where pattern ``i`` of ``n``
+  owns bit ``n - 1 - i``.
 
-:func:`greedy_compact_bitset` and :func:`color_compact_bitset` reproduce
-the reference implementations **bit-identically** (same
-:class:`~repro.compaction.vertical.CompactionResult`, including member
-partition and ordering).  The choice between them is made by
-:func:`repro.compaction.vertical.greedy_compact` /
-:func:`~repro.compaction.vertical.color_compact` from the input alone.
+Both engines reproduce the reference implementations **bit-identically**
+(same :class:`~repro.compaction.vertical.CompactionResult`, including
+member partition and ordering).
 """
 
 from __future__ import annotations
@@ -65,184 +42,15 @@ from collections.abc import Sequence
 from repro.runtime.instrumentation import incr
 from repro.sitest.patterns import SYMBOLS, SIPattern, Terminal
 
-#: Symbol id per care symbol; bit 0 / bit 1 land in plane0 / plane1.
+#: Symbol id per care symbol, in :data:`SYMBOLS` order.
 SYMBOL_IDS = {"0": 0, "1": 1, "R": 2, "F": 3}
-
-#: ``greedy_compact``/``color_compact`` pick the bitset kernel for plain
-#: pattern lists at or above these pattern counts.  Below them the packed
-#: index costs more than it saves; the crossovers were measured on the
-#: bundled ITC'02 SOCs (see ``benchmarks/bench_compaction.py``).  Index
-#: views skip the greedy threshold when the C engine is available (module
-#: docstring).
-GREEDY_AUTO_THRESHOLD = 2048
-COLOR_AUTO_THRESHOLD = 64
-
-
-class PackedPatternSet:
-    """Dense big-int encoding of an :class:`SIPattern` list.
-
-    Pattern ``i`` of ``size`` owns bit ``size - 1 - i`` in every mask (see
-    module docstring for why the order is reversed).
-
-    Attributes:
-        size: Number of encoded patterns.
-        terminal_ids: Dense id per terminal, in first-seen order.
-        care: Per terminal id, the mask of patterns assigning the terminal.
-        plane0: Per terminal id, the mask of patterns whose symbol id there
-            has bit 0 set (``1`` or ``F``).  Subset of ``care``.
-        plane1: Same for bit 1 (``R`` or ``F``).  Subset of ``care``.
-        bus_total: Per bus line, the mask of patterns claiming the line.
-        bus_claim: Per ``(line, driver)``, the mask of patterns claiming
-            the line from that core boundary.  The claims of one line are
-            disjoint and OR to ``bus_total[line]``.
-    """
-
-    __slots__ = (
-        "size", "terminal_ids", "care", "plane0", "plane1",
-        "bus_total", "bus_claim",
-    )
-
-    def __init__(self, size, terminal_ids, care, plane0, plane1,
-                 bus_total, bus_claim):
-        self.size = size
-        self.terminal_ids: dict[Terminal, int] = terminal_ids
-        self.care: list[int] = care
-        self.plane0: list[int] = plane0
-        self.plane1: list[int] = plane1
-        self.bus_total: dict[int, int] = bus_total
-        self.bus_claim: dict[tuple[int, int], int] = bus_claim
-
-    @classmethod
-    def from_patterns(cls, patterns: list[SIPattern]) -> "PackedPatternSet":
-        """Encode ``patterns`` into terminal planes and bus claim masks."""
-        n = len(patterns)
-        top = n - 1
-        terminal_ids: dict[Terminal, int] = {}
-        # occurrence lists of reversed indices, keyed tid * 4 + symbol id
-        occ: defaultdict[int, list[int]] = defaultdict(list)
-        occ_bus: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-        symbol_ids = SYMBOL_IDS
-        tid_get = terminal_ids.get
-        rev = n
-        for pattern in patterns:
-            rev -= 1
-            for terminal, symbol in pattern.cares.items():
-                tid = tid_get(terminal)
-                if tid is None:
-                    tid = terminal_ids[terminal] = len(terminal_ids)
-                occ[tid * 4 + symbol_ids[symbol]].append(rev)
-            for claim in pattern.bus_claims.items():
-                occ_bus[claim].append(rev)
-
-        scratch = bytearray((n >> 3) + 1)
-
-        def to_int(indices: list[int]) -> int:
-            for i in indices:
-                scratch[i >> 3] |= 1 << (i & 7)
-            value = int.from_bytes(scratch, "little")
-            for i in indices:
-                scratch[i >> 3] = 0
-            return value
-
-        count = len(terminal_ids)
-        care = [0] * count
-        plane0 = [0] * count
-        plane1 = [0] * count
-        for tid in range(count):
-            base = tid * 4
-            slices = [occ.get(base + sid) for sid in range(4)]
-            present = [sid for sid in range(4) if slices[sid]]
-            if len(present) == 1:
-                sid = present[0]
-                mask = to_int(slices[sid])
-                care[tid] = mask
-                if sid & 1:
-                    plane0[tid] = mask
-                if sid & 2:
-                    plane1[tid] = mask
-                continue
-            everything: list[int] = []
-            low: list[int] = []
-            high: list[int] = []
-            for sid in present:
-                everything.extend(slices[sid])
-                if sid & 1:
-                    low.extend(slices[sid])
-                if sid & 2:
-                    high.extend(slices[sid])
-            care[tid] = to_int(everything)
-            plane0[tid] = to_int(low) if low else 0
-            plane1[tid] = to_int(high) if high else 0
-
-        bus_claim = {claim: to_int(ix) for claim, ix in occ_bus.items()}
-        bus_total: dict[int, int] = {}
-        for (line, _driver), mask in bus_claim.items():
-            # claims of one line are disjoint (one driver per pattern)
-            bus_total[line] = bus_total.get(line, 0) + mask
-        return cls(n, terminal_ids, care, plane0, plane1,
-                   bus_total, bus_claim)
-
-    def bit(self, index: int) -> int:
-        """The mask bit owned by pattern ``index``."""
-        return 1 << (self.size - 1 - index)
-
-    def pattern_indices(self, mask: int) -> list[int]:
-        """Decode ``mask`` into ascending original pattern indices."""
-        top = self.size - 1
-        indices = []
-        while mask:
-            rev = mask.bit_length() - 1
-            indices.append(top - rev)
-            mask -= 1 << rev
-        return indices
-
-    def symbol_mask(self, terminal: Terminal, symbol: str) -> int:
-        """Mask of patterns assigning ``symbol`` to ``terminal``."""
-        tid = self.terminal_ids.get(terminal)
-        if tid is None:
-            return 0
-        sid = SYMBOL_IDS[symbol]
-        plane0, plane1, care = self.plane0[tid], self.plane1[tid], self.care[tid]
-        mask = plane0 if sid & 1 else care - plane0
-        return mask & plane1 if sid & 2 else mask - (mask & plane1)
-
-    def conflict_masks(self) -> tuple[dict[int, int],
-                                      dict[tuple[int, int], int]]:
-        """Build the conflict index from the planes.
-
-        Returns ``(symbol_conflicts, bus_conflicts)``: for every present
-        ``tid * 4 + symbol_id`` key, the mask of patterns caring that
-        terminal with a *different* symbol; for every ``(line, driver)``
-        claim, the mask of patterns claiming the line from another core.
-        Masks may be zero (no conflict); keys never seen in the input are
-        absent.
-        """
-        conflicts: dict[int, int] = {}
-        for tid, total in enumerate(self.care):
-            plane0 = self.plane0[tid]
-            plane1 = self.plane1[tid]
-            both = plane0 & plane1
-            either = plane0 | plane1
-            base = tid * 4
-            # per-symbol occupancy masks are disjoint slices of `total`,
-            # so each conflict mask is an exact subtraction
-            for sid, mask in enumerate(
-                (total - either, plane0 - both, plane1 - both, both)
-            ):
-                if mask:
-                    conflicts[base + sid] = total - mask
-        bus_conflicts = {
-            claim: self.bus_total[claim[0]] - mask
-            for claim, mask in self.bus_claim.items()
-        }
-        return conflicts, bus_conflicts
 
 
 class PatternIndex:
     """One SI pattern set encoded once, for every grouping and scan over it.
 
     The encoding is flat integer arrays in CSR layout — what the C scan
-    reads directly and what the Python scan keys its conflict masks by —
+    reads directly and what :func:`conflict_masks` keys its masks by —
     plus each pattern's care-core set as an id into a short table of the
     distinct sets.  A grouping routes and partitions on the set table and
     compacts each bucket through an :class:`IndexView` over its rows, so
@@ -483,68 +291,22 @@ def as_view(patterns: Sequence[SIPattern]) -> IndexView:
     return PatternIndex(patterns).view()
 
 
-def greedy_compact_bitset(patterns: Sequence[SIPattern]):
-    """Greedy clique-cover compaction on the packed encoding.
+def conflict_masks(view: IndexView):
+    """The conflict index of ``view``'s patterns.
 
-    Bit-identical to the reference
-    :func:`repro.compaction.vertical._greedy_reference`: in each cycle the
-    lowest remaining pattern seeds a merge, then absorbs every later
-    pattern compatible with the merge so far, in index order.  The kernel
-    keeps an ``eligible`` mask of candidates compatible with the running
-    merge — seeded from ``avail`` and pruned by the conflict masks of every
-    symbol/claim the merge acquires — so conflicting candidates are never
-    visited at all.
-    Equivalence holds because a pattern incompatible with the merge stays
-    incompatible for the rest of the cycle (merges only gain cares) and
-    the top-bit extraction yields exactly the reference's visit order.
-
-    The merged patterns are built from ``members`` on first read of
-    :attr:`~repro.compaction.vertical.CompactionResult.compacted`.
-
-    Args:
-        patterns: The patterns to compact: an :class:`IndexView`, or a
-            plain sequence (indexed here).
-
-    Emits ``compaction.bitset.candidates_pruned`` (candidate visits the
-    reference would have made that the kernel skipped) and
-    ``compaction.bitset.words_compared`` (approximate 64-bit words touched
-    by conflict-mask operations).
+    Position ``i`` of ``n`` in the view owns bit ``n - 1 - i`` of every
+    mask.  Returns ``(care_keys, claim_keys, conflicts, bus_conflicts)``:
+    per position, its care ids and claim ids; for every care id present,
+    the mask of patterns caring its terminal with a *different* symbol;
+    for every claim id present, the mask of patterns claiming its line
+    from another core.  A terminal's per-symbol occupancy masks are
+    disjoint, so its care total is their plain sum and
+    ``conflict = total - mask`` (likewise per bus line).  Masks may be
+    zero (no conflict).
     """
-    from repro.compaction import _cscan
-    from repro.compaction.vertical import CompactionResult
-
-    view = as_view(patterns)
-    scanned = _cscan.greedy_scan(view)
-    if scanned is not None:
-        incr("compaction.bitset.cscan")
-        member_lists, pruned, words = scanned
-    else:
-        member_lists, pruned, words = _greedy_scan_python(view)
-    incr("compaction.bitset.candidates_pruned", pruned)
-    incr("compaction.bitset.words_compared", words)
-    return CompactionResult(
-        members=tuple(map(tuple, member_lists)),
-        original_count=len(view),
-        source=view,
-    )
-
-
-def _greedy_scan_python(patterns: Sequence[SIPattern]):
-    """Pure-Python greedy scan on big-int bitsets.
-
-    The fallback engine when :mod:`repro.compaction._cscan` has no C
-    compiler to work with — same cycles, same counters (``words`` is an
-    approximation in both engines and counts slightly differently).  The
-    conflict masks cover the view's rows only, keyed by the index's care
-    and claim ids: a terminal's per-symbol occupancy masks are disjoint,
-    so its care total is their plain sum and ``conflict = total - mask``.
-    Returns ``(member_lists, pruned, words)``.
-    """
-    view = as_view(patterns)
     encoded = view.index
     care_flat, care_off = encoded.care_flat, encoded.care_off
     bus_flat, bus_off = encoded.bus_flat, encoded.bus_off
-    tid_of, line_of = encoded.tid_of, encoded.line_of
     n = len(view)
     care_keys: list = []
     claim_keys: list = []
@@ -572,7 +334,7 @@ def _greedy_scan_python(patterns: Sequence[SIPattern]):
             scratch[i >> 3] = 0
         return value
 
-    def conflict_masks(occupancy, group_of):
+    def masks_of(occupancy, group_of):
         masks = {key: to_int(indices) for key, indices in occupancy.items()}
         totals: defaultdict[int, int] = defaultdict(int)
         for key, mask in masks.items():
@@ -580,129 +342,50 @@ def _greedy_scan_python(patterns: Sequence[SIPattern]):
         return {key: totals[group_of[key]] - mask
                 for key, mask in masks.items()}
 
-    conflicts = conflict_masks(occ, tid_of)
-    bus_conflicts = conflict_masks(occ_bus, line_of)
-
-    top = n - 1
-    member_lists: list[list[int]] = []
-    avail = (1 << n) - 1 if n else 0
-    pruned = 0
-    words = 0
-    while avail:
-        high = avail.bit_length() - 1
-        start = top - high
-        avail -= 1 << high
-        candidates = avail.bit_count()
-        merged_tids = set()
-        tid_add = merged_tids.add
-        merged_lines = set()
-        line_add = merged_lines.add
-        absorbed = [start]
-        eligible = avail
-        newconf = 0
-        for cid in care_keys[start]:
-            tid_add(tid_of[cid])
-            conflict = conflicts[cid]
-            if conflict:
-                # first mask binds by reference: `0 | mask` would copy
-                # the full width for nothing
-                if newconf:
-                    newconf |= conflict
-                else:
-                    newconf = conflict
-        for bid in claim_keys[start]:
-            line_add(line_of[bid])
-            conflict = bus_conflicts[bid]
-            if conflict:
-                if newconf:
-                    newconf |= conflict
-                else:
-                    newconf = conflict
-        if newconf:
-            words += (newconf.bit_length() >> 6) + 1
-            hit = eligible & newconf
-            if hit:
-                eligible -= hit
-        while eligible:
-            rev = eligible.bit_length() - 1
-            bit = 1 << rev
-            # absorbed bits are batch-cleared from `avail` at cycle end;
-            # the inner loop only reads `eligible`
-            scratch[rev >> 3] |= 1 << (rev & 7)
-            index = top - rev
-            absorbed.append(index)
-            newconf = 0
-            for cid in care_keys[index]:
-                tid = tid_of[cid]
-                if tid not in merged_tids:
-                    tid_add(tid)
-                    conflict = conflicts[cid]
-                    if conflict:
-                        if newconf:
-                            newconf |= conflict
-                        else:
-                            newconf = conflict
-            for bid in claim_keys[index]:
-                line = line_of[bid]
-                if line not in merged_lines:
-                    line_add(line)
-                    conflict = bus_conflicts[bid]
-                    if conflict:
-                        if newconf:
-                            newconf |= conflict
-                        else:
-                            newconf = conflict
-            if newconf:
-                words += (newconf.bit_length() >> 6) + 1
-                # a pattern never conflicts with its own cares, so `bit`
-                # is disjoint from the hit set: clear both in one pass
-                eligible -= (eligible & newconf) + bit
-            else:
-                eligible -= bit
-        if len(absorbed) > 1:
-            avail -= int.from_bytes(scratch, "little")
-            for index in absorbed[1:]:
-                scratch[(top - index) >> 3] = 0
-        pruned += candidates - (len(absorbed) - 1)
-        member_lists.append(absorbed)
-    return member_lists, pruned, words
+    return (care_keys, claim_keys, masks_of(occ, encoded.tid_of),
+            masks_of(occ_bus, encoded.line_of))
 
 
-def color_compact_bitset(patterns: list[SIPattern]):
-    """Welsh–Powell conflict-graph coloring on the packed encoding.
+def color_compact_bitset(patterns: Sequence[SIPattern]):
+    """Welsh–Powell conflict-graph coloring on conflict bitsets.
 
     Bit-identical to the reference
     :func:`repro.compaction.vertical._color_reference`.  Instead of the
     reference's O(n²) pairwise compatibility matrix, each vertex gets a
-    conflict mask (OR of the conflict masks of its cares and claims —
-    never including itself), its
-    degree is the mask's popcount, and a color is forbidden exactly when
-    the vertex mask intersects the color class's member mask.  The
-    degree sort is stable, so tie order matches the reference.
+    conflict mask (OR of the :func:`conflict_masks` of its cares and
+    claims — never including itself), its degree is the mask's popcount,
+    and a color is forbidden exactly when the vertex mask intersects the
+    color class's member mask.  The degree sort is stable, so tie order
+    matches the reference.
 
     Stores one n-bit mask per pattern (O(n²/64) words); meant for the
     moderate pattern counts coloring is used at.
+
+    Args:
+        patterns: The patterns to color: an :class:`IndexView`, or a
+            plain sequence (indexed here).
+
+    Emits ``compaction.bitset.words_compared`` (approximate 64-bit words
+    touched by mask operations).
     """
     from repro.compaction.vertical import CompactionResult
 
-    n = len(patterns)
-    packed = PackedPatternSet.from_patterns(patterns)
-    conflicts, bus_conflicts = packed.conflict_masks()
-    base_of = {t: tid * 4 for t, tid in packed.terminal_ids.items()}
-    symbol_ids = SYMBOL_IDS
+    view = as_view(patterns)
+    n = len(view)
+    care_keys, claim_keys, conflicts, bus_conflicts = conflict_masks(view)
     top = n - 1
     words = 0
 
     vertex_masks: list[int] = []
-    for pattern in patterns:
+    for cids, bids in zip(care_keys, claim_keys):
         mask = 0
-        for terminal, symbol in pattern.cares.items():
-            conflict = conflicts[base_of[terminal] + symbol_ids[symbol]]
+        for cid in cids:
+            conflict = conflicts[cid]
             if conflict:
                 words += (conflict.bit_length() >> 6) + 1
                 mask |= conflict
-        for claim in pattern.bus_claims.items():
-            conflict = bus_conflicts[claim]
+        for bid in bids:
+            conflict = bus_conflicts[bid]
             if conflict:
                 words += (conflict.bit_length() >> 6) + 1
                 mask |= conflict
@@ -730,8 +413,9 @@ def color_compact_bitset(patterns: list[SIPattern]):
             merged_bus.append({})
         class_masks[chosen] |= 1 << (top - vertex)
         classes[chosen].append(vertex)
-        merged_cares[chosen].update(patterns[vertex].cares)
-        merged_bus[chosen].update(patterns[vertex].bus_claims)
+        pattern = view[vertex]
+        merged_cares[chosen].update(pattern.cares)
+        merged_bus[chosen].update(pattern.bus_claims)
 
     incr("compaction.bitset.words_compared", words)
     return CompactionResult(

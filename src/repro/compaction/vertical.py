@@ -12,12 +12,13 @@ vectors.  Two algorithms are provided:
   conflict graph, the classical approximation the paper compares against.
   Builds the O(n²) conflict graph, so intended for moderate pattern counts.
 
-Each runs on one of two engines, chosen from the input: the plain
-dict-walk reference in this module, or the packed big-int kernel from
-:mod:`repro.compaction.kernel` at or above its measured break-even pattern
-count.  The two return bit-identical :class:`CompactionResult` objects;
-the choice only affects speed, and is recorded in the
-``compaction.backend.*`` counters.
+Greedy runs the C scan over the pattern set's
+:class:`~repro.compaction.kernel.PatternIndex` whenever the C engine
+(:mod:`repro.compaction._cscan`) loads, and the dict-walk reference in
+this module otherwise; coloring always runs the bitset kernel of
+:mod:`repro.compaction.kernel`, with the reference as its test oracle.
+Every path returns bit-identical :class:`CompactionResult` objects; the
+``compaction.backend.*`` counters record which ran.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class CompactionResult:
     """Outcome of a vertical compaction run.
 
     Attributes:
-        compacted: The merged patterns.  The bitset kernel passes its input
-            as ``source`` instead, and the merged patterns are built from
+        compacted: The merged patterns.  The C scan passes its input as
+            ``source`` instead, and the merged patterns are built from
             ``members`` on first read.
         members: For each merged pattern, indices (into the input list) of
             the original patterns it absorbed.
@@ -125,31 +126,48 @@ def greedy_compact(patterns: Sequence[SIPattern]) -> CompactionResult:
     accumulated so far.  Compatibility respects both symbol intersection
     and the shared-bus-line driver rule.
 
-    The bitset kernel runs for an index view when the C scan engine is
-    available, otherwise at or above
-    :data:`repro.compaction.kernel.GREEDY_AUTO_THRESHOLD` patterns; the
-    reference runs below it.  Both produce identical results.
+    The C scan runs whenever its engine loads (a plain list is indexed
+    first); the reference runs without the engine, or when the scan runs
+    out of memory.  Both produce identical results.  The scan keeps an
+    ``eligible`` bitset of candidates compatible with the running merge,
+    pruned by the conflict mask of every care and claim the merge
+    acquires, so conflicting candidates are never visited; a pattern
+    incompatible with the merge stays so for the rest of the cycle
+    (merges only gain cares), which keeps the reference's visit order.
 
     Args:
         patterns: The patterns to compact: a list, or a
             :class:`~repro.compaction.kernel.IndexView` bucket of an
             indexed pattern set.
-    """
-    from repro.compaction import _cscan, kernel
 
-    if isinstance(patterns, kernel.IndexView) and _cscan.available():
-        chosen = "bitset"
-    elif len(patterns) >= kernel.GREEDY_AUTO_THRESHOLD:
-        chosen = "bitset"
-    else:
-        chosen = "reference"
-    incr(f"compaction.backend.{chosen}")
-    if chosen == "bitset":
-        result = kernel.greedy_compact_bitset(patterns)
-    else:
+    With the scan, emits ``compaction.bitset.candidates_pruned``
+    (candidate visits the reference would have made that the scan
+    skipped) and ``compaction.bitset.words_compared`` (approximate 64-bit
+    words touched by conflict-mask operations).
+    """
+    from repro.compaction import _cscan
+    from repro.compaction.kernel import as_view
+
+    scanned = None
+    if _cscan.available():
+        patterns = as_view(patterns)
+        scanned = _cscan.greedy_scan(patterns)
+    if scanned is None:
+        incr("compaction.backend.reference")
         # the reference walks its input by position: a list is faster
         # to index than a view
         result = _greedy_reference(list(patterns))
+    else:
+        member_lists, pruned, words = scanned
+        incr("compaction.backend.bitset")
+        incr("compaction.bitset.cscan")
+        incr("compaction.bitset.candidates_pruned", pruned)
+        incr("compaction.bitset.words_compared", words)
+        result = CompactionResult(
+            members=tuple(map(tuple, member_lists)),
+            original_count=len(patterns),
+            source=patterns,
+        )
     incr("compaction.greedy_runs")
     incr("compaction.patterns_merged_away",
          result.original_count - result.compacted_count)
@@ -204,25 +222,20 @@ def _greedy_reference(patterns: list[SIPattern]) -> CompactionResult:
     )
 
 
-def color_compact(patterns: list[SIPattern]) -> CompactionResult:
+def color_compact(patterns: Sequence[SIPattern]) -> CompactionResult:
     """Compact via greedy coloring of the conflict graph (Welsh–Powell).
 
     Vertices in non-increasing conflict-degree order each take the smallest
     color whose class they are compatible with; every color class becomes
-    one merged pattern.  The reference builds the O(n²) pairwise
-    conflict graph; the bitset kernel derives per-vertex conflict masks
-    from the packed conflict index and runs from
-    :data:`repro.compaction.kernel.COLOR_AUTO_THRESHOLD` patterns up.
+    one merged pattern.  Runs
+    :func:`repro.compaction.kernel.color_compact_bitset`, which derives
+    per-vertex conflict masks from the pattern index instead of building
+    the reference's O(n²) pairwise conflict graph.
     """
-    from repro.compaction import kernel
+    from repro.compaction.kernel import color_compact_bitset
 
-    chosen = ("bitset" if len(patterns) >= kernel.COLOR_AUTO_THRESHOLD
-              else "reference")
-    incr(f"compaction.backend.{chosen}")
-    if chosen == "bitset":
-        result = kernel.color_compact_bitset(patterns)
-    else:
-        result = _color_reference(patterns)
+    incr("compaction.backend.bitset")
+    result = color_compact_bitset(patterns)
     incr("compaction.color_runs")
     incr("compaction.patterns_merged_away",
          result.original_count - result.compacted_count)

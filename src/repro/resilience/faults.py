@@ -5,7 +5,7 @@ worker hangs past its budget, a cell ships back a garbage payload, a
 cache entry is truncated by a crash mid-write, or the optional C scan
 engine fails to compile on a new host.  The runtime layer has recovery
 seams for all of these (worker reassignment, parent retry, serial
-fallback, cache quarantine, pure-Python scan) — this module makes each
+fallback, cache quarantine, reference greedy) — this module makes each
 failure *reproducible on demand* so those seams can be exercised by
 tests instead of waiting for production to exercise them (the SBFI
 fault-injection methodology, applied to the harness itself).

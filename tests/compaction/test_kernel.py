@@ -1,7 +1,9 @@
-"""Packed-bitset kernel tests: engine equivalence and the encoding itself.
+"""Compaction engine tests: equivalence with the references, and the
+conflict index itself.
 
-The kernel's contract is *bit-identical* results: for any input, both
-algorithms must return exactly the reference implementation's
+The contract is *bit-identical* results: for any input, ``greedy_compact``
+(the C scan when its engine loads) and ``color_compact`` (the bitset
+coloring) must return exactly the reference implementation's
 :class:`CompactionResult` — same merged patterns, same member partition,
 same ordering.  Hypothesis drives the equivalence over adversarial pattern
 sets (symbol clashes and shared-bus-line driver clashes), an edge battery
@@ -11,18 +13,14 @@ equivalence on realistic terminal distributions.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compaction.kernel import (
-    COLOR_AUTO_THRESHOLD,
-    GREEDY_AUTO_THRESHOLD,
-    PackedPatternSet,
-    PatternIndex,
-    color_compact_bitset,
-    greedy_compact_bitset,
-)
+from repro.compaction import _cscan
+from repro.compaction.kernel import PatternIndex, conflict_masks
 from repro.compaction.vertical import (
     _color_reference,
     _greedy_reference,
@@ -36,6 +34,10 @@ from repro.runtime.instrumentation import (
 from repro.sitest.generator import generate_random_patterns
 from repro.sitest.patterns import SIPattern, SYMBOLS
 from repro.soc.benchmarks import load_benchmark
+from tests.conftest import greedy_pruned
+
+needs_cscan = pytest.mark.skipif(not _cscan.available(),
+                                 reason="C scan engine unavailable")
 
 _TERMINALS = [(core_id, index) for core_id in (1, 2, 3) for index in range(4)]
 
@@ -64,13 +66,13 @@ _patterns = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(_patterns)
 def test_greedy_bitset_matches_reference(patterns):
-    assert greedy_compact_bitset(patterns) == _greedy_reference(patterns)
+    assert greedy_compact(patterns) == _greedy_reference(patterns)
 
 
 @settings(max_examples=120, deadline=None)
 @given(_patterns)
 def test_color_bitset_matches_reference(patterns):
-    assert color_compact_bitset(patterns) == _color_reference(patterns)
+    assert color_compact(patterns) == _color_reference(patterns)
 
 
 @pytest.mark.parametrize("soc_name", ["d695", "p93791"])
@@ -78,8 +80,8 @@ def test_color_bitset_matches_reference(patterns):
 def test_backends_agree_on_benchmark_socs(soc_name, seed):
     soc = load_benchmark(soc_name)
     patterns = generate_random_patterns(soc, 1_500, seed=seed)
-    assert greedy_compact_bitset(patterns) == _greedy_reference(patterns)
-    assert color_compact_bitset(patterns) == _color_reference(patterns)
+    assert greedy_compact(patterns) == _greedy_reference(patterns)
+    assert color_compact(patterns) == _color_reference(patterns)
 
 
 # --- edge battery -----------------------------------------------------------
@@ -115,8 +117,8 @@ _EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(_EDGE_CASES))
 def test_edge_cases_match_reference(name):
     patterns = _EDGE_CASES[name]
-    greedy = greedy_compact_bitset(patterns)
-    color = color_compact_bitset(patterns)
+    greedy = greedy_compact(patterns)
+    color = color_compact(patterns)
     assert greedy == _greedy_reference(patterns)
     assert color == _color_reference(patterns)
     assert greedy.original_count == len(patterns)
@@ -125,84 +127,122 @@ def test_edge_cases_match_reference(name):
 
 def test_all_conflicting_patterns_stay_separate():
     patterns = _EDGE_CASES["all_conflicting_symbols"]
-    result = greedy_compact_bitset(patterns)
+    result = greedy_compact(patterns)
     # alternating 0/1 on one terminal → two merged patterns, interleaved
     assert result.compacted_count == 2
     assert result.members == ((0, 2, 4, 6), (1, 3, 5, 7))
 
 
 def test_conflicting_bus_drivers_never_merge():
-    result = greedy_compact_bitset(_EDGE_CASES["all_conflicting_drivers"])
+    result = greedy_compact(_EDGE_CASES["all_conflicting_drivers"])
     assert result.compacted_count == 5
 
 
-# --- packed encoding --------------------------------------------------------
+# --- pinned coloring --------------------------------------------------------
+
+#: ``color_compact`` results recorded from the big-int coloring over the
+#: former planar pattern encoding: merged-pattern count,
+#: ``compaction.bitset.words_compared``, and a digest of the members and
+#: merged patterns.  The conflict masks now come from the pattern index;
+#: they are the same masks, so nothing here may move.
+_PINNED_COLORINGS = {
+    "d695-3000-seed7": (
+        79, 3_082_065,
+        "dc36c9d3bc943456eb25d4d46dae8a999ff9758b79c6ff7b46d60319bd65abdc",
+    ),
+    "p93791-2000-seed7": (
+        68, 1_175_295,
+        "1ea1a7da85e9af13e269c4c6d0e0908cbc19069f05b9b159a367cf0393d929c7",
+    ),
+    "all_conflicting_drivers": (
+        5, 15,
+        "ba35db913379ff3a69fa8654e0ed2632354045b9deb8d5f08bb6c4adcc42a9fb",
+    ),
+}
 
 
-def test_packed_pattern_set_planes():
-    patterns = [
-        SIPattern(cares={(1, 0): "0", (1, 1): "R"}, bus_claims={2: 1}),
-        SIPattern(cares={(1, 0): "1"}, bus_claims={2: 3}),
-        SIPattern(cares={(1, 1): "R"}),
-        SIPattern(cares={(1, 0): "F"}),
-    ]
-    packed = PackedPatternSet.from_patterns(patterns)
-    assert packed.size == 4
-    for index, pattern in enumerate(patterns):
-        for terminal, symbol in pattern.cares.items():
-            assert packed.symbol_mask(terminal, symbol) & packed.bit(index)
-            tid = packed.terminal_ids[terminal]
-            assert packed.care[tid] & packed.bit(index)
-    # (1, 0) carries symbols 0, 1, F -> every pairwise combination clashes
-    mask = packed.symbol_mask((1, 0), "0")
-    assert packed.pattern_indices(mask) == [0]
-    assert packed.symbol_mask((1, 0), "R") == 0
-    assert packed.symbol_mask((9, 9), "R") == 0
-    # line 2 is claimed by cores 1 and 3
-    assert packed.pattern_indices(packed.bus_total[2]) == [0, 1]
-    assert packed.pattern_indices(packed.bus_claim[(2, 1)]) == [0]
+def _pinned_input(name):
+    if name in _EDGE_CASES:
+        return _EDGE_CASES[name]
+    soc_name, count, seed = name.split("-")
+    return generate_random_patterns(load_benchmark(soc_name), int(count),
+                                    seed=int(seed.removeprefix("seed")))
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_COLORINGS))
+def test_color_matches_pinned_result(name):
+    patterns = _pinned_input(name)
+    with use_instrumentation(Instrumentation()) as instrumentation:
+        result = color_compact(patterns)
+    merged = [(tuple(pattern.cares.items()), tuple(pattern.bus_claims.items()))
+              for pattern in result.compacted]
+    digest = hashlib.sha256(repr((result.members, merged)).encode())
+    count, words, expected = _PINNED_COLORINGS[name]
+    assert result.compacted_count == count
+    assert instrumentation.counters["compaction.bitset.words_compared"] == words
+    assert digest.hexdigest() == expected
+
+
+# --- conflict index ---------------------------------------------------------
 
 
 def test_conflict_masks_match_brute_force():
-    patterns = [
-        SIPattern(cares={(1, 0): "0", (2, 1): "R"}, bus_claims={0: 1}),
-        SIPattern(cares={(1, 0): "1"}, bus_claims={0: 2}),
-        SIPattern(cares={(1, 0): "0", (2, 1): "F"}),
-        SIPattern(cares={(2, 1): "R"}, bus_claims={0: 1}),
+    pattern_sets = [
+        [
+            SIPattern(cares={(1, 0): "0", (2, 1): "R"}, bus_claims={0: 1}),
+            SIPattern(cares={(1, 0): "1"}, bus_claims={0: 2}),
+            SIPattern(cares={(1, 0): "0", (2, 1): "F"}),
+            SIPattern(cares={(2, 1): "R"}, bus_claims={0: 1}),
+        ],
+        # (1, 0) carries symbols 0, 1, F; line 2 is claimed by cores 1, 3
+        [
+            SIPattern(cares={(1, 0): "0", (1, 1): "R"}, bus_claims={2: 1}),
+            SIPattern(cares={(1, 0): "1"}, bus_claims={2: 3}),
+            SIPattern(cares={(1, 1): "R"}),
+            SIPattern(cares={(1, 0): "F"}),
+            SIPattern(),
+        ],
     ]
-    packed = PackedPatternSet.from_patterns(patterns)
-    conflicts, bus_conflicts = packed.conflict_masks()
-    for terminal in {(1, 0), (2, 1)}:
-        tid = packed.terminal_ids[terminal]
-        for sid, symbol in enumerate(SYMBOLS):
-            expected = [
-                index
-                for index, pattern in enumerate(patterns)
-                if pattern.cares.get(terminal) not in (None, symbol)
-            ]
-            mask = conflicts.get(tid * 4 + sid)
-            if mask is None:
-                # key absent ⇔ no pattern uses this (terminal, symbol)
-                assert all(
-                    pattern.cares.get(terminal) != symbol
-                    for pattern in patterns
-                )
-            else:
-                assert packed.pattern_indices(mask) == expected
-    for (line, driver), mask in bus_conflicts.items():
-        expected = [
-            index
-            for index, pattern in enumerate(patterns)
+    for patterns in pattern_sets:
+        index = PatternIndex(patterns)
+        # the whole set, and a reordered subset of its rows
+        for rows in (range(len(patterns)), [3, 0, 1]):
+            _check_conflict_masks(index.view(rows))
+
+
+def _check_conflict_masks(view):
+    patterns = list(view)
+    top = len(patterns) - 1
+
+    def decode(mask):
+        return sorted(top - bit for bit in range(top + 1) if mask >> bit & 1)
+
+    care_keys, claim_keys, conflicts, bus_conflicts = conflict_masks(view)
+    terminal_of, claim_of = {}, {}
+    for pattern, cids, bids in zip(patterns, care_keys, claim_keys):
+        assert len(cids) == len(pattern.cares)
+        assert len(bids) == len(pattern.bus_claims)
+        terminal_of.update(zip(cids, pattern.cares.items()))
+        claim_of.update(zip(bids, pattern.bus_claims.items()))
+    assert conflicts.keys() == terminal_of.keys()
+    assert bus_conflicts.keys() == claim_of.keys()
+    for cid, (terminal, symbol) in terminal_of.items():
+        assert decode(conflicts[cid]) == [
+            position for position, pattern in enumerate(patterns)
+            if pattern.cares.get(terminal) not in (None, symbol)
+        ]
+    for bid, (line, driver) in claim_of.items():
+        assert decode(bus_conflicts[bid]) == [
+            position for position, pattern in enumerate(patterns)
             if pattern.bus_claims.get(line) not in (None, driver)
         ]
-        assert packed.pattern_indices(mask) == expected
 
 
 # --- dispatch and instrumentation -------------------------------------------
 
 
 def test_unknown_backend_rejected():
-    # The engine follows the input; there is no selector to pass.
+    # The engine follows the host; there is no selector to pass.
     with pytest.raises(TypeError, match="backend"):
         greedy_compact([], backend="numpy")
     with pytest.raises(TypeError, match="backend"):
@@ -210,115 +250,109 @@ def test_unknown_backend_rejected():
 
 
 def test_auto_backend_selection_counters(monkeypatch):
-    from repro.compaction import _cscan
-
+    # Greedy runs the C scan whenever the engine loads, on a list or an
+    # index view of any size; the reference without it.  Coloring always
+    # runs the bitset kernel.
     small = [SIPattern(cares={(1, 0): "R"})] * 4
-    large = [SIPattern(cares={(1, 0): "R"})] * GREEDY_AUTO_THRESHOLD
-    assert len(small) < COLOR_AUTO_THRESHOLD < GREEDY_AUTO_THRESHOLD
-    instrumentation = Instrumentation()
-    with use_instrumentation(instrumentation):
-        greedy_compact(small)  # reference below the threshold
-        greedy_compact(large)  # bitset at it
-        color_compact(small)
-        color_compact(large[:COLOR_AUTO_THRESHOLD])
-    counters = instrumentation.counters
-    assert counters["compaction.backend.reference"] == 2
-    assert counters["compaction.backend.bitset"] == 2
-    assert counters["compaction.greedy_runs"] == 2
-    assert counters["compaction.color_runs"] == 2
-
-    # An index view is already encoded: bitset at any size with the C
-    # engine, the size rule without it.
-    view = PatternIndex(small).view()
-    for engine, chosen in ((True, "bitset"), (False, "reference")):
+    for engine in (True, False):
         monkeypatch.setattr(_cscan, "available", lambda: engine)
-        with use_instrumentation(Instrumentation()) as instrumentation:
-            greedy_compact(view)
-        assert instrumentation.counters[f"compaction.backend.{chosen}"] == 1
+        instrumentation = Instrumentation()
+        with use_instrumentation(instrumentation):
+            greedy_compact(small)
+            greedy_compact(PatternIndex(small).view())
+            color_compact(small)
+            color_compact(small * 100)
+        counters = instrumentation.counters
+        if engine and _cscan.ENGINE.get() is not None:
+            assert counters["compaction.backend.bitset"] == 4
+            assert counters["compaction.bitset.cscan"] == 2
+            assert "compaction.backend.reference" not in counters
+        else:
+            assert counters["compaction.backend.reference"] == 2
+            assert counters["compaction.backend.bitset"] == 2
+            assert "compaction.bitset.cscan" not in counters
+        assert counters["compaction.greedy_runs"] == 2
+        assert counters["compaction.color_runs"] == 2
 
 
+@needs_cscan
 def test_bitset_kernel_counters():
     soc = load_benchmark("d695")
     patterns = generate_random_patterns(soc, 400, seed=5)
     instrumentation = Instrumentation()
     with use_instrumentation(instrumentation):
-        result = greedy_compact_bitset(patterns)
+        result = greedy_compact(patterns)
     counters = instrumentation.counters
-    # Every candidate the reference would visit is either absorbed or
-    # pruned.  Per cycle the reference visits all still-uncompacted
-    # patterns except the seed (the seed is always the lowest remaining).
-    visits = 0
-    absorbed = 0
-    remaining = len(patterns)
-    for members in result.members:
-        visits += remaining - 1
-        absorbed += len(members) - 1
-        remaining -= len(members)
-    assert counters["compaction.bitset.candidates_pruned"] == visits - absorbed
+    assert counters["compaction.bitset.candidates_pruned"] == greedy_pruned(
+        result.members, len(patterns)
+    )
     assert counters["compaction.bitset.words_compared"] > 0
 
 
-def test_color_counters_on_both_backends():
-    for size, backend in ((6, "reference"),
-                          (COLOR_AUTO_THRESHOLD, "bitset")):
+def test_color_counters_at_any_size():
+    for size in (6, 64):
         patterns = [
             SIPattern(cares={(1, 0): SYMBOLS[i % 2]}) for i in range(size)
         ]
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             result = color_compact(patterns)
-        assert instrumentation.counters[f"compaction.backend.{backend}"] == 1
-        assert instrumentation.counters["compaction.color_runs"] == 1
-        assert instrumentation.counters[
+        counters = instrumentation.counters
+        assert counters["compaction.backend.bitset"] == 1
+        assert "compaction.backend.reference" not in counters
+        assert counters["compaction.color_runs"] == 1
+        assert counters["compaction.bitset.words_compared"] > 0
+        assert counters[
             "compaction.patterns_merged_away"
         ] == len(patterns) - result.compacted_count
 
 
-# --- scan engines (C vs pure Python) ----------------------------------------
+# --- the C scan against the reference ---------------------------------------
 
 
+@needs_cscan
 @settings(max_examples=60, deadline=None)
 @given(_patterns)
-def test_greedy_python_engine_matches_reference(patterns):
-    """The pure-Python fallback scan alone reproduces the reference cycles."""
-    from repro.compaction.kernel import _greedy_scan_python
-
-    member_lists, _pruned, _words = _greedy_scan_python(patterns)
+def test_c_scan_matches_reference(patterns):
+    """The C scan alone reproduces the reference cycles, and prunes every
+    candidate visit the reference makes without absorbing."""
+    member_lists, pruned, _words = _cscan.greedy_scan(patterns)
     reference = _greedy_reference(patterns)
     assert tuple(tuple(m) for m in member_lists) == reference.members
+    assert pruned == greedy_pruned(reference.members, len(patterns))
 
 
 def test_greedy_bitset_without_cscan_matches_reference(monkeypatch):
-    """Kernel output is identical when the C engine reports unavailable."""
-    from repro.compaction import _cscan
-
+    """A scan that gives up (out of memory) hands over to the reference."""
     monkeypatch.setattr(_cscan, "greedy_scan", lambda patterns: None)
     soc = load_benchmark("d695")
     patterns = generate_random_patterns(soc, 600, seed=11)
-    assert greedy_compact_bitset(patterns) == _greedy_reference(patterns)
+    with use_instrumentation(Instrumentation()) as instrumentation:
+        result = greedy_compact(patterns)
+    assert result == _greedy_reference(patterns)
+    assert instrumentation.counters["compaction.backend.reference"] == 1
+    assert "compaction.backend.bitset" not in instrumentation.counters
 
 
+@needs_cscan
 def test_scan_engines_agree():
-    from repro.compaction import _cscan
-    from repro.compaction.kernel import _greedy_scan_python
-
-    if not _cscan.available():
-        pytest.skip("no C compiler on this host")
     soc = load_benchmark("d695")
     patterns = generate_random_patterns(soc, 600, seed=3)
-    member_lists, pruned, _words = _greedy_scan_python(patterns)
+    reference = _greedy_reference(patterns)
     scanned = _cscan.greedy_scan(patterns)
     assert scanned is not None
     c_members, c_pruned, c_words = scanned
-    assert c_members == member_lists
-    assert c_pruned == pruned
+    assert tuple(map(tuple, c_members)) == reference.members
+    assert c_pruned == greedy_pruned(reference.members, len(patterns))
     assert c_words > 0
 
 
 def test_cscan_disabled_by_environment(monkeypatch):
-    from repro.compaction import _cscan
-
     monkeypatch.setattr(_cscan.ENGINE, "handle", None)  # force a fresh probe
     monkeypatch.setenv("REPRO_COMPACTION_CSCAN", "0")
     assert not _cscan.available()
-    assert _cscan.greedy_scan([SIPattern(cares={(1, 0): "R"})]) is None
+    patterns = [SIPattern(cares={(1, 0): "R"})]
+    assert _cscan.greedy_scan(patterns) is None
+    with use_instrumentation(Instrumentation()) as instrumentation:
+        assert greedy_compact(patterns) == _greedy_reference(patterns)
+    assert instrumentation.counters["compaction.backend.reference"] == 1

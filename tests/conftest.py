@@ -61,6 +61,23 @@ def make_core(
     )
 
 
+def greedy_pruned(members, count: int) -> int:
+    """The ``compaction.bitset.candidates_pruned`` a greedy scan must count
+    for merge cycles ``members`` over ``count`` patterns.
+
+    Every candidate the reference visits is either absorbed or pruned.
+    Per cycle the reference visits all still-uncompacted patterns except
+    the seed (the seed is always the lowest remaining).
+    """
+    visits = absorbed = 0
+    remaining = count
+    for cycle in members:
+        visits += remaining - 1
+        absorbed += len(cycle) - 1
+        remaining -= len(cycle)
+    return visits - absorbed
+
+
 @pytest.fixture
 def tiny_soc() -> Soc:
     """Three small cores, convenient for hand-checked arithmetic."""

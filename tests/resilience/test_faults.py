@@ -11,8 +11,8 @@ garbage-result      validator rejects -> retry succeeds
 cache-truncate      corrupt entry quarantined -> recomputed
 cache-bitflip       checksum mismatch quarantined -> recomputed
 codec-mismatch      unsupported version quarantined -> recomputed
-cscan-compile-fail  engine unavailable -> pure-Python scan fallback
-movescan-compile-   engine unavailable -> pure-Python optimizer loop
+cscan-compile-fail  engine unavailable -> reference greedy compaction
+movescan-compile-   engine unavailable -> reference Algorithm 2
 fail
 sweep-abort         checkpoint survives -> --resume (test_checkpoint)
 ==================  ====================================================
@@ -211,17 +211,23 @@ class TestCscanFault:
         self, monkeypatch, t5
     ):
         from repro.compaction import _cscan
-        from repro.compaction.kernel import greedy_compact_bitset
+        from repro.compaction.vertical import _greedy_reference, greedy_compact
         from repro.sitest.generator import generate_random_patterns
 
         patterns = generate_random_patterns(t5, 200, seed=3)
-        baseline = greedy_compact_bitset(patterns)
+        baseline = greedy_compact(patterns)
         monkeypatch.delenv("REPRO_COMPACTION_CSCAN", raising=False)
         monkeypatch.setattr(_cscan.ENGINE, "handle", None)
-        with faults.inject("cscan-compile-fail@0"):
-            faulted = greedy_compact_bitset(patterns)
+        instrumentation = Instrumentation()
+        with use_instrumentation(instrumentation):
+            with faults.inject("cscan-compile-fail@0"):
+                faulted = greedy_compact(patterns)
+        assert faulted == _greedy_reference(patterns)
         assert faulted.members == baseline.members
         assert faulted.compacted == baseline.compacted
+        counters = instrumentation.counters
+        assert counters["compaction.backend.reference"] == 1
+        assert "compaction.backend.bitset" not in counters
 
 
 class TestMovescanFault:
