@@ -37,10 +37,11 @@ it through :class:`~repro.experiments.runner.PlanRunner`, as do
 ``bounds``, ``svg`` and ``whatif`` (optimize's plan).  The eight
 experiment commands (``pareto``, ``scaling``, ``table``, ``volume``,
 ``compare``, ``multisite``, ``sensitivity``, ``stability``) also take
-``--jobs``, ``--cache``, ``--resume`` and ``--verify``, plus
-``--profile`` for the unified JSON run report (``docs/experiments.md``);
-``optimize`` and ``evaluate`` take ``--verify`` for the independent
-schedule post-condition verifier (``docs/resilience.md``).
+``--jobs``, ``--cache`` and ``--resume``, plus ``--profile`` for the
+unified JSON run report (``docs/experiments.md``).  Every plan run
+re-verifies its schedules independently (``docs/resilience.md``); the
+``--verify`` flag those ten commands and ``serve`` still accept is a
+no-op kept for old scripts.
 
 See ``docs/cli.md`` for worked examples of every command.
 """
@@ -111,7 +112,6 @@ def _runtime_arguments(args: argparse.Namespace) -> dict:
         "jobs": args.jobs,
         "cache": args.cache,
         "resume": args.resume,
-        "verify": getattr(args, "verify", False),
         "policy": getattr(args, "policy", None),
         "allow_partial": getattr(args, "allow_partial", False),
     }
@@ -153,17 +153,14 @@ def _knob_values(args: argparse.Namespace, schema: KindSchema) -> dict:
     return {knob.name: getattr(args, knob.name, None) for knob in schema.knobs}
 
 
-def _run_plan(
-    args: argparse.Namespace, kind: str, render, verify: bool | None = None
-) -> int:
+def _run_plan(args: argparse.Namespace, kind: str, render) -> int:
     """Build ``kind``'s plan from the parsed knobs and execute it under
     the uniform runtime flags.
 
     The plan is built inside the instrumentation context (so parent-side
     preparation such as building SI groups is counted), then runs
     through :class:`PlanRunner` with the command's
-    ``--jobs/--cache/--resume/--verify`` settings (``verify``, when
-    given, overrides ``--verify``) and ``render(run)`` prints the
+    ``--jobs/--cache/--resume`` settings and ``render(run)`` prints the
     command's output.  ``--profile`` then emits the unified run report
     (:func:`repro.experiments.reporting.experiment_report`), whose
     ``arguments`` are the SOC, the kind's knobs and the runtime flags.
@@ -192,8 +189,6 @@ def _run_plan(
             jobs=getattr(args, "jobs", 1),
             cache=cache,
             checkpoint=checkpoint,
-            verify=getattr(args, "verify", False) if verify is None
-            else verify,
             policy=_make_policy(args),
         )
         run = runner.run(plan)
@@ -268,32 +263,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return _run_plan(args, "table", _render_table(args))
 
 
-def _run_single(args: argparse.Namespace, kind: str, render) -> int:
-    """Run ``optimize``'s or ``evaluate``'s plan: ``render`` the report,
-    then the ``--verify`` verdict under it — ``passed``, or each
-    violation on stderr and exit 1."""
-    from repro.experiments.plan import plan_kind
-    from repro.runtime.status import EXIT_FAILED
-
-    def verified(run):
-        render(run)
-        if not args.verify:
-            return None
-        violations = plan_kind(kind).verify(
-            dict(run.plan.params), dict(run.results)
-        )
-        print()
-        if violations:
-            print("schedule verification FAILED:", file=sys.stderr)
-            for violation in violations:
-                print(f"  - {violation}", file=sys.stderr)
-            return EXIT_FAILED
-        print("schedule verification passed")
-        return None
-
-    return _run_plan(args, kind, verified, verify=False)
-
-
 def _cmd_optimize(args: argparse.Namespace) -> int:
     shared = _plan_renderer("optimize")
 
@@ -315,11 +284,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             save_architecture(result.architecture, args.save_arch)
             print(f"\narchitecture written to {args.save_arch}")
 
-    return _run_single(args, "optimize", render)
-
-
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    return _run_single(args, "evaluate", _plan_renderer("evaluate"))
+    return _run_plan(args, "optimize", render)
 
 
 def _add_soc_and_knobs(
@@ -343,16 +308,16 @@ def _add_soc_and_knobs(
 def _add_verify_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verify", action="store_true",
-        help="independently re-verify the produced schedule (width "
-        "budget, full core/group coverage, no rail overlap, recomputed "
-        "T_soc) and fail on any violation",
+        help="accepted for old scripts and ignored: every run "
+        "re-verifies its schedules (width budget, full core/group "
+        "coverage, no rail overlap, recomputed T_soc)",
     )
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     """The uniform plan-runner flags every experiment command accepts:
-    ``--jobs``, ``--cache``, ``--resume``, ``--verify`` — plus
-    ``--profile`` for the unified run report."""
+    ``--jobs``, ``--cache``, ``--resume`` (and the no-op ``--verify``) —
+    plus ``--profile`` for the unified run report."""
     from repro.runtime.cache import DEFAULT_STORE_DIR
 
     parser.add_argument(
@@ -573,7 +538,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache,
             queue_limit=args.queue_limit,
             policy=args.policy,
-            verify=args.verify,
         )
     )
     service.start()
@@ -730,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The ten plan kinds, generated from the knob schema.  The eight
     # sweeps take the uniform runner flags; the single-shot optimize and
-    # evaluate take only --verify.
+    # evaluate take only the no-op --verify.
     for kind, schema in SCHEMA.items():
         command = sub.add_parser(kind, help=schema.help)
         _add_soc_and_knobs(command, schema)
@@ -754,7 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-arch", help="write the architecture to this JSON file"
     )
     optimize.set_defaults(func=_cmd_optimize)
-    sub.choices["evaluate"].set_defaults(func=_cmd_evaluate)
 
     # bounds, svg and whatif run optimize's plan with its knobs.
     for name, func, help_text in (
@@ -826,11 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run supervision policy applied to every job "
         "(same SPEC as the experiment commands)",
     )
-    serve.add_argument(
-        "--verify", action="store_true",
-        help="independently verify every job's results before "
-        "reporting it ok",
-    )
+    _add_verify_flag(serve)
     serve.set_defaults(func=_cmd_serve)
 
     submit = sub.add_parser(

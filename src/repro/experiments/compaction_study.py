@@ -219,7 +219,6 @@ def measure_compaction(
     group_counts: tuple[int, ...] = (1, 2, 4, 8),
     seed: int = 0,
     jobs: int = 1,
-    verify: bool = False,
 ) -> tuple[CompactionVolume, ...]:
     """Measure data volume across grouping choices.
 
@@ -229,10 +228,7 @@ def measure_compaction(
     Raises:
         ValueError: If ``group_counts`` is empty.
     """
-    runner = PlanRunner(
-        jobs=jobs, verify=verify
-    )
-    run = runner.run(
+    run = PlanRunner(jobs=jobs).run(
         ExperimentPlan(
             "volume",
             {

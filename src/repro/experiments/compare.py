@@ -287,7 +287,6 @@ def compare_optimizers(
     jobs: int = 1,
     cache: EvaluationCache | None = None,
     checkpoint=None,
-    verify: bool = False,
 ) -> Comparison:
     """Run every applicable optimizer on the instance.
 
@@ -304,14 +303,11 @@ def compare_optimizers(
             contender's result including its recorded runtime.
         checkpoint: Optional
             :class:`~repro.resilience.checkpoint.SweepCheckpoint`.
-        verify: Independently check every contender against the lower
-            bound and raise on a violation.
     """
     runner = PlanRunner(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        verify=verify,
     )
     run = runner.run(
         compare_plan(

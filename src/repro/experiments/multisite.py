@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compaction.groups import SITestGroup
-from repro.core.optimizer import optimize_tam
 from repro.experiments.plan import (
     CellSpec,
     ExperimentPlan,
@@ -29,6 +28,7 @@ from repro.experiments.plan import (
     register_plan_kind,
 )
 from repro.experiments.runner import PlanRunner
+from repro.experiments.table_runner import _optimize_cell_fn
 from repro.runtime.cache import EvaluationCache, optimize_cache_key
 from repro.soc.model import Soc
 
@@ -64,11 +64,6 @@ class MultisiteStudy:
         return max(self.points, key=lambda point: point.throughput)
 
 
-def _multisite_cell_fn(soc, width, groups):
-    """Plan cell: optimize one per-site width."""
-    return optimize_tam(soc, width, groups=groups)
-
-
 def _multisite_params(params: dict) -> tuple:
     soc = params["soc"]
     channels = params["channels"]
@@ -102,7 +97,7 @@ class MultisitePlan(PlanKind):
             CellSpec(
                 cell_id=f"optimize/{sites}",
                 kind="optimize",
-                fn=_multisite_cell_fn,
+                fn=_optimize_cell_fn,
                 args=(soc, channels // sites, groups),
                 cache_key=optimize_cache_key(soc, channels // sites, groups),
             )
@@ -122,26 +117,6 @@ class MultisitePlan(PlanKind):
         return MultisiteStudy(
             soc_name=soc.name, channels=channels, points=points
         )
-
-    def verify(self, params: dict, results: dict) -> list[str]:
-        """Re-verify every per-site schedule — cache hits included."""
-        from repro.resilience.verify import verify_optimization
-        from repro.runtime.instrumentation import incr
-
-        soc, channels, groups, site_counts = _multisite_params(params)
-        violations = []
-        for sites in site_counts:
-            found = verify_optimization(
-                soc, results[f"optimize/{sites}"], groups
-            )
-            incr("verify.schedules_checked")
-            if found:
-                incr("verify.schedules_failed")
-                violations.extend(
-                    f"sites={sites} W={channels // sites}: {v}"
-                    for v in found
-                )
-        return violations
 
 
 register_plan_kind(MultisitePlan)
@@ -175,7 +150,6 @@ def run_multisite_study(
     jobs: int = 1,
     cache: EvaluationCache | None = None,
     checkpoint=None,
-    verify: bool = False,
 ) -> MultisiteStudy:
     """Sweep site counts that divide the channel budget.
 
@@ -191,7 +165,6 @@ def run_multisite_study(
             results at the same width).
         checkpoint: Optional
             :class:`~repro.resilience.checkpoint.SweepCheckpoint`.
-        verify: Independently re-verify every per-site schedule.
 
     Raises:
         ValueError: On a non-positive channel budget or a site count that
@@ -201,7 +174,6 @@ def run_multisite_study(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        verify=verify,
     )
     run = runner.run(
         multisite_plan(soc, channels, groups=groups, site_counts=site_counts)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compaction.groups import SITestGroup
-from repro.core.optimizer import optimize_tam
 from repro.experiments.plan import (
     CellSpec,
     ExperimentPlan,
@@ -28,6 +27,7 @@ from repro.experiments.plan import (
     register_plan_kind,
 )
 from repro.experiments.runner import PlanRunner
+from repro.experiments.table_runner import _optimize_cell_fn
 from repro.runtime.cache import EvaluationCache, optimize_cache_key
 from repro.soc.model import Soc
 
@@ -92,13 +92,6 @@ class ParetoCurve:
         return tuple(dominated)
 
 
-def _pareto_cell_fn(soc, w_max, groups, capture_cycles):
-    """Plan cell: one budget of the trade-off curve."""
-    return optimize_tam(
-        soc, w_max, groups=groups, capture_cycles=capture_cycles
-    )
-
-
 def _pareto_params(params: dict) -> tuple:
     soc = params["soc"]
     widths = tuple(params["widths"])
@@ -122,7 +115,7 @@ class ParetoPlan(PlanKind):
             CellSpec(
                 cell_id=f"optimize/{w_max}",
                 kind="optimize",
-                fn=_pareto_cell_fn,
+                fn=_optimize_cell_fn,
                 args=(soc, w_max, groups, capture_cycles),
                 cache_key=optimize_cache_key(
                     soc, w_max, groups, capture_cycles
@@ -145,23 +138,6 @@ class ParetoPlan(PlanKind):
                 )
             )
         return ParetoCurve(soc_name=soc.name, points=tuple(points))
-
-    def verify(self, params: dict, results: dict) -> list[str]:
-        """Re-verify every swept schedule — cache hits included."""
-        from repro.resilience.verify import verify_optimization
-        from repro.runtime.instrumentation import incr
-
-        soc, widths, groups, _cycles = _pareto_params(params)
-        violations = []
-        for w_max in widths:
-            found = verify_optimization(
-                soc, results[f"optimize/{w_max}"], groups
-            )
-            incr("verify.schedules_checked")
-            if found:
-                incr("verify.schedules_failed")
-                violations.extend(f"W_max={w_max}: {v}" for v in found)
-        return violations
 
 
 register_plan_kind(ParetoPlan)
@@ -193,14 +169,12 @@ def sweep_widths(
     jobs: int = 1,
     cache: EvaluationCache | None = None,
     checkpoint=None,
-    verify: bool = False,
 ) -> ParetoCurve:
     """Optimize the SOC at each budget and collect the trade-off curve.
 
     Budgets are independent, so ``jobs > 1`` fans them out over worker
     processes; the curve is identical to a serial sweep.  ``cache`` and
-    ``checkpoint`` memoize and resume individual curve points; ``verify``
-    independently re-checks every swept schedule.
+    ``checkpoint`` memoize and resume individual curve points.
 
     Raises:
         ValueError: If ``widths`` is empty or not strictly increasing.
@@ -209,7 +183,6 @@ def sweep_widths(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        verify=verify,
     )
     run = runner.run(
         pareto_plan(soc, widths, groups=groups, capture_cycles=capture_cycles)

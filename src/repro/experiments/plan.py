@@ -362,8 +362,11 @@ class PlanKind:
     """One experiment family: how a plan expands and assembles.
 
     Subclasses set :attr:`name`, implement :meth:`expand` and
-    :meth:`assemble`, and may override :meth:`verify` to re-check
-    results independently (the ``--verify`` contract).
+    :meth:`assemble`, and may override :meth:`verify` with checks of
+    their own.  The runner calls it on every complete run, after it has
+    re-verified the schedule of every ``optimize`` cell itself — so the
+    hook is for the other post-conditions (bounds, accounting, the
+    schedule of a fixed architecture).
     """
 
     name: str = ""

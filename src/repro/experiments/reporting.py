@@ -8,8 +8,8 @@ unified JSON run report every plan-driven experiment emits.
 experiment, with the executed plan's fingerprint, backend, and cell
 accounting under the ``plan`` key.  Argument key names follow the CLI
 flag names (``soc``, ``patterns``, ``widths``, ``parts``, ``seed``,
-``jobs``, ``cache``, ``resume``, ``verify``) so
-reports from different experiments diff cleanly.
+``jobs``, ``cache``, ``resume``) so reports from different experiments
+diff cleanly.
 """
 
 from __future__ import annotations

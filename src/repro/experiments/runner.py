@@ -6,8 +6,8 @@ and drives its cell graph to completion through the existing runtime —
 persistent work-stealing worker pool when ``jobs > 1``), the keyed
 :class:`~repro.runtime.cache.EvaluationCache`, and
 :class:`~repro.resilience.checkpoint.SweepCheckpoint` resume — so every
-experiment gets ``--jobs/--cache/--resume/--verify`` uniformly, with
-counter totals identical to a serial run.
+experiment gets ``--jobs/--cache/--resume`` uniformly, with counter
+totals identical to a serial run.
 
 The execution model is a deterministic wave loop over the cell graph:
 
@@ -30,8 +30,12 @@ The execution model is a deterministic wave loop over the cell graph:
    absorb worker snapshots, cache and checkpoint the results, and loop.
 
 When the loop drains, still-unresolved cells are *pruned* (never
-needed), the kind's ``verify`` hook re-checks results independently when
-requested, and the kind's pure ``assemble`` builds the report object.
+needed).  Every run then re-checks its schedules independently: each
+``optimize`` cell's result — fresh, cached or replayed — goes through
+:func:`~repro.resilience.verify.verify_optimization`, and the kind's
+``verify`` hook adds its own post-conditions; any violation raises
+:class:`~repro.resilience.verify.ScheduleVerificationError` before the
+kind's pure ``assemble`` builds the report object.
 
 Heavy inputs travel as :class:`~repro.runtime.pool.PatternsRef`
 references; the cell resolves them through the warm per-process state
@@ -146,8 +150,6 @@ class PlanRunner:
             :class:`~repro.resilience.checkpoint.SweepCheckpoint`; cells
             found in it are replayed, every completed cell (cache hits
             included) is recorded.
-        verify: Run the plan kind's independent verification over the
-            results and raise on any violation.
         timeout: Optional per-cell budget in seconds (overrides the
             policy's ``cell_timeout`` when both are set).
         policy: Optional :class:`~repro.runtime.supervision.RunPolicy`
@@ -166,7 +168,6 @@ class PlanRunner:
         jobs: int = 1,
         cache: EvaluationCache | None = None,
         checkpoint=None,
-        verify: bool = False,
         timeout: float | None = None,
         policy: RunPolicy | None = None,
         pool: WorkerPool | None = None,
@@ -174,7 +175,6 @@ class PlanRunner:
         self.jobs = jobs
         self.cache = cache
         self.checkpoint = checkpoint
-        self.verify = verify
         self.timeout = timeout
         self.policy = policy if policy is not None else RunPolicy()
         self.pool = pool
@@ -267,12 +267,12 @@ class PlanRunner:
 
         kind = plan_kind(plan.name)
         params = dict(plan.params)
-        if self.verify:
-            violations = kind.verify(params, dict(run.results))
-            if violations:
-                from repro.resilience.verify import ScheduleVerificationError
+        violations = _verify_schedules(cells, run.results)
+        violations += kind.verify(params, dict(run.results))
+        if violations:
+            from repro.resilience.verify import ScheduleVerificationError
 
-                raise ScheduleVerificationError(list(violations))
+            raise ScheduleVerificationError(violations)
         run.report = kind.assemble(params, dict(run.results))
         if self.cache is not None:
             run.cache_stats = self.cache.stats()
@@ -536,6 +536,35 @@ class PlanRunner:
                 if self.cache is not None:
                     self.cache.put(key, value)
                 self._record(key, value)
+
+
+def _verify_schedules(cells, results) -> list[str]:
+    """Re-check the schedule of every ``optimize`` cell in ``results``
+    (pruned cells are absent and skipped), each violation prefixed with
+    its cell id.
+
+    Every optimize cell takes ``(soc, w_max, groups[, capture_cycles])``
+    — the arguments :func:`~repro.resilience.verify.verify_optimization`
+    needs besides the result.  The call goes through the module so
+    tracers and tests that patch it see every check.
+    """
+    from repro.resilience import verify
+
+    violations: list[str] = []
+    for cell in cells:
+        if cell.kind != "optimize" or cell.cell_id not in results:
+            continue
+        soc, _w_max, groups, *capture_cycles = _resolve_args(
+            cell.args, results
+        )
+        found = verify.verify_optimization(
+            soc, results[cell.cell_id], groups, *capture_cycles
+        )
+        incr("verify.schedules_checked")
+        if found:
+            incr("verify.schedules_failed")
+            violations.extend(f"{cell.cell_id}: {v}" for v in found)
+    return violations
 
 
 def _resolve_args(value, results):

@@ -160,7 +160,6 @@ def run_scaling_study(
     jobs: int = 1,
     cache: EvaluationCache | None = None,
     checkpoint=None,
-    verify: bool = False,
 ) -> tuple[ScalingPoint, ...]:
     """Run the pipeline at each SOC size and collect the scaling points.
 
@@ -176,7 +175,6 @@ def run_scaling_study(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        verify=verify,
     )
     run = runner.run(
         scaling_plan(

@@ -160,27 +160,6 @@ class SensitivityPlan(PlanKind):
             for index, (label, config) in enumerate(variants)
         )
 
-    def verify(self, params: dict, results: dict) -> list[str]:
-        """Re-verify every variant's optimized schedule."""
-        from repro.resilience.verify import verify_optimization
-        from repro.runtime.instrumentation import incr
-
-        soc, _count, _w_max, _parts, _seed, variants = _sensitivity_params(
-            params
-        )
-        violations = []
-        for index, (label, _config) in enumerate(variants):
-            found = verify_optimization(
-                soc,
-                results[f"optimize/{index}"],
-                results[f"grouping/{index}"].groups,
-            )
-            incr("verify.schedules_checked")
-            if found:
-                incr("verify.schedules_failed")
-                violations.extend(f"{label}: {v}" for v in found)
-        return violations
-
 
 register_plan_kind(SensitivityPlan)
 
@@ -221,15 +200,13 @@ def run_sensitivity_study(
     jobs: int = 1,
     cache: EvaluationCache | None = None,
     checkpoint=None,
-    verify: bool = False,
 ) -> tuple[SensitivityPoint, ...]:
     """Run the pipeline once per generator variant.
 
     Variants are independent, so ``jobs > 1`` fans their cells out over
     worker processes; ``cache``/``checkpoint`` memoize and resume at cell
     granularity (a killed run replays finished groupings and optimizer
-    cells instead of recomputing them); ``verify`` independently
-    re-checks every variant's schedule.
+    cells instead of recomputing them).
 
     Raises:
         ValueError: On non-positive parameters.
@@ -238,7 +215,6 @@ def run_sensitivity_study(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        verify=verify,
     )
     run = runner.run(
         sensitivity_plan(

@@ -37,6 +37,7 @@ from repro.experiments.plan import (
 from repro.experiments.table_runner import (
     _grouping_cell_fn,
     _optimize_cell_fn,
+    _optimize_key,
 )
 from repro.runtime.cache import (
     grouping_cache_key,
@@ -117,14 +118,6 @@ def _grouping_cells(soc, pattern_count, parts, seed, config):
     )
 
 
-def _optimize_key(soc, w_max):
-    def key(values):
-        (grouping,) = values
-        return optimize_cache_key(soc, w_max, grouping.groups)
-
-    return key
-
-
 class OptimizePlan(PlanKind):
     """One ``TAM_Optimization`` run as a submittable plan."""
 
@@ -166,22 +159,6 @@ class OptimizePlan(PlanKind):
         return OptimizeReport(
             soc=soc, result=results["optimize"], groups=tuple(groups)
         )
-
-    def verify(self, params: dict, results: dict) -> list[str]:
-        from repro.resilience.verify import verify_optimization
-        from repro.runtime.instrumentation import incr
-
-        soc, pattern_count, *_ = _single_params(params)
-        groups = (
-            results["grouping"].groups if pattern_count > 0 else ()
-        )
-        violations = verify_optimization(
-            soc, results["optimize"], tuple(groups)
-        )
-        incr("verify.schedules_checked")
-        if violations:
-            incr("verify.schedules_failed")
-        return list(violations)
 
 
 class EvaluatePlan(PlanKind):

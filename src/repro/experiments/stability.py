@@ -154,21 +154,6 @@ class StabilityPlan(PlanKind):
             t_min=StabilityRow("T_min (cc)", tuple(t_min)),
         )
 
-    def verify(self, params: dict, results: dict) -> list[str]:
-        """Delegate to the table kind's schedule verification per seed."""
-        table = plan_kind("table")
-        _soc, _count, _w_max, seeds, *_rest = _stability_params(params)
-        violations = []
-        for seed in seeds:
-            violations.extend(
-                f"seed={seed}: {v}"
-                for v in table.verify(
-                    _table_params_for_seed(params, seed),
-                    subset(f"seed/{seed}", results),
-                )
-            )
-        return violations
-
 
 register_plan_kind(StabilityPlan)
 
@@ -205,7 +190,6 @@ def run_stability_study(
     jobs: int = 1,
     cache: EvaluationCache | None = None,
     checkpoint=None,
-    verify: bool = False,
 ) -> StabilityReport:
     """Rerun one table cell across ``seeds`` and collect the spreads.
 
@@ -221,7 +205,6 @@ def run_stability_study(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        verify=verify,
     )
     run = runner.run(
         stability_plan(

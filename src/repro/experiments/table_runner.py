@@ -67,7 +67,6 @@ from repro.runtime.cache import (
     optimize_cache_key,
     patterns_cache_key,
 )
-from repro.runtime.instrumentation import incr
 from repro.runtime.pool import PatternsRef, resolve_pattern_index
 from repro.sitest.generator import GeneratorConfig
 from repro.soc.model import Soc
@@ -141,10 +140,14 @@ def _grouping_cell_fn(soc, patterns, parts, seed) -> GroupingResult:
     return grouping_from_dict(grouping_to_dict(grouping))
 
 
-def _optimize_cell_fn(soc, w_max, groups):
+def _optimize_cell_fn(soc, w_max, groups, capture_cycles=1):
     """Plan cell: one ``TAM_Optimization`` run (one width, one grouping;
-    an empty group tuple is the TR-Architect baseline)."""
-    return optimize_tam(soc, w_max, groups=groups)
+    an empty group tuple is the TR-Architect baseline).  Every plan's
+    ``optimize`` cells use it, so the runner's schedule check reads one
+    argument layout."""
+    return optimize_tam(
+        soc, w_max, groups=groups, capture_cycles=capture_cycles
+    )
 
 
 def _baseline_cell_fn(soc, baseline, groups_of_counts) -> dict:
@@ -305,44 +308,6 @@ class TablePlan(PlanKind):
             )
         return result
 
-    def verify(self, params: dict, results: dict) -> list[str]:
-        """Independently re-verify every optimized schedule present in the
-        results — cache and checkpoint hits included (the pruned
-        SI-oblivious cells are absent by design)."""
-        from repro.resilience.verify import (
-            ScheduleVerificationError,
-            verify_optimization,
-        )
-
-        (soc, _count, widths, group_counts, _seed,
-         _config) = _table_params(params)
-        optimized_of: dict[tuple[int, int | None], object] = {}
-        for w_max in widths:
-            for parts in (None, *group_counts):
-                cell_id = (
-                    f"optimize/{w_max}/base"
-                    if parts is None
-                    else f"optimize/{w_max}/{parts}"
-                )
-                if cell_id in results:
-                    optimized_of[(w_max, parts)] = results[cell_id]
-        for (w_max, parts), optimized in sorted(
-            optimized_of.items(), key=lambda item: (item[0][0], repr(item[0][1]))
-        ):
-            groups = (
-                ()
-                if parts is None
-                else results[f"grouping/{parts}"].groups
-            )
-            violations = verify_optimization(soc, optimized, groups)
-            incr("verify.schedules_checked")
-            if violations:
-                incr("verify.schedules_failed")
-                raise ScheduleVerificationError(
-                    [f"W_max={w_max} i={parts}: {v}" for v in violations]
-                )
-        return []
-
 
 register_plan_kind(TablePlan)
 
@@ -380,7 +345,6 @@ def run_table_experiment(
     jobs: int = 1,
     cache: EvaluationCache | None = None,
     checkpoint=None,
-    verify: bool = False,
 ) -> TableResult:
     """Run the full Table 2/3 experiment for one SOC and one ``N_r``.
 
@@ -402,15 +366,11 @@ def run_table_experiment(
             found in it are replayed instead of recomputed (resume after
             a crash); every completed cell — including cache hits — is
             recorded, so the checkpoint alone can resume the sweep.
-        verify: Independently re-verify every optimized schedule
-            (:func:`repro.resilience.verify.verify_schedule`) — cache and
-            checkpoint hits included — and raise on any violation.
     """
     runner = PlanRunner(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        verify=verify,
     )
     run = runner.run(
         table_plan(

@@ -22,9 +22,9 @@ memoized state — and reports all violations:
 
 ``verify_schedule`` returns the violations as strings (empty = valid);
 :func:`assert_valid_schedule` raises :class:`ScheduleVerificationError`
-listing them.  The experiment harness runs it under ``--verify`` and the
-test suite runs it on every benchmark SOC across the paper's width
-sweep.
+listing them.  The plan runner runs it on every optimized schedule of
+every experiment run, and the test suite runs it on every benchmark SOC
+across the paper's width sweep.
 """
 
 from __future__ import annotations

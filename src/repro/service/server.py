@@ -87,7 +87,6 @@ class ServiceConfig:
         retry_after: The ``Retry-After`` hint on a 429.
         policy: ``RunPolicy.parse`` spec applied to every job, or
             ``None`` for the default policy.
-        verify: Independently re-verify every job's results.
         poll_interval: Event-stream heartbeat period in seconds.
     """
 
@@ -99,7 +98,6 @@ class ServiceConfig:
     queue_limit: int = 256
     retry_after: float = 1.0
     policy: str | None = None
-    verify: bool = False
     poll_interval: float = 0.2
 
 
@@ -257,7 +255,6 @@ class OptimizationService:
                     jobs=self.config.jobs,
                     cache=self.cache,
                     checkpoint=checkpoint,
-                    verify=self.config.verify,
                     policy=self.policy,
                     pool=self._shared_pool(),
                 )

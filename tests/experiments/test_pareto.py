@@ -79,3 +79,25 @@ class TestSweep:
         text = format_curve(curve)
         assert "<- knee" in text
         assert len(text.splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("capture_cycles", [2, 3])
+    def test_verifies_multi_cycle_capture(self, d695, capture_cycles):
+        """The always-on schedule check prices SI tests with the sweep's
+        own ``capture_cycles``, so a multi-cycle sweep verifies clean."""
+        from repro.compaction.horizontal import build_si_test_groups
+        from repro.runtime.instrumentation import (
+            Instrumentation,
+            use_instrumentation,
+        )
+        from repro.sitest.generator import generate_random_patterns
+
+        groups = build_si_test_groups(
+            d695, generate_random_patterns(d695, 500, seed=1), 2, seed=1
+        ).groups
+        instrumentation = Instrumentation()
+        with use_instrumentation(instrumentation):
+            sweep_widths(
+                d695, (8, 16), groups=groups, capture_cycles=capture_cycles
+            )
+        assert instrumentation.counters["verify.schedules_checked"] == 2
+        assert "verify.schedules_failed" not in instrumentation.counters

@@ -377,42 +377,100 @@ class TestCacheMaintenance:
 
 
 class TestVerifyFlag:
-    def test_optimize_verify_passes(self, capsys):
-        assert main(
-            ["optimize", "t5", "--wmax", "8", "--patterns", "200",
-             "--parts", "2", "--verify"]
-        ) == 0
-        assert "schedule verification passed" in capsys.readouterr().out
+    """Every plan run verifies its schedules; ``--verify`` is accepted
+    and changes nothing."""
 
-    @pytest.mark.parametrize("command", ["optimize", "evaluate"])
-    def test_failed_verify_prints_the_report_then_the_violations(
-        self, capsys, monkeypatch, tmp_path, command
-    ):
-        import repro.resilience.verify as verify
-
+    @pytest.fixture
+    def saved_arch(self, tmp_path, capsys):
         arch = tmp_path / "arch.json"
         assert main(
             ["optimize", "t5", "--wmax", "8", "--save-arch", str(arch)]
         ) == 0
         capsys.readouterr()
+        return arch
+
+    @staticmethod
+    def _argv(command, arch):
+        return {
+            "optimize": ["optimize", "t5", "--wmax", "8", "--patterns",
+                         "200", "--parts", "2"],
+            "evaluate": ["evaluate", "t5", "--arch", str(arch)],
+            "table": ["table", "t5", "--patterns", "200", "--widths", "8",
+                      "--parts", "1"],
+        }[command]
+
+    @staticmethod
+    def _recording_instrumentation(monkeypatch) -> list:
+        """Record every :class:`Instrumentation` created; the first is
+        the command's own."""
+        import repro.runtime.instrumentation as instrumentation
+
+        created = []
+
+        class Recording(instrumentation.Instrumentation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(instrumentation, "Instrumentation", Recording)
+        return created
+
+    @pytest.mark.parametrize("command", ["optimize", "evaluate", "table"])
+    def test_verifies_without_the_flag(
+        self, capsys, monkeypatch, saved_arch, command
+    ):
+        created = self._recording_instrumentation(monkeypatch)
+        assert main(self._argv(command, saved_arch)) == 0
+        counters = created[0].counters
+        assert counters["verify.schedules_checked"] >= 1
+        assert "verify.schedules_failed" not in counters
+
+    def test_optimize_verify_passes(self, capsys):
+        assert main(
+            ["optimize", "t5", "--wmax", "8", "--patterns", "200",
+             "--parts", "2", "--verify"]
+        ) == 0
+        assert "verification" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["optimize", "evaluate", "table"])
+    def test_forced_violation_fails_with_one_line(
+        self, capsys, monkeypatch, saved_arch, command
+    ):
+        import repro.resilience.verify as verify
+
         monkeypatch.setattr(
             verify, "verify_schedule", lambda *a, **k: ["forced violation"]
         )
-        argv = (
-            ["optimize", "t5", "--wmax", "8"] if command == "optimize"
-            else ["evaluate", "t5", "--arch", str(arch)]
-        )
-        assert main([*argv, "--verify"]) == 1
+        assert main(self._argv(command, saved_arch)) == 1
         captured = capsys.readouterr()
-        assert captured.out.startswith("T_total = ")
-        assert captured.out.endswith("\n\n")
-        assert "verification passed" not in captured.out
-        assert captured.err == (
-            "schedule verification FAILED:\n  - forced violation\n"
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: schedule verification failed: "
         )
+        assert "forced violation" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["optimize", "evaluate", "table"])
+    def test_flag_leaves_stdout_unchanged(self, capsys, saved_arch, command):
+        def stdout(argv):
+            assert main(argv) == 0
+            return [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("(elapsed")
+            ]
+
+        argv = self._argv(command, saved_arch)
+        assert stdout([*argv, "--verify"]) == stdout(argv)
 
     def test_table_verify_passes(self, capsys, tmp_path):
         assert main(
             ["table", "t5", "--patterns", "200", "--widths", "8",
              "--parts", "1", "--verify"]
         ) == 0
+
+    def test_serve_still_parses_the_flag(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["serve", "--verify"])
+        assert args.verify is True

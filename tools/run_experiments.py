@@ -14,15 +14,15 @@ a warm rerun shows up there as ``cache.hits > 0``.
 
 ``--resume`` additionally checkpoints every completed cell atomically to
 ``<out>/checkpoint.json`` and replays recorded cells after a crash —
-resumed results are bit-identical to an uninterrupted run.  ``--verify``
-independently re-verifies every optimized schedule (see
+resumed results are bit-identical to an uninterrupted run.  Every
+optimized schedule is independently re-verified, fresh or replayed (see
 ``docs/resilience.md``).
 
 Usage::
 
     python tools/run_experiments.py                       # the full run
     python tools/run_experiments.py --soc d695 --jobs 4   # quick check
-    python tools/run_experiments.py --resume --verify     # hardened run
+    python tools/run_experiments.py --resume              # crash-safe run
 """
 
 from __future__ import annotations
@@ -106,12 +106,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help="checkpoint file (default: <out>/checkpoint.json; written "
              "whenever --resume is given)",
     )
-    parser.add_argument(
-        "--verify", action="store_true",
-        help="independently re-verify every optimized schedule "
-             "(width budget, full coverage, no rail overlap, recomputed "
-             "T_soc) and abort on any violation",
-    )
     return parser.parse_args(argv)
 
 
@@ -151,7 +145,6 @@ def main(argv: list[str] | None = None) -> int:
                     jobs=args.jobs,
                     cache=cache,
                     checkpoint=checkpoint,
-                    verify=args.verify,
                 )
                 prefix = TABLE_OF.get(soc_name, "table")
                 stem = f"{prefix}_{soc_name}_nr{pattern_count}"
@@ -175,7 +168,6 @@ def main(argv: list[str] | None = None) -> int:
             "checkpoint": (
                 str(checkpoint.path) if checkpoint is not None else None
             ),
-            "verify": args.verify,
         },
         wall_seconds=time.perf_counter() - start,
         instrumentation=instrumentation,
