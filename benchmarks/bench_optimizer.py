@@ -51,13 +51,15 @@ def bench_evaluator_throughput(benchmark, p93791):
 
 
 def bench_wrapper_design_sweep(benchmark, p93791):
-    """Balanced wrapper construction across all cores and widths 1..64."""
+    """The InTest time table across all cores and widths 1..64: one native
+    row per core, or balanced wrapper construction without the engine."""
 
-    from repro.wrapper.timing import core_test_time
+    from repro.wrapper import timing
 
     def sweep():
         design_wrapper.cache_clear()
-        core_test_time.cache_clear()
+        timing._native_row.cache_clear()
+        timing.core_test_time.cache_clear()
         core_time_table.cache_clear()
         total = 0
         for core in p93791:

@@ -62,12 +62,52 @@ _SOURCE = r"""
  * merge, then candidates are absorbed in ascending index order; whenever
  * the merge acquires a care (terminal, symbol) or bus claim it has not
  * seen this cycle, that key's conflict mask is cleared out of the
- * eligible set.  Conflict masks are derived in place from the occupancy
- * masks: conflict = (OR of the terminal's symbol slices) & ~own slice.
+ * eligible set.  A key's conflict mask is the union of its terminal's (or
+ * line's) other symbol slices: conflict = (OR of the slices) & ~own slice.
  *
- * Masks are sparse, so build passes skip zero words: untouched words
- * stay on the OS zero page and the scan reads them at cache speed.
+ * Care conflict masks are sparse (most words are zero), so each is a list
+ * of (word, bits) entries in ascending word order, built from the rows'
+ * CSR: per care id and per terminal, the occupied words as the rows come
+ * in, then per care id its terminal's entries minus its own bits.  A mask
+ * is applied from the first entry at or after the current word (binary
+ * search).  Bus masks are dense (most words are nonzero) and stay W-word
+ * rows.  words_compared counts care entries plus bus words applied.
  */
+
+/* Append bit `bit` of word w to the ascending entry list at off[k] of
+ * length len[k]: OR into its last entry when that is word w. */
+static inline void entry_set(int32_t *word, uint64_t *bits,
+                             const int64_t *off, int64_t *len, int64_t k,
+                             int32_t w, uint64_t bit)
+{
+    const int64_t at = off[k] + len[k];
+    if (len[k] && word[at - 1] == w) {
+        bits[at - 1] |= bit;
+    } else {
+        word[at] = w;
+        bits[at] = bit;
+        len[k]++;
+    }
+}
+
+/* Clear care id c's conflict entries at words >= from out of `eligible`;
+ * returns the number of entries applied. */
+static inline int64_t apply_care(const int32_t *cf_word,
+                                 const uint64_t *cf_bits,
+                                 const int64_t *cf_off, const int64_t *cf_len,
+                                 int32_t c, int64_t from, uint64_t *eligible)
+{
+    int64_t lo = cf_off[c], hi = cf_off[c] + cf_len[c];
+    const int64_t end = hi;
+    while (lo < hi) {
+        const int64_t mid = (lo + hi) >> 1;
+        if (cf_word[mid] < from) lo = mid + 1; else hi = mid;
+    }
+    for (int64_t k = lo; k < end; k++)
+        eligible[cf_word[k]] &= ~cf_bits[k];
+    return end - lo;
+}
+
 static int64_t scan(
     int64_t n,
     const int32_t *care_flat, const int64_t *care_off,
@@ -77,62 +117,89 @@ static int64_t scan(
     int32_t *members_out, int64_t *cycle_off_out, int64_t *stats_out)
 {
     const int64_t W = (n + 63) >> 6;
-    uint64_t *masks = calloc((size_t)(n_care_ids + n_bus_ids) * W, 8);
-    uint64_t *totals = calloc((size_t)(n_tids + n_lines) * W, 8);
+    const int64_t n_occ = care_off[n];  /* care occurrences in the rows */
+    /* offsets and lengths: care occupancy, terminal occupancy, conflict */
+    int64_t *occ_off = malloc((size_t)(4 * n_care_ids + 2 * n_tids + 3) * 8);
+    int32_t *ent_word = malloc((size_t)(2 * n_occ + 1) * 4);
+    uint64_t *ent_bits = malloc((size_t)(2 * n_occ + 1) * 8);
+    uint64_t *bus_masks = calloc((size_t)n_bus_ids * W + 1, 8);
+    uint64_t *line_totals = calloc((size_t)n_lines * W + 1, 8);
     uint64_t *avail = malloc((size_t)W * 8);
     uint64_t *eligible = malloc((size_t)W * 8);
     uint32_t *epochs = calloc((size_t)(n_tids + n_lines) + 1, 4);
-    if (!masks || !totals || !avail || !eligible || !epochs) {
-        free(masks); free(totals); free(avail); free(eligible); free(epochs);
-        return -1;
-    }
-    uint64_t *bus_masks = masks + (size_t)n_care_ids * W;
-    uint64_t *line_totals = totals + (size_t)n_tids * W;
+    int32_t *cf_word = NULL;
+    uint64_t *cf_bits = NULL;
+    int64_t status = -1;
+    if (!occ_off || !ent_word || !ent_bits || !bus_masks || !line_totals
+        || !avail || !eligible || !epochs)
+        goto done;
+    int64_t *occ_len = occ_off + n_care_ids + 1;
+    int64_t *tot_off = occ_len + n_care_ids;
+    int64_t *tot_len = tot_off + n_tids + 1;
+    int64_t *cf_off = tot_len + n_tids;
+    int64_t *cf_len = cf_off + n_care_ids + 1;
+    int32_t *occ_word = ent_word, *tot_word = ent_word + n_occ;
+    uint64_t *occ_bits = ent_bits, *tot_bits = ent_bits + n_occ;
     uint32_t *tid_epoch = epochs;
     uint32_t *line_epoch = epochs + n_tids;
 
-    /* occupancy fill from the CSR streams */
+    /* occupancy lists: a care id or terminal gets at most one entry per
+     * occurrence, so its occurrence count bounds its list */
+    memset(occ_off, 0, (size_t)(2 * n_care_ids + 2 * n_tids + 2) * 8);
+    for (int64_t k = 0; k < n_occ; k++) {
+        occ_off[care_flat[k] + 1]++;
+        tot_off[tid_of[care_flat[k]] + 1]++;
+    }
+    for (int64_t c = 0; c < n_care_ids; c++) occ_off[c + 1] += occ_off[c];
+    for (int64_t t = 0; t < n_tids; t++) tot_off[t + 1] += tot_off[t];
     for (int64_t i = 0; i < n; i++) {
-        const uint64_t word = 1ULL << (i & 63);
-        const int64_t w = i >> 6;
-        for (int64_t k = care_off[i]; k < care_off[i + 1]; k++)
-            masks[(size_t)care_flat[k] * W + w] |= word;
-        for (int64_t k = bus_off[i]; k < bus_off[i + 1]; k++)
-            bus_masks[(size_t)bus_flat[k] * W + w] |= word;
-    }
-    /* per-terminal / per-line totals (symbol slices are disjoint) */
-    for (int64_t c = 0; c < n_care_ids; c++) {
-        uint64_t *t = totals + (size_t)tid_of[c] * W;
-        const uint64_t *m = masks + (size_t)c * W;
-        for (int64_t w = 0; w < W; w++) {
-            const uint64_t mw = m[w];
-            if (mw) t[w] |= mw;
+        const uint64_t bit = 1ULL << (i & 63);
+        const int32_t w = (int32_t)(i >> 6);
+        for (int64_t k = care_off[i]; k < care_off[i + 1]; k++) {
+            const int32_t c = care_flat[k];
+            entry_set(occ_word, occ_bits, occ_off, occ_len, c, w, bit);
+            entry_set(tot_word, tot_bits, tot_off, tot_len, tid_of[c], w, bit);
         }
+        for (int64_t k = bus_off[i]; k < bus_off[i + 1]; k++)
+            bus_masks[(size_t)bus_flat[k] * W + (i >> 6)] |= bit;
     }
+    /* conflict lists: the terminal's entries minus the care id's own bits
+     * (its occupied words are a subset of the terminal's) */
+    cf_off[0] = 0;
+    for (int64_t c = 0; c < n_care_ids; c++)
+        cf_off[c + 1] = cf_off[c] + tot_len[tid_of[c]];
+    cf_word = malloc((size_t)(cf_off[n_care_ids] + 1) * 4);
+    cf_bits = malloc((size_t)(cf_off[n_care_ids] + 1) * 8);
+    if (!cf_word || !cf_bits)
+        goto done;
+    for (int64_t c = 0; c < n_care_ids; c++) {
+        const int32_t t = tid_of[c];
+        int64_t j = occ_off[c];
+        const int64_t j_end = j + occ_len[c];
+        int64_t at = cf_off[c];
+        for (int64_t k = tot_off[t]; k < tot_off[t] + tot_len[t]; k++) {
+            uint64_t own = 0;
+            if (j < j_end && occ_word[j] == tot_word[k])
+                own = occ_bits[j++];
+            const uint64_t bits = tot_bits[k] & ~own;
+            if (bits) {
+                cf_word[at] = tot_word[k];
+                cf_bits[at++] = bits;
+            }
+        }
+        cf_len[c] = at - cf_off[c];
+    }
+    /* bus: per-line totals, then occupancy -> conflict masks in place
+     * (a claim's mask is a subset of its line's total) */
     for (int64_t b = 0; b < n_bus_ids; b++) {
         uint64_t *t = line_totals + (size_t)line_of[b] * W;
         const uint64_t *m = bus_masks + (size_t)b * W;
-        for (int64_t w = 0; w < W; w++) {
-            const uint64_t mw = m[w];
-            if (mw) t[w] |= mw;
-        }
-    }
-    /* occupancy -> conflict masks, in place (mask is a subset of total) */
-    for (int64_t c = 0; c < n_care_ids; c++) {
-        const uint64_t *t = totals + (size_t)tid_of[c] * W;
-        uint64_t *m = masks + (size_t)c * W;
-        for (int64_t w = 0; w < W; w++) {
-            const uint64_t tw = t[w];
-            if (tw) m[w] = tw & ~m[w];
-        }
+        for (int64_t w = 0; w < W; w++) t[w] |= m[w];
     }
     for (int64_t b = 0; b < n_bus_ids; b++) {
         const uint64_t *t = line_totals + (size_t)line_of[b] * W;
         uint64_t *m = bus_masks + (size_t)b * W;
-        for (int64_t w = 0; w < W; w++) {
-            const uint64_t tw = t[w];
-            if (tw) m[w] = tw & ~m[w];
-        }
+        for (int64_t w = 0; w < W; w++) m[w] = t[w] & ~m[w];
     }
 
     memset(avail, 0xff, (size_t)W * 8);
@@ -155,45 +222,17 @@ static int64_t scan(
         epoch++;
         memset(eligible, 0, (size_t)cursor * 8);
         memcpy(eligible + cursor, avail + cursor, (size_t)(W - cursor) * 8);
-        for (int64_t k = care_off[seed]; k < care_off[seed + 1]; k++) {
-            const int32_t cid = care_flat[k];
-            const int32_t tid = tid_of[cid];
-            if (tid_epoch[tid] != epoch) {
-                tid_epoch[tid] = epoch;
-                const uint64_t *c = masks + (size_t)cid * W;
-                for (int64_t w = cursor; w < W; w++) eligible[w] &= ~c[w];
-                words += W - cursor;
-            }
-        }
-        for (int64_t k = bus_off[seed]; k < bus_off[seed + 1]; k++) {
-            const int32_t bid = bus_flat[k];
-            const int32_t line = line_of[bid];
-            if (line_epoch[line] != epoch) {
-                line_epoch[line] = epoch;
-                const uint64_t *c = bus_masks + (size_t)bid * W;
-                for (int64_t w = cursor; w < W; w++) eligible[w] &= ~c[w];
-                words += W - cursor;
-            }
-        }
-        for (int64_t jw = cursor; jw < W; ) {
-            const uint64_t wval = eligible[jw];
-            if (!wval) { jw++; continue; }
-            const int64_t j = (jw << 6) + (int64_t)__builtin_ctzll(wval);
-            eligible[jw] = wval & (wval - 1);
-            avail[jw] &= ~(1ULL << (j & 63));
-            live--;
-            absorbed++;
-            members_out[m_count++] = (int32_t)j;
+        /* pattern j joins the merge, j = seed first; bits at or below j
+         * are already decided, so masks apply from j's word jw up only */
+        int64_t j = seed, jw = cursor;
+        for (;;) {
             for (int64_t k = care_off[j]; k < care_off[j + 1]; k++) {
                 const int32_t cid = care_flat[k];
                 const int32_t tid = tid_of[cid];
                 if (tid_epoch[tid] != epoch) {
                     tid_epoch[tid] = epoch;
-                    const uint64_t *c = masks + (size_t)cid * W;
-                    /* bits at or below j are already decided: prune from
-                     * the current word up only */
-                    for (int64_t w = jw; w < W; w++) eligible[w] &= ~c[w];
-                    words += W - jw;
+                    words += apply_care(cf_word, cf_bits, cf_off, cf_len,
+                                        cid, jw, eligible);
                 }
             }
             for (int64_t k = bus_off[j]; k < bus_off[j + 1]; k++) {
@@ -206,14 +245,28 @@ static int64_t scan(
                     words += W - jw;
                 }
             }
+            while (jw < W && !eligible[jw]) jw++;
+            if (jw == W)
+                break;
+            const uint64_t wval = eligible[jw];
+            j = (jw << 6) + (int64_t)__builtin_ctzll(wval);
+            eligible[jw] = wval & (wval - 1);
+            avail[jw] &= ~(1ULL << (j & 63));
+            live--;
+            absorbed++;
+            members_out[m_count++] = (int32_t)j;
         }
         pruned += candidates - (absorbed - 1);
         cycle_off_out[++cycles] = m_count;
     }
-    free(masks); free(totals); free(avail); free(eligible); free(epochs);
     stats_out[0] = pruned;
     stats_out[1] = words;
-    return cycles;
+    status = cycles;
+done:
+    free(occ_off); free(ent_word); free(ent_bits); free(bus_masks);
+    free(line_totals); free(avail); free(eligible); free(epochs);
+    free(cf_word); free(cf_bits);
+    return status;
 }
 
 /* Scan the patterns at `rows` of a whole encoded set, in that order.
@@ -815,7 +868,8 @@ def greedy_scan(patterns, lib=None):
     plain sequence is indexed first).  Returns ``(member_lists, pruned,
     words)``: the merge cycles as lists of positions in ``patterns`` in
     absorption order, plus the two instrumentation totals (candidates
-    pruned, 64-bit words touched).
+    pruned, and words compared: the sparse care-mask entries plus the
+    dense bus-mask words applied).
     """
     lib = lib or ENGINE.get()
     if lib is None:

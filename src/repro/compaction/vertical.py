@@ -142,8 +142,8 @@ def greedy_compact(patterns: Sequence[SIPattern]) -> CompactionResult:
 
     With the scan, emits ``compaction.bitset.candidates_pruned``
     (candidate visits the reference would have made that the scan
-    skipped) and ``compaction.bitset.words_compared`` (approximate 64-bit
-    words touched by conflict-mask operations).
+    skipped) and ``compaction.bitset.words_compared`` (conflict-mask work:
+    the sparse care-mask entries plus the dense bus-mask words applied).
     """
     from repro.compaction import _cscan
     from repro.compaction.kernel import as_view

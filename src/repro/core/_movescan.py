@@ -25,6 +25,13 @@ The C side sees dense core indices (ascending core id) and integer
 arrays only; Python builds them (``optimizer.native_inputs``) and turns
 the returned rail masks and widths into the
 :class:`~repro.tam.testrail.TestRailArchitecture`.
+
+The same library builds that InTest time table (:func:`time_table`, one
+call per core and row of widths) for
+:func:`repro.wrapper.timing.core_time_table`: LPT over the core's scan
+chains, then the closed-form longest chain after filling in the wrapper
+cells, with the values of the reference
+:func:`repro.wrapper.design.design_wrapper`.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from types import SimpleNamespace
 
 from repro.runtime.native import Engine, _addr
 
-__all__ = ["COUNTERS", "ENGINE", "EngineError", "available", "optimize"]
+__all__ = ["COUNTERS", "ENGINE", "EngineError", "available", "optimize",
+           "time_table"]
 
 _SOURCE = r"""#include <stdint.h>
 #include <stdlib.h>
@@ -768,6 +776,76 @@ int64_t repro_optimize(
     free(arena);
     return status;
 }
+
+/* Longest chain after water-filling `cells` single-bit wrapper cells onto
+ * the w chains of `loads` (ascending): the shortest chains rise to a
+ * common level, rounded up, and the rest keep their lengths. */
+static int64_t rpr_fill_max(const int64_t *loads, int64_t w, int64_t cells)
+{
+    if (cells <= 0)
+        return loads[w - 1];
+    int64_t count = 0, total = 0;
+    while (count < w && loads[count] * count - total <= cells)
+        total += loads[count++];
+    const int64_t level = (total + cells + count - 1) / count;
+    return level > loads[w - 1] ? level : loads[w - 1];
+}
+
+/* InTest times T(w) of one core for w = 1..cap into out[w - 1].
+ * `chains` holds its scan chain lengths in descending order, cells_in /
+ * cells_out its wrapper input / output cells, `patterns` the pattern
+ * count of each of its tests.  Per width, LPT puts each chain onto a
+ * least-loaded of w bins, kept sorted ascending (which of several tied
+ * bins takes it does not change the load multiset); then
+ * T = sum over tests with p > 0 of (1 + max(s_i, s_o)) * p + min(s_i, s_o).
+ * Returns 0, or -1 on bad input or a failed allocation. */
+int64_t repro_time_table(
+    int64_t n_chains, const int64_t *chains, int64_t cells_in,
+    int64_t cells_out, int64_t n_tests, const int64_t *patterns,
+    int64_t cap, int64_t *out)
+{
+    if (cap < 1 || n_chains < 0 || n_tests < 0 || cells_in < 0
+        || cells_out < 0)
+        return -1;
+    for (int64_t k = 0; k < n_chains; k++)
+        if (chains[k] <= 0 || (k && chains[k] > chains[k - 1]))
+            return -1;
+    for (int64_t t = 0; t < n_tests; t++)
+        if (patterns[t] < 0)
+            return -1;
+    int64_t *loads = malloc((size_t)cap * sizeof(int64_t));
+    if (!loads)
+        return -1;
+    for (int64_t w = 1; w <= cap; w++) {
+        if (w >= n_chains) {  /* one chain per bin, the rest empty */
+            for (int64_t b = 0; b < w - n_chains; b++)
+                loads[b] = 0;
+            for (int64_t k = 0; k < n_chains; k++)
+                loads[w - 1 - k] = chains[k];
+        } else {
+            for (int64_t b = 0; b < w; b++)
+                loads[b] = 0;
+            for (int64_t k = 0; k < n_chains; k++) {
+                const int64_t v = loads[0] + chains[k];
+                int64_t b = 1;
+                for (; b < w && loads[b] < v; b++)
+                    loads[b - 1] = loads[b];
+                loads[b - 1] = v;
+            }
+        }
+        const int64_t s_i = rpr_fill_max(loads, w, cells_in);
+        const int64_t s_o = rpr_fill_max(loads, w, cells_out);
+        const int64_t longest = s_i > s_o ? s_i : s_o;
+        const int64_t shortest = s_i < s_o ? s_i : s_o;
+        int64_t time = 0;
+        for (int64_t t = 0; t < n_tests; t++)
+            if (patterns[t])
+                time += (1 + longest) * patterns[t] + shortest;
+        out[w - 1] = time;
+    }
+    free(loads);
+    return 0;
+}
 """
 
 #: What ``repro_optimize`` counts, in the order of its ``counts_out``.
@@ -799,7 +877,15 @@ def _bind(so_path: str) -> SimpleNamespace:
         ctypes.c_int64,                    # floor_total
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # outputs
     ]
-    return SimpleNamespace(run=run)
+    table = lib.repro_time_table
+    table.restype = ctypes.c_int64
+    table.argtypes = [
+        ctypes.c_int64, ctypes.c_void_p,   # chains (descending)
+        ctypes.c_int64, ctypes.c_int64,    # cells_in, cells_out
+        ctypes.c_int64, ctypes.c_void_p,   # per-test pattern counts
+        ctypes.c_int64, ctypes.c_void_p,   # cap, out
+    ]
+    return SimpleNamespace(run=run, table=table)
 
 
 def optimize(n_groups, capture, w_max, table, woc, cg_off, cg_ids,
@@ -845,6 +931,34 @@ def optimize(n_groups, capture, w_max, table, woc, cg_off, cg_ids,
             dict(zip(COUNTERS, counts)))
 
 
+def time_table(chains, cells_in, cells_out, patterns, cap, lib=None):
+    """InTest times ``T(w)`` for ``w = 1..cap`` of one core in one C call;
+    ``None`` when the engine is unavailable.
+
+    ``chains`` are the core's scan chain lengths in descending order,
+    ``cells_in``/``cells_out`` its wrapper input cells (inputs plus
+    bidirs) and output cells (outputs plus bidirs), ``patterns`` the
+    pattern count of each of its tests.  The values equal the times
+    :func:`repro.wrapper.design.design_wrapper`'s LPT wrapper gives
+    (:func:`repro.wrapper.timing.design_test_time`).
+
+    Raises:
+        EngineError: On bad input (chains not descending or not
+            positive, negative counts, ``cap < 1``).
+    """
+    lib = lib or ENGINE.get()
+    if lib is None:
+        return None
+    chains = array("q", chains)
+    patterns = array("q", patterns)
+    out = array("q", bytes(8 * max(cap, 0)))
+    status = lib.table(len(chains), _addr(chains), cells_in, cells_out,
+                       len(patterns), _addr(patterns), cap, _addr(out))
+    if status < 0:
+        raise EngineError(f"native time table failed (status {status})")
+    return tuple(out)
+
+
 def _smoke(lib) -> bool:
     """One hand-worked instance through :func:`optimize`, guarding
     against ABI/layout mishaps.
@@ -879,6 +993,12 @@ def _smoke(lib) -> bool:
     three candidates after it are pruned, as are the three later sweeps
     (3 merges each) and both reshuffle moves: rails {c0, c1} and {c2};
     13 merges and 2 core moves tried, 14 pruned, 2 wires, 4 scored.
+
+    Time table: chains 6, 4, 3, three wrapper input cells and one output
+    cell, tests of 2, 0 and 1 patterns, widths 1..4.  LPT loads are
+    [13], [6, 7], [3, 4, 6] and [0, 3, 4, 6]; filling the cells onto the
+    shortest chains gives (s_i, s_o) = (16, 14), (8, 7), (6, 6), (6, 6),
+    so ``T = (1 + s) * 3 + 2 * min`` reads 79, 41, 33, 33.
     """
     inputs = (
         1, 1, 4,                                    # groups, capture, W_max
@@ -899,6 +1019,8 @@ def _smoke(lib) -> bool:
                 [0b011, 0b100], [2, 2],
                 dict(zip(COUNTERS, (13, 2, 14, 2, 4))),
             )
+            and time_table((6, 4, 3), 3, 1, (2, 0, 1), 4, lib=lib)
+            == (79, 41, 33, 33)
         )
     except EngineError:
         return False

@@ -15,6 +15,9 @@ concurrently.  The warm-started SA cell consumes Algorithm 2's
 architecture through a :class:`~repro.experiments.plan.CellRef`
 projection.  Contender runtimes are measured inside each cell; a cache
 or checkpoint hit replays the recorded runtime along with the result.
+Each TestRail contender's schedule is verified in its cell
+(:func:`~repro.resilience.verify.check_optimization`, outside the timed
+run); the plan fails on any violation or on a time below the bound.
 """
 
 from __future__ import annotations
@@ -83,6 +86,26 @@ def _timed(name: str, runner) -> dict:
     }
 
 
+def _verified(name: str, soc, groups, runner, ship=False) -> dict:
+    """A contender whose ``runner`` returns an ``OptimizationResult``:
+    timed, then its schedule checked; the record lists the violations
+    and, with ``ship``, the architecture."""
+    from repro.resilience import verify
+    from repro.runtime.codec import architecture_to_dict
+
+    started = time.perf_counter()
+    result = runner()
+    record = {
+        "name": name,
+        "t_total": result.t_total,
+        "seconds": time.perf_counter() - started,
+        "violations": verify.check_optimization(soc, result, groups),
+    }
+    if ship:
+        record["architecture"] = architecture_to_dict(result.architecture)
+    return record
+
+
 def _bound_cell_fn(soc, w_max, groups) -> int:
     return bound_report(soc, w_max, groups).t_total_bound
 
@@ -95,49 +118,42 @@ def _tr_cell_fn(soc, w_max, groups) -> dict:
 
 
 def _alg2_cell_fn(soc, w_max, groups) -> dict:
-    from repro.runtime.codec import architecture_to_dict
-
-    started = time.perf_counter()
-    result = optimize_tam(soc, w_max, groups)
-    return {
-        "name": "Algorithm 2",
-        "t_total": result.t_total,
-        "seconds": time.perf_counter() - started,
-        # Shipped so the warm-started SA cell can take over exactly here.
-        "architecture": architecture_to_dict(result.architecture),
-    }
+    # The architecture is shipped so the warm-started SA cell can take
+    # over exactly here.
+    return _verified("Algorithm 2", soc, groups,
+                     lambda: optimize_tam(soc, w_max, groups), ship=True)
 
 
 def _exact_si_cell_fn(soc, w_max, groups) -> dict:
-    return _timed(
-        "Algorithm 2 + exact SI schedule",
+    return _verified(
+        "Algorithm 2 + exact SI schedule", soc, groups,
         lambda: optimize_tam(
             soc, w_max, groups,
             evaluator=TamEvaluator(soc, groups, exact_schedule=True),
-        ).t_total,
+        ),
     )
 
 
 def _sa_cell_fn(soc, w_max, groups, steps) -> dict:
-    return _timed(
-        "simulated annealing",
+    return _verified(
+        "simulated annealing", soc, groups,
         lambda: anneal_tam(
             soc, w_max, groups,
             config=AnnealingConfig(steps=steps, seed=1),
-        ).t_total,
+        ),
     )
 
 
 def _sa_warm_cell_fn(soc, w_max, groups, steps, architecture) -> dict:
     from repro.runtime.codec import architecture_from_dict
 
-    return _timed(
-        "SA warm-started from Alg. 2",
+    return _verified(
+        "SA warm-started from Alg. 2", soc, groups,
         lambda: anneal_tam(
             soc, w_max, groups,
             config=AnnealingConfig(steps=steps, seed=1),
             initial=architecture_from_dict(architecture),
-        ).t_total,
+        ),
     )
 
 
@@ -149,9 +165,9 @@ def _testbus_cell_fn(soc, w_max, groups) -> dict:
 
 
 def _exact_cell_fn(soc, w_max, groups) -> dict:
-    return _timed(
-        "exact enumeration",
-        lambda: exact_optimize(soc, w_max, groups).result.t_total,
+    return _verified(
+        "exact enumeration", soc, groups,
+        lambda: exact_optimize(soc, w_max, groups).result,
     )
 
 
@@ -243,14 +259,19 @@ class ComparePlan(PlanKind):
         )
 
     def verify(self, params: dict, results: dict) -> list[str]:
-        """No contender may beat the lower bound — an achieved time below
-        it means a broken schedule (or a broken bound)."""
+        """The schedule violations the contender cells found, then every
+        contender that beats the lower bound — an achieved time below it
+        means a broken schedule (or a broken bound)."""
         bound = results["bound"]
+        cell_ids = [cell_id for cell_id, *_ in _contender_cells(params)]
         return [
+            f"{cell_id}: {violation}"
+            for cell_id in cell_ids
+            for violation in results[cell_id].get("violations", ())
+        ] + [
             f"{record['name']}: T_soc={record['t_total']} beats the "
             f"lower bound {bound}"
-            for cell_id, _fn, _extra in _contender_cells(params)
-            for record in (results[cell_id],)
+            for record in map(results.__getitem__, cell_ids)
             if record["t_total"] < bound
         ]
 

@@ -11,7 +11,9 @@ cell per core count running the whole pipeline (the SOC is synthesized
 inside the cell, so plan parameters stay tiny).  Cells carry the default
 plan-scoped cache key; note that the recorded stage runtimes are part of
 the cell value, so a cache or checkpoint hit replays the originally
-measured seconds.
+measured seconds.  Each cell verifies its optimized schedule
+(:func:`~repro.resilience.verify.check_optimization`) and records the
+violations, which fail the plan.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ def _scaling_cell_fn(core_count, w_max, pattern_count, parts, seed) -> dict:
     from repro.compaction.kernel import random_pattern_index
     from repro.core.bounds import bound_report
     from repro.core.optimizer import optimize_tam
+    from repro.resilience import verify
     from repro.soc.synth import DEFAULT_MIX, synthesize_soc
 
     soc = synthesize_soc(
@@ -72,6 +75,7 @@ def _scaling_cell_fn(core_count, w_max, pattern_count, parts, seed) -> dict:
         "bound_gap": report.gap(result.t_total),
         "optimize_seconds": optimize_seconds,
         "compaction_seconds": compaction_seconds,
+        "violations": verify.check_optimization(soc, result, grouping.groups),
     }
 
 
@@ -112,19 +116,29 @@ class ScalingPlan(PlanKind):
     ) -> tuple[ScalingPoint, ...]:
         core_counts, *_rest = _scaling_params(params)
         return tuple(
-            ScalingPoint(**results[f"scale/{core_count}"])
+            ScalingPoint(**{
+                name: value
+                for name, value in results[f"scale/{core_count}"].items()
+                if name != "violations"
+            })
             for core_count in core_counts
         )
 
     def verify(self, params: dict, results: dict) -> list[str]:
-        """The lower-bound gap must stay sane at every size: a negative
-        gap means the achieved time beat the bound."""
+        """The schedule violations the cells found, then every size whose
+        lower-bound gap is negative (the achieved time beat the bound)."""
         core_counts, *_rest = _scaling_params(params)
+        records = [(core_count, results[f"scale/{core_count}"])
+                   for core_count in core_counts]
         return [
+            f"scale/{core_count}: {violation}"
+            for core_count, record in records
+            for violation in record.get("violations", ())
+        ] + [
             f"{core_count} cores: bound gap "
-            f"{results[f'scale/{core_count}']['bound_gap']:.4f} is negative"
-            for core_count in core_counts
-            if results[f"scale/{core_count}"]["bound_gap"] < 0
+            f"{record['bound_gap']:.4f} is negative"
+            for core_count, record in records
+            if record["bound_gap"] < 0
         ]
 
 

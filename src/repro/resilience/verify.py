@@ -43,6 +43,7 @@ if TYPE_CHECKING:  # annotation-only: keeps this module cycle-free when
 __all__ = [
     "ScheduleVerificationError",
     "assert_valid_schedule",
+    "check_optimization",
     "verify_optimization",
     "verify_schedule",
 ]
@@ -232,6 +233,26 @@ def verify_optimization(
         w_max=result.w_max,
         capture_cycles=capture_cycles,
     )
+
+
+def check_optimization(
+    soc: Soc,
+    result,
+    groups: tuple[SITestGroup, ...] = (),
+    capture_cycles: int = 1,
+) -> list[str]:
+    """:func:`verify_optimization`, counted: every call adds to
+    ``verify.schedules_checked``, every failing one to
+    ``verify.schedules_failed``.  The plan runner checks each optimize
+    cell with it, and cells that optimize inside (compare's contenders,
+    scaling's sizes) check their results with it."""
+    from repro.runtime.instrumentation import incr
+
+    found = verify_optimization(soc, result, groups, capture_cycles)
+    incr("verify.schedules_checked")
+    if found:
+        incr("verify.schedules_failed")
+    return found
 
 
 def assert_valid_schedule(

@@ -12,6 +12,12 @@ giving the ``max``/``min`` structure.
 
 Cores can carry several test sets (ITC'02 ``Test`` blocks); their times
 add up because they reuse the same wrapper.
+
+The times come in rows of :data:`ROW_WIDTHS` widths per core, built in one
+call of the C engine (:func:`repro.core._movescan.time_table`).  Without
+the engine (``REPRO_OPTIMIZER_CSCAN=0``, no compiler, a failed smoke) each
+time is read off :func:`~repro.wrapper.design.design_wrapper`'s wrapper
+(:func:`design_test_time`), which is also the engine's test oracle.
 """
 
 from __future__ import annotations
@@ -21,10 +27,13 @@ from functools import lru_cache
 from repro.soc.model import Core
 from repro.wrapper.design import design_wrapper
 
+#: Widths per native row: every width up to 64 reads one row per core.
+ROW_WIDTHS = 64
 
-@lru_cache(maxsize=None)
-def core_test_time(core: Core, width: int) -> int:
-    """InTest application time (clock cycles) of ``core`` at TAM ``width``."""
+
+def design_test_time(core: Core, width: int) -> int:
+    """InTest time of ``core`` at ``width`` from its designed wrapper (the
+    reference the native table must equal)."""
     design = design_wrapper(core, width)
     scan_in = design.max_scan_in
     scan_out = design.max_scan_out
@@ -39,6 +48,32 @@ def core_test_time(core: Core, width: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _native_row(core: Core, cap: int) -> tuple[int, ...] | None:
+    """The engine's times of ``core`` at widths ``1..cap``, or ``None``
+    when the engine is unavailable."""
+    from repro.core import _movescan
+
+    return _movescan.time_table(
+        sorted(core.scan_chains, reverse=True), core.wic_count,
+        core.woc_count, [test.patterns for test in core.tests], cap,
+    )
+
+
+def _row(core: Core, width: int) -> tuple[int, ...] | None:
+    """The native row holding ``width`` (rounded up to whole rows)."""
+    if width <= 0:
+        raise ValueError(f"TAM width must be positive, got {width}")
+    return _native_row(core, -(-width // ROW_WIDTHS) * ROW_WIDTHS)
+
+
+@lru_cache(maxsize=None)
+def core_test_time(core: Core, width: int) -> int:
+    """InTest application time (clock cycles) of ``core`` at TAM ``width``."""
+    row = _row(core, width)
+    return design_test_time(core, width) if row is None else row[width - 1]
+
+
+@lru_cache(maxsize=None)
 def core_time_table(core: Core, max_width: int) -> tuple[int, ...]:
     """InTest times of ``core`` for every width ``1..max_width``.
 
@@ -46,9 +81,11 @@ def core_time_table(core: Core, max_width: int) -> tuple[int, ...]:
     like :func:`core_test_time`: the native optimizer run's InTest table
     is built from these rows.
     """
-    if max_width <= 0:
-        raise ValueError(f"max_width must be positive, got {max_width}")
-    return tuple(core_test_time(core, width) for width in range(1, max_width + 1))
+    row = _row(core, max_width)
+    if row is None:
+        return tuple(core_test_time(core, width)
+                     for width in range(1, max_width + 1))
+    return row[:max_width]
 
 
 def pareto_widths(core: Core, max_width: int) -> tuple[int, ...]:

@@ -20,7 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compaction import _cscan
-from repro.compaction.kernel import PatternIndex, conflict_masks
+from repro.compaction.horizontal import build_si_test_groups
+from repro.compaction.kernel import (
+    PatternIndex,
+    conflict_masks,
+    random_pattern_index,
+)
 from repro.compaction.vertical import (
     _color_reference,
     _greedy_reference,
@@ -356,3 +361,126 @@ def test_cscan_disabled_by_environment(monkeypatch):
     with use_instrumentation(Instrumentation()) as instrumentation:
         assert greedy_compact(patterns) == _greedy_reference(patterns)
     assert instrumentation.counters["compaction.backend.reference"] == 1
+
+
+# --- the C scan's sparse care lists ----------------------------------------
+
+
+def _spanning_conflicts():
+    """320 patterns, five words.  Seed 0 holds ``(2, 0) = 0`` and patterns
+    1-199 hold ``1`` there, so cycle 0 first absorbs pattern 200 (word 3),
+    which acquires ``(1, 0) = R``.  That terminal carries ``F`` and ``0``
+    in words 0-4, so its conflict list spans the whole set: applying it
+    from word 3 must skip the entries below and still prune patterns 201
+    (in word 3, above 200) and 260."""
+    patterns = [SIPattern(cares={(2, 0): "0"})]
+    for i in range(1, 200):
+        cares = {(2, 0): "1"}
+        if i in (5, 70, 130):
+            cares[(1, 0)] = "F" if i % 2 else "0"
+        patterns.append(SIPattern(cares=cares))
+    special = {200: "R", 201: "F", 202: "R", 260: "0"}
+    patterns += [
+        SIPattern(cares={(1, 0): special[i]} if i in special else {})
+        for i in range(200, 320)
+    ]
+    return patterns
+
+
+_SPARSE_CASES = {
+    "spanning_conflict_list": _spanning_conflicts(),
+    # three and four symbols per terminal across five words, bus lines
+    # shared by three drivers
+    "many_symbols_many_words": [
+        SIPattern(cares={(1, 0): SYMBOLS[7 * i % 3],
+                         (1, 1): SYMBOLS[i * i % 4],
+                         (2, i % 5): SYMBOLS[i % 4]},
+                  bus_claims={i % 3: 1 + i % 3} if i % 4 else {})
+        for i in range(300)
+    ],
+}
+
+
+def _sparse_words(patterns, members) -> int:
+    """``compaction.bitset.words_compared`` of a scan with cycles
+    ``members``: each terminal (line) a cycle first meets at member ``j``
+    applies its care's conflict entries at words ``>= j // 64`` (its
+    claim's whole dense row from that word).  A care's entries are the
+    words holding another symbol on its terminal."""
+    words = (len(patterns) + 63) // 64
+    total = 0
+    for cycle in members:
+        terminals, lines = set(), set()
+        for j in cycle:
+            first = j // 64
+            for terminal, symbol in patterns[j].cares.items():
+                if terminal in terminals:
+                    continue
+                terminals.add(terminal)
+                total += len({
+                    i // 64 for i in range(first * 64, len(patterns))
+                    if patterns[i].cares.get(terminal, symbol) != symbol
+                })
+            for line in patterns[j].bus_claims:
+                if line not in lines:
+                    lines.add(line)
+                    total += words - first
+    return total
+
+
+@needs_cscan
+@pytest.mark.parametrize("name", sorted(_SPARSE_CASES))
+def test_sparse_cases_match_reference(name):
+    patterns = _SPARSE_CASES[name]
+    member_lists, pruned, words = _cscan.greedy_scan(patterns)
+    reference = _greedy_reference(patterns)
+    assert tuple(map(tuple, member_lists)) == reference.members
+    assert pruned == greedy_pruned(reference.members, len(patterns))
+    assert words == _sparse_words(patterns, reference.members)
+
+
+def test_spanning_case_prunes_inside_the_start_word():
+    cycle = _greedy_reference(_SPARSE_CASES["spanning_conflict_list"]).members[0]
+    assert cycle[:3] == (0, 200, 202)
+    assert 201 not in cycle and 260 not in cycle
+
+
+@needs_cscan
+@settings(max_examples=60, deadline=None)
+@given(_patterns)
+def test_words_compared_counts_sparse_entries(patterns):
+    member_lists, _pruned, words = _cscan.greedy_scan(patterns)
+    assert words == _sparse_words(patterns, member_lists)
+
+
+#: SHA-256 of every bucket's scan (members in absorption order, then
+#: candidates pruned) when ``repro table``'s grouping splits the p93791
+#: set of N_r = 10,000 patterns (seed 1) into ``parts`` groups, recorded
+#: with the former dense-mask scan.
+_PINNED_SCANS = {
+    1: "5795a8e7d48a78a93458dc2a28634194f20349141e5eb927662aaf751b271244",
+    8: "0bd4cede8ac372b41b090d3e04df2efbd47048e39e03d0a7c3fe4eac69704506",
+}
+
+
+@pytest.fixture(scope="module")
+def p93791_index():
+    return random_pattern_index(load_benchmark("p93791"), 10_000, seed=1)
+
+
+@needs_cscan
+@pytest.mark.parametrize("parts", sorted(_PINNED_SCANS))
+def test_scan_matches_pinned_buckets(parts, p93791_index, monkeypatch):
+    scans = []
+    scan = _cscan.greedy_scan
+
+    def recorded(patterns, lib=None):
+        member_lists, pruned, words = scan(patterns, lib)
+        scans.append((tuple(map(tuple, member_lists)), pruned))
+        return member_lists, pruned, words
+
+    monkeypatch.setattr(_cscan, "greedy_scan", recorded)
+    build_si_test_groups(load_benchmark("p93791"), p93791_index, parts=parts,
+                         seed=1)
+    digest = hashlib.sha256(repr(scans).encode()).hexdigest()
+    assert digest == _PINNED_SCANS[parts]

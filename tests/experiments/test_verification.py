@@ -3,8 +3,10 @@
 A forced violation — ``verify_schedule`` patched to report one — must
 fail each kind that has ``optimize`` cells whether their results were
 computed, served by a warm :class:`EvaluationCache`, or replayed from a
-:class:`SweepCheckpoint`.  The kinds without optimize cells fail through
-their own :meth:`PlanKind.verify` hooks, which every run calls too.
+:class:`SweepCheckpoint`.  Compare and scaling optimize inside their
+cells, check those schedules there and fail through their
+:meth:`PlanKind.verify` hooks, as the other kinds without optimize cells
+do.
 """
 
 from __future__ import annotations
@@ -106,6 +108,30 @@ def _inflated_grouping(*_args):
 
 def _unreachable_bound(*_args) -> int:
     return 10**12
+
+
+def test_forced_violation_fails_compare(t5, monkeypatch):
+    _force_violation(monkeypatch)
+    plan = compare_plan(t5, 6, annealing_steps=150, include_exact=True)
+    error, counters = _failing_run(PlanRunner(), plan)
+    checked = ["contender/alg2", "contender/exact_si", "contender/sa",
+               "contender/sa_warm", "contender/exact"]
+    assert error.violations == [
+        f"{cell_id}: forced violation" for cell_id in checked
+    ]
+    assert counters["verify.schedules_checked"] == len(checked)
+    assert counters["verify.schedules_failed"] == len(checked)
+
+
+def test_forced_violation_fails_scaling(monkeypatch):
+    _force_violation(monkeypatch)
+    error, counters = _failing_run(
+        PlanRunner(), scaling_plan((4, 5), w_max=8, pattern_count=100)
+    )
+    assert error.violations == ["scale/4: forced violation",
+                                "scale/5: forced violation"]
+    assert counters["verify.schedules_checked"] == 2
+    assert counters["verify.schedules_failed"] == 2
 
 
 def test_compare_fails_through_its_bound_hook(t5, monkeypatch):

@@ -1,12 +1,24 @@
 """Tests for the InTest timing model."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
+from repro.core import _movescan
+from repro.soc.benchmarks import available_benchmarks, load_benchmark
 from repro.soc.model import Core, CoreTest
-from repro.wrapper.timing import core_test_time, core_time_table, pareto_widths
+from repro.wrapper import timing
+from repro.wrapper.timing import (
+    core_test_time,
+    core_time_table,
+    design_test_time,
+    pareto_widths,
+)
 from tests.conftest import make_core
+
+needs_movescan = pytest.mark.skipif(not _movescan.available(),
+                                    reason="C optimizer engine unavailable")
 
 
 class TestCoreTestTime:
@@ -85,3 +97,111 @@ class TestParetoWidths:
                          patterns=5)
         widths = pareto_widths(core, 64)
         assert max(widths) <= 4
+
+
+# --- the native table against design_wrapper ---------------------------------
+
+
+def _native_row(core, cap):
+    return _movescan.time_table(
+        sorted(core.scan_chains, reverse=True), core.wic_count,
+        core.woc_count, [test.patterns for test in core.tests], cap,
+    )
+
+
+def _reference_row(core, cap):
+    return tuple(design_test_time(core, width) for width in range(1, cap + 1))
+
+
+@needs_movescan
+@pytest.mark.parametrize("soc_name", available_benchmarks())
+def test_native_table_matches_design_wrapper(soc_name):
+    for core in load_benchmark(soc_name):
+        reference = _reference_row(core, 128)
+        assert _native_row(core, 128) == reference, core.core_id
+        assert core_time_table(core, 128) == reference, core.core_id
+
+
+_cores = st.builds(
+    lambda chains, inputs, outputs, bidirs, patterns: Core(
+        core_id=1, name="random", inputs=inputs, outputs=outputs,
+        bidirs=bidirs, scan_chains=tuple(chains),
+        tests=tuple(CoreTest(patterns=count) for count in patterns),
+    ),
+    st.lists(st.integers(min_value=1, max_value=300), max_size=64),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=40),
+    st.lists(st.integers(min_value=0, max_value=500), max_size=4),
+)
+
+
+@needs_movescan
+@settings(max_examples=150, deadline=None)
+@given(_cores, st.integers(min_value=1, max_value=24))
+def test_native_table_matches_on_random_cores(core, beyond):
+    """Widths up to ``beyond`` past the chain count: both fewer bins than
+    chains (LPT stacks them) and more (empty bins)."""
+    cap = len(core.scan_chains) + beyond
+    assert _native_row(core, cap) == _reference_row(core, cap)
+
+
+@needs_movescan
+def test_native_table_rejects_bad_input():
+    with pytest.raises(_movescan.EngineError):
+        _movescan.time_table((3, 5), 0, 0, (1,), 4)  # not descending
+    with pytest.raises(_movescan.EngineError):
+        _movescan.time_table((), 0, 0, (1,), 0)
+
+
+def _clear_time_caches():
+    for cached in (timing._native_row, core_test_time, core_time_table):
+        cached.cache_clear()
+
+
+_TABLE = ["table", "d695", "--patterns", "300", "--widths", "8", "16",
+          "--parts", "1", "2"]
+
+
+def _table_rows(capsys, monkeypatch):
+    """Run a small ``repro table`` from cold time caches; return its text
+    (without the elapsed line) and its ``design_wrapper`` calls."""
+    calls = []
+
+    def counted(core, width, strategy="lpt"):
+        calls.append((core.core_id, width))
+        return design_wrapper(core, width, strategy)
+
+    design_wrapper = timing.design_wrapper
+    monkeypatch.setattr(timing, "design_wrapper", counted)
+    _clear_time_caches()
+    try:
+        assert main(_TABLE) == 0
+    finally:
+        _clear_time_caches()
+    text = capsys.readouterr().out
+    rows = [line for line in text.splitlines() if "elapsed" not in line]
+    return rows, len(calls)
+
+
+@needs_movescan
+def test_table_run_designs_no_wrapper(capsys, monkeypatch):
+    _rows, calls = _table_rows(capsys, monkeypatch)
+    assert calls == 0
+
+
+@needs_movescan
+def test_engine_off_reads_the_reference(capsys, monkeypatch):
+    native, _calls = _table_rows(capsys, monkeypatch)
+    monkeypatch.setattr(_movescan.ENGINE, "handle", None)  # a fresh probe
+    monkeypatch.setenv("REPRO_OPTIMIZER_CSCAN", "0")
+    assert not _movescan.available()
+    reference, calls = _table_rows(capsys, monkeypatch)
+    assert calls > 0
+    assert reference == native
+    try:
+        for core in load_benchmark("d695"):
+            assert core_time_table(core, 64) == _reference_row(core, 64)
+            assert core_test_time(core, 70) == design_test_time(core, 70)
+    finally:
+        _clear_time_caches()
