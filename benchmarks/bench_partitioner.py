@@ -1,16 +1,16 @@
 """Benchmark for the Fig. 2 hypergraph partitioning step (ablation).
 
-The paper offloads pattern-length reduction to hMetis; our multilevel
-partitioner stands in for it.  The ablation compares the cut achieved by
-the partitioner against a deterministic round-robin assignment on the real
-care-core hypergraphs arising from the benchmark SOCs — the cut weight is
-exactly the number of SI patterns condemned to full-length (residual)
-treatment, so lower is directly better.
+The paper offloads pattern-length reduction to hMetis; our recursive
+bisection partitioner (multi-start greedy growth plus FM) stands in for
+it.  The ablation compares the cut achieved by the partitioner against a
+deterministic round-robin assignment on the real care-core hypergraphs
+arising from the benchmark SOCs — the cut weight is exactly the number of
+SI patterns condemned to full-length (residual) treatment, so lower is
+directly better.
 """
 
 import pytest
 
-from repro.compaction.horizontal import _partition_cores
 from repro.hypergraph.hypergraph import build_hypergraph, cut_weight
 from repro.hypergraph.multilevel import partition
 from repro.sitest.generator import generate_random_patterns
@@ -43,7 +43,7 @@ def bench_partition_d695_care_graph(benchmark, d695_graph, parts):
     round_robin = [v % parts for v in range(d695_graph.vertex_count)]
     baseline_cut = cut_weight(d695_graph, round_robin)
     print(
-        f"\nparts={parts}: multilevel cut={result.cut} "
+        f"\nparts={parts}: partitioner cut={result.cut} "
         f"round-robin cut={baseline_cut}"
     )
     # The partitioner must not lose to the trivial assignment.

@@ -7,8 +7,10 @@ cares.  Both are pure word-level AND/OR sweeps over the pattern index,
 with the reference greedy's visit order and dedup rules (see the
 ``greedy_compact`` docstring for the equivalence argument).
 
-The same library bisects core hypergraphs of at most 64 vertices for
-:func:`repro.hypergraph.partition`, on one 64-bit pin mask per edge
+The same library runs the bisections of
+:func:`repro.hypergraph.multilevel.partition` (recursive bisection:
+multi-start greedy growth plus FM) on core hypergraphs of at most 64
+vertices, with one 64-bit pin mask per edge
 (:class:`~repro.hypergraph.packed.PackedHypergraph`): :func:`restrict`
 maps the edges onto a vertex subset, :func:`grow` is the greedy initial
 bisection, :func:`refine` runs the FM passes and :func:`cut` prices a

@@ -23,6 +23,9 @@ from repro.runtime.instrumentation import get_instrumentation, incr
 from repro.sitest.patterns import SIPattern
 from repro.soc.model import Soc
 
+#: Allowed relative part-weight imbalance of the core partition.
+BALANCE_EPSILON = 0.10
+
 
 @dataclass(frozen=True)
 class GroupingResult:
@@ -53,7 +56,6 @@ def build_si_test_groups(
     soc: Soc,
     patterns: list[SIPattern] | PatternIndex,
     parts: int,
-    epsilon: float = 0.10,
     seed: int = 0,
 ) -> GroupingResult:
     """Run two-dimensional compaction: partition cores, split the pattern
@@ -67,7 +69,6 @@ def build_si_test_groups(
         parts: Number of core groups (``i`` in the paper's ``T_g_i``);
             ``parts=1`` degenerates to one-dimensional (vertical only)
             compaction over all cores.
-        epsilon: Partitioner balance tolerance.
         seed: Partitioner seed.
 
     Raises:
@@ -80,14 +81,13 @@ def build_si_test_groups(
     with get_instrumentation().timeit("compaction.build_si_test_groups"):
         index = (patterns if isinstance(patterns, PatternIndex)
                  else PatternIndex(patterns))
-        return _build_si_test_groups(soc, index, parts, epsilon, seed)
+        return _build_si_test_groups(soc, index, parts, seed)
 
 
 def _build_si_test_groups(
     soc: Soc,
     index: PatternIndex,
     parts: int,
-    epsilon: float,
     seed: int,
 ) -> GroupingResult:
     host_ids = [core.core_id for core in soc if core.woc_count > 0]
@@ -101,8 +101,7 @@ def _build_si_test_groups(
     if parts == 1:
         part_of_core = {core_id: 0 for core_id in host_ids}
     else:
-        part_of_core = _partition_cores(soc, index, host_ids, parts,
-                                        epsilon, seed)
+        part_of_core = _partition_cores(soc, index, host_ids, parts, seed)
 
     # Route each distinct care set to its part, or to the residual bucket
     # (``parts``); then each pattern follows its set.
@@ -179,11 +178,11 @@ def _partition_cores(
     index: PatternIndex,
     host_ids: list[int],
     parts: int,
-    epsilon: float,
     seed: int,
 ) -> dict[int, int]:
-    """Partition the cores with output cells into ``parts`` balanced groups
-    minimizing the weight of cut care-core sets (Fig. 2).
+    """Partition the cores with output cells into ``parts`` groups,
+    balanced within :data:`BALANCE_EPSILON`, minimizing the weight of cut
+    care-core sets (Fig. 2).
 
     Up to 64 cores, the hypergraph is built as one pin mask per care set,
     straight from the index's set table, which is what the C bisection
@@ -211,7 +210,7 @@ def _partition_cores(
                                         index.care_set_counts)
                 if len(cores) >= 2
             })
-        result = partition(graph, parts, epsilon=epsilon, seed=seed)
+        result = partition(graph, parts, epsilon=BALANCE_EPSILON, seed=seed)
         return {
             core_id: result.assignment[index_of[core_id]]
             for core_id in host_ids

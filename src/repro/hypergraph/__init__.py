@@ -1,1 +1,2 @@
-"""Multilevel hypergraph partitioning (hMetis substitute)."""
+"""Hypergraph partitioning by recursive bisection: multi-start greedy
+growth plus FM (the hMetis substitute)."""

@@ -1,21 +1,20 @@
-"""Multilevel hypergraph partitioning (the hMetis substitute).
+"""Hypergraph partitioning by recursive bisection (the hMetis substitute).
 
 `partition` produces a k-way partition by recursive bisection.  Each
-bisection is multilevel: the hypergraph is coarsened with heavy-edge
-matching, an initial bisection is grown greedily at the coarsest level, and
-the solution is projected back level by level with FM refinement
-(:mod:`repro.hypergraph.fm`) after every projection.  Several random starts
-are tried and the best cut kept, so results are deterministic for a fixed
-seed.
+bisection grows several initial bisections greedily from random seed
+vertices, refines each with FM (:mod:`repro.hypergraph.fm`), keeps the
+one with the smallest cut and refines it once more.  The random draws
+come from one seeded generator, so results are deterministic for a
+fixed seed.
 
 A graph of at most 64 vertices runs on one pin mask per edge
 (:class:`~repro.hypergraph.packed.PackedHypergraph`) when the C engine of
 :mod:`repro.compaction._cscan` is available: restriction, initial growth,
-FM refinement and cut pricing then run in C, while the random draws and
-coarsening stay here.  The kernel replays the Python steps exactly, so
-both paths return the same partition; the Python one is the fallback
-when there is no compiler or ``REPRO_COMPACTION_CSCAN=0``, and the
-kernel's test oracle.
+FM refinement and cut pricing then run in C, while the random draws
+stay here.  The kernel replays the Python steps exactly, so both paths
+return the same partition; the Python one is the fallback when there is
+no compiler or ``REPRO_COMPACTION_CSCAN=0``, and the kernel's test
+oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.hypergraph.fm import BalanceEnvelope, fm_refine
 from repro.hypergraph.hypergraph import Hypergraph, cut_weight
 from repro.hypergraph.packed import MAX_VERTICES, PackedHypergraph
 
-_COARSEST_SIZE = 32
 _RANDOM_STARTS = 4
 
 
@@ -135,7 +133,7 @@ def _recursive_bisect(
     if isinstance(graph, PackedHypergraph):
         sub = graph.restrict(vertices)
     else:
-        sub, _ = _subgraph(graph, vertices)
+        sub = _subgraph(graph, vertices)
     fraction = left_parts / parts
     local_assignment = _bisect(sub, fraction, epsilon, rng)
 
@@ -158,9 +156,7 @@ def _recursive_bisect(
         )
 
 
-def _subgraph(
-    graph: Hypergraph, vertices: list[int]
-) -> tuple[Hypergraph, dict[int, int]]:
+def _subgraph(graph: Hypergraph, vertices: list[int]) -> Hypergraph:
     """Restrict ``graph`` to ``vertices``; edges lose pins outside the set."""
     local_of = {vertex: index for index, vertex in enumerate(vertices)}
     edges = []
@@ -170,12 +166,11 @@ def _subgraph(
         if len(local_pins) >= 2:
             edges.append(local_pins)
             edge_weights.append(weight)
-    sub = Hypergraph(
+    return Hypergraph(
         vertex_weights=[graph.vertex_weights[v] for v in vertices],
         edges=edges,
         edge_weights=edge_weights,
     )
-    return sub, local_of
 
 
 def _bisect(
@@ -184,47 +179,20 @@ def _bisect(
     epsilon: float,
     rng: random.Random,
 ) -> list[int]:
-    """Multilevel bisection of ``graph``; part 0 targets ``fraction`` of
-    the total weight."""
+    """Bisection of ``graph``; part 0 targets ``fraction`` of the total
+    weight."""
     total = graph.total_vertex_weight
     target0 = int(round(total * fraction))
     slack = max(graph.vertex_weights, default=1)
     envelope = BalanceEnvelope(target0, total, epsilon, slack)
-
-    levels = _coarsen(graph, rng)
-    coarsest = levels[-1][0]
-
-    best_assignment: list[int] | None = None
-    best_cut = None
+    candidates = []
     for _ in range(_RANDOM_STARTS):
-        candidate = _initial_bisection(coarsest, target0, rng)
-        coarse_envelope = BalanceEnvelope(
-            target0, total, epsilon, max(coarsest.vertex_weights, default=1)
-        )
-        _refine(coarsest, candidate, coarse_envelope)
-        cut = _cut(coarsest, candidate)
-        if best_cut is None or cut < best_cut:
-            best_cut = cut
-            best_assignment = candidate
-    assert best_assignment is not None
-
-    # Project back through the levels, refining at each.
-    assignment = best_assignment
-    for level_index in range(len(levels) - 1, 0, -1):
-        _, mapping = levels[level_index]
-        finer_graph = levels[level_index - 1][0]
-        finer_assignment = [0] * finer_graph.vertex_count
-        for fine_vertex, coarse_vertex in enumerate(mapping):
-            finer_assignment[fine_vertex] = assignment[coarse_vertex]
-        level_envelope = BalanceEnvelope(
-            target0, total, epsilon, max(finer_graph.vertex_weights, default=1)
-        )
-        _refine(finer_graph, finer_assignment, level_envelope)
-        assignment = finer_assignment
-
-    if len(levels) == 1:
-        _refine(graph, assignment, envelope)
-    return assignment
+        candidate = _initial_bisection(graph, target0, rng)
+        _refine(graph, candidate, envelope)
+        candidates.append(candidate)
+    best = min(candidates, key=lambda candidate: _cut(graph, candidate))
+    _refine(graph, best, envelope)
+    return best
 
 
 def _initial_bisection(
@@ -273,88 +241,3 @@ def _initial_bisection(
         weight0 += graph.vertex_weights[best]
         absorb(best)
     return assignment
-
-
-def _coarsen(
-    graph: Hypergraph | PackedHypergraph, rng: random.Random
-) -> list[tuple[Hypergraph | PackedHypergraph, list[int] | None]]:
-    """Build the coarsening hierarchy.
-
-    Returns ``[(graph_0, None), (graph_1, map_0to1), ...]`` where
-    ``map_ito(i+1)[v]`` is the coarse vertex containing fine vertex ``v``.
-    Coarsening runs on pin tuples; the coarse levels of a packed graph
-    are packed again for the kernel.
-    """
-    levels: list[tuple[Hypergraph | PackedHypergraph, list[int] | None]] = [
-        (graph, None)
-    ]
-    if graph.vertex_count <= _COARSEST_SIZE:
-        return levels
-    packed = isinstance(graph, PackedHypergraph)
-    current = graph.hypergraph() if packed else graph
-    while current.vertex_count > _COARSEST_SIZE:
-        mapping = _heavy_edge_matching(current, rng)
-        coarse_count = max(mapping) + 1
-        if coarse_count >= current.vertex_count:
-            break  # no progress; stop coarsening
-        current = _contract(current, mapping, coarse_count)
-        levels.append(
-            (PackedHypergraph.of(current) if packed else current, mapping)
-        )
-    return levels
-
-
-def _heavy_edge_matching(graph: Hypergraph, rng: random.Random) -> list[int]:
-    """Match each vertex with its most strongly connected unmatched
-    neighbor; connectivity of a shared edge counts ``w(e) / (|e| - 1)``."""
-    incident = graph.incidence()
-    order = list(range(graph.vertex_count))
-    rng.shuffle(order)
-    mate = [-1] * graph.vertex_count
-    for vertex in order:
-        if mate[vertex] != -1:
-            continue
-        scores: dict[int, float] = {}
-        for edge_index in incident[vertex]:
-            weight = graph.edge_weights[edge_index]
-            pins = graph.edges[edge_index]
-            share = weight / (len(pins) - 1)
-            for pin in pins:
-                if pin != vertex and mate[pin] == -1:
-                    scores[pin] = scores.get(pin, 0.0) + share
-        if scores:
-            partner = max(scores, key=lambda p: (scores[p], -p))
-            mate[vertex] = partner
-            mate[partner] = vertex
-        else:
-            mate[vertex] = vertex
-
-    mapping = [-1] * graph.vertex_count
-    next_id = 0
-    for vertex in range(graph.vertex_count):
-        if mapping[vertex] != -1:
-            continue
-        mapping[vertex] = next_id
-        partner = mate[vertex]
-        if partner != vertex and partner != -1:
-            mapping[partner] = next_id
-        next_id += 1
-    return mapping
-
-
-def _contract(graph: Hypergraph, mapping: list[int], coarse_count: int) -> Hypergraph:
-    vertex_weights = [0] * coarse_count
-    for vertex, coarse in enumerate(mapping):
-        vertex_weights[coarse] += graph.vertex_weights[vertex]
-
-    merged: dict[tuple[int, ...], int] = {}
-    for pins, weight in zip(graph.edges, graph.edge_weights):
-        coarse_pins = tuple(sorted({mapping[p] for p in pins}))
-        if len(coarse_pins) < 2:
-            continue
-        merged[coarse_pins] = merged.get(coarse_pins, 0) + weight
-    return Hypergraph(
-        vertex_weights=vertex_weights,
-        edges=list(merged),
-        edge_weights=[merged[pins] for pins in merged],
-    )

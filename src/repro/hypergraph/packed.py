@@ -2,7 +2,8 @@
 
 Bit ``v`` of an edge's mask is set when vertex ``v`` is a pin, so pin
 counts on either side of a bisection are a popcount of ``mask & side``.
-:func:`repro.hypergraph.partition` runs such graphs through the C
+:func:`repro.hypergraph.multilevel.partition` (recursive bisection:
+multi-start greedy growth plus FM) runs such graphs through the C
 bisection kernel of :mod:`repro.compaction._cscan` (restrict, grow,
 refine, cut), which replays the Python code of
 :mod:`repro.hypergraph.multilevel` and :mod:`repro.hypergraph.fm`
@@ -105,8 +106,7 @@ class PackedHypergraph:
         return sum(self.vertex_weights)
 
     def hypergraph(self) -> Hypergraph:
-        """The same graph with pin tuples (for coarsening and the Python
-        partitioner)."""
+        """The same graph with pin tuples (for the Python partitioner)."""
         n = self.vertex_count
         return Hypergraph(
             vertex_weights=list(self.vertex_weights),

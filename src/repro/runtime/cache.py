@@ -8,7 +8,7 @@ inputs did not change.  This cache memoizes those results by a *stable
 content hash* of everything the computation depends on:
 
 * grouping results — ``(SOC structure, generator seed, N_r, generator
-  config, parts, epsilon)``;
+  config, parts, balance tolerance)``;
 * architecture optimizations — ``(SOC structure, W_max, SI groups,
   capture cycles)``;
 * baseline (SI-oblivious) pricings — ``(SOC structure, W_max, all
@@ -103,9 +103,11 @@ def grouping_cache_key(
     pattern_count: int,
     parts: int,
     config: GeneratorConfig = GeneratorConfig(),
-    epsilon: float = 0.10,
 ) -> str:
     """Key of a two-dimensional compaction (grouping) result."""
+    # Imported here so that loading the CLI does not load the grouping.
+    from repro.compaction.horizontal import BALANCE_EPSILON
+
     return "grouping-" + stable_hash(
         {
             "soc": soc_fingerprint(soc),
@@ -113,7 +115,7 @@ def grouping_cache_key(
             "pattern_count": pattern_count,
             "parts": parts,
             "generator": _config_fingerprint(config),
-            "epsilon": epsilon,
+            "epsilon": BALANCE_EPSILON,
         }
     )
 

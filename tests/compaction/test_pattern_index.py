@@ -11,6 +11,7 @@ plan that encodes its pattern set once.
 from __future__ import annotations
 
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +31,7 @@ from repro.soc.synth import synthesize_soc
 from tests.conftest import greedy_pruned
 
 
-def _grouping_oracle(soc, patterns, parts, seed, epsilon=0.10):
+def _grouping_oracle(soc, patterns, parts, seed):
     """Two-dimensional compaction one pattern at a time: one hyperedge
     increment and one routing decision per pattern, reference compactor
     on list buckets.  Returns ``(part_of_core, buckets, compactions)``."""
@@ -47,8 +48,7 @@ def _grouping_oracle(soc, patterns, parts, seed, epsilon=0.10):
         graph = build_hypergraph(
             [soc.core_by_id(c).woc_count for c in host_ids], edges
         )
-        assignment = partition(graph, parts, epsilon=epsilon,
-                               seed=seed).assignment
+        assignment = partition(graph, parts, seed=seed).assignment
         part_of_core = {c: assignment[index_of[c]] for c in host_ids}
     buckets: list[list[SIPattern]] = [[] for _ in range(parts + 1)]
     for pattern in patterns:
@@ -106,6 +106,28 @@ def test_index_grouping_matches_per_pattern_oracle(
         assert got.compacted == ref.compacted == oracle.compacted
         assert got == oracle
         assert greedy_compact(bucket) == oracle
+
+
+@pytest.mark.parametrize("hosts", [33, 64, 65, 80])
+@pytest.mark.parametrize("parts", [2, 4, 8])
+def test_grouping_matches_oracle_across_size_boundaries(hosts, parts):
+    # 64 cores is the last SOC partitioned on pin masks; 65 and 80 take
+    # the pin-tuple path.  The oracle runs wholly in Python.
+    soc = synthesize_soc("wide", hosts, seed=hosts)
+    assert sum(1 for core in soc if core.woc_count > 0) == hosts
+    patterns = generate_random_patterns(soc, 400, seed=parts)
+    with mock.patch.object(_cscan, "available", lambda: False):
+        part_of_core, buckets, compactions = _grouping_oracle(
+            soc, patterns, parts, seed=parts
+        )
+        groupings = [build_si_test_groups(soc, patterns, parts, seed=parts)]
+    groupings.append(build_si_test_groups(soc, patterns, parts, seed=parts))
+    for grouping in groupings:
+        assert grouping.part_of_core == part_of_core
+        assert [g.original_patterns for g in grouping.groups] == [
+            len(bucket) for bucket in buckets
+        ]
+        assert list(grouping.compactions) == compactions
 
 
 @pytest.fixture(scope="module")

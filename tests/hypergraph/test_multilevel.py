@@ -1,4 +1,4 @@
-"""Tests for multilevel k-way partitioning."""
+"""Tests for k-way partitioning by recursive bisection."""
 
 import random
 
@@ -11,7 +11,22 @@ from repro.hypergraph.hypergraph import (
     cut_weight,
     part_weights,
 )
-from repro.hypergraph.multilevel import partition
+from repro.hypergraph.multilevel import (
+    _initial_bisection,
+    _subgraph,
+    partition,
+)
+
+
+def _random_graph(n, seed=0):
+    rng = random.Random(seed)
+    edges = {}
+    for _ in range(n * 2):
+        size = rng.randint(2, min(4, n)) if n >= 2 else 2
+        pins = frozenset(rng.sample(range(n), k=size))
+        if len(pins) >= 2:
+            edges[pins] = edges.get(pins, 0) + rng.randint(1, 5)
+    return build_hypergraph([rng.randint(1, 5) for _ in range(n)], edges)
 
 
 def _clustered_graph(clusters: int, size: int, seed: int = 0):
@@ -98,8 +113,9 @@ class TestPartition:
         # Both parts stay non-empty despite the weight skew.
         assert len(others) < 5
 
-    def test_large_multilevel_path(self):
-        # Enough vertices to force actual coarsening levels.
+    def test_large_graph_on_pin_tuples(self):
+        # Above 64 vertices no graph fits one mask per edge, so the
+        # partition runs on pin tuples even with the C engine.
         graph = _clustered_graph(8, 12, seed=2)  # 96 vertices
         result = partition(graph, 8, seed=4)
         assert set(result.assignment) == set(range(8))
@@ -126,3 +142,38 @@ class TestPartition:
         assert min(result.assignment) >= 0
         assert set(result.assignment) == set(range(parts))
         assert result.cut == cut_weight(graph, list(result.assignment))
+
+
+class TestSubgraph:
+    def test_restriction(self):
+        graph = build_hypergraph(
+            [1, 2, 3, 4],
+            {frozenset({0, 1, 2}): 5, frozenset({2, 3}): 7},
+        )
+        sub = _subgraph(graph, [1, 2])
+        assert sub.vertex_weights == [2, 3]
+        # Edge {0,1,2} loses pin 0 -> {1,2} locally {0,1}; edge {2,3}
+        # loses pin 3 -> single pin, dropped.
+        assert sub.edges == [(0, 1)]
+        assert sub.edge_weights == [5]
+
+
+class TestInitialBisection:
+    def test_target_roughly_met(self):
+        graph = _random_graph(20, seed=6)
+        total = graph.total_vertex_weight
+        assignment = _initial_bisection(graph, total // 2,
+                                        random.Random(3))
+        weight0 = sum(
+            graph.vertex_weights[v]
+            for v in range(20) if assignment[v] == 0
+        )
+        assert weight0 >= total // 2  # grows until the target is reached
+        assert weight0 <= total
+
+    def test_both_sides_nonempty_for_positive_target(self):
+        graph = _random_graph(10, seed=7)
+        assignment = _initial_bisection(
+            graph, graph.total_vertex_weight // 3, random.Random(0)
+        )
+        assert 0 in assignment and 1 in assignment

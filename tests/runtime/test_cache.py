@@ -43,6 +43,13 @@ class TestKeys:
             t5, 1, 100, 2, config=GeneratorConfig(bus_probability=0.25)
         )
 
+    def test_grouping_key_is_pinned(self, t5):
+        # A changed key would orphan every stored grouping and checkpoint.
+        assert grouping_cache_key(t5, 1, 100, 2) == (
+            "grouping-"
+            "8ec1b7b7b071c3be9eda8c6eb5aed0829caa158fe0469bfa047c30f9f606accd"
+        )
+
     def test_optimize_key_depends_on_groups(self, t5):
         patterns = generate_random_patterns(t5, 100, seed=1)
         groups = build_si_test_groups(t5, patterns, parts=2, seed=1).groups
