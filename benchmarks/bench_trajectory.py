@@ -26,8 +26,8 @@ A point captures, in one run:
   ceiling) with a result-identity check;
 * **service overhead** — submit-to-result wall-clock of the same table
   plan through the :mod:`repro.service` HTTP job server vs a direct
-  ``PlanRunner`` run with identical persistence (fresh cache +
-  checkpoint per arm), gated at an absolute 5% budget at full scale,
+  ``PlanRunner`` run with identical persistence (a fresh cache store
+  per arm), gated at an absolute 5% budget at full scale,
   plus the dedup-hit latency (re-submitting a finished fingerprint).
 
 Absolute seconds are machine-dependent, so the regression gate
@@ -427,14 +427,13 @@ def bench_service(
     """Submit-to-result wall-clock through the job server vs a direct run.
 
     Both arms execute the identical table plan from cold persistence
-    (fresh cache + checkpoint each iteration), so the service arm's
+    (a fresh cache store each iteration), so the service arm's
     extra wall-clock is exactly its machinery: HTTP round-trips, queue
     hand-off, journal writes, event bookkeeping, report rendering.  The
     dedup figure times a re-submission of the finished fingerprint —
     the joined job answers from the journal without re-executing.
     """
     from repro.experiments.render import render_report
-    from repro.resilience.checkpoint import SweepCheckpoint
     from repro.service.client import ServiceClient
     from repro.service.server import ServiceConfig
     from repro.service.server import OptimizationService
@@ -449,7 +448,6 @@ def bench_service(
         runner = PlanRunner(
             jobs=1,
             cache=EvaluationCache(store_dir=Path(workdir) / "cache"),
-            checkpoint=SweepCheckpoint(Path(workdir) / "checkpoint.json"),
         )
         start = time.perf_counter()
         run_result = runner.run(plan)

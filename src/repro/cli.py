@@ -37,7 +37,8 @@ it through :class:`~repro.experiments.runner.PlanRunner`, as do
 ``bounds``, ``svg`` and ``whatif`` (optimize's plan).  The eight
 experiment commands (``pareto``, ``scaling``, ``table``, ``volume``,
 ``compare``, ``multisite``, ``sensitivity``, ``stability``) also take
-``--jobs``, ``--cache`` and ``--resume``, plus ``--profile`` for the
+``--jobs`` and ``--cache`` (also spelled ``--resume``: a killed run
+resumes by running again over the same store), plus ``--profile`` for the
 unified JSON run report (``docs/experiments.md``).  Every plan run
 re-verifies its schedules independently (``docs/resilience.md``); the
 ``--verify`` flag those ten commands and ``serve`` still accept is a
@@ -66,44 +67,14 @@ def _load_soc(name: str) -> Soc:
 
 
 def _make_cache(args: argparse.Namespace):
-    """Build the evaluation cache requested by ``--cache``, or ``None``."""
-    store_dir = getattr(args, "cache", None)
+    """Build the evaluation cache requested by ``--cache`` (or its second
+    spelling ``--resume``; ``--cache``'s directory wins), or ``None``."""
+    store_dir = getattr(args, "cache", None) or getattr(args, "resume", None)
     if store_dir is None:
         return None
     from repro.runtime.cache import EvaluationCache
 
     return EvaluationCache(store_dir=store_dir)
-
-
-#: Where ``--resume`` without a PATH puts its checkpoint files.
-DEFAULT_CHECKPOINT_DIR = "results/checkpoints"
-
-
-def _make_checkpoint(args: argparse.Namespace, plan):
-    """Build the ``--resume`` checkpoint for ``plan``, or ``None``.
-
-    Without an explicit PATH the file is derived from the plan's content
-    fingerprint under :data:`DEFAULT_CHECKPOINT_DIR`, so resuming the
-    same experiment finds the same checkpoint and a different experiment
-    never aliases it.
-    """
-    resume = getattr(args, "resume", None)
-    if resume is None:
-        return None
-    from pathlib import Path
-
-    from repro.resilience.checkpoint import SweepCheckpoint
-
-    if resume == "auto":
-        tag = plan.fingerprint().split("-", 1)[1][:16]
-        resume = Path(DEFAULT_CHECKPOINT_DIR) / f"{plan.name}-{tag}.json"
-    checkpoint = SweepCheckpoint(resume)
-    if checkpoint.resumed_from_disk:
-        print(
-            f"resuming from {checkpoint.path} "
-            f"({len(checkpoint)} recorded cells)"
-        )
-    return checkpoint
 
 
 def _runtime_arguments(args: argparse.Namespace) -> dict:
@@ -140,10 +111,10 @@ def _render_partial(run) -> None:
     )
     for cell_id, reason in sorted(run.poisoned.items()):
         print(f"  poisoned {cell_id}: {reason}")
-    salvaged = run.executed + run.cached + run.resumed
+    salvaged = run.executed + run.cached
     print(
-        f"{salvaged} cells completed (checkpoint/cache keep them); "
-        "re-run with --resume to retry the quarantined cells"
+        f"{salvaged} cells completed (the cache store keeps them); "
+        "re-run with the same --cache to retry the quarantined cells"
     )
 
 
@@ -160,7 +131,7 @@ def _run_plan(args: argparse.Namespace, kind: str, render) -> int:
     The plan is built inside the instrumentation context (so parent-side
     preparation such as building SI groups is counted), then runs
     through :class:`PlanRunner` with the command's
-    ``--jobs/--cache/--resume`` settings and ``render(run)`` prints the
+    ``--jobs/--cache`` settings and ``render(run)`` prints the
     command's output.  ``--profile`` then emits the unified run report
     (:func:`repro.experiments.reporting.experiment_report`), whose
     ``arguments`` are the SOC, the kind's knobs and the runtime flags.
@@ -184,11 +155,9 @@ def _run_plan(args: argparse.Namespace, kind: str, render) -> int:
     start = time.perf_counter()
     with use_instrumentation(instrumentation):
         plan = build_plan(kind, soc, **knobs)
-        checkpoint = _make_checkpoint(args, plan)
         runner = PlanRunner(
             jobs=getattr(args, "jobs", 1),
             cache=cache,
-            checkpoint=checkpoint,
             policy=_make_policy(args),
         )
         run = runner.run(plan)
@@ -316,8 +285,8 @@ def _add_verify_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     """The uniform plan-runner flags every experiment command accepts:
-    ``--jobs``, ``--cache``, ``--resume`` (and the no-op ``--verify``) —
-    plus ``--profile`` for the unified run report."""
+    ``--jobs``, ``--cache`` (also spelled ``--resume``; and the no-op
+    ``--verify``) — plus ``--profile`` for the unified run report."""
     from repro.runtime.cache import DEFAULT_STORE_DIR
 
     parser.add_argument(
@@ -332,11 +301,11 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         f"(default directory: {DEFAULT_STORE_DIR})",
     )
     parser.add_argument(
-        "--resume", nargs="?", const="auto", default=None, metavar="PATH",
-        help="record every completed cell to a crash-safe checkpoint and "
-        "replay recorded cells on the next run; without PATH the file "
-        "is derived from the plan fingerprint under "
-        f"{DEFAULT_CHECKPOINT_DIR}/",
+        "--resume", nargs="?", const=str(DEFAULT_STORE_DIR), default=None,
+        metavar="DIR",
+        help="a second spelling of --cache: a killed run resumes by "
+        "running again over the same store (--cache's DIR wins when "
+        "both are given)",
     )
     _add_verify_flag(parser)
     parser.add_argument(
@@ -349,8 +318,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         "--allow-partial", action="store_true",
         help="quarantine cells that exhaust their retry budget (and "
         "their dependents) instead of aborting: the run completes with "
-        "an explicit partial report and the checkpoint records the "
-        "poisoned cells for a later --resume retry",
+        "an explicit partial report; a rerun over the same --cache "
+        "store retries the poisoned cells",
     )
     parser.add_argument(
         "--profile", nargs="?", const="-", default=None, metavar="PATH",
@@ -766,8 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--state-dir", default="results/service",
-        help="durable state root: job journal, checkpoints, and the "
-        "shared evaluation cache live here",
+        help="durable state root: the job journal and the shared "
+        "evaluation cache live here",
     )
     serve.add_argument(
         "--jobs", type=int, default=1,

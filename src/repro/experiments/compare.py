@@ -14,7 +14,7 @@ contender plus a ``bound`` cell, so ``jobs > 1`` races the optimizers
 concurrently.  The warm-started SA cell consumes Algorithm 2's
 architecture through a :class:`~repro.experiments.plan.CellRef`
 projection.  Contender runtimes are measured inside each cell; a cache
-or checkpoint hit replays the recorded runtime along with the result.
+hit replays the recorded runtime along with the result.
 Each TestRail contender's schedule is verified in its cell
 (:func:`~repro.resilience.verify.check_optimization`, outside the timed
 run); the plan fails on any violation or on a time below the bound.
@@ -307,7 +307,6 @@ def compare_optimizers(
     include_exact: bool | None = None,
     jobs: int = 1,
     cache: EvaluationCache | None = None,
-    checkpoint=None,
 ) -> Comparison:
     """Run every applicable optimizer on the instance.
 
@@ -322,14 +321,8 @@ def compare_optimizers(
             achieved times are identical either way).
         cache: Optional evaluation cache; a warm hit replays a
             contender's result including its recorded runtime.
-        checkpoint: Optional
-            :class:`~repro.resilience.checkpoint.SweepCheckpoint`.
     """
-    runner = PlanRunner(
-        jobs=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-    )
+    runner = PlanRunner(jobs=jobs, cache=cache)
     run = runner.run(
         compare_plan(
             soc,

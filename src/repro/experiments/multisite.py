@@ -149,7 +149,6 @@ def run_multisite_study(
     site_counts: tuple[int, ...] | None = None,
     jobs: int = 1,
     cache: EvaluationCache | None = None,
-    checkpoint=None,
 ) -> MultisiteStudy:
     """Sweep site counts that divide the channel budget.
 
@@ -163,18 +162,12 @@ def run_multisite_study(
         cache: Optional evaluation cache shared with the other
             experiments (per-site cells reuse table/Pareto optimizer
             results at the same width).
-        checkpoint: Optional
-            :class:`~repro.resilience.checkpoint.SweepCheckpoint`.
 
     Raises:
         ValueError: On a non-positive channel budget or a site count that
             does not divide it.
     """
-    runner = PlanRunner(
-        jobs=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-    )
+    runner = PlanRunner(jobs=jobs, cache=cache)
     run = runner.run(
         multisite_plan(soc, channels, groups=groups, site_counts=site_counts)
     )

@@ -168,22 +168,17 @@ def sweep_widths(
     capture_cycles: int = 1,
     jobs: int = 1,
     cache: EvaluationCache | None = None,
-    checkpoint=None,
 ) -> ParetoCurve:
     """Optimize the SOC at each budget and collect the trade-off curve.
 
     Budgets are independent, so ``jobs > 1`` fans them out over worker
-    processes; the curve is identical to a serial sweep.  ``cache`` and
-    ``checkpoint`` memoize and resume individual curve points.
+    processes; the curve is identical to a serial sweep.  ``cache``
+    memoizes individual curve points (and, on disk, resumes them).
 
     Raises:
         ValueError: If ``widths`` is empty or not strictly increasing.
     """
-    runner = PlanRunner(
-        jobs=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-    )
+    runner = PlanRunner(jobs=jobs, cache=cache)
     run = runner.run(
         pareto_plan(soc, widths, groups=groups, capture_cycles=capture_cycles)
     )

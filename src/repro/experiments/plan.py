@@ -15,8 +15,8 @@ scaling, sensitivity and stability — decomposes the same way:
 
 Execution is entirely the
 :class:`~repro.experiments.runner.PlanRunner`'s business: any plan runs
-through the same executor/pool machinery with caching, checkpoint
-resume, verification, and fault-injection disclosure for free, and a
+through the same executor/pool machinery with caching, resume over the
+cache store, verification, and fault-injection disclosure for free, and a
 serialized plan (:func:`plan_to_dict`) is exactly the payload a future
 job server would accept over the wire.
 
@@ -36,7 +36,7 @@ The cell graph contract:
   on upstream *results* (e.g. an optimization keyed by the grouping it
   consumes);
 * ``output=False`` marks a cell consumed only by other cells; the runner
-  prunes it when every consumer was served from cache or checkpoint.
+  prunes it when every consumer was served from the cache.
 
 Expansion must be deterministic: expanding the same plan twice yields
 the same ids, dependencies, and keys, in the same order.  That is what
@@ -52,7 +52,7 @@ from typing import Callable, Iterator, Mapping
 from repro.runtime.cache import soc_fingerprint, stable_hash
 from repro.soc.model import Soc
 
-#: Sentinel for cells that must never be cached or checkpointed (e.g.
+#: Sentinel for cells that must never be cached (e.g.
 #: wall-clock measurements a caller explicitly wants re-run).
 UNCACHED = "__uncached__"
 
@@ -112,7 +112,7 @@ class CellSpec:
             worker (or serially) under fresh instrumentation.
         args: Positional arguments; may contain :class:`CellRef` entries
             (including inside tuples/lists one level down).
-        cache_key: Content-hash key for cache/checkpoint, ``None`` for
+        cache_key: Content-hash key for the cache, ``None`` for
             the default plan-scoped key, or :data:`UNCACHED`.
         key_fn: Lazy key: called with the results of ``key_deps`` (in
             order) once they are available.  Mutually exclusive with
@@ -342,7 +342,7 @@ class ExperimentPlan:
 
     def fingerprint(self) -> str:
         """Stable content hash of the plan — the dedup/submission key a
-        job server would use, and the default checkpoint scope."""
+        job server would use, and the scope of plan-cell keys."""
         return "plan-" + stable_hash(
             {"plan": self.name, "params": params_fingerprint(self.params)}
         )
@@ -454,8 +454,8 @@ def registered_plans() -> tuple[str, ...]:
 
 def plan_cell_key(plan_fingerprint: str, cell_id: str) -> str:
     """Default content-hash key of a plan cell: scoped by the plan's
-    fingerprint, so two plans never alias and a checkpoint written for
-    one plan can only resume that plan.  Values stored under this key
+    fingerprint, so two plans never alias and a stored cell of one plan
+    can only resume that plan.  Values stored under this key
     must be plain JSON (``"plancell"`` codec)."""
     return "plancell-" + stable_hash(
         {"plan": plan_fingerprint, "cell": cell_id}

@@ -40,7 +40,6 @@ def plan_block(run: PlanRun, counters: dict | None = None) -> dict:
             "expanded": run.cells,
             "executed": run.executed,
             "cached": run.cached,
-            "resumed": run.resumed,
             "pruned": run.pruned,
             "poisoned": len(run.poisoned),
         },

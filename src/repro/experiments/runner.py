@@ -3,19 +3,17 @@
 :class:`PlanRunner` takes an :class:`~repro.experiments.plan.ExperimentPlan`
 and drives its cell graph to completion through the existing runtime —
 :func:`repro.runtime.executor.run_cells` fan-out (serial, or the
-persistent work-stealing worker pool when ``jobs > 1``), the keyed
-:class:`~repro.runtime.cache.EvaluationCache`, and
-:class:`~repro.resilience.checkpoint.SweepCheckpoint` resume — so every
-experiment gets ``--jobs/--cache/--resume`` uniformly, with counter
-totals identical to a serial run.
+persistent work-stealing worker pool when ``jobs > 1``) and the keyed
+:class:`~repro.runtime.cache.EvaluationCache`, whose on-disk store is
+also how a killed run resumes (run it again over the same store) — so
+every experiment gets ``--jobs/--cache`` uniformly, with counter totals
+identical to a serial run.
 
 The execution model is a deterministic wave loop over the cell graph:
 
 1. resolve cache keys (eager keys immediately; lazy ``key_fn`` keys as
    soon as their ``key_deps`` results exist);
-2. look each newly-keyed cell up — checkpoint first (resume
-   correctness), then the cache — and record hits back into the
-   checkpoint so it alone can resume the plan;
+2. look each newly-keyed cell up in the cache;
 3. compute the *needed* set: unresolved output cells, plus —
    transitively — the dependencies of every needed cell that is known to
    execute.  A cell needed only by an unresolved cell whose lookup is
@@ -27,11 +25,11 @@ The execution model is a deterministic wave loop over the cell graph:
    :func:`run_cells` batch per wave, in expansion order, sharing one
    warm :class:`~repro.runtime.pool.WorkerPool` across all waves when
    ``jobs > 1`` (a wave runs serially when no pool is available) —
-   absorb worker snapshots, cache and checkpoint the results, and loop.
+   absorb worker snapshots, cache the results, and loop.
 
 When the loop drains, still-unresolved cells are *pruned* (never
 needed).  Every run then re-checks its schedules independently: each
-``optimize`` cell's result — fresh, cached or replayed — goes through
+``optimize`` cell's result — fresh or cached — goes through
 :func:`~repro.resilience.verify.verify_optimization`, and the kind's
 ``verify`` hook adds its own post-conditions; any violation raises
 :class:`~repro.resilience.verify.ScheduleVerificationError` before the
@@ -67,8 +65,8 @@ from repro.runtime.supervision import (
     PlanDeadlineError,
     RunPolicy,
     current_breaker,
-    degraded_backend,
     use_policy,
+    workers_retired,
 )
 from repro.runtime.pool import WorkerPool, warm_engines
 
@@ -97,7 +95,7 @@ class PlanRun:
 
     Attributes:
         plan: The executed plan.
-        fingerprint: Its content hash (checkpoint/dedup scope).
+        fingerprint: Its content hash (plan-cell key and dedup scope).
         report: The kind's assembled report object.
         results: Cell results by cell id (pruned cells absent).
         backend: What ran the executed cells: ``workers`` when any wave
@@ -107,7 +105,6 @@ class PlanRun:
         cells: Total cells in the expanded graph.
         executed: Cells actually computed this run.
         cached: Cells served by the evaluation cache.
-        resumed: Cells replayed from the checkpoint.
         pruned: Cells never needed (all consumers served warm).
         cache_stats: :meth:`EvaluationCache.stats` snapshot (empty when
             no cache was configured).
@@ -130,7 +127,6 @@ class PlanRun:
     cells: int = 0
     executed: int = 0
     cached: int = 0
-    resumed: int = 0
     pruned: int = 0
     cache_stats: dict = field(default_factory=dict)
     status: str = "complete"
@@ -139,17 +135,14 @@ class PlanRun:
 
 
 class PlanRunner:
-    """Execute any registered plan with caching, resume, and fan-out.
+    """Execute any registered plan with caching and fan-out.
 
     Args:
         jobs: Worker processes for cell fan-out (1 = serial, more = the
             work-stealing worker pool; results are bit-identical either
             way).
-        cache: Optional :class:`EvaluationCache` shared across runs.
-        checkpoint: Optional
-            :class:`~repro.resilience.checkpoint.SweepCheckpoint`; cells
-            found in it are replayed, every completed cell (cache hits
-            included) is recorded.
+        cache: Optional :class:`EvaluationCache` shared across runs;
+            with a disk store, running a killed plan again resumes it.
         timeout: Optional per-cell budget in seconds (overrides the
             policy's ``cell_timeout`` when both are set).
         policy: Optional :class:`~repro.runtime.supervision.RunPolicy`
@@ -167,39 +160,15 @@ class PlanRunner:
         self,
         jobs: int = 1,
         cache: EvaluationCache | None = None,
-        checkpoint=None,
         timeout: float | None = None,
         policy: RunPolicy | None = None,
         pool: WorkerPool | None = None,
     ) -> None:
         self.jobs = jobs
         self.cache = cache
-        self.checkpoint = checkpoint
         self.timeout = timeout
         self.policy = policy if policy is not None else RunPolicy()
         self.pool = pool
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _lookup(self, key: str):
-        """Checkpoint first (resume correctness), then the cache.
-
-        Returns ``(value, origin)`` with origin ``"resumed"``/``"cached"``,
-        or ``(None, None)`` on a miss.
-        """
-        if self.checkpoint is not None and key in self.checkpoint:
-            value = self.checkpoint.fetch(key)
-            if value is not None:
-                return value, "resumed"
-        if self.cache is not None:
-            value = self.cache.get(key)
-            if value is not None:
-                return value, "cached"
-        return None, None
-
-    def _record(self, key: str, value) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.record(key, value)
 
     # -- the run ----------------------------------------------------------
 
@@ -227,10 +196,10 @@ class PlanRunner:
         def sweep_pool() -> WorkerPool | None:
             """The run's shared warm worker pool, created on the first
             wave; ``None`` means the wave runs serially (``jobs`` is 1,
-            workers cannot start here, or the degradation ladder has
-            retired them)."""
+            workers cannot start here, or repeated failures have retired
+            them)."""
             nonlocal pool, pool_failed
-            if self.jobs <= 1 or degraded_backend("workers") != "workers":
+            if self.jobs <= 1 or workers_retired():
                 return None
             if self.pool is not None:
                 return self.pool
@@ -279,19 +248,12 @@ class PlanRunner:
         run.wall_seconds = time.perf_counter() - start
         return run
 
-    def _poison(self, run: PlanRun, keys, cell_id: str, reason: str) -> None:
-        """Quarantine ``cell_id``: record the reason on the run (and in
-        the checkpoint when the cell has a durable key) so dependents
-        prune and a resume re-attempts it."""
+    def _poison(self, run: PlanRun, cell_id: str, reason: str) -> None:
+        """Quarantine ``cell_id``: record the reason on the run so its
+        dependents prune.  Nothing is stored for it, so a rerun over the
+        same store re-attempts it."""
         run.poisoned[cell_id] = reason
         incr("plan.cells_poisoned")
-        key = keys.get(cell_id)
-        if (
-            key is not None
-            and key != UNCACHED
-            and self.checkpoint is not None
-        ):
-            self.checkpoint.poison(key, reason)
 
     def _drain(self, cells, fingerprint, run: PlanRun, sweep_pool) -> None:
         """The wave loop: resolve keys, look up, execute needed cells."""
@@ -299,15 +261,10 @@ class PlanRunner:
         results = run.results
         keys: dict[str, str] = {}
         looked: set[str] = set()
-        lookups_enabled = self.cache is not None or self.checkpoint is not None
+        lookups_enabled = self.cache is not None
         policy = self.policy
         deadline = policy.plan_deadline
         drain_start = time.monotonic()
-        ckpt_poisoned = (
-            dict(self.checkpoint.poisoned)
-            if self.checkpoint is not None
-            else {}
-        )
 
         def unresolved():
             return [
@@ -319,7 +276,7 @@ class PlanRunner:
 
         def quarantine_remaining(reason: str) -> None:
             for cell in unresolved():
-                self._poison(run, keys, cell.cell_id, reason)
+                self._poison(run, cell.cell_id, reason)
 
         while True:
             if (
@@ -379,22 +336,13 @@ class PlanRunner:
                         ):
                             continue
                         looked.add(cell.cell_id)
-                        if key in ckpt_poisoned:
-                            # Poisoned on a previous run: the resume
-                            # re-attempts it from scratch.
-                            incr("recovery.poison_retried")
-                        value, origin = self._lookup(key)
-                        if origin is None:
+                        value = self.cache.get(key)
+                        if value is None:
                             continue
                         changed = True
                         results[cell.cell_id] = value
-                        self._record(key, value)
-                        if origin == "resumed":
-                            run.resumed += 1
-                            incr("plan.cells_resumed")
-                        else:
-                            run.cached += 1
-                            incr("plan.cells_cached")
+                        run.cached += 1
+                        incr("plan.cells_cached")
                 if not changed:
                     break
             pending = unresolved()
@@ -424,10 +372,7 @@ class PlanRunner:
                             if d in run.poisoned
                         )
                         self._poison(
-                            run,
-                            keys,
-                            cell.cell_id,
-                            f"dependency {dep} poisoned",
+                            run, cell.cell_id, f"dependency {dep} poisoned"
                         )
                     pending = unresolved()
                 if not pending:
@@ -524,7 +469,7 @@ class PlanRunner:
                 reason = f"{type(cause).__name__}: {cause}"
                 if len(reason) > 200:
                     reason = reason[:197] + "..."
-                self._poison(run, keys, cell.cell_id, reason)
+                self._poison(run, cell.cell_id, reason)
                 continue
             value, snapshot = outcome
             absorb_snapshot(snapshot)
@@ -532,10 +477,8 @@ class PlanRunner:
             run.executed += 1
             incr("plan.cells_executed")
             key = keys[cell.cell_id]
-            if key != UNCACHED:
-                if self.cache is not None:
-                    self.cache.put(key, value)
-                self._record(key, value)
+            if key != UNCACHED and self.cache is not None:
+                self.cache.put(key, value)
 
 
 def _verify_schedules(cells, results) -> list[str]:

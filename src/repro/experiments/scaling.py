@@ -10,7 +10,7 @@ The sweep is the declarative :class:`ScalingPlan` — one ``scale/{n}``
 cell per core count running the whole pipeline (the SOC is synthesized
 inside the cell, so plan parameters stay tiny).  Cells carry the default
 plan-scoped cache key; note that the recorded stage runtimes are part of
-the cell value, so a cache or checkpoint hit replays the originally
+the cell value, so a cache hit replays the originally
 measured seconds.  Each cell verifies its optimized schedule
 (:func:`~repro.resilience.verify.check_optimization`) and records the
 violations, which fail the plan.
@@ -173,23 +173,18 @@ def run_scaling_study(
     seed: int = 0,
     jobs: int = 1,
     cache: EvaluationCache | None = None,
-    checkpoint=None,
 ) -> tuple[ScalingPoint, ...]:
     """Run the pipeline at each SOC size and collect the scaling points.
 
     Sizes are independent, so ``jobs > 1`` fans them out over worker
     processes (per-stage seconds are measured inside each cell either
-    way).  ``cache``/``checkpoint`` memoize and resume whole sizes —
+    way).  ``cache`` memoizes (and, on disk, resumes) whole sizes —
     replayed points carry their originally measured runtimes.
 
     Raises:
         ValueError: On an empty size list or non-positive parameters.
     """
-    runner = PlanRunner(
-        jobs=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-    )
+    runner = PlanRunner(jobs=jobs, cache=cache)
     run = runner.run(
         scaling_plan(
             core_counts,

@@ -199,23 +199,18 @@ def run_sensitivity_study(
     variants: tuple[tuple[str, GeneratorConfig], ...] | None = None,
     jobs: int = 1,
     cache: EvaluationCache | None = None,
-    checkpoint=None,
 ) -> tuple[SensitivityPoint, ...]:
     """Run the pipeline once per generator variant.
 
     Variants are independent, so ``jobs > 1`` fans their cells out over
-    worker processes; ``cache``/``checkpoint`` memoize and resume at cell
+    worker processes; ``cache`` memoizes (and, on disk, resumes) at cell
     granularity (a killed run replays finished groupings and optimizer
     cells instead of recomputing them).
 
     Raises:
         ValueError: On non-positive parameters.
     """
-    runner = PlanRunner(
-        jobs=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-    )
+    runner = PlanRunner(jobs=jobs, cache=cache)
     run = runner.run(
         sensitivity_plan(
             soc,

@@ -189,23 +189,18 @@ def run_stability_study(
     generator_config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
     cache: EvaluationCache | None = None,
-    checkpoint=None,
 ) -> StabilityReport:
     """Rerun one table cell across ``seeds`` and collect the spreads.
 
     Seeds expand into independent table sub-graphs, so ``jobs > 1`` fans
-    all seeds' cells out together; ``cache``/``checkpoint`` memoize and
-    resume at cell granularity, and the cache is shared with plain table
-    runs over the same inputs.
+    all seeds' cells out together; ``cache`` memoizes (and, on disk,
+    resumes) at cell granularity, and the cache is shared with plain
+    table runs over the same inputs.
 
     Raises:
         ValueError: If no seeds are given.
     """
-    runner = PlanRunner(
-        jobs=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-    )
+    runner = PlanRunner(jobs=jobs, cache=cache)
     run = runner.run(
         stability_plan(
             soc,

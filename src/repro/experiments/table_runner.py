@@ -344,7 +344,6 @@ def run_table_experiment(
     verbose: bool = False,
     jobs: int = 1,
     cache: EvaluationCache | None = None,
-    checkpoint=None,
 ) -> TableResult:
     """Run the full Table 2/3 experiment for one SOC and one ``N_r``.
 
@@ -360,18 +359,10 @@ def run_table_experiment(
             the work-stealing worker pool; the table is identical either
             way).
         cache: Optional evaluation cache memoizing grouping and optimizer
-            cells across runs.
-        checkpoint: Optional
-            :class:`~repro.resilience.checkpoint.SweepCheckpoint`.  Cells
-            found in it are replayed instead of recomputed (resume after
-            a crash); every completed cell — including cache hits — is
-            recorded, so the checkpoint alone can resume the sweep.
+            cells across runs; with a disk store, running a killed
+            sweep again resumes it.
     """
-    runner = PlanRunner(
-        jobs=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-    )
+    runner = PlanRunner(jobs=jobs, cache=cache)
     run = runner.run(
         table_plan(
             soc,

@@ -1,244 +1,21 @@
-"""Crash-safe checkpoint/resume for experiment sweeps.
+"""A placeholder for the retired sweep checkpoint.
 
-A full Table 2/3 sweep is hours of work; a crash at hour three should
-not cost the first three hours.  :class:`SweepCheckpoint` persists every
-completed sweep cell — keyed by the same content-hash keys the
-evaluation cache uses, with values encoded by the same exact codecs — to
-a single JSON file that is rewritten *atomically* (temp file + ``fsync``
-+ ``os.replace``) after each cell.  At any instant the file on disk is
-either the previous complete checkpoint or the new complete checkpoint,
-never a torn write.
-
-``run_experiments.py --resume`` loads the checkpoint and the sweep
-skips every recorded cell; because both the keys and the codecs are
-exact, a resumed run is bit-identical to an uninterrupted one.  A
-checkpoint file that fails its own checksum (machine died mid-``fsync``,
-disk corruption) is quarantined to ``*.corrupt`` and the sweep restarts
-from scratch rather than resuming from lies.
-
-Version 2 adds a ``poisoned`` section: cells quarantined by the run
-supervisor (:mod:`repro.runtime.supervision`) after exhausting their
-retry budget are recorded with their failure reason, so an operator can
-audit a partial sweep from the file alone.  A resumed run *re-attempts*
-poisoned cells — :meth:`SweepCheckpoint.record` pops the key from the
-poisoned section when the cell finally completes.  Version-1 files load
-unchanged (empty poisoned section).
-
-The :func:`~repro.resilience.faults.check_fault` site
-``checkpoint.record`` runs just *after* a cell is recorded, so a
-``sweep-abort`` fault kills the process at a precise, deterministic
-point mid-sweep — the chaos tests use it to prove resume equivalence
-without racing timers.
+Runs resume from the evaluation cache's on-disk store
+(:mod:`repro.runtime.cache`): a killed sweep is resumed by running it
+again over the same store.  Nothing in the program builds or calls
+:class:`SweepCheckpoint`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
-from repro.runtime.cache import (
-    default_codecs,
-    stable_hash,
-)
-from repro.runtime.instrumentation import incr
-from repro.runtime.supervision import disk_preflight
-
-CHECKPOINT_FORMAT = "repro-sweep-checkpoint"
-CHECKPOINT_VERSION = 2
-#: Versions :meth:`SweepCheckpoint._load` accepts (v1 = no poisoned section).
-CHECKPOINT_COMPAT_VERSIONS = (1, 2)
-
-__all__ = [
-    "CHECKPOINT_COMPAT_VERSIONS",
-    "CHECKPOINT_FORMAT",
-    "CHECKPOINT_VERSION",
-    "SweepCheckpoint",
-    "atomic_write_text",
-]
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (tmp + fsync + rename).
-
-    The temp file lives next to the target (same filesystem, so
-    ``os.replace`` is atomic) with a suffix no store glob matches.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+__all__ = ["SweepCheckpoint"]
 
 
 class SweepCheckpoint:
-    """Atomic on-disk record of completed sweep cells.
-
-    Args:
-        path: Checkpoint file; created on first :meth:`record`.
-        codec_of: Key-prefix -> ``(encode, decode)`` map; defaults to the
-            evaluation cache's exact codecs.
-    """
-
-    def __init__(self, path: str | Path, codec_of: dict | None = None) -> None:
-        self.path = Path(path)
-        self._codec_of = codec_of if codec_of is not None else default_codecs()
-        self._cells: dict[str, object] = {}
-        self._poisoned: dict[str, str] = {}
-        self.resumed_from_disk = False
-        self._load()
-
-    # -- loading ----------------------------------------------------------
-
-    def _load(self) -> None:
-        if not self.path.is_file():
-            return
-        problem: str | None = None
-        try:
-            entry = json.loads(self.path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            problem = f"unreadable ({error})"
-            entry = None
-        if problem is None:
-            problem = self._entry_problem(entry)
-        if problem is not None:
-            self._quarantine(problem)
-            return
-        self._cells = dict(entry["cells"])
-        self._poisoned = dict(entry.get("poisoned") or {})
-        self.resumed_from_disk = True
-        incr("checkpoint.loaded_cells", len(self._cells))
-
-    @staticmethod
-    def _entry_problem(entry) -> str | None:
-        if not isinstance(entry, dict):
-            return "not a JSON object"
-        if entry.get("format") != CHECKPOINT_FORMAT:
-            return f"unexpected format {entry.get('format')!r}"
-        version = entry.get("version")
-        if version not in CHECKPOINT_COMPAT_VERSIONS:
-            return f"unsupported version {version!r}"
-        cells = entry.get("cells")
-        if not isinstance(cells, dict):
-            return "missing cells"
-        poisoned = entry.get("poisoned") or {}
-        if not isinstance(poisoned, dict):
-            return "malformed poisoned section"
-        if version == 1:
-            expected = stable_hash(cells)
-        else:
-            expected = stable_hash({"cells": cells, "poisoned": poisoned})
-        if entry.get("checksum") != expected:
-            return "cells checksum mismatch"
-        return None
-
-    def _quarantine(self, problem: str) -> None:
-        quarantined = self.path.with_name(self.path.name + ".corrupt")
-        try:
-            os.replace(self.path, quarantined)
-        except OSError:  # pragma: no cover - racing deletion
-            quarantined = None
-        incr("recovery.checkpoint_quarantined")
-        import warnings
-
-        where = f" (moved to {quarantined.name})" if quarantined else ""
-        warnings.warn(
-            f"checkpoint {self.path} is corrupt: {problem}{where}; "
-            "starting fresh",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    # -- recording / lookup ----------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._cells
-
-    @property
-    def keys(self) -> frozenset:
-        return frozenset(self._cells)
-
-    def _codec(self, key: str):
-        return self._codec_of.get(key.split("-", 1)[0])
+    """Kept only as a name: ``perfbench/spans.py`` binds a span over
+    ``repro.resilience.checkpoint.SweepCheckpoint.record`` by name when
+    it installs, so every traced benchmark run would fail at start
+    without it.  The span then never fires."""
 
     def record(self, key: str, value) -> None:
-        """Persist a completed cell and flush the checkpoint atomically.
-
-        Cells already recorded (e.g. found again on a resumed pass) are
-        not rewritten — the flush is skipped, keeping resumed replays
-        cheap.
-        """
-        codec = self._codec(key)
-        if codec is None or key in self._cells:
-            return
-        encode, _ = codec
-        self._cells[key] = encode(value)
-        # A poisoned cell that finally completed has recovered — drop
-        # the quarantine record with the same flush.
-        self._poisoned.pop(key, None)
-        self._flush()
-        incr("checkpoint.cells_recorded")
-        from repro.resilience import faults
-
-        fault = faults.check_fault("checkpoint.record")
-        if fault is not None:
-            faults.perform(fault)
-
-    def fetch(self, key: str):
-        """The recorded value for ``key`` decoded back to a live object,
-        or ``None`` when the cell is not in the checkpoint."""
-        if key not in self._cells:
-            return None
-        codec = self._codec(key)
-        if codec is None:
-            return None
-        _, decode = codec
-        incr("checkpoint.cells_resumed")
-        return decode(self._cells[key])
-
-    @property
-    def poisoned(self) -> dict[str, str]:
-        """Key -> reason for every cell quarantined by the supervisor."""
-        return dict(self._poisoned)
-
-    def poison(self, key: str, reason: str) -> None:
-        """Record ``key`` as poisoned (budget exhausted) with ``reason``.
-
-        The cell stays out of :meth:`fetch`/``in`` — a resumed run
-        re-attempts it — but the quarantine survives the process, so a
-        partial sweep is auditable from the checkpoint file alone.
-        """
-        if self._poisoned.get(key) == reason:
-            return
-        self._poisoned[key] = reason
-        self._flush()
-        incr("checkpoint.cells_poisoned")
-
-    def _flush(self) -> None:
-        if not disk_preflight(self.path.parent, "checkpoint"):
-            return
-        entry = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "cells": self._cells,
-            "poisoned": self._poisoned,
-            "checksum": stable_hash(
-                {"cells": self._cells, "poisoned": self._poisoned}
-            ),
-        }
-        atomic_write_text(self.path, json.dumps(entry, sort_keys=True) + "\n")
-
-    def clear(self) -> None:
-        """Delete the checkpoint file and forget all recorded cells."""
-        self._cells.clear()
-        self._poisoned.clear()
-        self.resumed_from_disk = False
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        """Never called."""

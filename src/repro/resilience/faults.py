@@ -17,23 +17,25 @@ optional numeric ``arg`` (e.g. hang seconds) and a *scope* restricting
 it to pool worker processes or the parent.  Sites are fixed counters
 threaded through the stack:
 
-========================  ====================================================
-site                      hooked where
-========================  ====================================================
-``executor.cell``         :func:`repro.runtime.executor.run_cells` worker
-                          boundary, one occurrence per cell attempt
-                          (kinds ``worker-crash``, ``worker-hang``,
-                          ``garbage-result``, ``cell-error``)
-``cache.store.write``     :meth:`repro.runtime.cache.EvaluationCache` disk
-                          writes (kinds ``cache-truncate``, ``cache-bitflip``,
-                          ``codec-mismatch``)
-``cscan.load``            :func:`repro.compaction._cscan.available` (kind
-                          ``cscan-compile-fail``)
-``movescan.load``         :func:`repro.core._movescan.available` (kind
-                          ``movescan-compile-fail``)
-``checkpoint.record``     :meth:`repro.resilience.checkpoint.SweepCheckpoint`
-                          (kind ``sweep-abort`` — hard process kill)
-========================  ====================================================
+=========================  ====================================================
+site                       hooked where
+=========================  ====================================================
+``executor.cell``          :func:`repro.runtime.executor.run_cells` worker
+                           boundary, one occurrence per cell attempt
+                           (kinds ``worker-crash``, ``worker-hang``,
+                           ``garbage-result``, ``cell-error``)
+``cache.store.write``      :meth:`repro.runtime.cache.EvaluationCache` disk
+                           writes (kinds ``cache-truncate``, ``cache-bitflip``,
+                           ``codec-mismatch``)
+``cscan.load``             :func:`repro.compaction._cscan.available` (kind
+                           ``cscan-compile-fail``)
+``movescan.load``          :func:`repro.core._movescan.available` (kind
+                           ``movescan-compile-fail``)
+``cache.store.published``  :meth:`repro.runtime.cache.EvaluationCache` disk
+                           writes, right after an entry is published, one
+                           occurrence per entry (kind ``sweep-abort`` — hard
+                           process kill)
+=========================  ====================================================
 
 Activation is explicit only: :func:`activate` / :func:`inject` with a
 plan object, or the ``REPRO_FAULT_PLAN`` environment variable (specs
@@ -93,7 +95,7 @@ FAULT_KINDS: dict[str, str] = {
     "codec-mismatch": "cache.store.write",
     "cscan-compile-fail": "cscan.load",
     "movescan-compile-fail": "movescan.load",
-    "sweep-abort": "checkpoint.record",
+    "sweep-abort": "cache.store.published",
 }
 
 _SCOPES = ("any", "worker", "parent")

@@ -19,7 +19,7 @@ machinery to run those cells fast and observably:
   emitted as a structured JSON run report.
 * :mod:`repro.runtime.supervision` — the declarative :class:`RunPolicy`
   (retry budgets with deterministic backoff, deadlines, a failure-rate
-  circuit breaker), the backend degradation ladder, and the resource
+  circuit breaker), worker-pool retirement, and the resource
   guards (disk preflight, worker RSS watchdog) every execution layer
   consults.
 * :mod:`repro.runtime.codec` — exact JSON round-trips for the cached

@@ -25,6 +25,12 @@ payload so :func:`verify_store` can detect truncation or hand-editing.
 Writes are atomic (temp file + ``fsync`` + rename) and a corrupt entry
 found at load time is *quarantined* — renamed to ``*.corrupt`` — and
 silently recomputed, so one torn write can never wedge a sweep.
+
+The store is also the only durable cell state of a run: a sweep killed
+mid-run resumes by running again over the same store, which serves every
+cell published before the kill.  The fault site ``cache.store.published``
+fires right after each entry is published (``sweep-abort`` kills the
+process there).
 """
 
 from __future__ import annotations
@@ -192,23 +198,17 @@ class EvaluationCache:
         max_entries: In-memory LRU capacity.
         store_dir: Directory of the on-disk JSON store, or ``None`` to
             keep the cache purely in-memory.
-        codec_of: Maps a key prefix (``"grouping"``, ``"optimize"``, ...)
-            to an ``(encode, decode)`` pair used for the disk store.
     """
 
     def __init__(
         self,
         max_entries: int = 4096,
         store_dir: str | Path | None = None,
-        codec_of: dict | None = None,
     ) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self.store_dir = Path(store_dir) if store_dir is not None else None
-        if codec_of is None:
-            codec_of = _default_codecs()
-        self._codec_of = codec_of
         self._entries: OrderedDict[str, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -218,9 +218,6 @@ class EvaluationCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _kind_of(self, key: str) -> str:
-        return key.split("-", 1)[0]
 
     def get(self, key: str):
         """The cached value for ``key``, or ``None`` on a miss."""
@@ -262,7 +259,7 @@ class EvaluationCache:
         return self.store_dir / f"{key}.json"
 
     def _write_to_store(self, key: str, value) -> None:
-        codec = self._codec_of.get(self._kind_of(key))
+        codec = _codec(key)
         if codec is None:
             return
         encode, _ = codec
@@ -278,23 +275,21 @@ class EvaluationCache:
         text = _corrupted_by_fault(entry, text)
         if not disk_preflight(self.store_dir, "cachestore"):
             return  # skipped store = recompute later, never corruption
-        self.store_dir.mkdir(parents=True, exist_ok=True)
-        path = self._entry_path(key)
         # Atomic publish: a crash mid-write leaves only a stray *.tmp
         # (which no store glob matches), never a torn entry.
-        tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        atomic_write_text(self._entry_path(key), text)
         self.stores += 1
         incr("cache.stores")
+        from repro.resilience import faults
+
+        fault = faults.check_fault("cache.store.published")
+        if fault is not None:
+            faults.perform(fault)
 
     def _load_from_store(self, key: str):
         if self.store_dir is None:
             return None
-        codec = self._codec_of.get(self._kind_of(key))
+        codec = _codec(key)
         if codec is None:
             return None
         path = self._entry_path(key)
@@ -327,27 +322,53 @@ class EvaluationCache:
         }
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (tmp + fsync + rename).
+
+    The temp file lives next to the target (same filesystem, so
+    ``os.replace`` is atomic) with a suffix no store glob matches.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
+#: Key prefix -> the stem of its exact codec pair in
+#: :mod:`repro.runtime.codec` (``<stem>_to_dict``/``<stem>_from_dict``),
+#: or ``None`` for kinds whose values are plain JSON and round-trip as
+#: they are (baseline pricings, and generic plan cells by contract).
+#: Kinds missing here are never persisted.
+_CODECS = {
+    "grouping": "grouping",
+    "optimize": "optimization",
+    "baseline": None,
+    "plancell": None,
+}
+
+
 def _identity(value):
     return value
 
 
-def default_codecs() -> dict:
-    """The key-prefix -> ``(encode, decode)`` map of the standard result
-    kinds (also used by :class:`repro.resilience.checkpoint.SweepCheckpoint`
-    so checkpointed cells round-trip exactly like cached ones)."""
+def _codec(key: str):
+    """The ``(encode, decode)`` pair of ``key``'s kind, or ``None``."""
+    kind = key.split("-", 1)[0]
+    if kind not in _CODECS:
+        return None
+    stem = _CODECS[kind]
+    if stem is None:
+        return _identity, _identity
+    # Imported here: the codecs load the grouping and the optimizer.
     from repro.runtime import codec
 
-    return {
-        "grouping": (codec.grouping_to_dict, codec.grouping_from_dict),
-        "optimize": (codec.optimization_to_dict, codec.optimization_from_dict),
-        "baseline": (_identity, _identity),
-        # Generic plan cells (repro.experiments.plan) hold plain-JSON
-        # values by contract, so identity round-trips exactly.
-        "plancell": (_identity, _identity),
-    }
-
-
-_default_codecs = default_codecs
+    return (
+        getattr(codec, f"{stem}_to_dict"),
+        getattr(codec, f"{stem}_from_dict"),
+    )
 
 
 def _corrupted_by_fault(entry: dict, text: str) -> str:

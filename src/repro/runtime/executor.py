@@ -13,8 +13,8 @@ A call runs on the caller's warm pool when one is given, on a transient
 pool when ``jobs > 1`` and there is more than one cell, and serially in
 the calling process otherwise.  A pool that cannot start
 (:class:`~repro.runtime.pool.PoolUnavailable`, e.g. a sandbox without
-process support) counts one ``workers`` backend failure for the
-degradation ladder and the call runs serially.
+process support) counts one worker-pool failure towards retiring the
+pool and the call runs serially.
 
 Every cell runs through one attempt loop, :func:`run_cell`: attempts
 ``k..N`` of the current policy's retry budget, with its deterministic
@@ -46,8 +46,8 @@ from repro.runtime.supervision import (
     CircuitOpenError,
     current_breaker,
     current_policy,
-    degraded_backend,
-    note_backend_failure,
+    note_worker_failure,
+    workers_retired,
 )
 
 
@@ -176,19 +176,19 @@ def open_pool(
     """Start a :class:`~repro.runtime.pool.WorkerPool`, or ``None`` when
     the caller should run serially instead.
 
-    That is when the degradation ladder has retired the worker pool for
+    That is when repeated failures have retired the worker pool for
     this process, or when workers cannot start here (no process support
     in a restricted sandbox).  A failed start is counted and noted as a
-    ``workers`` backend failure for the ladder.
+    worker-pool failure.
     """
-    if degraded_backend("workers") != "workers":
+    if workers_retired():
         return None
     try:
         return WorkerPool(jobs, warmup=warmup, timeout=timeout)
     except PoolUnavailable:
         incr("executor.serial_fallbacks")
         incr("recovery.workers_serial_fallback")
-        note_backend_failure("workers")
+        note_worker_failure()
         return None
 
 

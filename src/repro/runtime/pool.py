@@ -56,7 +56,7 @@ from repro.runtime.instrumentation import (
 from repro.runtime.supervision import (
     current_breaker,
     current_policy,
-    note_backend_failure,
+    note_worker_failure,
     process_rss_bytes,
 )
 
@@ -575,7 +575,7 @@ class WorkerPool:
             if outstanding > 0 and not any(
                 process.is_alive() for process in self._workers
             ):
-                note_backend_failure("workers")
+                note_worker_failure()
                 self._parent_takeover(
                     specs, results, resolved, settle, fail, worker, timeout
                 )

@@ -6,21 +6,21 @@ in the same three words:
 
 * ``ok`` — the run completed and a report was assembled;
 * ``partial`` — an ``allow_partial`` policy salvaged the run after
-  quarantining poisoned cells; no report was assembled, the checkpoint
-  keeps the completed cells for a later resume;
+  quarantining poisoned cells; no report was assembled, the cache store
+  keeps the completed cells for a rerun;
 * ``failed`` — the run raised (validation error, exhausted cell,
   verification violation, ...).
 
 The CLI maps the vocabulary onto process exit codes (``repro submit``
 mirrors the job's terminal state the same way):
 
-==========  =========  =============================================
+==========  =========  ==================================================
 status      exit code  meaning
-==========  =========  =============================================
+==========  =========  ==================================================
 ``ok``      0          complete report on stdout
-``partial`` 3          partial-run banner; retry with ``--resume``
+``partial`` 3          partial-run banner; rerun with the same ``--cache``
 ``failed``  1          diagnostic on stderr
-==========  =========  =============================================
+==========  =========  ==================================================
 
 Exit code 2 stays argparse's usage-error code, and
 :data:`repro.resilience.faults.ABORT_EXIT_CODE` (87) stays the injected

@@ -1,12 +1,12 @@
 """Service-grade run supervision: declarative policies for unattended runs.
 
 The resilience seams grown so far (serial retry, serial fallback, cache
-quarantine, checkpoint resume) are hard-coded one-shot recoveries: a cell
-that fails its fixed retries kills the whole plan, there is no backoff
-between attempts, and nothing preflights the resources a run is about to
-consume.  That is fine at the CLI with a human watching; it is not fine
-for the unattended regimes the roadmap points at (an always-on
-optimization service, multi-host sweeps).
+quarantine, rerun over the cache store) are hard-coded one-shot
+recoveries: a cell that fails its fixed retries kills the whole plan,
+there is no backoff between attempts, and nothing preflights the
+resources a run is about to consume.  That is fine at the CLI with a
+human watching; it is not fine for the unattended regimes the roadmap
+points at (an always-on optimization service, multi-host sweeps).
 
 This module makes failure handling *declarative*.  A :class:`RunPolicy`
 bundles:
@@ -23,11 +23,11 @@ bundles:
 * **partial-run salvage** (``allow_partial``) — the PlanRunner quarantines
   *poisoned* cells (budget exhausted) instead of raising, prunes their
   dependents, and completes with an explicit ``partial`` run report;
-* a **degradation ladder** — repeated backend-level failure demotes
-  ``workers`` → serial for the rest of the process, disclosed by
-  ``recovery.degraded.*`` counters;
+* **worker retirement** — repeated worker-pool failure retires the
+  pool and runs serially for the rest of the process, disclosed by the
+  ``recovery.degraded.workers_to_serial`` counter;
 * **resource guards** — a free-disk preflight consulted before every
-  cache/checkpoint/state-store write, and a worker RSS watchdog that
+  cache/state-store write, and a worker RSS watchdog that
   kills over-limit workers and retires their in-flight cells to the
   serial path.
 
@@ -62,20 +62,19 @@ from repro.runtime.instrumentation import incr
 __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
-    "DEGRADATION_LADDER",
     "PlanDeadlineError",
     "PolicyError",
     "RetryPolicy",
     "RunPolicy",
     "current_breaker",
     "current_policy",
-    "degraded_backend",
     "disk_preflight",
     "free_disk_bytes",
-    "note_backend_failure",
+    "note_worker_failure",
     "process_rss_bytes",
-    "reset_degradations",
+    "reset_worker_failures",
     "use_policy",
+    "workers_retired",
 ]
 
 
@@ -160,11 +159,10 @@ class RunPolicy:
             can trip (a 1-cell run should not open the circuit).
         allow_partial: Quarantine budget-exhausted cells as *poisoned*
             and finish with a ``partial`` run instead of raising.
-        degrade_after: Backend-level failures of one backend before the
-            degradation ladder demotes it for the rest of the process
-            (``None`` = ladder off).
+        degrade_after: Worker-pool failures before the pool is retired
+            for the rest of the process (``None`` = never retired).
         min_free_bytes: Free-disk floor the write preflight enforces for
-            cache/checkpoint/state-store writes (``0`` = guard off).
+            cache/state-store writes (``0`` = guard off).
         max_worker_rss_bytes: Per-worker RSS ceiling policed by the pool
             watchdog (``None`` = watchdog off; Linux ``/proc`` only).
     """
@@ -203,8 +201,8 @@ class RunPolicy:
         Keys: ``retries``/``attempts``, ``backoff``, ``factor``,
         ``backoff-max``, ``jitter``, ``seed``, ``cell-timeout``,
         ``deadline``, ``breaker``, ``breaker-min``, ``allow-partial``,
-        ``degrade-after`` (``0`` = ladder off), ``min-free-mb``
-        (``0`` = guard off), ``rss-mb``.
+        ``degrade-after`` (``0`` = never retire the workers),
+        ``min-free-mb`` (``0`` = guard off), ``rss-mb``.
         """
         retry: dict = {}
         policy: dict = {}
@@ -349,48 +347,44 @@ def use_policy(policy: RunPolicy):
 
 
 # ---------------------------------------------------------------------------
-# Degradation ladder: sticky per-process backend demotion.
+# Worker retirement: sticky per-process demotion of the worker pool.
 # ---------------------------------------------------------------------------
 
-#: Backend -> what it demotes to on repeated backend-level failure.
-DEGRADATION_LADDER: dict[str, str] = {"workers": "serial"}
-
-_BACKEND_FAILURES: dict[str, int] = {}
-_DEMOTIONS: dict[str, str] = {}
+_WORKER_FAILURES = 0
+_WORKERS_RETIRED = False
 
 
-def note_backend_failure(backend: str) -> None:
-    """Account one backend-level failure (the worker pool could not
-    start, all workers lost...).  Past ``degrade_after`` failures
-    the backend is demoted one ladder rung for the rest of the process."""
+def note_worker_failure() -> None:
+    """Account one worker-pool failure (the pool could not start, all
+    workers lost...).  At ``degrade_after`` failures the worker pool is
+    retired: plans run serially for the rest of the process."""
+    global _WORKER_FAILURES, _WORKERS_RETIRED
     after = current_policy().degrade_after
     if after is None:
         return
-    count = _BACKEND_FAILURES.get(backend, 0) + 1
-    _BACKEND_FAILURES[backend] = count
-    target = DEGRADATION_LADDER.get(backend)
-    if target is None or backend in _DEMOTIONS or count < after:
+    _WORKER_FAILURES += 1
+    if _WORKERS_RETIRED or _WORKER_FAILURES < after:
         return
-    _DEMOTIONS[backend] = target
-    incr(f"recovery.degraded.{backend}_to_{target}")
+    _WORKERS_RETIRED = True
+    incr("recovery.degraded.workers_to_serial")
     warnings.warn(
-        f"sweep backend {backend!r} failed {count} times; degrading to "
-        f"{target!r} for the rest of this process",
+        f"sweep backend 'workers' failed {_WORKER_FAILURES} times; "
+        "degrading to 'serial' for the rest of this process",
         RuntimeWarning,
         stacklevel=2,
     )
 
 
-def degraded_backend(backend: str) -> str:
-    """What should actually run in place of ``backend`` (identity when
-    it is not demoted)."""
-    return _DEMOTIONS.get(backend, backend)
+def workers_retired() -> bool:
+    """Whether repeated failures have retired the worker pool."""
+    return _WORKERS_RETIRED
 
 
-def reset_degradations() -> None:
-    """Forget all backend failures and demotions (tests)."""
-    _BACKEND_FAILURES.clear()
-    _DEMOTIONS.clear()
+def reset_worker_failures() -> None:
+    """Forget all worker-pool failures and the retirement (tests)."""
+    global _WORKER_FAILURES, _WORKERS_RETIRED
+    _WORKER_FAILURES = 0
+    _WORKERS_RETIRED = False
 
 
 # ---------------------------------------------------------------------------

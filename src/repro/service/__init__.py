@@ -4,10 +4,9 @@
 travel over HTTP as their :func:`~repro.experiments.plan.plan_to_dict`
 payloads, dedup by content fingerprint, queue with priorities under
 bounded backpressure, and execute on one warm runtime — a shared
-persistent :class:`~repro.runtime.cache.EvaluationCache`, one shared
-:class:`~repro.runtime.pool.WorkerPool`, and per-fingerprint
-:class:`~repro.resilience.checkpoint.SweepCheckpoint` durability so a
-restarted server resumes in-flight jobs bit-identically.
+persistent :class:`~repro.runtime.cache.EvaluationCache`, whose store
+lets a restarted server resume in-flight jobs bit-identically, and one
+shared :class:`~repro.runtime.pool.WorkerPool`.
 
 Layering:
 

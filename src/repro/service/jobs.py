@@ -2,12 +2,12 @@
 
 Every submitted job is journaled as one JSON file under
 ``<state_dir>/jobs/<job_id>.json`` (atomic tmp+fsync+rename via
-:func:`~repro.resilience.checkpoint.atomic_write_text`), holding the
-normalized plan payload, the lifecycle record, and — once terminal — the
-rendered result.  A restarted server reloads the journal, re-enqueues
-every ``queued``/``running`` job, and lets the per-fingerprint
-:class:`~repro.resilience.checkpoint.SweepCheckpoint` replay the cells
-the killed run had already completed, so the job finishes bit-identically.
+:func:`~repro.runtime.cache.atomic_write_text`), holding the normalized
+plan payload, the lifecycle record, and — once terminal — the rendered
+result.  A restarted server reloads the journal, re-enqueues every
+``queued``/``running`` job (a ``requeued`` event), and the shared
+evaluation cache's store serves the cells the killed run had already
+completed, so the job finishes bit-identically.
 
 Dedup semantics (:meth:`JobManager.submit`): jobs are content-addressed
 by the plan fingerprint.  A submission whose fingerprint matches a live
@@ -27,7 +27,7 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.resilience.checkpoint import atomic_write_text
+from repro.runtime.cache import atomic_write_text
 from repro.service.queue import JobQueue
 from repro.service.wire import JOB_STATES, TERMINAL_STATES, Submission
 

@@ -12,10 +12,9 @@ with a stdlib-only :class:`~http.server.ThreadingHTTPServer`:
   :class:`~repro.runtime.cache.EvaluationCache` and one warm
   :class:`~repro.runtime.pool.WorkerPool` (engines compiled once at
   first use, reused across jobs via ``PlanRunner(pool=...)``);
-* every job runs under a per-fingerprint
-  :class:`~repro.resilience.checkpoint.SweepCheckpoint`, so a server
-  killed mid-sweep resumes the job bit-identically after restart (the
-  job journal re-enqueues it, the checkpoint replays finished cells);
+* the shared cache's on-disk store is the only durable cell state, so a
+  server killed mid-sweep resumes the job bit-identically after restart
+  (the job journal re-enqueues it, the store serves its finished cells);
 * a bounded priority queue applies backpressure: a full queue answers
   ``429`` with ``Retry-After`` instead of accepting unbounded work.
 
@@ -46,7 +45,6 @@ from repro.experiments.plan import plan_from_dict
 from repro.experiments.render import render_report
 from repro.experiments.reporting import plan_block
 from repro.experiments.runner import PlanRunner
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.validation import ValidationError
 from repro.runtime.cache import EvaluationCache
 from repro.runtime.executor import open_pool
@@ -78,8 +76,8 @@ class ServiceConfig:
             from :attr:`OptimizationService.port` — the test suites'
             collision-free protocol).
         state_dir: Root of the service's durable state: ``jobs/`` (the
-            journal), ``checkpoints/`` (per-fingerprint resume files),
-            and — unless ``cache_dir`` overrides it — ``cache/``.
+            journal) and — unless ``cache_dir`` overrides it —
+            ``cache/``.
         jobs: Worker processes per plan run (1 = serial in-thread, more
             = one warm worker pool shared by every job).
         cache_dir: Evaluation cache store shared by every job.
@@ -113,7 +111,6 @@ class OptimizationService:
             else state_dir / "cache"
         )
         self.cache = EvaluationCache(store_dir=cache_dir)
-        self.checkpoint_dir = state_dir / "checkpoints"
         self.queue = JobQueue(
             limit=self.config.queue_limit,
             retry_after=self.config.retry_after,
@@ -244,17 +241,9 @@ class OptimizationService:
         try:
             with use_instrumentation(instrumentation):
                 plan = plan_from_dict(job.payload)
-                checkpoint = SweepCheckpoint(
-                    self.checkpoint_dir / f"{job.fingerprint}.json"
-                )
-                if checkpoint.resumed_from_disk:
-                    self.manager.add_event(
-                        job, "resumed", cells=len(checkpoint)
-                    )
                 runner = PlanRunner(
                     jobs=self.config.jobs,
                     cache=self.cache,
-                    checkpoint=checkpoint,
                     policy=self.policy,
                     pool=self._shared_pool(),
                 )

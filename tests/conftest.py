@@ -10,12 +10,13 @@ from repro.soc.model import Core, CoreTest, Soc
 
 
 @pytest.fixture(autouse=True)
-def _fresh_degradation_ladder():
-    """The degradation ladder is sticky per-process by design; tests that
-    exercise backend failures must not leak demotions into later tests."""
-    supervision.reset_degradations()
+def _fresh_worker_failures():
+    """A retired worker pool stays retired for the process by design;
+    tests that exercise pool failures must not leak the retirement into
+    later tests."""
+    supervision.reset_worker_failures()
     yield
-    supervision.reset_degradations()
+    supervision.reset_worker_failures()
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,10 @@
 """Every experiment kind: serial == workers == resumed.
 
-This is the PR-level contract of the plan layer: a plan produces the
-same report whether its cells run in-process, on the parallel backends,
-or replayed from a checkpoint after a crash.  Wall-clock fields
-(``*seconds*``) are the only permitted difference.
+This is the contract of the plan layer: a plan produces the same report
+whether its cells run in-process, on the parallel backends, or are
+served from the evaluation cache's disk store when a killed run is run
+again.  Wall-clock fields (``*seconds*``) are the only permitted
+difference.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from repro.experiments.sensitivity import sensitivity_plan
 from repro.experiments.stability import stability_plan
 from repro.experiments.table_runner import table_plan
 from repro.resilience import faults
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import ABORT_EXIT_CODE
+from repro.runtime.cache import EvaluationCache
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -76,15 +77,17 @@ def test_serial_equals_workers(kind, t5):
 @pytest.mark.parametrize("kind", sorted(PLANS))
 def test_resumed_run_replays_without_executing(kind, t5, tmp_path):
     plan = PLANS[kind](t5)
-    path = tmp_path / "checkpoint.json"
-    first = PlanRunner(jobs=1, checkpoint=SweepCheckpoint(path)).run(plan)
+    first = PlanRunner(
+        jobs=1, cache=EvaluationCache(store_dir=tmp_path)
+    ).run(plan)
     assert first.executed > 0
 
-    resumed_checkpoint = SweepCheckpoint(path)
-    assert resumed_checkpoint.resumed_from_disk
-    resumed = PlanRunner(jobs=1, checkpoint=resumed_checkpoint).run(plan)
+    # A new cache over the same store: nothing in memory, all on disk.
+    store = EvaluationCache(store_dir=tmp_path)
+    resumed = PlanRunner(jobs=1, cache=store).run(plan)
     assert resumed.executed == 0
-    assert resumed.resumed > 0
+    assert resumed.cached > 0
+    assert store.misses == 0 and store.disk_hits > 0
     assert _canon(resumed.report) == _canon(first.report)
 
 
@@ -96,7 +99,7 @@ def test_worker_crash_recovers_to_identical_report(t5):
     assert _canon(crashed.report) == _canon(clean.report)
 
 
-def _run_sensitivity_cli(checkpoint: Path, fault: str | None = None):
+def _run_sensitivity_cli(store: Path, fault: str | None = None):
     env = os.environ.copy()
     env.pop("REPRO_FAULT_PLAN", None)
     if fault is not None:
@@ -106,25 +109,22 @@ def _run_sensitivity_cli(checkpoint: Path, fault: str | None = None):
         [
             sys.executable, "-m", "repro", "sensitivity", "t5",
             "--patterns", "150", "--wmax", "8", "--parts", "2",
-            "--resume", str(checkpoint),
+            "--cache", str(store),
         ],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=600,
     )
 
 
 def test_sensitivity_kill_and_resume_matches_clean_run(tmp_path):
-    clean = _run_sensitivity_cli(tmp_path / "clean.json")
+    clean = _run_sensitivity_cli(tmp_path / "clean")
     assert clean.returncode == 0, clean.stderr
 
-    checkpoint = tmp_path / "killed.json"
-    killed = _run_sensitivity_cli(checkpoint, fault="sweep-abort@3")
+    store = tmp_path / "killed"
+    killed = _run_sensitivity_cli(store, fault="sweep-abort@3")
     assert killed.returncode == ABORT_EXIT_CODE, killed.stderr
-    assert checkpoint.exists()
+    # The abort fires right after the fourth entry is published.
+    assert len(list(store.glob("*.json"))) == 4
 
-    resumed = _run_sensitivity_cli(checkpoint)
+    resumed = _run_sensitivity_cli(store)
     assert resumed.returncode == 0, resumed.stderr
-    resumed_lines = [
-        line for line in resumed.stdout.splitlines()
-        if not line.startswith("resuming from ")
-    ]
-    assert resumed_lines == clean.stdout.splitlines()
+    assert resumed.stdout.splitlines() == clean.stdout.splitlines()

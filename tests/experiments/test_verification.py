@@ -2,8 +2,8 @@
 
 A forced violation — ``verify_schedule`` patched to report one — must
 fail each kind that has ``optimize`` cells whether their results were
-computed, served by a warm :class:`EvaluationCache`, or replayed from a
-:class:`SweepCheckpoint`.  Compare and scaling optimize inside their
+computed, served by a warm :class:`EvaluationCache`, or served from its
+disk store by a rerun (a resume).  Compare and scaling optimize inside their
 cells, check those schedules there and fail through their
 :meth:`PlanKind.verify` hooks, as the other kinds without optimize cells
 do.
@@ -27,7 +27,6 @@ from repro.experiments.sensitivity import _default_variants, sensitivity_plan
 from repro.experiments.single import evaluate_plan, optimize_plan
 from repro.experiments.stability import stability_plan
 from repro.experiments.table_runner import table_plan
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.verify import ScheduleVerificationError
 from repro.runtime.cache import EvaluationCache
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
@@ -76,10 +75,9 @@ def test_forced_violation_fails_optimize_kinds(
         cache = EvaluationCache()
         PlanRunner(cache=cache).run(plan)
         runner = PlanRunner(cache=cache)
-    else:
-        path = tmp_path / "checkpoint.json"
-        PlanRunner(checkpoint=SweepCheckpoint(path)).run(plan)
-        runner = PlanRunner(checkpoint=SweepCheckpoint(path))
+    else:  # resumed: a new cache over the first run's store
+        PlanRunner(cache=EvaluationCache(store_dir=tmp_path)).run(plan)
+        runner = PlanRunner(cache=EvaluationCache(store_dir=tmp_path))
     _force_violation(monkeypatch)
 
     error, counters = _failing_run(runner, plan)

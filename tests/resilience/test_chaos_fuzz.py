@@ -9,7 +9,7 @@ drawn from the recoverable fault kinds, a plan run either
   every cell that did complete bit-identical to the golden —
 
 never a crash, a hang, or silent corruption.  When the run was partial,
-a fault-free resume on the same checkpoint must converge to the golden.
+a fault-free rerun on the same cache store must converge to the golden.
 
 Hypothesis drives the seed draw (derandomized, so CI is reproducible);
 ``tests/resilience/corpus/chaos_seeds.json`` pins a fixed replay corpus
@@ -32,7 +32,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.runner import PlanRunner
 from repro.resilience import faults
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.runtime.cache import EvaluationCache
 from repro.runtime.supervision import RunPolicy
 from repro.soc.benchmarks import load_benchmark
@@ -122,13 +121,11 @@ def _check_chaos_property(kind: str, seed: int) -> None:
     fault_plan = _draw_fault_plan(seed)
     policy = RunPolicy(allow_partial=True)
     with tempfile.TemporaryDirectory() as workdir:
-        checkpoint_path = Path(workdir) / "checkpoint.json"
         cache_dir = Path(workdir) / "cache"
         with faults.inject(fault_plan):
             run = PlanRunner(
                 jobs=1,
                 cache=EvaluationCache(store_dir=cache_dir),
-                checkpoint=SweepCheckpoint(checkpoint_path),
                 policy=policy,
             ).run(plan)
 
@@ -156,18 +153,16 @@ def _check_chaos_property(kind: str, seed: int) -> None:
             )
 
         if run.status == "partial":
-            # A fault-free resume on the same checkpoint re-attempts the
+            # A fault-free rerun on the same store re-attempts the
             # poisoned cells and must converge to the clean result.
-            resumed = PlanRunner(
+            rerun = PlanRunner(
                 jobs=1,
                 cache=EvaluationCache(store_dir=cache_dir),
-                checkpoint=SweepCheckpoint(checkpoint_path),
                 policy=policy,
             ).run(plan)
-            assert resumed.status == "complete", spec
-            assert _scrub(resumed.report) == _scrub(golden.report), spec
-            final = SweepCheckpoint(checkpoint_path)
-            assert not final.poisoned, spec
+            assert rerun.status == "complete", spec
+            assert not rerun.poisoned, spec
+            assert _scrub(rerun.report) == _scrub(golden.report), spec
 
 
 @pytest.mark.parametrize("kind", sorted(PLANS))

@@ -14,7 +14,7 @@ codec-mismatch      unsupported version quarantined -> recomputed
 cscan-compile-fail  engine unavailable -> reference greedy compaction
 movescan-compile-   engine unavailable -> reference Algorithm 2
 fail
-sweep-abort         checkpoint survives -> --resume (test_checkpoint)
+sweep-abort         store entries survive -> rerun (test_rerun)
 ==================  ====================================================
 
 Each test also asserts the ``faults.injected`` disclosure counter and
@@ -187,6 +187,35 @@ class TestCacheFaults:
         assert counters[f"faults.injected.{kind}"] == 1
         assert counters["recovery.cache_quarantined"] == 1
         assert counters["cache.corrupt_entries"] == 1
+
+
+    def test_sweep_abort_fires_after_the_nth_entry_is_durable(
+        self, tmp_path, monkeypatch
+    ):
+        # sweep-abort@N kills the process right after the (N+1)-th store
+        # entry is published: that entry, and every one before it, is
+        # complete on disk when the kill comes.
+        class Killed(Exception):
+            pass
+
+        def kill(fault):
+            raise Killed(fault.kind)
+
+        monkeypatch.setattr(faults, "perform", kill)
+        cache = EvaluationCache(store_dir=tmp_path)
+        with faults.inject("sweep-abort@2"):
+            cache.put("baseline-" + "0" * 8, {"t_baseline": 0})
+            cache.put("mystery-" + "0" * 8, {"x": 1})  # never stored
+            cache.put("baseline-" + "1" * 8, {"t_baseline": 1})
+            with pytest.raises(Killed):
+                cache.put("baseline-" + "2" * 8, {"t_baseline": 2})
+        from repro.runtime.cache import verify_store
+
+        assert len(list(tmp_path.glob("*.json"))) == 3
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert verify_store(tmp_path) == []
+        fresh = EvaluationCache(store_dir=tmp_path)
+        assert fresh.get("baseline-" + "2" * 8) == {"t_baseline": 2}
 
 
 class TestCscanFault:

@@ -1,27 +1,21 @@
-"""Checkpoint corruption quarantine + poison quarantine, end to end.
+"""Store-entry corruption quarantine + poison quarantine, end to end.
 
-Satellite coverage for the supervision PR: a checkpoint corrupted
-mid-sweep must be quarantined to ``*.corrupt`` (never trusted, never
-fatal) and a fresh resume must reproduce the clean goldens
-bit-identically; a poisoned (budget-exhausted) cell recorded in the
-checkpoint must be re-attempted by the next run and its quarantine
-record dropped once it recovers.
+The evaluation cache's disk store is the only durable cell state, so a
+killed or partial run resumes by running again over the same store.
+Store entries corrupted mid-sweep must be quarantined to ``*.corrupt``
+(never trusted, never fatal) and the rerun must reproduce the clean
+goldens bit-identically; a poisoned (budget-exhausted) cell must leave
+no store entry behind, so the rerun re-attempts it.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.core.optimizer import optimize_tam
+from repro.experiments.plan import UNCACHED, plan_cell_key
 from repro.experiments.runner import PlanRunner
 from repro.resilience import faults
-from repro.resilience.checkpoint import (
-    CHECKPOINT_COMPAT_VERSIONS,
-    SweepCheckpoint,
-)
-from repro.runtime.cache import optimize_cache_key, stable_hash
+from repro.runtime.cache import EvaluationCache
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.runtime.supervision import RunPolicy
 
@@ -29,101 +23,94 @@ from tests.experiments.test_plan_equivalence import PLANS
 from tests.resilience.test_chaos_fuzz import _golden, _scrub, _soc
 
 
-def _partial_run(kind, checkpoint_path):
+def _partial_run(kind, store_dir):
     """Run ``kind`` under an unbounded cell-error fault: some cells land
-    in the checkpoint, the rest are poisoned — a genuine mid-sweep state."""
+    in the store, the rest are poisoned — a genuine mid-sweep state."""
+    plan = PLANS[kind](_soc())
     with faults.inject("cell-error@1"):
         run = PlanRunner(
-            checkpoint=SweepCheckpoint(checkpoint_path),
+            cache=EvaluationCache(store_dir=store_dir),
             policy=RunPolicy(allow_partial=True),
-        ).run(PLANS[kind](_soc()))
+        ).run(plan)
     assert run.status == "partial"
-    assert checkpoint_path.is_file()
-    return run
+    assert run.executed > 0
+    return plan, run
 
 
 def _corrupt(path, mode):
     text = path.read_text()
     if mode == "truncated":
-        path.write_text(text[: len(text) // 2].rstrip("}\n "))
+        path.write_text(text[: len(text) // 2])
     else:  # bitflip: valid JSON, checksum no longer matches
-        path.write_text(text.replace('"cells": {', '"cells": {"x": 1, ', 1))
+        digit = text.index('"checksum": "') + len('"checksum": "')
+        flipped = "0" if text[digit] != "0" else "1"
+        path.write_text(text[:digit] + flipped + text[digit + 1:])
 
 
 @pytest.mark.parametrize("kind", ["table", "sensitivity"])
 @pytest.mark.parametrize("mode", ["truncated", "bitflip"])
-def test_corrupt_checkpoint_quarantined_and_resume_matches_golden(
+def test_corrupt_store_entries_quarantined_and_rerun_matches_golden(
     kind, mode, tmp_path
 ):
     golden = _golden(kind)
-    checkpoint_path = tmp_path / "checkpoint.json"
-    _partial_run(kind, checkpoint_path)
-    _corrupt(checkpoint_path, mode)
+    plan, _ = _partial_run(kind, tmp_path)
+    entries = sorted(tmp_path.glob("*.json"))
+    assert entries
+    for entry in entries:
+        _corrupt(entry, mode)
 
     instrumentation = Instrumentation()
     with use_instrumentation(instrumentation):
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            checkpoint = SweepCheckpoint(checkpoint_path)
-        assert not checkpoint.resumed_from_disk
-        assert len(checkpoint) == 0
-        assert (tmp_path / "checkpoint.json.corrupt").is_file()
-        run = PlanRunner(checkpoint=checkpoint).run(PLANS[kind](_soc()))
+        run = PlanRunner(cache=EvaluationCache(store_dir=tmp_path)).run(plan)
 
     counters = instrumentation.counters
-    assert counters["recovery.checkpoint_quarantined"] == 1
+    assert counters["recovery.cache_quarantined"] == len(entries)
+    assert sorted(tmp_path.glob("*.corrupt")) == [
+        entry.with_name(entry.name + ".corrupt") for entry in entries
+    ]
     assert run.status == "complete"
+    assert run.cached == 0
     assert _scrub(run.report) == _scrub(golden.report)
 
 
+def _durable_key(cell, fingerprint, results):
+    """The store key ``cell`` would be kept under, or ``None`` when it
+    cannot be known (a lazy key whose inputs never resolved)."""
+    if cell.cache_key == UNCACHED:
+        return None
+    if cell.cache_key is not None:
+        return cell.cache_key
+    if cell.key_fn is None:
+        return plan_cell_key(fingerprint, cell.cell_id)
+    if all(dep in results for dep in cell.key_deps):
+        return cell.key_fn(tuple(results[dep] for dep in cell.key_deps))
+    return None
+
+
 @pytest.mark.parametrize("kind", ["table", "sensitivity"])
-def test_poisoned_cells_survive_in_checkpoint_and_resume_converges(
+def test_poisoned_cells_leave_no_store_entry_and_rerun_converges(
     kind, tmp_path
 ):
     golden = _golden(kind)
-    checkpoint_path = tmp_path / "checkpoint.json"
-    run = _partial_run(kind, checkpoint_path)
+    plan, run = _partial_run(kind, tmp_path)
 
-    # Durable-key quarantines are auditable from the file alone...
-    on_disk = json.loads(checkpoint_path.read_text())
-    assert isinstance(on_disk.get("poisoned"), dict)
-    durable = SweepCheckpoint(checkpoint_path).poisoned
-    for key, reason in durable.items():
-        assert reason in set(run.poisoned.values())
+    # Only the executed cells were stored; no poisoned cell left an entry.
+    stored = {path.stem for path in tmp_path.glob("*.json")}
+    assert len(stored) == run.executed
+    poisoned_keys = {
+        _durable_key(cell, run.fingerprint, run.results)
+        for cell in plan.expand()
+        if cell.cell_id in run.poisoned
+    } - {None}
+    assert poisoned_keys
+    assert not poisoned_keys & stored
 
-    # ...and a fault-free resume re-attempts them and clears the record.
-    instrumentation = Instrumentation()
-    with use_instrumentation(instrumentation):
-        resumed = PlanRunner(
-            checkpoint=SweepCheckpoint(checkpoint_path),
-            policy=RunPolicy(allow_partial=True),
-        ).run(PLANS[kind](_soc()))
-    assert resumed.status == "complete"
-    assert _scrub(resumed.report) == _scrub(golden.report)
-    if durable:
-        counters = instrumentation.counters
-        assert counters["recovery.poison_retried"] == len(durable)
-    assert SweepCheckpoint(checkpoint_path).poisoned == {}
-
-
-def test_version1_checkpoint_still_loads(tmp_path):
-    # Files written before the poisoned section existed (version 1,
-    # checksum over cells alone) must resume cleanly, not quarantine.
-    assert 1 in CHECKPOINT_COMPAT_VERSIONS
-    soc = _soc()
-    result = optimize_tam(soc, 8)
-    key = optimize_cache_key(soc, 8, ())
-    path = tmp_path / "checkpoint.json"
-    checkpoint = SweepCheckpoint(path)
-    checkpoint.record(key, result)
-
-    entry = json.loads(path.read_text())
-    entry.pop("poisoned")
-    entry["version"] = 1
-    entry["checksum"] = stable_hash(entry["cells"])
-    path.write_text(json.dumps(entry, sort_keys=True) + "\n")
-
-    legacy = SweepCheckpoint(path)
-    assert legacy.resumed_from_disk
-    assert legacy.poisoned == {}
-    assert legacy.fetch(key) == result
-    assert not (tmp_path / "checkpoint.json.corrupt").is_file()
+    # A fault-free rerun over the same store re-attempts them.
+    rerun = PlanRunner(
+        cache=EvaluationCache(store_dir=tmp_path),
+        policy=RunPolicy(allow_partial=True),
+    ).run(plan)
+    assert rerun.status == "complete"
+    assert not rerun.poisoned
+    assert rerun.cached == len(stored)
+    assert _scrub(rerun.report) == _scrub(golden.report)

@@ -11,6 +11,7 @@ from repro.core.optimizer import optimize_tam
 from repro.runtime.cache import (
     DEFAULT_STORE_DIR,
     EvaluationCache,
+    baseline_cache_key,
     grouping_cache_key,
     optimize_cache_key,
     soc_fingerprint,
@@ -44,7 +45,7 @@ class TestKeys:
         )
 
     def test_grouping_key_is_pinned(self, t5):
-        # A changed key would orphan every stored grouping and checkpoint.
+        # A changed key would orphan every stored grouping.
         assert grouping_cache_key(t5, 1, 100, 2) == (
             "grouping-"
             "8ec1b7b7b071c3be9eda8c6eb5aed0829caa158fe0469bfa047c30f9f606accd"
@@ -118,6 +119,26 @@ class TestDiskStore:
         assert list(tmp_path.glob("*.json")) == []
         # ... but it still lives in memory.
         assert cache.get("mystery-abc") is not None
+
+    def test_entry_bytes_are_pinned(self, t5, tmp_path):
+        # Recorded from an existing store: a changed byte would turn
+        # every warm store cold.
+        import hashlib
+
+        cache = EvaluationCache(store_dir=tmp_path)
+        cache.put(optimize_cache_key(t5, 8, ()), optimize_tam(t5, 8))
+        cache.put(baseline_cache_key(t5, 8, []), {"t_baseline": 321})
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        } == {
+            "baseline-94032172ecf80e711fe76c63407b5cbd43dce8b45c14dd90ae"
+            "0efcc15efd7ad1.json":
+            "87be5fe49c6c353314bca03749e9cfd2f661deb97f25fabdee981fd9f7f4e1f6",
+            "optimize-db9c0018b11c9fa2a933606efdad58dbf8b521cb227bed9a5e"
+            "9d1952bf799b1a.json":
+            "7059832c3ef88ec7b43863bc4eb7a0def3d4b93d8103038bf324e06af19a3463",
+        }
 
     def test_default_store_dir_convention(self):
         assert str(DEFAULT_STORE_DIR).endswith("cache")

@@ -51,7 +51,7 @@ class TestParallelEqualsSerial:
 
 class TestWorkersBackendEqualsSerial:
     """The work-stealing worker pool (``jobs=2``) must be invisible from a
-    cold parent memo and across a checkpoint resume too."""
+    cold parent memo and across a rerun over the cache store too."""
 
     def test_table_rows_byte_identical(self, d695, serial_table):
         from repro.runtime.pool import clear_cell_state
@@ -69,23 +69,21 @@ class TestWorkersBackendEqualsSerial:
         assert stolen_dict == serial_dict
 
     def test_resumed_run_byte_identical(self, d695, serial_table, tmp_path):
-        from repro.resilience.checkpoint import SweepCheckpoint
         from repro.runtime.pool import clear_cell_state
 
         clear_cell_state()
-        path = tmp_path / "checkpoint.json"
         run_table_experiment(
             d695, N_R, widths=WIDTHS, group_counts=PARTS, seed=SEED,
             jobs=2,
-            checkpoint=SweepCheckpoint(path),
+            cache=EvaluationCache(store_dir=tmp_path),
         )
-        resumed_checkpoint = SweepCheckpoint(path)
-        assert resumed_checkpoint.resumed_from_disk
+        store = EvaluationCache(store_dir=tmp_path)
         resumed = run_table_experiment(
             d695, N_R, widths=WIDTHS, group_counts=PARTS, seed=SEED,
             jobs=2,
-            checkpoint=resumed_checkpoint,
+            cache=store,
         )
+        assert store.disk_hits > 0 and store.misses == 0
         assert render_table(resumed) == render_table(serial_table)
 
     def test_pareto_curve_identical(self, d695):

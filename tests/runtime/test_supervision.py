@@ -10,7 +10,6 @@ import pytest
 from repro.runtime.executor import CellError, run_cells
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.runtime.supervision import (
-    DEGRADATION_LADDER,
     CircuitBreaker,
     CircuitOpenError,
     PolicyError,
@@ -18,13 +17,13 @@ from repro.runtime.supervision import (
     RunPolicy,
     current_breaker,
     current_policy,
-    degraded_backend,
     disk_preflight,
     free_disk_bytes,
-    note_backend_failure,
+    note_worker_failure,
     process_rss_bytes,
-    reset_degradations,
+    reset_worker_failures,
     use_policy,
+    workers_retired,
 )
 
 
@@ -167,41 +166,53 @@ class TestCircuitBreaker:
 
 
 class TestDegradationLadder:
+    """Worker-pool retirement: the one rung, workers to serial."""
+
     def test_demotes_after_repeated_failures(self):
-        reset_degradations()
-        assert degraded_backend("workers") == "workers"
-        note_backend_failure("workers")
-        assert degraded_backend("workers") == "workers"
-        with pytest.warns(RuntimeWarning, match="degrading to 'serial'"):
-            note_backend_failure("workers")
-        assert degraded_backend("workers") == "serial"
+        reset_worker_failures()
+        assert not workers_retired()
+        note_worker_failure()
+        assert not workers_retired()
+        with pytest.warns(
+            RuntimeWarning,
+            match="sweep backend 'workers' failed 2 times; degrading to "
+            "'serial' for the rest of this process",
+        ):
+            note_worker_failure()
+        assert workers_retired()
 
     def test_chain_follows_to_serial(self):
-        reset_degradations()
-        assert DEGRADATION_LADDER == {"workers": "serial"}
+        # Retirement is sticky: a later policy that would not have
+        # retired the workers yet does not bring them back.
+        reset_worker_failures()
         with pytest.warns(RuntimeWarning):
             for _ in range(3):
-                note_backend_failure("workers")
-        assert degraded_backend("workers") == "serial"
-        assert degraded_backend("serial") == "serial"
+                note_worker_failure()
+        with use_policy(RunPolicy(degrade_after=5)):
+            assert workers_retired()
+        with use_policy(RunPolicy(degrade_after=None)):
+            assert workers_retired()
+        reset_worker_failures()
+        assert not workers_retired()
 
     def test_counter_discloses_each_step(self):
-        reset_degradations()
+        reset_worker_failures()
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
-            with pytest.warns(RuntimeWarning):
-                note_backend_failure("workers")
-                note_backend_failure("workers")
-                note_backend_failure("workers")
+            with pytest.warns(RuntimeWarning) as warned:
+                note_worker_failure()
+                note_worker_failure()
+                note_worker_failure()
         counters = instrumentation.counters
         assert counters["recovery.degraded.workers_to_serial"] == 1
+        assert len(warned) == 1
 
     def test_policy_can_turn_ladder_off(self):
-        reset_degradations()
+        reset_worker_failures()
         with use_policy(RunPolicy(degrade_after=None)):
             for _ in range(5):
-                note_backend_failure("workers")
-        assert degraded_backend("workers") == "workers"
+                note_worker_failure()
+        assert not workers_retired()
 
 
 class TestResourceGuards:

@@ -122,8 +122,8 @@ def test_event_stream_carries_lifecycle_and_result(client, quick_plan):
 
 
 def test_warm_state_shared_across_jobs(service, client, quick_plan):
-    """A re-submitted plan re-executes nothing: the per-fingerprint
-    checkpoint and the shared cache replay every cell."""
+    """A re-submitted plan re-executes nothing: the shared cache serves
+    every cell."""
     first = client.wait(
         client.submit(quick_plan)["job"]["id"], timeout=60
     )
@@ -133,27 +133,33 @@ def test_warm_state_shared_across_jobs(service, client, quick_plan):
     assert first["result"]["plan"]["cells"]["executed"] > 0
     repeat = second["result"]["plan"]["cells"]
     assert repeat["executed"] == 0
-    assert repeat["cached"] + repeat["resumed"] == repeat["expanded"]
+    assert repeat["cached"] == repeat["expanded"]
     assert first["result"]["rendered"] == second["result"]["rendered"]
 
 
-def test_cache_shared_when_checkpoint_absent(service, client, quick_plan):
-    """With the finished checkpoint removed, the second run is served
-    purely from the shared on-disk evaluation cache."""
+def test_cache_shared_when_checkpoint_absent(
+    service, service_factory, client, quick_plan
+):
+    """There is no per-job checkpoint: a restarted service, its
+    in-memory cache empty, serves a re-run purely from the shared
+    on-disk evaluation cache."""
     first = client.wait(
         client.submit(quick_plan)["job"]["id"], timeout=60
     )
-    checkpoint = (
-        service.checkpoint_dir / f"{quick_plan.fingerprint()}.json"
-    )
-    assert checkpoint.is_file()
-    checkpoint.unlink()
+    state_dir = service.config.state_dir
+    service.stop()
+    restarted = service_factory(state_dir=state_dir)
+    client = ServiceClient(restarted.url, timeout=30.0)
     second = client.wait(
         client.submit(quick_plan, fresh=True)["job"]["id"], timeout=60
     )
     repeat = second["result"]["plan"]["cells"]
     assert repeat["executed"] == 0
     assert repeat["cached"] == repeat["expanded"]
+    assert restarted.cache.disk_hits == repeat["cached"]
+    assert sorted(path.name for path in state_dir.iterdir()) == [
+        "cache", "jobs"
+    ]
     assert first["result"]["rendered"] == second["result"]["rendered"]
 
 

@@ -95,6 +95,29 @@ class TestTable:
         with pytest.raises(SystemExit):
             main(["table", "t5", "--sweep-backend", "workers"])
 
+    @pytest.mark.parametrize(
+        "flags, store",
+        [
+            ([], None),
+            (["--cache"], "results/cache"),
+            (["--resume"], "results/cache"),
+            (["--resume", "B"], "B"),
+            (["--cache", "A", "--resume", "B"], "A"),
+            (["--resume", "B", "--cache", "A"], "A"),
+        ],
+    )
+    def test_resume_is_a_second_spelling_of_cache(self, flags, store):
+        from pathlib import Path
+
+        from repro.cli import _make_cache, build_parser
+
+        args = build_parser().parse_args(["table", "t5", *flags])
+        cache = _make_cache(args)
+        if store is None:
+            assert cache is None
+        else:
+            assert cache.store_dir == Path(store)
+
 
 class TestSaveEvaluate:
     def test_save_and_evaluate_round_trip(self, capsys, tmp_path):

@@ -7,22 +7,19 @@ Takes on the order of 15 minutes serially; ``--jobs N`` fans the sweep
 cells over worker processes without changing a single table entry.
 
 Evaluation cells are memoized on disk (under ``<out>/cache`` unless
-``--no-cache``), so a repeated or interrupted run only pays for the
-cells it has not priced before.  Every invocation writes a JSON run
-report (``run_report.json``) with counters, timers and cache statistics;
-a warm rerun shows up there as ``cache.hits > 0``.
-
-``--resume`` additionally checkpoints every completed cell atomically to
-``<out>/checkpoint.json`` and replays recorded cells after a crash —
-resumed results are bit-identical to an uninterrupted run.  Every
-optimized schedule is independently re-verified, fresh or replayed (see
-``docs/resilience.md``).
+``--no-cache``), each entry written atomically, so a repeated or
+interrupted run only pays for the cells it has not priced before: a run
+killed mid-sweep resumes by running the same command again, and its
+results are bit-identical to an uninterrupted run.  Every invocation
+writes a JSON run report (``run_report.json``) with counters, timers and
+cache statistics; a warm rerun shows up there as ``cache.hits > 0``.
+Every optimized schedule is independently re-verified, fresh or cached
+(see ``docs/resilience.md``).
 
 Usage::
 
     python tools/run_experiments.py                       # the full run
     python tools/run_experiments.py --soc d695 --jobs 4   # quick check
-    python tools/run_experiments.py --resume              # crash-safe run
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from repro.experiments.table_runner import (
     DEFAULT_WIDTHS,
     run_table_experiment,
 )
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.runtime.cache import EvaluationCache
 from repro.runtime.instrumentation import (
     Instrumentation,
@@ -87,7 +83,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the on-disk evaluation cache",
+        help="disable the on-disk evaluation cache (and with it the "
+             "resume of a killed run)",
     )
     parser.add_argument(
         "--cache-dir", type=Path, default=None,
@@ -95,17 +92,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     )
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress lines")
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume from <out>/checkpoint.json: cells recorded before a "
-             "crash are replayed, not recomputed (results are "
-             "bit-identical to an uninterrupted run)",
-    )
-    parser.add_argument(
-        "--checkpoint", type=Path, default=None,
-        help="checkpoint file (default: <out>/checkpoint.json; written "
-             "whenever --resume is given)",
-    )
     return parser.parse_args(argv)
 
 
@@ -121,16 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     instrumentation = Instrumentation()
     start = time.perf_counter()
     with use_instrumentation(instrumentation):
-        # Inside the instrumentation context so checkpoint.loaded_cells
-        # (and a possible quarantine) land in the run report.
-        checkpoint = None
-        if args.resume or args.checkpoint is not None:
-            checkpoint_path = args.checkpoint or args.out / "checkpoint.json"
-            checkpoint = SweepCheckpoint(checkpoint_path)
-            if checkpoint.resumed_from_disk:
-                print(
-                    f"resuming: {len(checkpoint)} cells from {checkpoint_path}"
-                )
         for soc_name in args.soc:
             soc = load_benchmark(soc_name)
             for pattern_count in args.patterns:
@@ -144,7 +120,6 @@ def main(argv: list[str] | None = None) -> int:
                     verbose=not args.quiet,
                     jobs=args.jobs,
                     cache=cache,
-                    checkpoint=checkpoint,
                 )
                 prefix = TABLE_OF.get(soc_name, "table")
                 stem = f"{prefix}_{soc_name}_nr{pattern_count}"
@@ -165,9 +140,6 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "jobs": args.jobs,
             "cache": str(cache.store_dir) if cache is not None else None,
-            "checkpoint": (
-                str(checkpoint.path) if checkpoint is not None else None
-            ),
         },
         wall_seconds=time.perf_counter() - start,
         instrumentation=instrumentation,

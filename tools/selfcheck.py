@@ -164,16 +164,11 @@ def _instrumentation():
     assert json.loads(report.to_json())["counters"]["optimizer.runs"] == 1
 
 
-@check("resilience: fault injection, verify, checkpoint")
+@check("resilience: fault injection, verify")
 def _resilience():
-    import tempfile
-    from pathlib import Path as _Path
-
     from repro.core.optimizer import optimize_tam
-    from repro.resilience.checkpoint import SweepCheckpoint
     from repro.resilience.faults import FaultPlan, inject
     from repro.resilience.verify import verify_optimization
-    from repro.runtime.cache import optimize_cache_key
     from repro.runtime.executor import run_cells
     from repro.soc.benchmarks import load_benchmark
 
@@ -189,14 +184,6 @@ def _resilience():
             validate=lambda v: not isinstance(v, GarbageResult),
         )
     assert values == [2, 4]  # garbage rejected, retry recovered
-
-    key = optimize_cache_key(soc, 8, ())
-    with tempfile.TemporaryDirectory() as workdir:
-        path = _Path(workdir) / "checkpoint.json"
-        checkpoint = SweepCheckpoint(path)
-        checkpoint.record(key, result)
-        resumed = SweepCheckpoint(path)
-        assert resumed.fetch(key) == result
 
 
 def _selfcheck_cell(value):
