@@ -494,9 +494,15 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
     from pathlib import Path
 
     from repro.service.server import OptimizationService, ServiceConfig
+
+    # SIGINT stops the server however it was started: a background job
+    # of a non-interactive shell inherits SIGINT ignored, and Python
+    # then never raises KeyboardInterrupt.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
     service = OptimizationService(
         ServiceConfig(
@@ -509,18 +515,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             policy=args.policy,
         )
     )
-    service.start()
-    # Exact line first, flushed: scripts (and the test suite) discover a
-    # port-0 server by reading it from the pipe.
-    print(f"serving on {service.url}", flush=True)
-    stats = service.stats()
-    print(
-        f"state dir {args.state_dir} | jobs {args.jobs} | "
-        f"queue limit {args.queue_limit} | "
-        f"{stats['jobs']} journaled jobs restored",
-        flush=True,
-    )
     try:
+        service.start()
+        # Exact line first, flushed: scripts (and the test suite)
+        # discover a port-0 server by reading it from the pipe.
+        print(f"serving on {service.url}", flush=True)
+        stats = service.stats()
+        print(
+            f"state dir {args.state_dir} | jobs {args.jobs} | "
+            f"queue limit {args.queue_limit} | "
+            f"{stats['jobs']} journaled jobs restored",
+            flush=True,
+        )
         while True:
             time.sleep(0.5)
     except KeyboardInterrupt:

@@ -46,6 +46,7 @@ checks it for every registered kind.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -340,15 +341,35 @@ class ExperimentPlan:
     name: str
     params: Mapping = field(default_factory=dict)
 
+    def __getstate__(self) -> dict:
+        # The fields only: the memo of ``fingerprint``/``expand`` never
+        # travels in a pickle, so pickles stay byte-identical.
+        return {"name": self.name, "params": self.params}
+
+    def _memo(self, attribute: str, compute: Callable):
+        """``compute()`` once per instance: a plan is immutable, so its
+        fingerprint and cell graph never change."""
+        try:
+            return self.__dict__[attribute]
+        except KeyError:
+            value = self.__dict__[attribute] = compute()
+            return value
+
     def fingerprint(self) -> str:
         """Stable content hash of the plan — the dedup/submission key a
         job server would use, and the scope of plan-cell keys."""
-        return "plan-" + stable_hash(
-            {"plan": self.name, "params": params_fingerprint(self.params)}
+        return self._memo(
+            "_fingerprint",
+            lambda: "plan-" + stable_hash(
+                {"plan": self.name, "params": params_fingerprint(self.params)}
+            ),
         )
 
     def expand(self) -> tuple[CellSpec, ...]:
         """The plan's validated cell graph."""
+        return self._memo("_cells", self._expand)
+
+    def _expand(self) -> tuple[CellSpec, ...]:
         cells = tuple(plan_kind(self.name).expand(dict(self.params)))
         validate_cells(cells)
         return cells
@@ -495,15 +516,24 @@ def _encode_param(value):
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _parse_soc(itc02: str) -> Soc:
+    """A SOC by its ITC'02 text, memoized: a server decodes the same few
+    SOCs for every submission, and a frozen :class:`Soc` is safe to
+    share between plans."""
+    from repro.soc.itc02 import parse
+
+    return parse(itc02)
+
+
 def _decode_param(value):
     from repro.runtime.codec import group_from_dict
     from repro.sitest.generator import GeneratorConfig
-    from repro.soc.itc02 import parse
 
     if isinstance(value, dict):
         kind = value.get("__kind__")
         if kind == "soc":
-            return parse(value["itc02"])
+            return _parse_soc(value["itc02"])
         if kind == "generator_config":
             return GeneratorConfig(**value["fields"])
         if kind == "si_group":

@@ -24,8 +24,10 @@ The execution model is a deterministic wave loop over the cell graph:
 4. execute every needed cell whose dependencies are resolved — one
    :func:`run_cells` batch per wave, in expansion order, sharing one
    warm :class:`~repro.runtime.pool.WorkerPool` across all waves when
-   ``jobs > 1`` (a wave runs serially when no pool is available) —
-   absorb worker snapshots, cache the results, and loop.
+   ``jobs > 1`` — absorb worker snapshots, cache the results, and
+   loop.  A wave runs serially in this process when no pool is
+   available, or when it cannot gain from one: a single cell with no
+   ``shard_key`` and no cell timeout in force.
 
 When the loop drains, still-unresolved cells are *pruned* (never
 needed).  Every run then re-checks its schedules independently: each
@@ -98,8 +100,8 @@ class PlanRun:
         fingerprint: Its content hash (plan-cell key and dedup scope).
         report: The kind's assembled report object.
         results: Cell results by cell id (pruned cells absent).
-        backend: What ran the executed cells: ``workers`` when any wave
-            ran on the worker pool, else ``serial``.
+        backend: What ran the executed cells: ``workers`` when at least
+            one wave ran on the worker pool, else ``serial``.
         jobs: Worker process count the run was configured with.
         wall_seconds: End-to-end elapsed time.
         cells: Total cells in the expanded graph.
@@ -154,6 +156,8 @@ class PlanRunner:
             ``jobs > 1`` instead of creating one per run (e.g.
             the optimization service shares one pool across all jobs).
             The caller keeps ownership: the runner never closes it.
+            Waves that cannot gain from a pool run in this process
+            either way (see :meth:`_run_batch`).
     """
 
     def __init__(
@@ -440,18 +444,33 @@ class PlanRunner:
             incr("plan.cells_pruned", len(pruned))
 
     def _run_batch(self, batch, results, keys, run, sweep_pool) -> None:
-        """Fan one wave of cells out through :func:`run_cells`."""
-        spool = sweep_pool()
-        if spool is not None:
-            run.backend = "workers"
-        specs = [
-            (cell.fn, _resolve_args(cell.args, results))
-            for cell in batch
-        ]
+        """Fan one wave of cells out through :func:`run_cells`.
+
+        The wave goes to the pool only if it can gain from it: it holds
+        more than one cell, its cell's warm state lives in a worker (a
+        ``shard_key``), or a cell timeout is in force (only the pool
+        enforces one).  Any other wave runs in this process, and starts
+        no pool.
+        """
         policy = self.policy
         timeout = (
             self.timeout if self.timeout is not None else policy.cell_timeout
         )
+        gains = (
+            len(batch) > 1
+            or batch[0].shard_key is not None
+            or timeout is not None
+        )
+        spool = sweep_pool() if gains else None
+        if spool is not None:
+            run.backend = "workers"
+            incr("plan.waves_on_workers")
+        else:
+            incr("plan.waves_in_parent")
+        specs = [
+            (cell.fn, _resolve_args(cell.args, results))
+            for cell in batch
+        ]
         # Without a pool, ``run_cells`` runs the wave serially (``jobs``
         # stays at its default of 1).
         outcomes = run_cells(

@@ -365,6 +365,22 @@ class WorkerPool:
                 waiting.discard(message[1])
             elif message[0] == "hb":
                 incr("pool.heartbeats")
+        self._release()
+
+    def terminate(self) -> None:
+        """Kill the workers now, without draining them or absorbing
+        their snapshots: for a parent abandoning the cells in flight
+        (a server shutting down mid-job)."""
+        if self._closed:
+            return
+        self._closed = True
+        self._done.set()
+        self._abandon()
+        self._release()
+
+    def _release(self) -> None:
+        """Reap the workers and let go of the queues; a queue whose
+        reader is gone must not hold the interpreter's exit."""
         for process in self._workers:
             process.join(timeout=0.5)
             if process.is_alive():
@@ -480,6 +496,10 @@ class WorkerPool:
         last_message = time.monotonic()
         while outstanding > 0:
             message = self._poll(_IDLE_WAIT)
+            if self._closed:
+                # Closed from another thread mid-run (a server shutting
+                # down): the parent must not take the cells over.
+                raise RuntimeError("worker pool closed during a run")
             if message is not None:
                 last_message = time.monotonic()
                 kind = message[0]

@@ -4,10 +4,15 @@ Every submitted job is journaled as one JSON file under
 ``<state_dir>/jobs/<job_id>.json`` (atomic tmp+fsync+rename via
 :func:`~repro.runtime.cache.atomic_write_text`), holding the normalized
 plan payload, the lifecycle record, and — once terminal — the rendered
-result.  A restarted server reloads the journal, re-enqueues every
-``queued``/``running`` job (a ``requeued`` event), and the shared
-evaluation cache's store serves the cells the killed run had already
-completed, so the job finishes bit-identically.
+result.  Only what recovery reads is written: the ``queued``,
+``joined`` and terminal transitions.  The ``running`` transition is not
+written (the next ``joined`` or terminal write carries its event),
+because a restart treats a running job exactly like a queued one.  A
+restarted server reloads the journal, re-enqueues every unfinished job
+(a ``requeued`` event), rebuilds its plan from the payload with the
+fingerprint checked, and the shared evaluation cache's store serves the
+cells the killed run had already completed, so the job finishes
+bit-identically.
 
 Dedup semantics (:meth:`JobManager.submit`): jobs are content-addressed
 by the plan fingerprint.  A submission whose fingerprint matches a live
@@ -27,6 +32,7 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.experiments.plan import ExperimentPlan
 from repro.runtime.cache import atomic_write_text
 from repro.service.queue import JobQueue
 from repro.service.wire import JOB_STATES, TERMINAL_STATES, Submission
@@ -39,7 +45,12 @@ JOURNAL_VERSION = 1
 
 @dataclass
 class Job:
-    """One submitted job and its lifecycle record."""
+    """One submitted job and its lifecycle record.
+
+    ``plan`` is the plan the front door already parsed, verified and
+    expanded, kept until the job finishes; a job restored from the
+    journal has none and is rebuilt from ``payload``.
+    """
 
     job_id: str
     payload: dict
@@ -56,6 +67,9 @@ class Job:
     error: dict | None = None
     result: dict | None = None
     events: list[dict] = field(default_factory=list)
+    plan: ExperimentPlan | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def terminal(self) -> bool:
@@ -257,6 +271,7 @@ class JobManager:
                 priority=submission.priority,
                 tag=submission.tag,
                 created=time.time(),
+                plan=submission.plan,
             )
             # Reserve queue capacity first: on QueueFullError nothing
             # must be registered or journaled.
@@ -294,13 +309,14 @@ class JobManager:
         return requeued
 
     def mark_running(self, job: Job) -> None:
+        """Not journaled: the journal keeps the job ``queued``, which is
+        how a restart treats a running job anyway."""
         with self._lock:
             self._run_counter += 1
             job.state = "running"
             job.started = time.time()
             job.run_seq = self._run_counter
             job.add_event("running", run_seq=job.run_seq)
-            self.store.save(job)
             self._lock.notify_all()
 
     def add_event(self, job: Job, event: str, **details) -> None:
@@ -325,6 +341,7 @@ class JobManager:
             job.finished = time.time()
             job.result = result
             job.error = error
+            job.plan = None
             job.add_event("finished", state=state)
             self.store.save(job)
             self._lock.notify_all()

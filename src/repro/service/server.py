@@ -11,7 +11,9 @@ with a stdlib-only :class:`~http.server.ThreadingHTTPServer`:
 * all jobs share one persistent on-disk
   :class:`~repro.runtime.cache.EvaluationCache` and one warm
   :class:`~repro.runtime.pool.WorkerPool` (engines compiled once at
-  first use, reused across jobs via ``PlanRunner(pool=...)``);
+  first use, reused across jobs via ``PlanRunner(pool=...)``); a wave
+  that cannot gain from the pool — one cell, no shard key, no cell
+  timeout — runs on the executor thread itself;
 * the shared cache's on-disk store is the only durable cell state, so a
   server killed mid-sweep resumes the job bit-identically after restart
   (the job journal re-enqueues it, the store serves its finished cells);
@@ -64,6 +66,11 @@ from repro.service.wire import (
 )
 
 __all__ = ["OptimizationService", "ServiceConfig"]
+
+#: Seconds :meth:`OptimizationService.stop` lets the executor finish the
+#: job in hand.  A job still running after that is abandoned: its journal
+#: entry still reads ``queued``, so the next start runs it again.
+STOP_GRACE_SECONDS = 2.0
 
 
 @dataclass
@@ -171,7 +178,10 @@ class OptimizationService:
 
     def stop(self) -> None:
         """Drain nothing, stop everything: the queue wakes the executor,
-        the pool and the HTTP listener shut down."""
+        the HTTP listener and the pool shut down.  The executor gets
+        :data:`STOP_GRACE_SECONDS` to finish the job in hand; if it is
+        still running after that, the job is abandoned and the pool's
+        workers are killed instead of drained."""
         self._stop.set()
         self._gate.set()
         self.queue.close()
@@ -179,11 +189,16 @@ class OptimizationService:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
+        abandoned = False
         for thread in self._threads:
-            thread.join(timeout=10)
+            thread.join(timeout=STOP_GRACE_SECONDS)
+            abandoned = abandoned or thread.is_alive()
         self._threads = []
         if self._pool is not None:
-            self._pool.close()
+            if abandoned:
+                self._pool.terminate()
+            else:
+                self._pool.close()
             self._pool = None
 
     @property
@@ -216,7 +231,7 @@ class OptimizationService:
                 continue
             self._parked.clear()
             job_id = self.queue.pop(timeout=0.2)
-            if job_id is None:
+            if job_id is None or self._stop.is_set():
                 continue
             job = self.manager.get(job_id)
             if job is None or job.state != "queued":
@@ -240,7 +255,14 @@ class OptimizationService:
             self._live = (job.job_id, instrumentation)
         try:
             with use_instrumentation(instrumentation):
-                plan = plan_from_dict(job.payload)
+                # A submitted job runs the plan the front door parsed; a
+                # job restored from the journal is rebuilt from its
+                # payload, fingerprint checked.
+                plan = (
+                    job.plan
+                    if job.plan is not None
+                    else plan_from_dict(job.payload)
+                )
                 runner = PlanRunner(
                     jobs=self.config.jobs,
                     cache=self.cache,
@@ -249,6 +271,10 @@ class OptimizationService:
                 )
                 run = runner.run(plan)
         except Exception as exc:  # any failure is the job's, not ours
+            if self._stop.is_set():
+                # ``stop`` may have pulled the pool from under the job:
+                # leave it queued in the journal for the next start.
+                return
             message = str(exc)
             self.manager.finish(
                 job,

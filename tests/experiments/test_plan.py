@@ -233,6 +233,72 @@ class TestSerialization:
             plan_to_dict(plan)
 
 
+class TestMemo:
+    """A plan computes its fingerprint and cell graph at most once; the
+    memo changes no result and never travels in a pickle."""
+
+    @staticmethod
+    def _plan(soc):
+        from repro.experiments.table_runner import table_plan
+
+        return table_plan(soc, 200, widths=(8, 16), group_counts=(1, 2))
+
+    @staticmethod
+    def _graph(plan):
+        return [
+            (cell.signature(), cell.args) for cell in plan.expand()
+        ]
+
+    def test_expand_and_fingerprint_run_once(self, t5, monkeypatch):
+        import repro.experiments.plan as plan_module
+
+        plan = self._plan(t5)
+        hashed, expanded = [], []
+        stable_hash = plan_module.stable_hash
+        kind = plan_kind("table")
+        expand = type(kind).expand
+        monkeypatch.setattr(
+            plan_module, "stable_hash",
+            lambda value: hashed.append(1) or stable_hash(value),
+        )
+        monkeypatch.setattr(
+            type(kind), "expand",
+            lambda self, params: expanded.append(1) or expand(self, params),
+        )
+        assert plan.fingerprint() == plan.fingerprint()
+        assert plan.expand() is plan.expand()
+        assert (len(hashed), len(expanded)) == (1, 1)
+
+    def test_memoized_equals_fresh_before_and_after_pickle(self, t5):
+        import pickle
+
+        plan = self._plan(t5)
+        fresh = self._plan(t5)
+        pristine = pickle.dumps(fresh)
+        fingerprint, graph = plan.fingerprint(), self._graph(plan)
+        assert fingerprint == fresh.fingerprint()
+        assert graph == self._graph(fresh)
+        assert plan == fresh
+
+        # Neither memo travels: the pickle is byte-identical to that of
+        # a plan that never computed either, and the copy recomputes.
+        assert pickle.dumps(plan) == pristine
+        copy = pickle.loads(pickle.dumps(plan))
+        assert "_fingerprint" not in vars(copy)
+        assert "_cells" not in vars(copy)
+        assert copy == plan
+        assert copy.fingerprint() == fingerprint
+        assert self._graph(copy) == graph
+        assert plan_to_dict(copy) == plan_to_dict(fresh)
+
+    def test_decoded_soc_is_shared_and_equal(self, t5):
+        data = plan_to_dict(ExperimentPlan("pareto", {"soc": t5, "widths": (8,)}))
+        first, second = plan_from_dict(data), plan_from_dict(data)
+        assert first.params["soc"] is second.params["soc"]
+        assert first.params["soc"] == t5
+        assert plan_to_dict(first) == data
+
+
 class TestUncachedSentinel:
     def test_raw_volume_cells_run_uncached(self, t5):
         from repro.sitest.generator import generate_random_patterns

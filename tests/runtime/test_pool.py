@@ -205,6 +205,33 @@ class TestWorkerPool:
         with pytest.raises(RuntimeError, match="closed"):
             pool.run(_double, [1])
 
+    def test_terminate_mid_run_stops_the_run_without_a_takeover(self):
+        import threading
+        import time
+
+        pool = WorkerPool(2)
+        outcome: list = []
+
+        def drive():
+            try:
+                outcome.append(pool.run(_hang_in_worker, [1, 2]))
+            except RuntimeError as error:
+                outcome.append(error)
+
+        runner = threading.Thread(target=drive, daemon=True)
+        runner.start()
+        time.sleep(0.5)  # both cells now hang in the workers
+        began = time.monotonic()
+        pool.terminate()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        assert time.monotonic() - began < 5
+        # The running thread stops; it does not redo the cells itself.
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], RuntimeError)
+        assert "closed during a run" in str(outcome[0])
+        assert not any(process.is_alive() for process in pool._workers)
+
     def test_warmup_snapshot_absorbed_on_close(self):
         from repro.runtime.pool import warm_engines
 

@@ -81,6 +81,32 @@ def test_mark_running_assigns_monotonic_run_seq(manager, quick_plan, t5):
     assert (first.run_seq, second.run_seq) == (1, 2)
 
 
+def test_job_carries_the_parsed_plan_until_it_finishes(manager, quick_plan):
+    submission = _submission(quick_plan)
+    job, _ = manager.submit(submission)
+    assert job.plan is submission.plan
+    manager.mark_running(job)
+    manager.finish(job, "ok", result={"status": "ok"})
+    assert job.plan is None
+    restored = manager.store.load_all()
+    assert [entry.plan for entry in restored] == [None]
+
+
+def test_finish_journals_the_running_event(manager, quick_plan):
+    job, _ = manager.submit(_submission(quick_plan))
+    path = manager.store.path(job.job_id)
+    queued = path.read_bytes()
+    manager.mark_running(job)
+    assert path.read_bytes() == queued
+    manager.finish(job, "ok", result={"status": "ok"})
+    journal = json.loads(path.read_text())["job"]
+    assert journal["state"] == "ok"
+    assert [e["event"] for e in journal["events"]] == [
+        "queued", "running", "finished"
+    ]
+    assert journal["run_seq"] == 1
+
+
 def test_view_excludes_payload_and_result(manager, quick_plan):
     job, _ = manager.submit(_submission(quick_plan))
     view = job.view()
@@ -100,7 +126,10 @@ def test_restore_requeues_unfinished_and_keeps_terminal(
     manager.mark_running(done)
     manager.finish(done, "ok", result={"status": "ok"})
     stuck, _ = manager.submit(_submission(pareto_plan(t5, (8,))))
-    manager.mark_running(stuck)  # killed mid-run: journaled as running
+    manager.mark_running(stuck)  # killed mid-run
+    journal = json.loads(store.path(stuck.job_id).read_text())["job"]
+    assert journal["state"] == "queued"  # running is never written
+    assert [e["event"] for e in journal["events"]] == ["queued"]
 
     fresh = JobManager(store, JobQueue())
     requeued = fresh.restore(store.load_all())

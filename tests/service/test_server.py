@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.experiments.pareto import pareto_plan
+from repro.experiments.render import render_report
+from repro.experiments.runner import PlanRunner
 from repro.service.client import ServiceClient, ServiceError
 
 
@@ -161,6 +163,34 @@ def test_cache_shared_when_checkpoint_absent(
         "cache", "jobs"
     ]
     assert first["result"]["rendered"] == second["result"]["rendered"]
+
+
+def test_restored_job_is_rebuilt_from_its_checked_payload(
+    service, service_factory, client, t5
+):
+    """A job restored from the journal has no parsed plan: the executor
+    rebuilds it from the payload, and a payload that no longer matches
+    its fingerprint fails the job instead of running other content."""
+    service.pause_executor()
+    kept = client.submit(pareto_plan(t5, (16,)))["job"]["id"]
+    tampered = client.submit(pareto_plan(t5, (8,)))["job"]["id"]
+    state_dir = service.config.state_dir
+    service.stop()
+    path = state_dir / "jobs" / f"{tampered}.json"
+    record = json.loads(path.read_text())
+    record["job"]["payload"]["params"]["widths"] = [24]
+    path.write_text(json.dumps(record))
+
+    restarted = service_factory(state_dir=state_dir)
+    client = ServiceClient(restarted.url, timeout=30.0)
+    ok = client.wait(kept, timeout=60)
+    assert ok["job"]["state"] == "ok"
+    assert ok["result"]["rendered"] == render_report(
+        "pareto", PlanRunner().run(pareto_plan(t5, (16,))).report
+    )
+    failed = client.wait(tampered, timeout=60)
+    assert failed["job"]["state"] == "failed"
+    assert "fingerprint mismatch" in failed["job"]["error"]["message"]
 
 
 def test_stats_reports_jobs_and_cache(client, quick_plan):

@@ -238,11 +238,15 @@ def _sample_plans() -> dict:
 
 @check("experiment plans: every kind expands deterministically")
 def _plans():
+    from repro.experiments.plan import ExperimentPlan
+
     for name, plan in _sample_plans().items():
+        # A second instance: each plan memoizes its own expansion.
+        twin = ExperimentPlan(plan.name, plan.params)
         first = [cell.signature() for cell in plan.expand()]
-        second = [cell.signature() for cell in plan.expand()]
+        second = [cell.signature() for cell in twin.expand()]
         assert first == second, f"{name} expansion is not deterministic"
-        assert plan.fingerprint() == plan.fingerprint()
+        assert plan.fingerprint() == twin.fingerprint()
         assert first, f"{name} expanded to an empty graph"
 
 
